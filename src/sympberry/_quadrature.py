@@ -75,18 +75,38 @@ class QuadratureBudgetExceeded(RuntimeError):
         )
 
 
-def _panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One G7K15 panel on [a, b]: returns (K15 value, |K15 - G7|)."""
+def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple[np.ndarray, np.ndarray]:
+    """G7K15 panels on [a_i, b_i], all nodes in one call of f.
+
+    Returns the per-panel K15 values and |K15 - G7| estimates. f maps the
+    node array to an array of integrand values of the same shape.
+    """
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = np.array([f(mid + half * x) for x in GK15_NODES])
-    k15 = half * float(GK15_WEIGHTS @ vals)
-    g7 = half * float(G7_WEIGHTS_EMBEDDED @ vals)
-    return k15, abs(k15 - g7)
+    nodes = (mid[:, None] + half[:, None] * GK15_NODES).ravel()
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape != nodes.shape:
+        raise ValueError(
+            f"integrand returned shape {vals.shape} for {nodes.size} nodes; "
+            f"expected {nodes.shape}"
+        )
+    vals = vals.reshape(-1, 15)
+    # row-wise reductions give each panel the same sum whatever the panel
+    # count, where a matrix-vector product may not
+    k15 = half * (vals * GK15_WEIGHTS).sum(axis=1)
+    g7 = half * (vals * G7_WEIGHTS_EMBEDDED).sum(axis=1)
+    return k15, np.abs(k15 - g7)
+
+
+def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+    """One G7K15 panel on [a, b]: returns (K15 value, |K15 - G7|)."""
+    k15, err = _panels(f, a, b)
+    return float(k15[0]), float(err[0])
 
 
 def adaptive_gauss_kronrod(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
@@ -94,9 +114,15 @@ def adaptive_gauss_kronrod(
 ) -> tuple[float, float, int]:
     """Adaptive bisection refinement of G7K15 panels.
 
-    Returns (value, error_estimate, evaluations). Panels are accumulated in
-    left-endpoint order so the reduction is deterministic. Raises
-    QuadratureBudgetExceeded if max_evals is reached first.
+    f is called with a 1-D array of nodes and returns the integrand values
+    as an array of the same shape; any other shape raises ValueError. The
+    first panel is one call of 15 nodes, and each split evaluates both
+    halves of the worst panel in one call of 30 nodes.
+
+    Returns (value, error_estimate, evaluations), where evaluations counts
+    nodes. Panels are accumulated in left-endpoint order so the reduction is
+    deterministic. Raises QuadratureBudgetExceeded if max_evals is reached
+    first.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -113,11 +139,10 @@ def adaptive_gauss_kronrod(
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
         pa, pb, _, _ = panels.pop(worst)
         pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
+        (v1, v2), (e1, e2) = _panels(f, np.array([pa, pm]), np.array([pm, pb]))
         evals += 30
-        panels.append((pa, pm, v1, e1))
-        panels.append((pm, pb, v2, e2))
+        panels.append((pa, pm, float(v1), float(e1)))
+        panels.append((pm, pb, float(v2), float(e2)))
     panels.sort(key=lambda p: p[0])
     value = float(sum(p[2] for p in panels))
     error = float(sum(p[3] for p in panels))
@@ -125,22 +150,27 @@ def adaptive_gauss_kronrod(
 
 
 def fixed_gauss_kronrod(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     panels: int = 64,
 ) -> tuple[float, float, int]:
-    """Composite G7K15 over equal panels. Returns (value, error, evaluations)."""
+    """Composite G7K15 over equal panels. Returns (value, error, evaluations).
+
+    f takes the array of all 15 * panels nodes in one call and returns the
+    integrand values as an array of the same shape. The panel sums are added
+    in panel order.
+    """
     if panels < 1:
         raise ValueError("panel count must be >= 1")
     edges = np.linspace(a, b, panels + 1)
+    values, errors = _panels(f, edges[:-1], edges[1:])
     value = 0.0
     error = 0.0
-    for i in range(panels):
-        v, e = _panel(f, edges[i], edges[i + 1])
+    for v, e in zip(values.tolist(), errors.tolist()):
         value += v
         error += e
-    return float(value), float(error), 15 * panels
+    return value, error, 15 * panels
 
 
 def tanh_sinh_nodes(points: int, tmax: float = 4.0) -> tuple[np.ndarray, np.ndarray]:

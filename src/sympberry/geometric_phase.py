@@ -6,10 +6,13 @@ the accumulated geometric phase is the line integral of the connection
     -(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM/dt]
 
 over t in [0, 1]. This module provides the path container with finite
-difference tangents, the integral in its direct and boundary-term forms, a
-reduced expression for paths whose upper-right block vanishes, and an
-invariance check under constant left translations (classical canonical
-transformations leave the phase alone).
+difference tangents and optional batch evaluation, the integral in its
+direct and boundary-term forms, a reduced expression for paths whose
+upper-right block vanishes, and an invariance check under constant left
+translations (classical canonical transformations leave the phase alone).
+
+The integrands are evaluated over stacks of path samples, one quadrature
+call (a G7K15 panel or a split into two panels) at a time.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
 from .gaussian_states import OscParams, covariance
-from .symplectic_core import GROUPED, SympMatrix, block_decompose, omega
+from .symplectic_core import _DET_TOL, DEFAULT_TOL_SYMP, GROUPED, SympMatrix, omega
 
 __all__ = [
     "ADAPTIVE",
@@ -102,35 +105,90 @@ class SympPath:
     second-order finite differences with step 1e-6 * max(1, |M(0)|_max),
     one-sided at the interval ends. closed asserts M(1) = M(0); construction
     samples five parameter values and checks symplecticity and closure.
+
+    eval_batch and tangent_batch, given together or not at all, evaluate the
+    same path at a 1-D array of k parameters in one call: each returns a
+    (k, 2n, 2n) array of grouped-ordering matrices, row i belonging to ts[i].
+    They must agree with eval and with the path's tangent. The phase
+    integrals then evaluate whole quadrature panels through them and build
+    no SympMatrix per node; sample() checks the shape, finiteness, group
+    condition and determinant of every stacked matrix instead, with the
+    thresholds SympMatrix applies. Construction validates its five samples
+    through one eval_batch call. Paths without them are sampled by looping
+    over eval and derivative.
     """
 
     n: int
     eval: Callable[[float], SympMatrix]
     tangent: Callable[[float], np.ndarray] | None = None
     closed: bool = False
+    eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    tangent_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        samples = {}
-        for t in _PARAM_SAMPLES:
-            M = self.eval(t)
-            if not isinstance(M, SympMatrix):
-                raise TypeError(f"eval({t}) returned {type(M).__name__}, not SympMatrix")
-            if M.n != self.n:
-                raise ValueError(f"eval({t}) has {M.n} modes, path declares {self.n}")
-            if M.ordering != GROUPED:
-                raise ValueError("paths require grouped ordering")
-            resid = float(np.max(np.abs(M.data @ omega(self.n) @ M.data.T - omega(self.n))))
-            if resid > _SAMPLE_SYMP_TOL:
-                raise ValueError(
-                    f"sample at t={t} fails the symplectic condition: residual {resid:.3e}"
-                )
-            samples[t] = M
+        if (self.eval_batch is None) != (self.tangent_batch is None):
+            raise ValueError("eval_batch and tangent_batch must be given together")
+        if self.eval_batch is not None:
+            samples = self._matrices(np.array(_PARAM_SAMPLES))
+        else:
+            samples = np.array([self._scalar_sample(t) for t in _PARAM_SAMPLES])
         if self.closed:
-            gap = float(np.max(np.abs(samples[1.0].data - samples[0.0].data)))
+            gap = float(np.max(np.abs(samples[-1] - samples[0])))
             if gap > _CLOSURE_TOL:
                 raise ValueError(f"closed path fails closure: |M(1) - M(0)|_max = {gap:.3e}")
-        scale = max(1.0, float(np.max(np.abs(samples[0.0].data))))
+        scale = max(1.0, float(np.max(np.abs(samples[0]))))
         object.__setattr__(self, "_fd_step", _FD_STEP_FACTOR * scale)
+
+    def _scalar_sample(self, t: float) -> np.ndarray:
+        """Construction check of eval(t): type, modes, ordering, group condition."""
+        M = self.eval(t)
+        if not isinstance(M, SympMatrix):
+            raise TypeError(f"eval({t}) returned {type(M).__name__}, not SympMatrix")
+        if M.n != self.n:
+            raise ValueError(f"eval({t}) has {M.n} modes, path declares {self.n}")
+        if M.ordering != GROUPED:
+            raise ValueError("paths require grouped ordering")
+        om = omega(self.n)
+        resid = float(np.max(np.abs(M.data @ om @ M.data.T - om)))
+        if resid > _SAMPLE_SYMP_TOL:
+            raise ValueError(
+                f"sample at t={t} fails the symplectic condition: residual {resid:.3e}"
+            )
+        return M.data
+
+    def _matrices(self, ts: np.ndarray) -> np.ndarray:
+        """eval_batch(ts), with every stacked matrix checked like a SympMatrix."""
+        Ms = _stack(self.eval_batch(ts), ts, self.n, "eval_batch")
+        bad = ~np.all(np.isfinite(Ms), axis=(1, 2))
+        if bad.any():
+            raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
+        om = omega(self.n)
+        resid = np.max(np.abs(Ms @ om @ Ms.transpose(0, 2, 1) - om), axis=(1, 2))
+        det = np.linalg.det(Ms)
+        bad = (resid > DEFAULT_TOL_SYMP) | (np.abs(det - 1.0) > _DET_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"sample at t={ts[i]} fails the symplectic condition: residual "
+                f"{resid[i]:.3e}, determinant {det[i]!r}"
+            )
+        return Ms
+
+    def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked path matrices and tangents at the 1-D parameter array ts.
+
+        Returns (Ms, dMs), each of shape (k, 2n, 2n), from one call each of
+        eval_batch and tangent_batch when the path has them, else by looping
+        over eval and derivative.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if self.eval_batch is None:
+            Ms = _stack([self.eval(t).data for t in ts], ts, self.n, "eval")
+            dMs = _stack([self.derivative(t) for t in ts], ts, self.n, "tangent")
+        else:
+            Ms = self._matrices(ts)
+            dMs = _stack(self.tangent_batch(ts), ts, self.n, "tangent_batch")
+        return Ms, dMs
 
     def derivative(self, t: float) -> np.ndarray:
         """dM/dt at t: the analytic tangent if supplied, else finite difference."""
@@ -146,10 +204,31 @@ class SympPath:
         return (self.eval(t + h).data - self.eval(t - h).data) / (2.0 * h)
 
 
+def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
+    """values as a float array of shape (len(ts), 2n, 2n), or ValueError."""
+    arr = np.asarray(values, dtype=float)
+    expected = (ts.size, 2 * n, 2 * n)
+    if arr.shape != expected:
+        raise ValueError(f"{source} returned shape {arr.shape}, expected {expected}")
+    return arr
+
+
 def _metric_diag(p: OscParams) -> np.ndarray:
     """diag(l^2, hbar^2 / l^2), the connection's metric weights."""
     l = p.length_array()
     return np.concatenate([l * l, p.hbar**2 / (l * l)])
+
+
+def _check_modes(n: int, p: OscParams) -> None:
+    if p.n != n:
+        raise ValueError(f"parameter modes {p.n} do not match matrix modes {n}")
+
+
+def _connection_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
+    """-(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM] for each stacked pair."""
+    # diagonal of M^T (Omega dM): sum over j of M_ji (Omega dM)_ji
+    core = np.einsum("kji,kji->ki", Ms, omega(p.n) @ dMs)
+    return -(0.25 / p.hbar) * (core @ _metric_diag(p))
 
 
 def connection_integrand(M: SympMatrix, dM: np.ndarray, p: OscParams) -> float:
@@ -158,24 +237,23 @@ def connection_integrand(M: SympMatrix, dM: np.ndarray, p: OscParams) -> float:
     dM = np.asarray(dM, dtype=float)
     if dM.shape != M.data.shape:
         raise ValueError(f"tangent shape {dM.shape} does not match {M.data.shape}")
-    if p.n != M.n:
-        raise ValueError(f"parameter modes {p.n} do not match matrix modes {M.n}")
-    core = M.data.T @ omega(M.n) @ dM
-    return float(-(0.25 / p.hbar) * (_metric_diag(p) @ np.diagonal(core)))
+    _check_modes(M.n, p)
+    return float(_connection_values(M.data[None], dM[None], p)[0])
 
 
 def _run_quadrature(
-    f: Callable[[float], float], quad: QuadSpec
+    f: Callable[[np.ndarray], np.ndarray], quad: QuadSpec
 ) -> tuple[float, float, int]:
     if quad.kind == ADAPTIVE:
         return adaptive_gauss_kronrod(f, 0.0, 1.0, tol=quad.tol, max_evals=quad.max_evals)
     return fixed_gauss_kronrod(f, 0.0, 1.0, panels=quad.panels)
 
 
-def _finite_or_raise(value: float, t: float) -> float:
-    if not np.isfinite(value):
-        raise NonFiniteIntegrand(f"integrand is non-finite at t={t}")
-    return value
+def _finite_or_raise(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NonFiniteIntegrand(f"integrand is non-finite at t={ts[np.argmax(bad)]}")
+    return values
 
 
 def integrate_phase(
@@ -184,11 +262,10 @@ def integrate_phase(
     """Geometric phase of the path: the connection integrated over [0, 1]."""
     if quad is None:
         quad = QuadSpec()
+    _check_modes(path.n, p)
 
-    def f(t: float) -> float:
-        return _finite_or_raise(
-            connection_integrand(path.eval(t), path.derivative(t), p), t
-        )
+    def f(ts: np.ndarray) -> np.ndarray:
+        return _finite_or_raise(_connection_values(*path.sample(ts), p), ts)
 
     value, error, evals = _run_quadrature(f, quad)
     return PhaseResult(value=value, error_estimate=error, evaluations=evals)
@@ -226,16 +303,15 @@ def integrate_phase_boundary_form(
             UserWarning,
             stacklevel=2,
         )
+    _check_modes(path.n, p)
     weights = _metric_diag(p)
     om = omega(path.n)
 
-    def f(t: float) -> float:
-        M = path.eval(t)
-        if p.n != M.n:
-            raise ValueError(f"parameter modes {p.n} do not match matrix modes {M.n}")
-        dM = path.derivative(t)
-        core = om @ M.data @ np.diag(weights) @ dM.T
-        return _finite_or_raise(float((0.25 / p.hbar) * np.trace(core)), t)
+    def f(ts: np.ndarray) -> np.ndarray:
+        Ms, dMs = path.sample(ts)
+        # Tr[(Omega M) W dM^T] = sum over a, b of (Omega M)_ab w_b dM_ab
+        core = np.einsum("kab,b,kab->k", om @ Ms, weights, dMs)
+        return _finite_or_raise((0.25 / p.hbar) * core, ts)
 
     value, error, evals = _run_quadrature(f, quad)
     boundary = (0.5 / p.hbar) * (
@@ -256,26 +332,27 @@ def phase_b_zero(
     if quad is None:
         quad = QuadSpec()
     n = path.n
+    _check_modes(n, p)
     l2 = np.asarray(p.lengths, dtype=float) ** 2
 
-    def f(t: float) -> float:
-        M = path.eval(t)
-        if p.n != M.n:
-            raise ValueError(f"parameter modes {p.n} do not match matrix modes {M.n}")
-        blocks = block_decompose(M)
-        b_max = float(np.max(np.abs(blocks.B)))
-        if b_max > _B_ZERO_TOL:
-            raise NotBZeroForm(f"upper-right block reaches {b_max:.3e} at t={t}")
-        d_resid = float(np.max(np.abs(blocks.D - np.linalg.inv(blocks.A).T)))
-        if d_resid > _INV_TRANSPOSE_TOL:
+    def f(ts: np.ndarray) -> np.ndarray:
+        Ms, dMs = path.sample(ts)
+        A, B, C, D = Ms[:, :n, :n], Ms[:, :n, n:], Ms[:, n:, :n], Ms[:, n:, n:]
+        b_max = np.max(np.abs(B), axis=(1, 2))
+        if np.any(b_max > _B_ZERO_TOL):
+            i = int(np.argmax(b_max > _B_ZERO_TOL))
+            raise NotBZeroForm(f"upper-right block reaches {b_max[i]:.3e} at t={ts[i]}")
+        d_resid = np.max(np.abs(D - np.linalg.inv(A).transpose(0, 2, 1)), axis=(1, 2))
+        if np.any(d_resid > _INV_TRANSPOSE_TOL):
+            i = int(np.argmax(d_resid > _INV_TRANSPOSE_TOL))
             raise NotBZeroForm(
                 f"lower-right block deviates from inverse-transpose form by "
-                f"{d_resid:.3e} at t={t}"
+                f"{d_resid[i]:.3e} at t={ts[i]}"
             )
-        dM = path.derivative(t)
-        dA, dC = dM[:n, :n], dM[n:, :n]
-        core = blocks.A.T @ dC - blocks.C.T @ dA
-        return _finite_or_raise(float(-(0.25 / p.hbar) * (l2 @ np.diagonal(core))), t)
+        dA, dC = dMs[:, :n, :n], dMs[:, n:, :n]
+        # diagonal of A^T dC - C^T dA
+        core = np.einsum("kji,kji->ki", A, dC) - np.einsum("kji,kji->ki", C, dA)
+        return _finite_or_raise(-(0.25 / p.hbar) * (core @ l2), ts)
 
     value, error, evals = _run_quadrature(f, quad)
     return PhaseResult(value=value, error_estimate=error, evaluations=evals)

@@ -91,29 +91,7 @@ def squeeze_matrix_n1(spec: SqueezeSpec) -> SympMatrix:
     cosh(r) I plus sinh(r) times the direction matrix.
     """
     _require_modes(spec, 1)
-    r, th = spec.R, spec.angle
-    hbar = spec.params.hbar
-    l2 = spec.params.lengths[0] ** 2
-    ch, sh = np.cosh(r), np.sinh(r)
-    M = np.array(
-        [
-            [ch - np.cos(th) * sh, -(l2 / hbar) * np.sin(th) * sh],
-            [-(hbar / l2) * np.sin(th) * sh, ch + np.cos(th) * sh],
-        ]
-    )
-    return SympMatrix(1, M)
-
-
-def _d_matrix_d_angle_n1(spec: SqueezeSpec) -> np.ndarray:
-    r, th = spec.R, spec.angle
-    hbar = spec.params.hbar
-    l2 = spec.params.lengths[0] ** 2
-    return np.sinh(r) * np.array(
-        [
-            [np.sin(th), -(l2 / hbar) * np.cos(th)],
-            [-(hbar / l2) * np.cos(th), -np.sin(th)],
-        ]
-    )
+    return _spec_matrix(spec)
 
 
 def squeeze_b_block_n2(spec: SqueezeSpec) -> np.ndarray:
@@ -136,27 +114,6 @@ def squeeze_b_block_n2(spec: SqueezeSpec) -> np.ndarray:
     )
 
 
-def _direction_n2(spec: SqueezeSpec, c: float, s: float) -> np.ndarray:
-    """cosh/sinh split direction matrix for the two-mode squeeze.
-
-    c and s are cos/sin of the angle (or their derivatives, for tangents).
-    Ordering is grouped (x1, x2, p1, p2).
-    """
-    hbar = spec.params.hbar
-    l1, l2 = spec.params.lengths
-    k1 = l1 / l2
-    k2 = l1 * l2 / hbar
-    k3 = hbar / (l1 * l2)
-    return np.array(
-        [
-            [0.0, -k1 * c, 0.0, -k2 * s],
-            [-c / k1, 0.0, -k2 * s, 0.0],
-            [0.0, -k3 * s, 0.0, c / k1],
-            [-k3 * s, 0.0, k1 * c, 0.0],
-        ]
-    )
-
-
 def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
     """Two-mode squeeze matrix cosh(R) I + sinh(R) K(phi), grouped ordering.
 
@@ -164,16 +121,65 @@ def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
     cos(phi), matching the exponential of the generator (see NOTES.md).
     """
     _require_modes(spec, 2)
-    K = _direction_n2(spec, np.cos(spec.angle), np.sin(spec.angle))
-    M = np.cosh(spec.R) * np.eye(4) + np.sinh(spec.R) * K
-    return SympMatrix(2, M)
+    return _spec_matrix(spec)
 
 
-def _d_matrix_d_angle_n2(spec: SqueezeSpec) -> np.ndarray:
-    # dK/dphi just swaps c -> -s, s -> c in the direction matrix
-    return np.sinh(spec.R) * _direction_n2(
-        spec, -np.sin(spec.angle), np.cos(spec.angle)
-    )
+def _direction_n1(params: OscParams, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """cosh/sinh split direction matrices for the one-mode squeeze, stacked.
+
+    c and s are arrays of cos/sin of the angle (or their derivatives, for
+    tangents); the result has shape (len(c), 2, 2).
+    """
+    k = params.lengths[0] ** 2 / params.hbar
+    K = np.empty((c.size, 2, 2))
+    K[:, 0, 0] = -c
+    K[:, 0, 1] = -k * s
+    K[:, 1, 0] = -s / k
+    K[:, 1, 1] = c
+    return K
+
+
+def _direction_n2(params: OscParams, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """cosh/sinh split direction matrices for the two-mode squeeze, stacked.
+
+    c and s are arrays of cos/sin of the angle (or their derivatives, for
+    tangents); the result has shape (len(c), 4, 4). Ordering is grouped
+    (x1, x2, p1, p2).
+    """
+    hbar = params.hbar
+    l1, l2 = params.lengths
+    k1 = l1 / l2
+    k2 = l1 * l2 / hbar
+    k3 = hbar / (l1 * l2)
+    K = np.zeros((c.size, 4, 4))
+    K[:, 0, 1] = -k1 * c
+    K[:, 0, 3] = -k2 * s
+    K[:, 1, 0] = -c / k1
+    K[:, 1, 2] = -k2 * s
+    K[:, 2, 1] = -k3 * s
+    K[:, 2, 3] = c / k1
+    K[:, 3, 0] = -k3 * s
+    K[:, 3, 2] = k1 * c
+    return K
+
+
+_DIRECTIONS = {1: _direction_n1, 2: _direction_n2}
+
+
+def _squeeze_matrices(modes: int, R: float, params: OscParams, angles: np.ndarray) -> np.ndarray:
+    """cosh(R) I + sinh(R) K(angle) for each angle: the squeeze closed form."""
+    K = _DIRECTIONS[modes](params, np.cos(angles), np.sin(angles))
+    return np.cosh(R) * np.eye(2 * modes) + np.sinh(R) * K
+
+
+def _squeeze_tangents(modes: int, R: float, params: OscParams, angles: np.ndarray) -> np.ndarray:
+    """d/dangle of _squeeze_matrices: dK/dangle swaps c -> -s, s -> c in K."""
+    return np.sinh(R) * _DIRECTIONS[modes](params, -np.sin(angles), np.cos(angles))
+
+
+def _spec_matrix(spec: SqueezeSpec) -> SympMatrix:
+    data = _squeeze_matrices(spec.modes, spec.R, spec.params, np.array([spec.angle]))[0]
+    return SympMatrix(spec.modes, data)
 
 
 def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
@@ -181,22 +187,37 @@ def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
 
     t in [0, 1] maps to angle 2 pi t; tangents are the hand-differentiated
     matrices times 2 pi, so no finite-difference error enters downstream
-    phase integrals.
+    phase integrals. The path carries batch callables over the same closed
+    form, so phase integrals evaluate each quadrature panel in one call.
+    The magnitude and params are validated once, through a SqueezeSpec.
     """
     if modes not in (1, 2):
         raise ValueError(f"squeeze circles cover 1 or 2 modes, got {modes}")
-    matrix_fn = squeeze_matrix_n1 if modes == 1 else squeeze_matrix_n2
-    tangent_fn = _d_matrix_d_angle_n1 if modes == 1 else _d_matrix_d_angle_n2
+    R = SqueezeSpec(modes=modes, R=R, angle=0.0, params=params).R
+
+    def angles(ts) -> np.ndarray:
+        return (_TWO_PI * np.asarray(ts, dtype=float)) % _TWO_PI
+
+    def eval_batch(ts: np.ndarray) -> np.ndarray:
+        return _squeeze_matrices(modes, R, params, angles(ts))
+
+    def tangent_batch(ts: np.ndarray) -> np.ndarray:
+        return _TWO_PI * _squeeze_tangents(modes, R, params, angles(ts))
 
     def eval_path(t: float) -> SympMatrix:
-        return matrix_fn(SqueezeSpec(modes=modes, R=R, angle=_TWO_PI * t, params=params))
+        return SympMatrix(modes, eval_batch([t])[0])
 
     def tangent_path(t: float) -> np.ndarray:
-        return _TWO_PI * tangent_fn(
-            SqueezeSpec(modes=modes, R=R, angle=_TWO_PI * t, params=params)
-        )
+        return tangent_batch([t])[0]
 
-    return SympPath(n=modes, eval=eval_path, tangent=tangent_path, closed=True)
+    return SympPath(
+        n=modes,
+        eval=eval_path,
+        tangent=tangent_path,
+        closed=True,
+        eval_batch=eval_batch,
+        tangent_batch=tangent_batch,
+    )
 
 
 def reference_phase(modes: int, R: float) -> float:

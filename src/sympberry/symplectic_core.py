@@ -16,6 +16,7 @@ A permutation similarity (``gamma_permutation``) converts between them.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -55,12 +56,22 @@ def _as_square_matrix(data, name: str = "matrix") -> np.ndarray:
 
 
 def omega(n: int) -> np.ndarray:
-    """Standard antisymmetric form [[0, I], [-I, 0]] in grouped ordering."""
+    """Standard antisymmetric form [[0, I], [-I, 0]] in grouped ordering.
+
+    Built once per mode count and returned as a shared read-only array.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    return _omega_cached(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_cached(n: int) -> np.ndarray:
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    return np.block([[zero, eye], [-eye, zero]])
+    form = np.block([[zero, eye], [-eye, zero]])
+    form.setflags(write=False)
+    return form
 
 
 def omega_interleaved(n: int) -> np.ndarray:

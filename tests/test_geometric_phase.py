@@ -138,6 +138,7 @@ def test_integrate_phase_squeeze_circle():
     path = squeeze_circle_path(1, 1.0, UNIT_PARAMS)
     result = integrate_phase(path, UNIT_PARAMS)
     assert result.value == pytest.approx(REFERENCE_R1, rel=1e-10)
+    assert result.evaluations == 15  # constant integrand: one panel
 
 
 def test_integrate_phase_fixed_rule():
@@ -326,3 +327,155 @@ def test_invariance_rejects_mode_mismatch():
     eye2 = SympMatrix(2, np.eye(4), GROUPED)
     with pytest.raises(ValueError):
         check_canonical_invariance(path, eye2, UNIT_PARAMS)
+
+
+def _circle_cases():
+    return [
+        (1, 1.0, UNIT_PARAMS),
+        (1, 2.2, OscParams(0.6, (2.5,))),
+        (2, 0.5, OscParams(1.0, (1.0, 1.0))),
+        (2, 1.7, OscParams(1.4, (0.4, 2.1))),
+    ]
+
+
+def test_sample_matches_scalar_eval_and_tangent(rng):
+    for modes, R, p in _circle_cases():
+        path = squeeze_circle_path(modes, R, p)
+        ts = rng.uniform(0.0, 1.0, size=15)
+        Ms, dMs = path.sample(ts)
+        assert Ms.shape == dMs.shape == (15, 2 * modes, 2 * modes)
+        np.testing.assert_allclose(
+            Ms, np.array([path.eval(t).data for t in ts]), rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            dMs, np.array([path.derivative(t) for t in ts]), rtol=0, atol=1e-14
+        )
+
+
+def test_batch_path_builds_no_sympmatrix_at_nodes(monkeypatch):
+    paths = [
+        (squeeze_circle_path(1, 1.0, UNIT_PARAMS), UNIT_PARAMS),
+        (squeeze_circle_path(2, 0.8, OscParams(1.0, (1.0, 1.0))), OscParams(1.0, (1.0, 1.0))),
+    ]
+    built = []
+    original = SympMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SympMatrix, "__post_init__", counting)
+    for path, p in paths:
+        integrate_phase(path, p)
+        integrate_phase(path, p, QuadSpec(kind=FIXED, panels=4))
+    assert built == []
+
+
+def _circle_with(eval_batch=None, tangent_batch=None):
+    """The one-mode R=0.7 circle with one batch callable replaced."""
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    return SympPath(
+        n=1,
+        eval=base.eval,
+        tangent=base.derivative,
+        closed=True,
+        eval_batch=eval_batch or base.eval_batch,
+        tangent_batch=tangent_batch or base.tangent_batch,
+    )
+
+
+def test_batch_node_check_catches_interior_departure():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+
+    def leaves_group(ts):
+        Ms = base.eval_batch(ts).copy()
+        inside = (ts > 0.05) & (ts < 0.15)  # no construction sample lies here
+        Ms[inside] *= 1.01
+        return Ms
+
+    path = _circle_with(eval_batch=leaves_group)  # construction passes
+    with pytest.raises(ValueError, match="symplectic condition"):
+        integrate_phase(path, UNIT_PARAMS)
+    with pytest.raises(ValueError, match="symplectic condition"):
+        integrate_phase_boundary_form(path, UNIT_PARAMS)
+
+
+def test_batch_nonfinite_tangent():
+    path = _circle_with(tangent_batch=lambda ts: np.full((len(ts), 2, 2), np.nan))
+    with pytest.raises(NonFiniteIntegrand, match="t="):
+        integrate_phase(path, UNIT_PARAMS)
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_phase(path, UNIT_PARAMS, QuadSpec(kind=FIXED, panels=3))
+
+
+def test_batch_nonfinite_sample_names_first_node():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+
+    def holes(ts):
+        Ms = base.eval_batch(ts).copy()
+        Ms[(ts > 0.6) & (ts < 0.7)] = np.nan
+        return Ms
+
+    path = _circle_with(eval_batch=holes)
+    first = 0.5 + 0.5 * 0.20778495500789847  # first panel node in (0.6, 0.7)
+    with pytest.raises(NonFiniteIntegrand, match=f"t={first}"):
+        integrate_phase(path, UNIT_PARAMS)
+
+
+def test_batch_wrong_stack_shape():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    with pytest.raises(ValueError, match="tangent_batch returned shape"):
+        integrate_phase(_circle_with(tangent_batch=lambda ts: base.tangent_batch(ts)[:-1]), UNIT_PARAMS)
+    with pytest.raises(ValueError, match="eval_batch returned shape"):
+        _circle_with(eval_batch=lambda ts: base.eval_batch(ts)[:, :1, :1])
+    with pytest.raises(ValueError, match="eval_batch returned shape"):
+        _circle_with(eval_batch=lambda ts: base.eval_batch(ts)[0])
+
+
+def test_batch_callables_given_together():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    with pytest.raises(ValueError, match="together"):
+        SympPath(n=1, eval=base.eval, eval_batch=base.eval_batch)
+    with pytest.raises(ValueError, match="together"):
+        SympPath(n=1, eval=base.eval, tangent_batch=base.tangent_batch)
+
+
+def test_batch_construction_checks_closure():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    half = SympPath(
+        n=1,
+        eval=lambda t: base.eval(0.5 * t),
+        eval_batch=lambda ts: base.eval_batch(0.5 * ts),
+        tangent_batch=lambda ts: 0.5 * base.tangent_batch(0.5 * ts),
+    )
+    # constant integrand on the circle: half the sweep carries half the phase
+    assert integrate_phase(half, UNIT_PARAMS).value == pytest.approx(-0.5 * np.pi * np.sinh(0.7) ** 2, rel=1e-10)
+    with pytest.raises(ValueError, match="closure"):
+        SympPath(
+            n=1,
+            eval=half.eval,
+            closed=True,
+            eval_batch=half.eval_batch,
+            tangent_batch=half.tangent_batch,
+        )
+
+
+def test_batch_and_loop_sampling_agree():
+    # the same circle, once through the batch callables and once through the
+    # per-node loop over eval and derivative
+    for modes, R, p in _circle_cases():
+        batch = squeeze_circle_path(modes, R, p)
+        loop = SympPath(n=modes, eval=batch.eval, tangent=batch.tangent, closed=True)
+        for quad in (QuadSpec(), QuadSpec(kind=FIXED, panels=5)):
+            a = integrate_phase(batch, p, quad)
+            b = integrate_phase(loop, p, quad)
+            assert a.evaluations == b.evaluations
+            assert a.value == pytest.approx(b.value, rel=1e-13)
+
+
+def test_integrate_phase_mode_mismatch():
+    path = squeeze_circle_path(1, 0.5, UNIT_PARAMS)
+    two = OscParams(1.0, (1.0, 1.0))
+    for integral in (integrate_phase, integrate_phase_boundary_form, phase_b_zero):
+        with pytest.raises(ValueError, match="parameter modes"):
+            integral(path, two)

@@ -7,6 +7,7 @@ from sympberry._quadrature import (
     GK15_NODES,
     GK15_WEIGHTS,
     QuadratureBudgetExceeded,
+    _panel,
     adaptive_gauss_kronrod,
     fixed_gauss_kronrod,
     tanh_sinh_nodes,
@@ -51,9 +52,18 @@ def test_adaptive_refines_peaked_integrand():
     # narrow Lorentzian forces panel splitting
     f = lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-4)
     exact = (np.arctan(0.7 / 1e-2) - np.arctan(-0.3 / 1e-2)) / 1e-2
-    value, error, evals = adaptive_gauss_kronrod(f, 0.0, 1.0, tol=1e-9)
+    calls = []
+
+    def recorded(x):
+        calls.append(len(x))
+        return f(x)
+
+    value, error, evals = adaptive_gauss_kronrod(recorded, 0.0, 1.0, tol=1e-9)
     assert evals > 15
     assert abs(value - exact) < 1e-8
+    assert evals == 615
+    # one call for the first panel, then one call per split for both halves
+    assert calls == [15] + [30] * 20
 
 
 def test_adaptive_deterministic():
@@ -78,12 +88,45 @@ def test_bad_tolerance():
 
 
 def test_fixed_rule():
-    value, error, evals = fixed_gauss_kronrod(np.cos, 0.0, np.pi / 2, panels=16)
+    calls = []
+
+    def recorded(x):
+        calls.append(len(x))
+        return np.cos(x)
+
+    value, error, evals = fixed_gauss_kronrod(recorded, 0.0, np.pi / 2, panels=16)
+    assert calls == [16 * 15]
     assert abs(value - 1.0) < 1e-14
     assert evals == 16 * 15
     assert error >= 0
     with pytest.raises(ValueError):
         fixed_gauss_kronrod(np.cos, 0.0, 1.0, panels=0)
+
+
+def test_fixed_rule_sums_panels_in_order():
+    f = lambda x: np.exp(-3 * x) * np.cos(20 * x)
+    edges = np.linspace(-0.5, 2.0, 7 + 1)
+    value = error = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        v, e = _panel(f, a, b)
+        value += v
+        error += e
+    assert fixed_gauss_kronrod(f, -0.5, 2.0, panels=7) == (value, error, 7 * 15)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda x: float(np.sum(x)),  # scalar
+        lambda x: x[:-1],  # one value short
+        lambda x: np.stack([x, x], axis=1),  # two values per node
+    ],
+)
+def test_integrand_must_map_nodes_to_values(bad):
+    with pytest.raises(ValueError, match="integrand returned shape"):
+        adaptive_gauss_kronrod(bad, 0.0, 1.0)
+    with pytest.raises(ValueError, match="integrand returned shape"):
+        fixed_gauss_kronrod(bad, 0.0, 1.0, panels=3)
 
 
 def test_tanh_sinh_gaussian_moment():
