@@ -28,9 +28,9 @@ import tempfile
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from ._quadrature import QuadratureBudgetExceeded
+from ._random import random_generator, random_symmetric, random_symplectic
 from .gaussian_states import OscParams, numeric_overlap_n1, weyl_amplitude
 from .geometric_phase import (
     ADAPTIVE,
@@ -57,13 +57,7 @@ from .squeeze_paths import (
     squeeze_matrix_n2,
     reference_phase,
 )
-from .symplectic_core import (
-    GROUPED,
-    LieAlgElement,
-    SympMatrix,
-    exp_map,
-    symplectic_residual,
-)
+from .symplectic_core import GROUPED, SympMatrix, symplectic_residual
 
 __all__ = ["ConfigError", "RunConfig", "run_phase", "run_sweep", "run_verify", "run_expm", "main"]
 
@@ -482,6 +476,8 @@ def _custom_path(cfg: RunConfig) -> SympPath:
     are reproduced exactly and intermediate points stay close to the group
     for well-separated samples.
     """
+    import scipy.linalg
+
     n, ts, Ms = _load_samples(cfg.samples)
     if n != cfg.modes and cfg.modes != 1:
         raise ConfigError(f"samples declare n={n}, config modes={cfg.modes}")
@@ -642,26 +638,14 @@ def run_sweep(cfg: RunConfig) -> int:
 # verify
 
 
-def _sym2(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    X = rng.uniform(-scale, scale, size=(2, 2))
-    return (X + X.T) / 2.0
-
-
-def _random_generator(rng: np.random.Generator) -> Sp4Generator:
-    return Sp4Generator(a=_sym2(rng), b=rng.uniform(-1, 1, size=(2, 2)), c=_sym2(rng))
-
-
-def _random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.6) -> SympMatrix:
-    X = rng.uniform(-scale, scale, size=(2 * n, 2 * n))
-    return exp_map(LieAlgElement(n, (X + X.T) / 2.0))
-
-
 def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
+    import scipy.linalg
+
     worst = 0.0
     n_degenerate = max(20, count // 5)
     for i in range(count + n_degenerate):
         if i < count:
-            g = _random_generator(rng)
+            g = random_generator(rng)
         else:
             # a = c = 0 forces the degenerate eigenvalue pair
             g = Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))
@@ -678,7 +662,7 @@ def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tu
     worst = 0.0
     done = 0
     while done < count:
-        g = _random_generator(rng)
+        g = random_generator(rng)
         g_used = g
         if fault and done == 0:
             g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c)
@@ -703,8 +687,8 @@ def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tupl
         th = rng.uniform(0.0, 2.0 * np.pi)
         M1 = squeeze_matrix_n1(SqueezeSpec(1, r, th, p1)).data
         M2 = squeeze_matrix_n2(SqueezeSpec(2, r, th, p2)).data
-        M3 = _random_symplectic(rng, 1).data
-        M4 = _random_symplectic(rng, 2).data
+        M3 = random_symplectic(rng, 1).data
+        M4 = random_symplectic(rng, 2).data
         if fault and i == 0:
             M1 = M1 + _FAULT_SIZE
         worst = max(
@@ -736,7 +720,7 @@ def _check_invariance(rng: np.random.Generator, count: int, fault: bool) -> tupl
     base = squeeze_circle_path(1, 1.0, p)
     gamma0 = integrate_phase(base, p).value
     for _ in range(min(count, 5)):
-        S0 = _random_symplectic(rng, 1)
+        S0 = random_symplectic(rng, 1)
         _, translated, _ = check_canonical_invariance(path, S0, p)
         worst = max(worst, abs(translated - gamma0))
     return worst, 1e-8
@@ -749,9 +733,11 @@ def _b_zero_pair(rng: np.random.Generator, fault: bool) -> tuple[SympPath, SympP
     symmetric and periodic keeps the matrix symplectic. The faulted copy
     scales G so the cross-check comparison drifts.
     """
+    import scipy.linalg
+
     K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
-    G0 = _sym2(rng)
-    G1 = _sym2(rng)
+    G0 = random_symmetric(rng, 2)
+    G1 = random_symmetric(rng, 2)
 
     def build(scale: float) -> SympPath:
         def eval_path(t: float) -> SympMatrix:
@@ -830,6 +816,8 @@ def run_verify(cfg: RunConfig) -> int:
 
 def run_expm(cfg: RunConfig) -> int:
     """Compare the closed-form exponential against the generic one."""
+    import scipy.linalg
+
     blocks = {}
     for name, arr in (("a", cfg.expm_a), ("b", cfg.expm_b), ("c", cfg.expm_c)):
         blocks[name] = np.zeros((2, 2)) if arr is None else arr

@@ -19,7 +19,6 @@ import dataclasses
 import functools
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "GROUPED",
@@ -299,7 +298,10 @@ def exp_map(L: LieAlgElement, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
     """Exponential map M = exp(omega L) via scaling-and-squaring.
 
     The generic dense exponential; serves as the oracle for the closed-form
-    routes elsewhere in the package.
+    routes elsewhere in the package. ``import sympberry`` does not load
+    scipy: ``scipy.linalg`` is imported on the first call.
     """
+    import scipy.linalg
+
     M = scipy.linalg.expm(omega(L.n) @ L.data)
     return SympMatrix(L.n, M, GROUPED, tol)

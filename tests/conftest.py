@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
-from sympberry import LieAlgElement, Sp4Generator, exp_map
+import sympberry
+from sympberry import _random
 
 
 @pytest.fixture
@@ -11,29 +14,23 @@ def rng():
 
 @pytest.fixture
 def random_symmetric():
-    def make(rng, n, scale=1.0):
-        X = rng.uniform(-scale, scale, size=(n, n))
-        return (X + X.T) / 2.0
-
-    return make
+    return _random.random_symmetric
 
 
 @pytest.fixture
-def random_symplectic(random_symmetric):
-    # exp of a bounded symmetric generator: always a valid group element
-    def make(rng, n, scale=0.6):
-        return exp_map(LieAlgElement(n, random_symmetric(rng, 2 * n, scale)))
-
-    return make
+def random_symplectic():
+    return _random.random_symplectic
 
 
 @pytest.fixture
-def random_generator(random_symmetric):
-    def make(rng, scale=1.0):
-        return Sp4Generator(
-            a=random_symmetric(rng, 2, scale),
-            b=rng.uniform(-scale, scale, size=(2, 2)),
-            c=random_symmetric(rng, 2, scale),
-        )
+def random_generator():
+    return _random.random_generator
 
-    return make
+
+@pytest.fixture
+def child_env():
+    """Environment for a child interpreter that imports this sympberry package."""
+    src = os.path.dirname(os.path.dirname(sympberry.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -20,7 +20,6 @@ from sympberry import (
     coeff_recurrence,
     covariance,
     covariance_quadrature,
-    exp_map,
     integrate_phase,
     integrate_phase_boundary_form,
     numeric_overlap_n1,
@@ -31,25 +30,11 @@ from sympberry import (
     squeeze_matrix_n1,
     weyl_amplitude,
 )
-from sympberry import DegenerateEigenvalues, LieAlgElement, OverlapGrid, SqueezeSpec
+from sympberry import DegenerateEigenvalues, OverlapGrid, SqueezeSpec
+from sympberry._random import random_generator, random_symmetric, random_symplectic
 
 UNIT_1 = OscParams(1.0, (1.0,))
 R_VALUES = (0.25, 0.5, 1.0, 2.0)
-
-
-def _sym(rng, size, scale=1.0):
-    X = rng.uniform(-scale, scale, size=(size, size))
-    return (X + X.T) / 2.0
-
-
-def _random_symplectic(rng, n, scale=0.6):
-    return exp_map(LieAlgElement(n, _sym(rng, 2 * n, scale)))
-
-
-def _random_gen(rng):
-    return Sp4Generator(
-        a=_sym(rng, 2), b=rng.uniform(-1, 1, size=(2, 2)), c=_sym(rng, 2)
-    )
 
 
 def test_criterion_01_one_mode_circle_phase():
@@ -101,7 +86,7 @@ def test_criterion_04_closed_form_exponential_bulk():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(900):
-        g = _random_gen(rng)
+        g = random_generator(rng)
         M = closed_form_exp(g)
         worst = max(worst, float(np.max(np.abs(M.data - scipy.linalg.expm(g.u_matrix())))))
     fallback_count = 0
@@ -122,7 +107,7 @@ def test_criterion_05_coefficient_closed_form():
     rng = np.random.default_rng(505)
     done = 0
     while done < 200:
-        g = _random_gen(rng)
+        g = random_generator(rng)
         n = int(rng.integers(1, 11))
         try:
             closed = coeff_closed(g, n)
@@ -138,7 +123,7 @@ def test_criterion_06_quadrature_covariance_purity():
     rng = np.random.default_rng(606)
     for _ in range(200):
         n = int(rng.integers(1, 3))
-        Vq = covariance_quadrature(_random_symplectic(rng, n)).data
+        Vq = covariance_quadrature(random_symplectic(rng, n)).data
         assert abs(np.linalg.det(2.0 * Vq) - 1.0) <= 1e-10
         mags = np.abs(np.linalg.eigvals(2.0 * omega(n) @ Vq))
         assert np.max(np.abs(mags - 1.0)) <= 1e-9
@@ -150,7 +135,7 @@ def test_criterion_07_canonical_invariance():
     for modes, R, params in cases:
         path = squeeze_circle_path(modes, R, params)
         for _ in range(10):
-            S = _random_symplectic(rng, modes)
+            S = random_symplectic(rng, modes)
             _, _, diff = check_canonical_invariance(path, S, params)
             assert diff <= 1e-8
 
@@ -181,8 +166,8 @@ def _b_zero_case(seed):
     r = np.random.default_rng(seed)
     K = r.uniform(-0.8, 0.8, size=(2, 2))
     K0 = (K - K.T) / 2.0
-    G0 = _sym(r, 2, 0.6)
-    G1 = _sym(r, 2, 0.6)
+    G0 = random_symmetric(r, 2, 0.6)
+    G1 = random_symmetric(r, 2, 0.6)
 
     def eval_path(t):
         A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)

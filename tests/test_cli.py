@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import sympberry
 from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, main
 
 REFERENCE_R1 = -4.3388468454428593
@@ -304,25 +303,18 @@ def test_custom_samples_missing_file(capsys):
 _MODULE = [sys.executable, "-m", "sympberry"]
 
 
-def _child_env():
-    # the child process must import the same sympberry package as this process
-    src = os.path.dirname(os.path.dirname(sympberry.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
+def _run(command, env):
+    return subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
 
 
-def _run(command):
-    return subprocess.run(command, capture_output=True, text=True, timeout=60, env=_child_env())
-
-
-def test_console_script_smoke():
+def test_console_script_smoke(child_env):
     # the installed script when present, else `python -m sympberry`, which runs
     # the same callable: the suite itself needs no install
     exe = shutil.which("sympberry")
     proc = _run(
         ([exe] if exe else _MODULE)
-        + ["phase", "--kind", "squeeze1", "--R", "0.5", "--format", "json"]
+        + ["phase", "--kind", "squeeze1", "--R", "0.5", "--format", "json"],
+        child_env,
     )
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
@@ -336,8 +328,8 @@ def test_console_script_entry_point():
     assert scripts["sympberry"] == "sympberry.cli:main"
 
 
-def test_module_run_passes_exit_code(tmp_path):
+def test_module_run_passes_exit_code(tmp_path, child_env):
     missing = tmp_path / "missing.ini"
-    proc = _run(_MODULE + ["phase", "--kind", "squeeze1", "--config", str(missing)])
+    proc = _run(_MODULE + ["phase", "--kind", "squeeze1", "--config", str(missing)], child_env)
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr

@@ -371,6 +371,27 @@ def test_batch_path_builds_no_sympmatrix_at_nodes(monkeypatch):
     assert built == []
 
 
+def test_translated_batch_path_builds_no_sympmatrix(monkeypatch):
+    cases = [
+        (1, 1.0, UNIT_PARAMS, np.array([[0.3, 0.1], [0.1, -0.2]])),
+        (2, 0.8, OscParams(1.0, (1.0, 1.0)), 0.1 * np.eye(4) + 0.05),
+    ]
+    translations = [exp_map(LieAlgElement(n, X)) for n, _, _, X in cases]
+    paths = [squeeze_circle_path(n, R, p) for n, R, p, _ in cases]
+    built = []
+    original = SympMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(SympMatrix, "__post_init__", counting)
+    for (_, _, p, _), path, S in zip(cases, paths, translations):
+        base, moved, diff = check_canonical_invariance(path, S, p)
+        assert diff <= 1e-8 * max(1.0, abs(base))
+    assert built == []
+
+
 def _circle_with(eval_batch=None, tangent_batch=None):
     """The one-mode R=0.7 circle with one batch callable replaced."""
     base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
