@@ -84,17 +84,6 @@ CHECK_NAMES = (
     "overlap",
 )
 
-# config-file schema: section -> allowed keys
-_SCHEMA = {
-    "run": {"seed"},
-    "path": {"kind", "modes", "R", "hbar", "lengths", "samples"},
-    "quadrature": {"kind", "tol", "max_evals", "panels"},
-    "output": {"format", "out"},
-    "sweep": {"R", "hbar", "length"},
-    "expm": {"a", "b", "c"},
-    "verify": {"count", "checks", "inject_fault"},
-}
-
 _FAULT_SIZE = 1e-3  # negative-control perturbation for verify --inject-fault
 
 
@@ -104,7 +93,7 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved settings for one CLI run (flags > config file > defaults)."""
+    """Resolved settings for one CLI run (flags > config file > these defaults)."""
 
     command: str
     kind: str = KIND_SQUEEZE1
@@ -154,6 +143,77 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise ConfigError(f"{what}: expected comma-separated numbers, got {text!r}") from exc
 
 
+# Parsers for text values (config file, or a flag argparse leaves as text),
+# each called as parse(raw, section, key).
+
+
+def _text(raw: str, section: str, key: str) -> str:
+    return raw
+
+
+def _int(raw: str, section: str, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
+
+
+def _float(raw: str, section: str, key: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
+
+
+def _floats(raw: str, section: str, key: str) -> tuple[float, ...]:
+    return _parse_floats(raw, f"[{section}] {key}")
+
+
+def _grid(raw: str, section: str, key: str) -> tuple[float, ...] | None:
+    """A sweep axis; an empty value leaves it unset, so the scalar setting is used."""
+    return _floats(raw, section, key) if raw else None
+
+
+def _names(raw: str, section: str, key: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _block(raw: str, section: str, key: str) -> np.ndarray:
+    vals = _parse_floats(raw, f"expm block {key}")
+    if len(vals) != 4:
+        raise ConfigError(f"expm block {key}: expected 4 numbers row-major, got {len(vals)}")
+    return np.array(vals, dtype=float).reshape(2, 2)
+
+
+# Every setting, declared once: (section, key) -> (RunConfig field, parser,
+# argparse dest of the flag that overrides it, or None). A setting that is
+# neither flagged nor in the file keeps its RunConfig default.
+_SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str, str, str], object], str | None]] = {
+    ("run", "seed"): ("seed", _int, "seed"),
+    ("path", "kind"): ("kind", _text, "kind"),
+    ("path", "modes"): ("modes", _int, "modes"),
+    ("path", "R"): ("R", _float, "R"),
+    ("path", "hbar"): ("hbar", _float, "hbar"),
+    ("path", "lengths"): ("lengths", _floats, "length"),
+    ("path", "samples"): ("samples", _text, "samples"),
+    ("quadrature", "kind"): ("quad_kind", _text, None),
+    ("quadrature", "tol"): ("tol", _float, "tol"),
+    ("quadrature", "max_evals"): ("max_evals", _int, None),
+    ("quadrature", "panels"): ("panels", _int, None),
+    ("output", "format"): ("format", _text, "format"),
+    ("output", "out"): ("out", _text, "out"),
+    ("sweep", "R"): ("sweep_R", _floats, None),
+    ("sweep", "hbar"): ("sweep_hbar", _grid, None),
+    ("sweep", "length"): ("sweep_length", _grid, None),
+    ("expm", "a"): ("expm_a", _block, "block_a"),
+    ("expm", "b"): ("expm_b", _block, "block_b"),
+    ("expm", "c"): ("expm_c", _block, "block_c"),
+    ("verify", "count"): ("verify_count", _int, None),
+    ("verify", "checks"): ("verify_checks", _names, None),
+    ("verify", "inject_fault"): ("inject_fault", _text, "inject_fault"),
+}
+
+
 def _key_line(lines: Sequence[str], section: str, key: str | None) -> int | None:
     """Best-effort line number of a section header or of a key inside it."""
     in_section = False
@@ -185,15 +245,16 @@ def _parse_config_file(path: str) -> dict[str, dict[str, str]]:
         cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    sections = {section for section, _ in _SETTINGS}
     out: dict[str, dict[str, str]] = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             where = _key_line(lines, section, None)
             loc = f"{path}:{where}: " if where else f"{path}: "
             raise ConfigError(f"{loc}unknown section [{section}]")
         out[section] = {}
         for key, value in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SETTINGS:
                 where = _key_line(lines, section, key)
                 loc = f"{path}:{where}: " if where else f"{path}: "
                 raise ConfigError(f"{loc}unknown key {key!r} in [{section}]")
@@ -201,156 +262,52 @@ def _parse_config_file(path: str) -> dict[str, dict[str, str]]:
     return out
 
 
-def _pick(flag, filed, default):
-    if flag is not None:
-        return flag
-    if filed is not None:
-        return filed
-    return default
-
-
-def _file_get(filecfg: dict[str, dict[str, str]], section: str, key: str) -> str | None:
-    return filecfg.get(section, {}).get(key)
-
-
-def _parse_block(text: str, name: str) -> np.ndarray:
-    vals = _parse_floats(text, f"expm block {name}")
-    if len(vals) != 4:
-        raise ConfigError(f"expm block {name}: expected 4 numbers row-major, got {len(vals)}")
-    return np.array(vals, dtype=float).reshape(2, 2)
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags, optional config file, and defaults into a RunConfig."""
     filecfg = _parse_config_file(args.config) if args.config else {}
+    values = {}
+    for (section, key), (field, parse, dest) in _SETTINGS.items():
+        value = getattr(args, dest, None) if dest else None
+        if value is None:
+            value = filecfg.get(section, {}).get(key)
+        if isinstance(value, str):
+            value = parse(value, section, key)
+        if value is not None:
+            values[field] = value
 
-    kind_file = _file_get(filecfg, "path", "kind")
-    modes_file = _file_get(filecfg, "path", "modes")
-    kind = _pick(getattr(args, "kind", None), kind_file, None)
-    modes = _pick(getattr(args, "modes", None), int(modes_file) if modes_file else None, None)
-    if kind is None:
-        kind = KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1
+    modes = values.get("modes")
+    kind = values.setdefault("kind", KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1)
     if kind not in _KINDS:
         raise ConfigError(f"unknown path kind {kind!r}")
-    if modes is None:
-        modes = 2 if kind == KIND_SQUEEZE2 else 1
+    modes = values.setdefault("modes", 2 if kind == KIND_SQUEEZE2 else 1)
     if kind == KIND_SQUEEZE1 and modes != 1:
         raise ConfigError(f"kind {kind} requires modes=1, got {modes}")
     if kind == KIND_SQUEEZE2 and modes != 2:
         raise ConfigError(f"kind {kind} requires modes=2, got {modes}")
     if modes not in (1, 2):
         raise ConfigError(f"modes must be 1 or 2, got {modes}")
+    if args.command == "sweep":
+        values.setdefault("format", "csv")
+        if args.R is not None:
+            values["sweep_R"] = (args.R,)
 
-    def file_float(section: str, key: str) -> float | None:
-        raw = _file_get(filecfg, section, key)
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
-
-    def file_int(section: str, key: str) -> int | None:
-        raw = _file_get(filecfg, section, key)
-        if raw is None:
-            return None
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
-
-    R = _pick(getattr(args, "R", None), file_float("path", "R"), 1.0)
-    hbar = _pick(getattr(args, "hbar", None), file_float("path", "hbar"), 1.0)
-
-    lengths_file = _file_get(filecfg, "path", "lengths")
-    lengths_flag = getattr(args, "length", None)
-    if lengths_flag:
-        lengths = tuple(float(x) for x in lengths_flag)
-    elif lengths_file is not None:
-        lengths = _parse_floats(lengths_file, "[path] lengths")
-    else:
-        lengths = (1.0,) * modes
-    if len(lengths) == 1 and modes == 2:
-        lengths = (lengths[0], lengths[0])
-    if len(lengths) != modes:
-        raise ConfigError(f"got {len(lengths)} lengths for {modes} mode(s)")
-
-    quad_kind = _pick(None, _file_get(filecfg, "quadrature", "kind"), ADAPTIVE)
-    if quad_kind not in (ADAPTIVE, FIXED):
-        raise ConfigError(f"[quadrature] kind must be adaptive or fixed, got {quad_kind!r}")
-    tol = _pick(getattr(args, "tol", None), file_float("quadrature", "tol"), 1e-10)
-    max_evals = _pick(None, file_int("quadrature", "max_evals"), 10**6)
-    panels = _pick(None, file_int("quadrature", "panels"), 64)
-    seed = _pick(getattr(args, "seed", None), file_int("run", "seed"), 0)
-
-    default_format = "csv" if args.command == "sweep" else "json"
-    fmt = _pick(getattr(args, "format", None), _file_get(filecfg, "output", "format"), default_format)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    out = _pick(getattr(args, "out", None), _file_get(filecfg, "output", "out"), None)
-
-    samples = _pick(getattr(args, "samples", None), _file_get(filecfg, "path", "samples"), None)
-    if kind == KIND_CUSTOM and samples is None:
+    cfg = RunConfig(command=args.command, **values)
+    cfg.lengths = tuple(cfg.lengths)
+    if len(cfg.lengths) == 1 and modes == 2:
+        cfg.lengths *= 2
+    if len(cfg.lengths) != modes:
+        raise ConfigError(f"got {len(cfg.lengths)} lengths for {modes} mode(s)")
+    if kind == KIND_CUSTOM and cfg.samples is None:
         raise ConfigError("custom-samples paths need a samples file ([path] samples or --samples)")
-
-    sweep_R_file = _file_get(filecfg, "sweep", "R")
-    if sweep_R_file is not None:
-        sweep_R = _parse_floats(sweep_R_file, "[sweep] R")
-    elif args.command == "sweep" and getattr(args, "R", None) is not None:
-        sweep_R = (args.R,)
-    else:
-        sweep_R = ()
-    sweep_hbar_file = _file_get(filecfg, "sweep", "hbar")
-    sweep_hbar = _parse_floats(sweep_hbar_file, "[sweep] hbar") if sweep_hbar_file else None
-    sweep_len_file = _file_get(filecfg, "sweep", "length")
-    sweep_length = _parse_floats(sweep_len_file, "[sweep] length") if sweep_len_file else None
-
-    def block(flag_name: str, key: str) -> np.ndarray | None:
-        raw = _pick(getattr(args, flag_name, None), _file_get(filecfg, "expm", key), None)
-        return _parse_block(raw, key) if raw is not None else None
-
-    expm_a = block("block_a", "a")
-    expm_b = block("block_b", "b")
-    expm_c = block("block_c", "c")
-
-    verify_count = _pick(None, file_int("verify", "count"), 200)
-    checks_file = _file_get(filecfg, "verify", "checks")
-    if checks_file is not None:
-        verify_checks = tuple(tok.strip() for tok in checks_file.split(",") if tok.strip())
-    else:
-        verify_checks = CHECK_NAMES
-    inject = _pick(getattr(args, "inject_fault", None), _file_get(filecfg, "verify", "inject_fault"), None)
-
-    cfg = RunConfig(
-        command=args.command,
-        kind=kind,
-        modes=modes,
-        R=float(R),
-        hbar=float(hbar),
-        lengths=lengths,
-        samples=samples,
-        quad_kind=quad_kind,
-        tol=float(tol),
-        max_evals=int(max_evals),
-        panels=int(panels),
-        seed=int(seed),
-        format=fmt,
-        out=out,
-        sweep_R=sweep_R,
-        sweep_hbar=sweep_hbar,
-        sweep_length=sweep_length,
-        expm_a=expm_a,
-        expm_b=expm_b,
-        expm_c=expm_c,
-        verify_count=int(verify_count),
-        verify_checks=verify_checks,
-        inject_fault=inject,
-    )
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    if cfg.quad_kind not in (ADAPTIVE, FIXED):
+        raise ConfigError(f"[quadrature] kind must be adaptive or fixed, got {cfg.quad_kind!r}")
+    if cfg.format not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if not cfg.tol > 0:
         raise ConfigError(f"tolerance must be positive, got {cfg.tol}")
     if not (np.isfinite(cfg.R) and cfg.R >= 0):
@@ -367,6 +324,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("panels must be >= 1")
     if cfg.verify_count < 1:
         raise ConfigError("verify count must be >= 1")
+    if not cfg.verify_checks:
+        raise ConfigError(f"[verify] checks selects no check; known: {', '.join(CHECK_NAMES)}")
     for name in cfg.verify_checks:
         if name not in CHECK_NAMES:
             raise ConfigError(f"unknown verify check {name!r}; known: {', '.join(CHECK_NAMES)}")
@@ -374,10 +333,9 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(
             f"unknown inject_fault target {cfg.inject_fault!r}; known: {', '.join(CHECK_NAMES)}"
         )
-    if cfg.sweep_hbar is not None and any(h <= 0 for h in cfg.sweep_hbar):
-        raise ConfigError("sweep hbar values must be positive")
-    if cfg.sweep_length is not None and any(l <= 0 for l in cfg.sweep_length):
-        raise ConfigError("sweep length values must be positive")
+    for axis, grid in (("hbar", cfg.sweep_hbar), ("length", cfg.sweep_length)):
+        if grid is not None and any(not (np.isfinite(v) and v > 0) for v in grid):
+            raise ConfigError(f"sweep {axis} values must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +391,8 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, list):
+        return ";".join(_cell(v) for v in value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return _fmt_float(value)
@@ -540,22 +500,6 @@ def _phase_record(cfg: RunConfig, result: PhaseResult) -> dict:
     return record
 
 
-_PHASE_COLUMNS = (
-    "kind",
-    "modes",
-    "R",
-    "hbar",
-    "lengths",
-    "tol",
-    "seed",
-    "gamma",
-    "error_estimate",
-    "evaluations",
-    "reference_phase",
-    "abs_deviation",
-)
-
-
 def run_phase(cfg: RunConfig) -> int:
     """Compute one phase and emit the report record."""
     path = _build_path(cfg)
@@ -570,13 +514,8 @@ def run_phase(cfg: RunConfig) -> int:
     if cfg.format == "json":
         _emit(_json_text(record), cfg.out)
     else:
-        row = []
-        for col in _PHASE_COLUMNS:
-            if col == "lengths":
-                row.append(";".join(_fmt_float(l) for l in record["lengths"]))
-            else:
-                row.append(_cell(record[col]))
-        _emit(_csv_table(_PHASE_COLUMNS, [row]), cfg.out)
+        columns = [col for col in record if col != "rng"]
+        _emit(_csv_table(columns, [[_cell(record[col]) for col in columns]]), cfg.out)
     return EXIT_OK
 
 
@@ -597,7 +536,6 @@ def run_sweep(cfg: RunConfig) -> int:
         "status",
         "seed",
     ]
-    rows: list[list[str]] = []
     records: list[dict] = []
     any_failed = False
     for R in cfg.sweep_R:
@@ -626,11 +564,10 @@ def run_sweep(cfg: RunConfig) -> int:
                     record["status"] = f"error:{type(exc).__name__}"
                     any_failed = True
                 records.append(record)
-                rows.append([_cell(record[col]) for col in header])
     if cfg.format == "json":
         _emit(_json_text({"rng": RNG_NAME, "seed": cfg.seed, "rows": records}), cfg.out)
     else:
-        _emit(_csv_table(header, rows), cfg.out)
+        _emit(_csv_table(header, [[_cell(r[col]) for col in header] for r in records]), cfg.out)
     return EXIT_FAILED if any_failed else EXIT_OK
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sympberry import cli
 from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, main
 
 REFERENCE_R1 = -4.3388468454428593
@@ -97,6 +98,23 @@ def test_config_unknown_section(tmp_path, capsys):
     assert "unknown section [mystery]" in captured.err
 
 
+_NUMERIC_PARSERS = (cli._int, cli._float, cli._floats, cli._grid)
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [where for where, (_, parse, _) in cli._SETTINGS.items() if parse in _NUMERIC_PARSERS],
+)
+def test_config_malformed_number_names_key(tmp_path, capsys, section, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = two\n")
+    code = main(["phase", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: [{section}] {key}: expected" in captured.err
+    assert "'two'" in captured.err
+
+
 def test_quadrature_budget_exit_3(tmp_path, capsys):
     cfg = tmp_path / "tight.ini"
     cfg.write_text(
@@ -158,6 +176,39 @@ def test_sweep_row_error_marks_status(tmp_path):
     assert "error:QuadratureBudgetExceeded" in lines[1]
 
 
+def test_sweep_R_flag_overrides_config_grid(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[path]\nkind = squeeze1\n[sweep]\nR = 0.5, 1.0\n")
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(cfg), "--R", "2", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["2"]
+
+
+@pytest.mark.parametrize("axis,value", [("hbar", "nan"), ("hbar", "inf"), ("length", "inf")])
+def test_sweep_nonfinite_grid_value_is_config_error(tmp_path, capsys, axis, value):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(f"[path]\nkind = squeeze1\n[sweep]\nR = 1.0\n{axis} = 1.0, {value}\n")
+    code = main(["sweep", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: sweep {axis} values must be positive" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_empty_hbar_and_length_use_scalars(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        "[path]\nkind = squeeze1\nhbar = 2\nlengths = 3\n[sweep]\nR = 1.0\nhbar =\nlength =\n"
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert (cols["R"], cols["hbar"], cols["l1"], cols["status"]) == ("1", "2", "3", "ok")
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SYMPBERRY_OUT_DIR", str(tmp_path))
     code = main(
@@ -211,6 +262,16 @@ def test_verify_subset_of_checks(tmp_path, capsys):
 def test_verify_unknown_check_name(tmp_path, capsys):
     cfg = _verify_config(tmp_path, extra="checks = warp_drive\n")
     assert main(["verify", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("checks", ["", ", ,"])
+def test_verify_empty_check_selection_rejected(tmp_path, capsys, checks):
+    cfg = _verify_config(tmp_path, extra=f"checks = {checks}\n")
+    code = main(["verify", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: [verify] checks" in captured.err
+    assert "all checks passed" not in captured.out
 
 
 @pytest.mark.parametrize("target", ["closed_form", "two_form", "overlap"])
