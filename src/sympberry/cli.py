@@ -166,7 +166,11 @@ def _float(raw: str, section: str, key: str) -> float:
 
 
 def _floats(raw: str, section: str, key: str) -> tuple[float, ...]:
-    return _parse_floats(raw, f"[{section}] {key}")
+    """A number list; separators alone (``,``) name no number and are rejected."""
+    vals = _parse_floats(raw, f"[{section}] {key}")
+    if raw and not vals:
+        raise ConfigError(f"[{section}] {key}: expected comma-separated numbers, got {raw!r}")
+    return vals
 
 
 def _grid(raw: str, section: str, key: str) -> tuple[float, ...] | None:

@@ -16,6 +16,7 @@ Formula pitfalls validated against the oracle are recorded in NOTES.md.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .symplectic_core import (
     SympMatrix,
     exp_map,
     gamma_permutation,
+    omega_interleaved,
 )
 
 __all__ = [
@@ -42,7 +44,8 @@ __all__ = [
     "BRANCH_FALLBACK",
 ]
 
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_J = omega_interleaved(1)  # J = [[0, 1], [-1, 0]]
+_JJ = omega_interleaved(2)  # diag(J, J)
 _CLOSED_FORM_TOL = 1e-9
 _IMAG_RESIDUE_TOL = 1e-10
 _SINHC_TAYLOR_CUTOFF = 1e-6
@@ -57,6 +60,16 @@ class DegenerateEigenvalues(ValueError):
     """Eigenvalues coincide; the closed-form denominators vanish."""
 
 
+def _join22(A, B, C, D) -> np.ndarray:
+    """The 4x4 matrix [[A, B], [C, D]] of four 2x2 blocks."""
+    out = np.empty((4, 4))
+    out[:2, :2] = A
+    out[:2, 2:] = B
+    out[2:, :2] = C
+    out[2:, 2:] = D
+    return out
+
+
 def _block22(data, name: str) -> np.ndarray:
     arr = np.array(data, dtype=float, copy=True)
     if arr.shape != (2, 2):
@@ -68,7 +81,12 @@ def _block22(data, name: str) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class Sp4Generator:
-    """Blocks (a, b, c) of a two-mode generator; a and c must be symmetric."""
+    """Blocks (a, b, c) of a two-mode generator; a and c must be symmetric.
+
+    The blocks are stored read-only and the dataclass is frozen, so the
+    derived block d and the determinant invariants are computed once per
+    instance, on first use, and cached: no later change can make them stale.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -86,20 +104,30 @@ class Sp4Generator:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
+    @functools.cached_property
     def d(self) -> np.ndarray:
-        """Derived off-diagonal structure block d = a J b + b J c."""
-        return self.a @ _J @ self.b + self.b @ _J @ self.c
+        """Derived off-diagonal structure block d = a J b + b J c (read-only)."""
+        d = self.a @ _J @ self.b + self.b @ _J @ self.c
+        d.setflags(write=False)
+        return d
+
+    @functools.cached_property
+    def invariants(self) -> tuple[float, float, float, float]:
+        """(det a, det b, det c, det d), the scalars every closed form uses."""
+        return (
+            float(np.linalg.det(self.a)),
+            float(np.linalg.det(self.b)),
+            float(np.linalg.det(self.c)),
+            float(np.linalg.det(self.d)),
+        )
 
     def lie_element(self) -> LieAlgElement:
         """The full 4x4 symmetric generator in interleaved ordering."""
-        data = np.block([[self.a, self.b], [self.b.T, self.c]])
-        return LieAlgElement(2, data)
+        return LieAlgElement(2, _join22(self.a, self.b, self.b.T, self.c))
 
     def u_matrix(self) -> np.ndarray:
         """U = diag(J, J) L, the matrix actually exponentiated."""
-        jj = np.block([[_J, np.zeros((2, 2))], [np.zeros((2, 2)), _J]])
-        return jj @ self.lie_element().data
+        return _JJ @ self.lie_element().data
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,24 +154,10 @@ def s_matrix(g: Sp4Generator) -> np.ndarray:
     S = [[-(det a + det b) I, J d], [-J d^T, -(det b + det c) I]].
     """
     d = g.d
-    det_a = float(np.linalg.det(g.a))
-    det_b = float(np.linalg.det(g.b))
-    det_c = float(np.linalg.det(g.c))
+    det_a, det_b, det_c, _ = g.invariants
     eye = np.eye(2)
-    return np.block(
-        [
-            [-(det_a + det_b) * eye, _J @ d],
-            [-(_J @ d.T), -(det_b + det_c) * eye],
-        ]
-    )
-
-
-def _invariants(g: Sp4Generator) -> tuple[float, float, float, float]:
-    return (
-        float(np.linalg.det(g.a)),
-        float(np.linalg.det(g.b)),
-        float(np.linalg.det(g.c)),
-        float(np.linalg.det(g.d)),
+    return _join22(
+        -(det_a + det_b) * eye, _J @ d, -(_J @ d.T), -(det_b + det_c) * eye
     )
 
 
@@ -153,7 +167,7 @@ def eigenvalues(g: Sp4Generator) -> tuple[complex, complex]:
     lambda_pm = -(det a + det c + 2 det b)/2 +- sqrt((det a - det c)^2
     + 4 det d)/2; complex when the radicand is negative.
     """
-    det_a, det_b, det_c, det_d = _invariants(g)
+    det_a, det_b, det_c, det_d = g.invariants
     center = -(det_a + det_c + 2.0 * det_b) / 2.0
     radicand = (det_a - det_c) ** 2 + 4.0 * det_d
     root = np.sqrt(complex(radicand)) / 2.0
@@ -175,7 +189,7 @@ def coeff_recurrence(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
-    det_a, det_b, det_c, det_d = _invariants(g)
+    det_a, det_b, det_c, det_d = g.invariants
     alpha_1 = -(det_a + det_b)
     gamma_1 = -(det_c + det_b)
     alpha, beta, gamma = alpha_1, 1.0, gamma_1
@@ -210,7 +224,7 @@ def coeff_closed(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
-    _, det_b, det_c, _ = _invariants(g)
+    _, det_b, det_c, _ = g.invariants
     gamma_1 = -(det_c + det_b)
     lam_p, lam_m = eigenvalues(g)
     if abs(lam_p - lam_m) < _degeneracy_threshold(lam_p, lam_m):
@@ -249,7 +263,7 @@ def series_coefficients(g: Sp4Generator) -> SeriesCoefficients:
     Everything is evaluated through the complex branch and the imaginary
     residue is checked before taking real parts.
     """
-    _, det_b, det_c, _ = _invariants(g)
+    _, det_b, det_c, _ = g.invariants
     gamma_1 = -(det_c + det_b)
     lam_p, lam_m = eigenvalues(g)
     if abs(lam_p - lam_m) < _degeneracy_threshold(lam_p, lam_m):
@@ -285,7 +299,7 @@ def _assemble(g: Sp4Generator, coeffs: SeriesCoefficients) -> np.ndarray:
     B = coeffs.beta_e * jd + coeffs.beta_o * (_J @ a @ jd) + coeffs.gamma_o * (_J @ b)
     C = -coeffs.beta_e * jdt + coeffs.alpha_o * (_J @ b.T) - coeffs.beta_o * (_J @ c @ jdt)
     D = coeffs.gamma_e * eye + coeffs.gamma_o * (_J @ c) + coeffs.beta_o * (_J @ b.T @ jd)
-    return np.block([[A, B], [C, D]])
+    return _join22(A, B, C, D)
 
 
 def closed_form_exp(
@@ -325,5 +339,5 @@ def squeeze_block_exp(b) -> SympMatrix:
     ch = _real_with_residue_check(_cosh_sqrt(mu), "diagonal scale")
     sc = _real_with_residue_check(_sinhc(mu), "off-diagonal scale")
     eye = np.eye(2)
-    M = np.block([[ch * eye, sc * (_J @ b)], [sc * (_J @ b.T), ch * eye]])
+    M = _join22(ch * eye, sc * (_J @ b), sc * (_J @ b.T), ch * eye)
     return SympMatrix(2, M, INTERLEAVED, _CLOSED_FORM_TOL)

@@ -74,13 +74,22 @@ def _omega_cached(n: int) -> np.ndarray:
 
 
 def omega_interleaved(n: int) -> np.ndarray:
-    """Block-diagonal form diag(J, ..., J), J = [[0, 1], [-1, 0]]."""
+    """Block-diagonal form diag(J, ..., J), J = [[0, 1], [-1, 0]].
+
+    Built once per mode count and returned as a shared read-only array.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    return _omega_interleaved_cached(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _omega_interleaved_cached(n: int) -> np.ndarray:
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n, 2 * n))
     for i in range(n):
         out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = j
+    out.setflags(write=False)
     return out
 
 

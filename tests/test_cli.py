@@ -197,6 +197,27 @@ def test_sweep_nonfinite_grid_value_is_config_error(tmp_path, capsys, axis, valu
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", [",", ", ;"])
+@pytest.mark.parametrize(
+    "section,key", [("sweep", "R"), ("sweep", "hbar"), ("sweep", "length"), ("path", "lengths")]
+)
+def test_separators_only_number_list_is_config_error(tmp_path, capsys, section, key, value):
+    sections = {"path": {"kind": "squeeze1"}, "sweep": {"R": "1.0"}}
+    sections[section][key] = value
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        "".join(
+            f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+            for sec, kv in sections.items()
+        )
+    )
+    code = main(["sweep", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert f"config error: [{section}] {key}: expected comma-separated numbers" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_empty_hbar_and_length_use_scalars(tmp_path):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(

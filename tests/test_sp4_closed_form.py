@@ -24,6 +24,7 @@ from sympberry import (
 
 COSH_HALF = 1.1276259652063807  # cosh(0.5)
 SINHC_QUARTER = 1.0421906109874948  # sinh(0.5) / 0.5
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _zero_gen(b):
@@ -37,6 +38,51 @@ def test_generator_validation():
         )
     g = _zero_gen([[0.0, 1.0], [2.0, 0.0]])  # b need not be symmetric
     assert g.lie_element().n == 2
+
+
+def test_invariants_computed_once_per_generator(monkeypatch):
+    real_det = np.linalg.det
+    shapes = []
+
+    def counting_det(x):
+        shapes.append(np.shape(x))
+        return real_det(x)
+
+    # non-degenerate, so every closed form below runs
+    g = Sp4Generator(
+        a=np.array([[0.3, 0.1], [0.1, -0.2]]),
+        b=np.array([[0.5, -0.4], [0.2, 0.7]]),
+        c=np.array([[-0.1, 0.25], [0.25, 0.4]]),
+    )
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    for order in range(1, 11):
+        coeff_recurrence(g, order)
+        coeff_closed(g, order)
+    series_coefficients(g)
+    eigenvalues(g)
+    s_matrix(g)
+    closed_form_exp(g)
+    # det a, det b, det c, det d once; the 4x4 one is SympMatrix validating the result
+    assert shapes.count((2, 2)) <= 4
+    assert shapes.count((4, 4)) == 1
+
+    # the fault-injection pattern: a new instance gets its own values
+    shapes.clear()
+    moved = Sp4Generator(a=g.a, b=g.b + 1e-3, c=g.c)
+    assert moved.invariants != g.invariants
+    assert not np.array_equal(moved.d, g.d)
+    assert shapes.count((2, 2)) == 4
+    monkeypatch.undo()
+    assert np.linalg.det is real_det
+
+    expected_d = moved.a @ _J @ moved.b + moved.b @ _J @ moved.c
+    np.testing.assert_array_equal(moved.d, expected_d)
+    assert moved.invariants == tuple(
+        float(np.linalg.det(x)) for x in (moved.a, moved.b, moved.c, expected_d)
+    )
+    assert not g.d.flags.writeable
+    with pytest.raises(ValueError):
+        g.d[0, 0] = 1.0
 
 
 def test_s_matrix_zero_generator():

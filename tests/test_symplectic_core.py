@@ -33,6 +33,31 @@ def test_omega_structure():
     assert np.array_equal(omega_interleaved(2)[2:, 2:], J)
 
 
+def test_omega_interleaved_is_one_shared_read_only_array():
+    for n in (1, 2, 3):
+        form = omega_interleaved(n)
+        assert omega_interleaved(n) is form
+        assert not form.flags.writeable
+        with pytest.raises(ValueError):
+            form[0, 1] = 2.0
+        expected = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            expected[2 * i, 2 * i + 1] = 1.0
+            expected[2 * i + 1, 2 * i] = -1.0
+        np.testing.assert_array_equal(form, expected)
+    assert omega_interleaved(np.int64(2)) is omega_interleaved(2)
+
+
+def test_interleaved_sympmatrix_still_validated():
+    with pytest.raises(ValueError, match="symplectic condition"):
+        SympMatrix(2, 2 * np.eye(4), INTERLEAVED)
+    shear = np.eye(4)
+    shear[1, 2] = 0.5  # det 1, but p1 += x2/2 without p2 += x1/2 breaks the form
+    with pytest.raises(ValueError, match="symplectic condition"):
+        SympMatrix(2, shear, INTERLEAVED)
+    assert SympMatrix(2, np.eye(4), INTERLEAVED).ordering == INTERLEAVED
+
+
 def test_is_symplectic_basics():
     assert is_symplectic(np.eye(4))
     assert not is_symplectic(2 * np.eye(4))
