@@ -39,6 +39,7 @@ from .geometric_phase import (
     integrate_phase,
     integrate_phase_boundary_form,
     phase_b_zero,
+    polygon_phase,
 )
 from .sp4_closed_form import (
     BRANCH_CLOSED_FORM,
@@ -135,6 +136,7 @@ __all__ = [
     "integrate_phase",
     "integrate_phase_boundary_form",
     "phase_b_zero",
+    "polygon_phase",
     # squeeze_paths
     "SqueezeSpec",
     "reference_phase",

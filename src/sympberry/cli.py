@@ -42,6 +42,7 @@ from .geometric_phase import (
     integrate_phase,
     integrate_phase_boundary_form,
     phase_b_zero,
+    polygon_phase,
 )
 from .sp4_closed_form import (
     DegenerateEigenvalues,
@@ -123,9 +124,6 @@ class RunConfig:
         return QuadSpec(
             kind=self.quad_kind, tol=self.tol, max_evals=self.max_evals, panels=self.panels
         )
-
-    def osc_params(self) -> OscParams:
-        return OscParams(hbar=self.hbar, lengths=self.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +401,10 @@ def _cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# path construction
+# samples files
 
 
-def _load_samples(path: str) -> tuple[int, np.ndarray, np.ndarray]:
+def _load_samples(path: str) -> list[SympMatrix]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -415,66 +413,27 @@ def _load_samples(path: str) -> tuple[int, np.ndarray, np.ndarray]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"samples file {path} is not valid JSON: {exc}") from exc
     try:
-        n = int(doc["n"])
+        n = doc["n"]
         ts = np.asarray(doc["t"], dtype=float)
         Ms = np.asarray(doc["M"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"samples file {path} needs keys n, t, M") from exc
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"samples file {path}: n must be a positive integer, got {n!r}")
     if ts.ndim != 1 or len(ts) < 2:
         raise ConfigError("samples need at least two parameter values")
     if Ms.shape != (len(ts), 2 * n, 2 * n):
         raise ConfigError(
             f"samples matrix block has shape {Ms.shape}, expected {(len(ts), 2 * n, 2 * n)}"
         )
-    if abs(ts[0]) > 1e-12 or abs(ts[-1] - 1.0) > 1e-12:
+    if not (abs(ts[0]) <= 1e-12 and abs(ts[-1] - 1.0) <= 1e-12):
         raise ConfigError("sample parameters must start at 0 and end at 1")
-    if np.any(np.diff(ts) <= 0):
+    if not np.all(np.diff(ts) > 0):
         raise ConfigError("sample parameters must be strictly increasing")
-    return n, ts, Ms
-
-
-def _custom_path(cfg: RunConfig) -> SympPath:
-    """Piecewise-geodesic interpolation through user-supplied matrices.
-
-    Segment i follows M_i expm(s log(M_i^{-1} M_{i+1})), s in [0, 1]; knots
-    are reproduced exactly and intermediate points stay close to the group
-    for well-separated samples.
-    """
-    import scipy.linalg
-
-    n, ts, Ms = _load_samples(cfg.samples)
-    if n != cfg.modes and cfg.modes != 1:
-        raise ConfigError(f"samples declare n={n}, config modes={cfg.modes}")
-    logs = []
-    for i in range(len(ts) - 1):
-        ratio = np.linalg.solve(Ms[i], Ms[i + 1])
-        log = scipy.linalg.logm(ratio)
-        if np.max(np.abs(np.imag(log))) > 1e-8:
-            raise ConfigError(
-                f"segment {i}: matrix logarithm is not real; samples are too "
-                f"far apart or leave the real group"
-            )
-        logs.append(np.real(log))
-    closed = bool(np.max(np.abs(Ms[-1] - Ms[0])) <= 1e-10)
-
-    def eval_path(t: float) -> SympMatrix:
-        t = min(max(float(t), 0.0), 1.0)
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), len(ts) - 2)
-        frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        data = Ms[i] @ scipy.linalg.expm(frac * logs[i])
-        return SympMatrix(n, data, GROUPED, 1e-8)
-
     try:
-        return SympPath(n=n, eval=eval_path, tangent=None, closed=closed)
-    except (ValueError, TypeError) as exc:
+        return [SympMatrix(n, M, GROUPED, 1e-8) for M in Ms]
+    except ValueError as exc:
         raise ConfigError(f"samples do not form a valid symplectic path: {exc}") from exc
-
-
-def _build_path(cfg: RunConfig) -> SympPath:
-    if cfg.kind == KIND_CUSTOM:
-        return _custom_path(cfg)
-    return squeeze_circle_path(cfg.modes, cfg.R, cfg.osc_params())
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +465,20 @@ def _phase_record(cfg: RunConfig, result: PhaseResult) -> dict:
 
 def run_phase(cfg: RunConfig) -> int:
     """Compute one phase and emit the report record."""
-    path = _build_path(cfg)
     if cfg.kind == KIND_CUSTOM:
+        knots = _load_samples(cfg.samples)
+        n = knots[0].n
+        if n != cfg.modes and cfg.modes != 1:
+            raise ConfigError(f"samples declare n={n}, config modes={cfg.modes}")
         # the samples file fixes the mode count; lengths follow it
-        lengths = cfg.lengths if len(cfg.lengths) == path.n else (cfg.lengths[0],) * path.n
-        p = OscParams(cfg.hbar, lengths)
+        p = OscParams(cfg.hbar, cfg.lengths if len(cfg.lengths) == n else (cfg.lengths[0],) * n)
+        try:
+            result = polygon_phase(knots, p)
+        except ValueError as exc:  # a segment's logarithm is not real
+            raise ConfigError(str(exc)) from exc
     else:
-        p = cfg.osc_params()
-    result = integrate_phase(path, p, cfg.quad())
+        p = OscParams(cfg.hbar, cfg.lengths)
+        result = integrate_phase(squeeze_circle_path(cfg.modes, cfg.R, p), p, cfg.quad())
     record = _phase_record(cfg, result)
     if cfg.format == "json":
         _emit(_json_text(record), cfg.out)

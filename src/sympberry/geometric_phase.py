@@ -7,9 +7,10 @@ the accumulated geometric phase is the line integral of the connection
 
 over t in [0, 1]. This module provides the path container with finite
 difference tangents and optional batch evaluation, the integral in its
-direct and boundary-term forms, a reduced expression for paths whose
-upper-right block vanishes, and an invariance check under constant left
-translations (classical canonical transformations leave the phase alone).
+direct and boundary-term forms, a reduced form for paths whose upper-right
+block vanishes, the exact sum over a geodesic polygon through given knots,
+and an invariance check under constant left translations (classical
+canonical transformations leave the phase alone).
 
 The integrands are evaluated over stacks of path samples, one quadrature
 call (a G7K15 panel or a split into two panels) at a time.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "integrate_phase",
     "integrate_phase_boundary_form",
     "phase_b_zero",
+    "polygon_phase",
     "check_canonical_invariance",
 ]
 
@@ -87,14 +89,13 @@ class PhaseResult:
 
     error_estimate is the sum over panels of |K15 - G7|, the disagreement of
     the two Gauss-Kronrod rules on the sampled integrand, and nothing else.
-    It does not cover finite-difference tangents, interpolation between
-    samples or symplectic drift of the path. On a path that converges in
-    one panel (the squeeze circles, whose integrand is constant) it is
-    rounding noise: 0 to about 6e-14, changing with the summation order of
-    the same node values. On finite-difference paths it under-reports the
-    true error: it reads 5.1e-12 against an actual 3.1e-10 (60x) on a
-    reparametrized circle, and 5.4e-13 against 2.5e-10 (460x) on the R=1
-    circle given as 33 custom-samples knots.
+    It does not cover finite-difference tangents or symplectic drift of the
+    path. On a path that converges in one panel (the squeeze circles, whose
+    integrand is constant) it is rounding noise: 0 to about 6e-14, changing
+    with the summation order of the same node values. On finite-difference
+    paths it under-reports the true error: it reads 5.1e-12 against an
+    actual 3.1e-10 (60x) on a reparametrized circle. polygon_phase uses no
+    quadrature; its error_estimate bounds the rounding of its finite sum.
     """
 
     value: float
@@ -251,6 +252,38 @@ def connection_integrand(M: SympMatrix, dM: np.ndarray, p: OscParams) -> float:
         raise ValueError(f"tangent shape {dM.shape} does not match {M.data.shape}")
     _check_modes(M.n, p)
     return float(_connection_values(M.data[None], dM[None], p)[0])
+
+
+def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
+    """Phase of the geodesic polygon through the knots, as an exact finite sum.
+
+    Segment i is M_i expm(s X_i), s in [0, 1], X_i = log(M_i^{-1} M_{i+1}). Its
+    tangent is M X_i and M^T Omega M = Omega, so its connection is constant:
+    the value at the identity paired with X_i. One logm per segment and no
+    quadrature; evaluations counts the segments, and error_estimate bounds
+    the rounding of the sum, segments * eps * sum |term_i|. A logarithm with
+    an imaginary part above 1e-8 (knots too far apart) raises ValueError.
+    """
+    import scipy.linalg
+
+    if len(knots) < 2:
+        raise ValueError(f"a polygon needs at least two knots, got {len(knots)}")
+    n = knots[0].n
+    _check_modes(n, p)
+    if any(M.n != n or M.ordering != GROUPED for M in knots):
+        raise ValueError("knots must share the mode count and use grouped ordering")
+    logs = np.empty((len(knots) - 1, 2 * n, 2 * n))
+    for i in range(len(logs)):
+        log = scipy.linalg.logm(np.linalg.solve(knots[i].data, knots[i + 1].data))
+        if np.max(np.abs(np.imag(log))) > 1e-8:
+            raise ValueError(
+                f"segment {i}: matrix logarithm is not real; samples are too "
+                f"far apart or leave the real group"
+            )
+        logs[i] = np.real(log)
+    terms = _connection_values(np.broadcast_to(np.eye(2 * n), logs.shape), logs, p)
+    error = len(terms) * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+    return PhaseResult(value=float(np.sum(terms)), error_estimate=error, evaluations=len(terms))
 
 
 def _run_quadrature(

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympberry import cli
+from sympberry import (
+    OscParams,
+    SympMatrix,
+    SympPath,
+    cli,
+    integrate_phase,
+    squeeze_circle_path,
+)
 from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, main
 
 REFERENCE_R1 = -4.3388468454428593
@@ -337,19 +344,40 @@ def test_expm_asymmetric_block_rejected(capsys):
     assert "symmetric" in captured.err
 
 
-def _write_circle_samples(path, R=0.5, knots=41):
-    ts = np.linspace(0.0, 1.0, knots)
-    ch, sh = np.cosh(R), np.sinh(R)
-    mats = []
-    for t in ts:
-        th = 2.0 * np.pi * t
-        mats.append(
-            [
-                [ch - np.cos(th) * sh, -np.sin(th) * sh],
-                [-np.sin(th) * sh, ch + np.cos(th) * sh],
-            ]
+def _write_circle_samples(path, R=0.5, knots=41, times=None, modes=1, lengths=(1.0,)):
+    """Squeeze-circle knots at angles 2 pi t, t uniform unless times is given."""
+    ts = np.linspace(0.0, 1.0, knots) if times is None else np.asarray(times, dtype=float)
+    Ms = squeeze_circle_path(modes, R, OscParams(1.0, lengths)).eval_batch(ts)
+    path.write_text(json.dumps({"n": modes, "t": ts.tolist(), "M": Ms.tolist()}))
+
+
+def _irregular_times(knots, seed):
+    interior = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, knots - 2))
+    return np.concatenate([[0.0], interior, [1.0]])
+
+
+def _custom_record(capsys, samples, *flags):
+    args = ["phase", "--kind", "custom-samples", "--samples", str(samples), "--format", "json"]
+    code = main(args + list(flags))
+    record, err = _json_out(capsys)
+    assert (code, err) == (0, "")
+    return record
+
+
+def _geodesic_reference(samples, p):
+    """Segment by segment, integrate_phase of M_i expm(s X_i) with its analytic tangent."""
+    doc = json.loads(samples.read_text())
+    n, Ms = doc["n"], np.array(doc["M"])
+    total = 0.0
+    for A, B in zip(Ms, Ms[1:]):
+        X = np.real(scipy.linalg.logm(np.linalg.solve(A, B)))
+        segment = SympPath(
+            n=n,
+            eval=lambda s, A=A, X=X: SympMatrix(n, A @ scipy.linalg.expm(s * X)),
+            tangent=lambda s, A=A, X=X: A @ scipy.linalg.expm(s * X) @ X,
         )
-    path.write_text(json.dumps({"n": 1, "t": ts.tolist(), "M": mats}))
+        total += integrate_phase(segment, p).value
+    return total
 
 
 def test_custom_samples_path(tmp_path, capsys):
@@ -363,7 +391,7 @@ def test_custom_samples_path(tmp_path, capsys):
     assert record["kind"] == "custom-samples"
     assert record["R"] is None
     assert record["reference_phase"] is None
-    # piecewise-geodesic interpolation through 41 knots: percent-level accuracy
+    # the geodesic polygon through 41 knots: percent-level accuracy
     assert abs(record["gamma"] - REFERENCE_R05) < 0.02
 
 
@@ -380,6 +408,124 @@ def test_custom_samples_bad_parameterization(tmp_path, capsys):
 def test_custom_samples_missing_file(capsys):
     code = main(["phase", "--kind", "custom-samples", "--samples", "/nonexistent.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "R,knots,modes,lengths",
+    [(1.0, 33, 1, (1.0,)), (0.7, 32, 1, (1.0,)), (0.8, 65, 2, (0.7, 1.3))],
+)
+def test_custom_samples_is_exact_geodesic_polygon(tmp_path, capsys, R, knots, modes, lengths):
+    samples = tmp_path / "knots.json"
+    times = _irregular_times(knots, seed=1) if knots == 32 else None
+    _write_circle_samples(samples, R, knots, times, modes, lengths)
+    flags = ["--modes", str(modes)] + [f"--length={l}" for l in lengths]
+    record = _custom_record(capsys, samples, *flags)
+    deviation = abs(record["gamma"] - _geodesic_reference(samples, OscParams(1.0, lengths)))
+    assert deviation <= 1e-13
+    # the reported bound covers the observed deviation, and is not a bare 0
+    assert record["error_estimate"] >= deviation
+    assert 0.0 < record["error_estimate"] <= 1e-12
+    assert record["evaluations"] == knots - 1
+
+
+def test_custom_samples_knot_times_only_order_the_knots(tmp_path, capsys):
+    samples = tmp_path / "knots.json"
+    _write_circle_samples(samples, R=0.7, knots=32, times=_irregular_times(32, seed=1))
+    irregular = _custom_record(capsys, samples)["gamma"]
+    doc = json.loads(samples.read_text())
+    doc["t"] = np.linspace(0.0, 1.0, 32).tolist()
+    samples.write_text(json.dumps(doc))
+    assert abs(_custom_record(capsys, samples)["gamma"] - irregular) <= 1e-13
+
+
+def test_custom_samples_reversed_knots_flip_the_sign(tmp_path, capsys):
+    samples = tmp_path / "knots.json"
+    _write_circle_samples(samples, R=1.0, knots=33)
+    forward = _custom_record(capsys, samples)["gamma"]
+    doc = json.loads(samples.read_text())
+    doc["M"] = doc["M"][::-1]
+    samples.write_text(json.dumps(doc))
+    assert abs(_custom_record(capsys, samples)["gamma"] + forward) <= 1e-13
+
+
+def _spoil_nan_time(doc):
+    doc["t"][3] = float("nan")
+
+
+def _spoil_nan_first_time(doc):
+    doc["t"][0] = float("nan")
+
+
+def _spoil_nan_last_time(doc):
+    doc["t"][-1] = float("nan")
+
+
+def _spoil_nan_entry(doc):
+    doc["M"][2][0][1] = float("nan")
+
+
+def _spoil_inf_entry(doc):
+    doc["M"][2][1][1] = float("inf")
+
+
+def _spoil_doubled_knot(doc):
+    doc["M"][3] = (2.0 * np.eye(2)).tolist()
+
+
+def _spoil_scaled_knot(doc):
+    doc["M"][5] = (1.0001 * np.array(doc["M"][5])).tolist()
+
+
+_NOT_SYMPLECTIC = "samples do not form a valid symplectic path"
+
+
+_SPOILS = [
+    (_spoil_nan_time, "sample parameters must be strictly increasing"),
+    (_spoil_nan_first_time, "sample parameters must start at 0 and end at 1"),
+    (_spoil_nan_last_time, "sample parameters must start at 0 and end at 1"),
+    (_spoil_nan_entry, _NOT_SYMPLECTIC),
+    (_spoil_inf_entry, _NOT_SYMPLECTIC),
+    (_spoil_doubled_knot, _NOT_SYMPLECTIC),
+    (_spoil_scaled_knot, _NOT_SYMPLECTIC),
+]
+
+
+@pytest.mark.parametrize(
+    "spoil,message", _SPOILS, ids=[spoil.__name__[len("_spoil_"):] for spoil, _ in _SPOILS]
+)
+def test_custom_samples_malformed_file_is_config_error(tmp_path, capsys, spoil, message):
+    samples = tmp_path / "bad.json"
+    _write_circle_samples(samples, knots=9)
+    doc = json.loads(samples.read_text())
+    spoil(doc)
+    samples.write_text(json.dumps(doc))  # NaN and Infinity, as Python's json writes them
+    code = main(["phase", "--kind", "custom-samples", "--samples", str(samples)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", [1.5, True, "2", 0, -1, None])
+def test_custom_samples_mode_count_must_be_positive_integer(tmp_path, capsys, n):
+    samples = tmp_path / "bad.json"
+    samples.write_text(json.dumps({"n": n, "t": [0.0, 1.0], "M": [np.eye(2).tolist()] * 2}))
+    code = main(["phase", "--kind", "custom-samples", "--samples", str(samples)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert f"config error: samples file {samples}: n must be a positive integer" in captured.err
+    assert captured.out == ""
+
+
+def test_custom_samples_nonreal_logarithm_is_config_error(tmp_path, capsys):
+    samples = tmp_path / "far.json"
+    samples.write_text(
+        json.dumps({"n": 1, "t": [0.0, 1.0], "M": [np.eye(2).tolist(), (-np.eye(2)).tolist()]})
+    )
+    code = main(["phase", "--kind", "custom-samples", "--samples", str(samples)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("config error: segment 0: matrix logarithm is not real")
 
 
 _MODULE = [sys.executable, "-m", "sympberry"]

@@ -19,6 +19,7 @@ from sympberry import (
     integrate_phase,
     integrate_phase_boundary_form,
     phase_b_zero,
+    polygon_phase,
     reference_phase,
     squeeze_circle_path,
 )
@@ -500,3 +501,41 @@ def test_integrate_phase_mode_mismatch():
     for integral in (integrate_phase, integrate_phase_boundary_form, phase_b_zero):
         with pytest.raises(ValueError, match="parameter modes"):
             integral(path, two)
+
+
+def _circle_knots(modes, R, p, knots):
+    Ms = squeeze_circle_path(modes, R, p).eval_batch(np.linspace(0.0, 1.0, knots))
+    return [SympMatrix(modes, M, GROUPED) for M in Ms]
+
+
+def test_polygon_phase_converges_to_circle_phase():
+    # the inscribed geodesic polygon approaches the circle at second order
+    errors = [
+        abs(polygon_phase(_circle_knots(1, 1.0, UNIT_PARAMS, k), UNIT_PARAMS).value - REFERENCE_R1)
+        for k in (17, 33, 65, 129)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.8 < coarse / fine < 4.1
+
+
+def test_polygon_phase_left_invariant(rng, random_symplectic):
+    knots = _circle_knots(1, 1.0, UNIT_PARAMS, 33)
+    base = polygon_phase(knots, UNIT_PARAMS)
+    assert base.evaluations == 32
+    for _ in range(3):
+        S = random_symplectic(rng, 1)
+        moved = polygon_phase([S @ M for M in knots], UNIT_PARAMS)
+        assert moved.value == pytest.approx(base.value, abs=1e-10)
+
+
+def test_polygon_phase_rejections():
+    eye = SympMatrix(1, np.eye(2), GROUPED)
+    with pytest.raises(ValueError, match="at least two knots"):
+        polygon_phase([eye], UNIT_PARAMS)
+    with pytest.raises(ValueError, match="parameter modes"):
+        polygon_phase([eye, eye], OscParams(1.0, (1.0, 1.0)))
+    with pytest.raises(ValueError, match="share the mode count"):
+        polygon_phase([eye, SympMatrix(2, np.eye(4), GROUPED)], UNIT_PARAMS)
+    # the principal logarithm of -I is i pi I: no real geodesic segment
+    with pytest.raises(ValueError, match="segment 0: matrix logarithm is not real"):
+        polygon_phase([eye, SympMatrix(1, -np.eye(2), GROUPED)], UNIT_PARAMS)
