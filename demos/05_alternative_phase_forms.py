@@ -6,14 +6,10 @@ upper-right block vanishes must all agree. Left-translating the whole path
 by a fixed group element must change nothing.
 """
 import numpy as np
-import scipy.linalg
 
 from sympberry import (
-    GROUPED,
     LieAlgElement,
     OscParams,
-    SympMatrix,
-    SympPath,
     check_canonical_invariance,
     exp_map,
     integrate_phase,
@@ -21,6 +17,7 @@ from sympberry import (
     phase_b_zero,
     squeeze_circle_path,
 )
+from sympberry.oracles import b_zero_loop
 
 params = OscParams(hbar=1.0, lengths=(1.0,))
 path = squeeze_circle_path(1, 1.0, params)
@@ -50,17 +47,8 @@ G0 = rng.uniform(-0.6, 0.6, size=(2, 2))
 G0 = (G0 + G0.T) / 2.0
 G1 = rng.uniform(-0.6, 0.6, size=(2, 2))
 G1 = (G1 + G1.T) / 2.0
-
-
-def eval_path(t):
-    A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)
-    G = 0.4 * G0 + (1.0 - np.cos(2.0 * np.pi * t)) * G1
-    top = np.hstack([A, np.zeros((2, 2))])
-    bottom = np.hstack([G @ A, np.linalg.inv(A).T])
-    return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
-
-
-shear_path = SympPath(n=2, eval=eval_path, closed=True)
+# A(t) = expm(sin(2 pi t) K0), G(t) = 0.4 G0 + (1 - cos(2 pi t)) G1
+shear_path = b_zero_loop(K0, G0, G1, g0_weight=0.4)
 p2 = OscParams(hbar=0.9, lengths=(1.1, 0.8))
 reduced = phase_b_zero(shear_path, p2)
 general = integrate_phase(shear_path, p2)
@@ -69,14 +57,5 @@ print(f"general integrand: {general.value:.15f}")
 print(f"difference:        {abs(reduced.value - general.value):.3e}")
 
 print("\n== a pure rotation picks up no phase ==")
-
-
-def rotation_only(t):
-    A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)
-    top = np.hstack([A, np.zeros((2, 2))])
-    bottom = np.hstack([np.zeros((2, 2)), np.linalg.inv(A).T])
-    return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
-
-
-rot = SympPath(n=2, eval=rotation_only, closed=True)
+rot = b_zero_loop(K0)  # G = 0: [[A, 0], [0, A^{-T}]]
 print(f"phase: {phase_b_zero(rot, p2).value:.3e}")

@@ -29,36 +29,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import oracles
 from ._quadrature import QuadratureBudgetExceeded
-from ._random import random_generator, random_symmetric, random_symplectic
-from .gaussian_states import OscParams, numeric_overlap_n1, weyl_amplitude
-from .geometric_phase import (
-    ADAPTIVE,
-    FIXED,
-    PhaseResult,
-    QuadSpec,
-    SympPath,
-    check_canonical_invariance,
-    integrate_phase,
-    integrate_phase_boundary_form,
-    phase_b_zero,
-    polygon_phase,
-)
-from .sp4_closed_form import (
-    DegenerateEigenvalues,
-    Sp4Generator,
-    coeff_closed,
-    coeff_recurrence,
-    closed_form_exp,
-)
-from .squeeze_paths import (
-    SqueezeSpec,
-    squeeze_circle_path,
-    squeeze_matrix_n1,
-    squeeze_matrix_n2,
-    reference_phase,
-)
-from .symplectic_core import GROUPED, SympMatrix, symplectic_residual
+from .gaussian_states import OscParams
+from .geometric_phase import ADAPTIVE, FIXED, PhaseResult, QuadSpec, integrate_phase, polygon_phase
+from .sp4_closed_form import Sp4Generator
+from .squeeze_paths import squeeze_circle_path, reference_phase
+from .symplectic_core import GROUPED, SympMatrix
 
 __all__ = ["ConfigError", "RunConfig", "run_phase", "run_sweep", "run_verify", "run_expm", "main"]
 
@@ -75,17 +52,7 @@ KIND_SQUEEZE2 = "squeeze2"
 KIND_CUSTOM = "custom-samples"
 _KINDS = (KIND_SQUEEZE1, KIND_SQUEEZE2, KIND_CUSTOM)
 
-CHECK_NAMES = (
-    "closed_form",
-    "coefficients",
-    "symplectic",
-    "two_form",
-    "invariance",
-    "b_zero",
-    "overlap",
-)
-
-_FAULT_SIZE = 1e-3  # negative-control perturbation for verify --inject-fault
+CHECK_NAMES = tuple(oracles.CHECKS)
 
 
 class ConfigError(ValueError):
@@ -98,7 +65,7 @@ class RunConfig:
 
     command: str
     kind: str = KIND_SQUEEZE1
-    modes: int = 1
+    modes: int | None = 1  # None on custom-samples until the samples file is read
     R: float = 1.0
     hbar: float = 1.0
     lengths: tuple[float, ...] = (1.0,)
@@ -281,12 +248,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     kind = values.setdefault("kind", KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1)
     if kind not in _KINDS:
         raise ConfigError(f"unknown path kind {kind!r}")
-    modes = values.setdefault("modes", 2 if kind == KIND_SQUEEZE2 else 1)
+    # a samples file fixes its own mode count, so custom-samples has no default (run_phase)
+    modes = values.setdefault("modes", {KIND_SQUEEZE1: 1, KIND_SQUEEZE2: 2}.get(kind))
     if kind == KIND_SQUEEZE1 and modes != 1:
         raise ConfigError(f"kind {kind} requires modes=1, got {modes}")
     if kind == KIND_SQUEEZE2 and modes != 2:
         raise ConfigError(f"kind {kind} requires modes=2, got {modes}")
-    if modes not in (1, 2):
+    if modes not in (None, 1, 2):
         raise ConfigError(f"modes must be 1 or 2, got {modes}")
     if args.command == "sweep":
         values.setdefault("format", "csv")
@@ -294,15 +262,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values["sweep_R"] = (args.R,)
 
     cfg = RunConfig(command=args.command, **values)
-    cfg.lengths = tuple(cfg.lengths)
-    if len(cfg.lengths) == 1 and modes == 2:
-        cfg.lengths *= 2
-    if len(cfg.lengths) != modes:
-        raise ConfigError(f"got {len(cfg.lengths)} lengths for {modes} mode(s)")
-    if kind == KIND_CUSTOM and cfg.samples is None:
+    if kind != KIND_CUSTOM:
+        _fit_lengths(cfg, modes)
+    elif cfg.samples is None:
         raise ConfigError("custom-samples paths need a samples file ([path] samples or --samples)")
     _validate_config(cfg)
     return cfg
+
+
+def _fit_lengths(cfg: RunConfig, modes: int) -> None:
+    """Set cfg.modes, and one length per mode; a single length serves every mode."""
+    cfg.lengths = tuple(cfg.lengths)
+    if len(cfg.lengths) == 1:
+        cfg.lengths *= modes
+    if len(cfg.lengths) != modes:
+        raise ConfigError(f"got {len(cfg.lengths)} lengths for {modes} mode(s)")
+    cfg.modes = modes
 
 
 def _validate_config(cfg: RunConfig) -> None:
@@ -468,10 +443,10 @@ def run_phase(cfg: RunConfig) -> int:
     if cfg.kind == KIND_CUSTOM:
         knots = _load_samples(cfg.samples)
         n = knots[0].n
-        if n != cfg.modes and cfg.modes != 1:
+        if cfg.modes not in (None, n):
             raise ConfigError(f"samples declare n={n}, config modes={cfg.modes}")
-        # the samples file fixes the mode count; lengths follow it
-        p = OscParams(cfg.hbar, cfg.lengths if len(cfg.lengths) == n else (cfg.lengths[0],) * n)
+        _fit_lengths(cfg, n)
+        p = OscParams(cfg.hbar, cfg.lengths)
         try:
             result = polygon_phase(knots, p)
         except ValueError as exc:  # a segment's logarithm is not real
@@ -544,169 +519,15 @@ def run_sweep(cfg: RunConfig) -> int:
 # verify
 
 
-def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    import scipy.linalg
-
-    worst = 0.0
-    n_degenerate = max(20, count // 5)
-    for i in range(count + n_degenerate):
-        if i < count:
-            g = random_generator(rng)
-        else:
-            # a = c = 0 forces the degenerate eigenvalue pair
-            g = Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))
-        g_used = g
-        if fault and i == 0:
-            g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c)
-        M = closed_form_exp(g_used)
-        generic = scipy.linalg.expm(g.u_matrix())
-        worst = max(worst, float(np.max(np.abs(M.data - generic))))
-    return worst, 1e-9
-
-
-def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
-    done = 0
-    while done < count:
-        g = random_generator(rng)
-        g_used = g
-        if fault and done == 0:
-            g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c)
-        try:
-            for order in range(1, 11):
-                exact = coeff_recurrence(g, order)
-                closed = coeff_closed(g_used, order)
-                for x, y in zip(exact, closed):
-                    worst = max(worst, abs(x - y) / max(1.0, abs(x)))
-        except DegenerateEigenvalues:
-            continue
-        done += 1
-    return worst, 1e-9
-
-
-def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
-    p1 = OscParams(1.0, (1.0,))
-    p2 = OscParams(1.0, (1.0, 1.0))
-    for i in range(count):
-        r = rng.uniform(0.0, 2.0)
-        th = rng.uniform(0.0, 2.0 * np.pi)
-        M1 = squeeze_matrix_n1(SqueezeSpec(1, r, th, p1)).data
-        M2 = squeeze_matrix_n2(SqueezeSpec(2, r, th, p2)).data
-        M3 = random_symplectic(rng, 1).data
-        M4 = random_symplectic(rng, 2).data
-        if fault and i == 0:
-            M1 = M1 + _FAULT_SIZE
-        worst = max(
-            worst,
-            symplectic_residual(M1),
-            symplectic_residual(M2),
-            symplectic_residual(M3),
-            symplectic_residual(M4),
-        )
-    return worst, 1e-9
-
-
-def _check_two_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    del rng, count  # deterministic check
-    worst = 0.0
-    for modes in (1, 2):
-        p = OscParams(1.0, (1.0,) * modes)
-        R = 1.0 + (_FAULT_SIZE if fault else 0.0)
-        direct = integrate_phase(squeeze_circle_path(modes, 1.0, p), p)
-        boundary = integrate_phase_boundary_form(squeeze_circle_path(modes, R, p), p)
-        worst = max(worst, abs(direct.value - boundary.value))
-    return worst, 1e-9
-
-
-def _check_invariance(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
-    p = OscParams(1.0, (1.0,))
-    path = squeeze_circle_path(1, 1.0 + (_FAULT_SIZE if fault else 0.0), p)
-    base = squeeze_circle_path(1, 1.0, p)
-    gamma0 = integrate_phase(base, p).value
-    for _ in range(min(count, 5)):
-        S0 = random_symplectic(rng, 1)
-        _, translated, _ = check_canonical_invariance(path, S0, p)
-        worst = max(worst, abs(translated - gamma0))
-    return worst, 1e-8
-
-
-def _b_zero_pair(rng: np.random.Generator, fault: bool) -> tuple[SympPath, SympPath]:
-    """A closed two-mode path with zero upper-right block, built twice.
-
-    A(t) = expm(sin(2 pi t) K0) is always invertible; C = G(t) A with G(t)
-    symmetric and periodic keeps the matrix symplectic. The faulted copy
-    scales G so the cross-check comparison drifts.
-    """
-    import scipy.linalg
-
-    K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
-    G0 = random_symmetric(rng, 2)
-    G1 = random_symmetric(rng, 2)
-
-    def build(scale: float) -> SympPath:
-        def eval_path(t: float) -> SympMatrix:
-            s = np.sin(2.0 * np.pi * t)
-            A = scipy.linalg.expm(s * K0)
-            G = scale * (s * G0 + (1.0 - np.cos(2.0 * np.pi * t)) * G1)
-            M = np.block([[A, np.zeros((2, 2))], [G @ A, np.linalg.inv(A).T]])
-            return SympMatrix(2, M, GROUPED, 1e-9)
-
-        return SympPath(n=2, eval=eval_path, tangent=None, closed=True)
-
-    return build(1.0), build(1.0 + (_FAULT_SIZE if fault else 0.0))
-
-
-def _check_b_zero(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
-    p = OscParams(1.0, (1.0, 1.0))
-    for i in range(min(count, 3)):
-        plain, maybe_faulted = _b_zero_pair(rng, fault and i == 0)
-        full = integrate_phase(plain, p)
-        special = phase_b_zero(maybe_faulted, p)
-        worst = max(worst, abs(full.value - special.value))
-    return worst, 1e-9
-
-
-def _check_overlap(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
-    for i in range(min(count, 5)):
-        while True:
-            p = OscParams(float(rng.uniform(0.5, 2.0)), (float(rng.uniform(0.5, 2.0)),))
-            r = float(rng.uniform(0.2, 1.2))
-            th = float(rng.uniform(0.0, 2.0 * np.pi))
-            M = squeeze_matrix_n1(SqueezeSpec(1, r, th, p))
-            if abs(M.data[0, 1]) > 0.1:
-                break
-        a = float(rng.uniform(-1.0, 1.0))
-        b = float(rng.uniform(-1.0, 1.0))
-        overlap = numeric_overlap_n1(M, p, a, b)
-        a_used = a + (_FAULT_SIZE if fault and i == 0 else 0.0)
-        worst = max(worst, abs(abs(overlap) - weyl_amplitude(M, p, [a_used], [b])))
-    return worst, 1e-9
-
-
-_CHECKS: dict[str, Callable[[np.random.Generator, int, bool], tuple[float, float]]] = {
-    "closed_form": _check_closed_form,
-    "coefficients": _check_coefficients,
-    "symplectic": _check_symplectic,
-    "two_form": _check_two_form,
-    "invariance": _check_invariance,
-    "b_zero": _check_b_zero,
-    "overlap": _check_overlap,
-}
-
-
 def run_verify(cfg: RunConfig) -> int:
     """Run the oracle checks and print one pass/fail line each."""
     lines = [f"verify: rng {RNG_NAME} seed {cfg.seed}, {cfg.verify_count} random draws"]
     all_passed = True
-    for name in CHECK_NAMES:
+    for index, (name, check) in enumerate(oracles.CHECKS.items()):
         if name not in cfg.verify_checks:
             continue
-        rng = np.random.default_rng([cfg.seed, CHECK_NAMES.index(name)])
-        residual, tol = _CHECKS[name](rng, cfg.verify_count, cfg.inject_fault == name)
+        rng = np.random.default_rng([cfg.seed, index])
+        residual, tol = check(rng, cfg.verify_count, cfg.inject_fault == name)
         passed = residual <= tol
         all_passed = all_passed and passed
         tag = "PASS" if passed else "FAIL"
@@ -722,8 +543,6 @@ def run_verify(cfg: RunConfig) -> int:
 
 def run_expm(cfg: RunConfig) -> int:
     """Compare the closed-form exponential against the generic one."""
-    import scipy.linalg
-
     blocks = {}
     for name, arr in (("a", cfg.expm_a), ("b", cfg.expm_b), ("c", cfg.expm_c)):
         blocks[name] = np.zeros((2, 2)) if arr is None else arr
@@ -733,9 +552,7 @@ def run_expm(cfg: RunConfig) -> int:
             raise ConfigError(f"expm block {name} must be symmetric; asymmetry {asym:.3e}")
         blocks[name] = (blocks[name] + blocks[name].T) / 2.0
     g = Sp4Generator(a=blocks["a"], b=blocks["b"], c=blocks["c"])
-    M, branch = closed_form_exp(g, return_branch=True)
-    generic = scipy.linalg.expm(g.u_matrix())
-    deviation = float(np.max(np.abs(M.data - generic)))
+    M, branch, generic, deviation = oracles.expm_comparison(g)
     if cfg.format == "json":
         record = {
             "blocks": {k: blocks[k].tolist() for k in ("a", "b", "c")},

@@ -174,8 +174,17 @@ def eigenvalues(g: Sp4Generator) -> tuple[complex, complex]:
     return complex(center + root), complex(center - root)
 
 
-def _degeneracy_threshold(lam_p: complex, lam_m: complex) -> float:
-    return _DEG_FACTOR * max(1.0, abs(lam_p), abs(lam_m))
+def _separated_eigenvalues(g: Sp4Generator, remedy: str) -> tuple[float, complex, complex, complex]:
+    """(gamma_1, lam_p, lam_m, lam_p - lam_m), or DegenerateEigenvalues naming the
+    remedy when the eigenvalues of S are too close for the closed-form denominators."""
+    _, det_b, det_c, _ = g.invariants
+    lam_p, lam_m = eigenvalues(g)
+    den = lam_p - lam_m
+    if abs(den) < _DEG_FACTOR * max(1.0, abs(lam_p), abs(lam_m)):
+        raise DegenerateEigenvalues(
+            f"|lambda_+ - lambda_-| = {abs(den):.3e} is below the degeneracy threshold; {remedy}"
+        )
+    return -(det_c + det_b), lam_p, lam_m, den
 
 
 def coeff_recurrence(g: Sp4Generator, n: int) -> tuple[float, float, float]:
@@ -224,15 +233,7 @@ def coeff_closed(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
-    _, det_b, det_c, _ = g.invariants
-    gamma_1 = -(det_c + det_b)
-    lam_p, lam_m = eigenvalues(g)
-    if abs(lam_p - lam_m) < _degeneracy_threshold(lam_p, lam_m):
-        raise DegenerateEigenvalues(
-            f"|lambda_+ - lambda_-| = {abs(lam_p - lam_m):.3e} is below the "
-            f"degeneracy threshold; use coeff_recurrence"
-        )
-    den = lam_p - lam_m
+    gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "use coeff_recurrence")
     alpha = ((lam_p - gamma_1) * lam_p**n - (lam_m - gamma_1) * lam_m**n) / den
     beta = (lam_p**n - lam_m**n) / den
     gamma = ((lam_p - gamma_1) * lam_m**n - (lam_m - gamma_1) * lam_p**n) / den
@@ -263,15 +264,7 @@ def series_coefficients(g: Sp4Generator) -> SeriesCoefficients:
     Everything is evaluated through the complex branch and the imaginary
     residue is checked before taking real parts.
     """
-    _, det_b, det_c, _ = g.invariants
-    gamma_1 = -(det_c + det_b)
-    lam_p, lam_m = eigenvalues(g)
-    if abs(lam_p - lam_m) < _degeneracy_threshold(lam_p, lam_m):
-        raise DegenerateEigenvalues(
-            f"|lambda_+ - lambda_-| = {abs(lam_p - lam_m):.3e} is below the "
-            f"degeneracy threshold; fall back to the generic exponential"
-        )
-    den = lam_p - lam_m
+    gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "fall back to the generic exponential")
     ch_p, ch_m = _cosh_sqrt(lam_p), _cosh_sqrt(lam_m)
     sc_p, sc_m = _sinhc(lam_p), _sinhc(lam_m)
     wp, wm = lam_p - gamma_1, lam_m - gamma_1

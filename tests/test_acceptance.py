@@ -9,11 +9,8 @@ import numpy as np
 import scipy.linalg
 
 from sympberry import (
-    GROUPED,
     OscParams,
     Sp4Generator,
-    SympMatrix,
-    SympPath,
     check_canonical_invariance,
     closed_form_exp,
     coeff_closed,
@@ -32,6 +29,7 @@ from sympberry import (
 )
 from sympberry import DegenerateEigenvalues, OverlapGrid, SqueezeSpec
 from sympberry._random import random_generator, random_symmetric, random_symplectic
+from sympberry.oracles import b_zero_loop
 
 UNIT_1 = OscParams(1.0, (1.0,))
 R_VALUES = (0.25, 0.5, 1.0, 2.0)
@@ -162,27 +160,13 @@ def test_criterion_08_boundary_form_agreement():
             assert abs(trace / (2.0 * params.hbar)) <= 1e-12
 
 
-def _b_zero_case(seed):
-    r = np.random.default_rng(seed)
-    K = r.uniform(-0.8, 0.8, size=(2, 2))
-    K0 = (K - K.T) / 2.0
-    G0 = random_symmetric(r, 2, 0.6)
-    G1 = random_symmetric(r, 2, 0.6)
-
-    def eval_path(t):
-        A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)
-        G = 0.4 * G0 + (1.0 - np.cos(2.0 * np.pi * t)) * G1
-        top = np.hstack([A, np.zeros((2, 2))])
-        bottom = np.hstack([G @ A, np.linalg.inv(A).T])
-        return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
-
-    return SympPath(n=2, eval=eval_path, closed=True)
-
-
 def test_criterion_09_b_zero_reduction():
     params = OscParams(0.9, (1.1, 0.8))
     for seed in range(20):
-        path = _b_zero_case(1000 + seed)
+        r = np.random.default_rng(1000 + seed)
+        K = r.uniform(-0.8, 0.8, size=(2, 2))
+        G0, G1 = random_symmetric(r, 2, 0.6), random_symmetric(r, 2, 0.6)
+        path = b_zero_loop((K - K.T) / 2.0, G0, G1, g0_weight=0.4)
         reduced = phase_b_zero(path, params)
         general = integrate_phase(path, params)
         assert abs(reduced.value - general.value) <= 1e-9 * max(1.0, abs(general.value))
@@ -190,15 +174,7 @@ def test_criterion_09_b_zero_reduction():
     # pure-rotation paths (C = 0 throughout) integrate to exactly zero
     r = np.random.default_rng(909)
     K = r.uniform(-0.8, 0.8, size=(2, 2))
-    K0 = (K - K.T) / 2.0
-
-    def rotation_only(t):
-        A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)
-        top = np.hstack([A, np.zeros((2, 2))])
-        bottom = np.hstack([np.zeros((2, 2)), np.linalg.inv(A).T])
-        return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
-
-    path = SympPath(n=2, eval=rotation_only, closed=True)
+    path = b_zero_loop((K - K.T) / 2.0)
     assert abs(phase_b_zero(path, params).value) <= 1e-12
 
 

@@ -16,6 +16,7 @@ from sympberry import (
     SympPath,
     cli,
     integrate_phase,
+    polygon_phase,
     squeeze_circle_path,
 )
 from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, main
@@ -302,13 +303,17 @@ def test_verify_empty_check_selection_rejected(tmp_path, capsys, checks):
     assert "all checks passed" not in captured.out
 
 
-@pytest.mark.parametrize("target", ["closed_form", "two_form", "overlap"])
+@pytest.mark.parametrize("target", CHECK_NAMES)
 def test_verify_inject_fault_fails(tmp_path, capsys, target):
     cfg = _verify_config(tmp_path)
     code = main(["verify", "--config", str(cfg), "--inject-fault", target])
     captured = capsys.readouterr()
     assert code == 1
     assert f"[FAIL] {target}:" in captured.out
+    # the fault reaches its own check only
+    for name in CHECK_NAMES:
+        if name != target:
+            assert f"[PASS] {name}:" in captured.out
     assert "verify: FAILED" in captured.out
 
 
@@ -426,6 +431,42 @@ def test_custom_samples_is_exact_geodesic_polygon(tmp_path, capsys, R, knots, mo
     assert record["error_estimate"] >= deviation
     assert 0.0 < record["error_estimate"] <= 1e-12
     assert record["evaluations"] == knots - 1
+
+
+@pytest.mark.parametrize(
+    "flags,lengths",
+    [
+        ([], [1.0, 1.0]),
+        (["--length=0.7"], [0.7, 0.7]),
+        (["--length=0.7", "--length=1.3"], [0.7, 1.3]),
+        (["--modes", "2", "--length=1.3", "--length=0.7"], [1.3, 0.7]),
+    ],
+)
+def test_custom_samples_file_fixes_the_mode_count(tmp_path, capsys, flags, lengths):
+    samples = tmp_path / "knots.json"
+    _write_circle_samples(samples, R=0.8, knots=33, modes=2, lengths=(0.7, 1.3))
+    record = _custom_record(capsys, samples, *flags)
+    # the record names the modes and lengths the phase was computed with
+    assert (record["modes"], record["lengths"]) == (2, lengths)
+    knots = [SympMatrix(2, M) for M in json.loads(samples.read_text())["M"]]
+    assert record["gamma"] == polygon_phase(knots, OscParams(1.0, lengths)).value
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--modes", "1"], "samples declare n=2, config modes=1"),
+        (["--length=0.7", "--length=1.3", "--length=1.1"], "got 3 lengths for 2 mode(s)"),
+    ],
+)
+def test_custom_samples_mode_count_disagreement_is_config_error(tmp_path, capsys, flags, message):
+    samples = tmp_path / "knots.json"
+    _write_circle_samples(samples, R=0.8, knots=33, modes=2, lengths=(0.7, 1.3))
+    code = main(["phase", "--kind", "custom-samples", "--samples", str(samples)] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
 
 
 def test_custom_samples_knot_times_only_order_the_knots(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Phase line integrals: direct, boundary, and reduced forms, plus path checks."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from sympberry import (
     FIXED,
@@ -23,6 +22,7 @@ from sympberry import (
     reference_phase,
     squeeze_circle_path,
 )
+from sympberry.oracles import b_zero_loop
 from sympberry.symplectic_core import LieAlgElement
 
 UNIT_PARAMS = OscParams(1.0, (1.0,))
@@ -32,31 +32,6 @@ REFERENCE_R1 = -4.3388468454428593  # -pi sinh(1)^2
 def _constant_path(n=1):
     M = SympMatrix(n, np.eye(2 * n), GROUPED)
     return SympPath(n=n, eval=lambda t: M, tangent=lambda t: np.zeros((2 * n, 2 * n)), closed=True)
-
-
-def _skew_block(seed, n):
-    r = np.random.default_rng(seed)
-    K = r.uniform(-0.8, 0.8, size=(n, n))
-    return (K - K.T) / 2.0
-
-
-def _b_zero_path(seed, hbar_scale=1.0, closed=True):
-    """[[A, 0], [G A, A^{-T}]] with A(t) = exp(sin(2 pi t) K) and symmetric G(t)."""
-    r = np.random.default_rng(seed)
-    K0 = _skew_block(seed + 1, 2)
-    G0 = r.uniform(-0.6, 0.6, size=(2, 2))
-    G0 = (G0 + G0.T) / 2.0
-    G1 = r.uniform(-0.6, 0.6, size=(2, 2))
-    G1 = (G1 + G1.T) / 2.0
-
-    def eval_path(t):
-        A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)
-        G = 0.4 * G0 + (1.0 - np.cos(2.0 * np.pi * t)) * G1
-        top = np.hstack([A, np.zeros((2, 2))])
-        bottom = np.hstack([G @ A, np.linalg.inv(A).T])
-        return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
-
-    return SympPath(n=2, eval=eval_path, closed=closed)
 
 
 def test_connection_integrand_zero_tangent(rng, random_symplectic):
@@ -249,15 +224,8 @@ def test_boundary_form_warns_on_open_path():
 
 def test_b_zero_rotation_only_path():
     # C = 0 throughout: the reduced integrand vanishes identically
-    K0 = _skew_block(7, 2)
-
-    def eval_path(t):
-        A = scipy.linalg.expm(np.sin(2.0 * np.pi * t) * K0)
-        top = np.hstack([A, np.zeros((2, 2))])
-        bottom = np.hstack([np.zeros((2, 2)), np.linalg.inv(A).T])
-        return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
-
-    path = SympPath(n=2, eval=eval_path, closed=True)
+    K = np.random.default_rng(7).uniform(-0.8, 0.8, size=(2, 2))
+    path = b_zero_loop((K - K.T) / 2.0)
     p = OscParams(0.8, (1.5, 0.7))
     result = phase_b_zero(path, p)
     assert abs(result.value) <= 1e-12
@@ -282,9 +250,12 @@ def test_b_zero_shear_endpoint_formula():
     assert result.value == pytest.approx(expected, rel=1e-9)
 
 
-def test_b_zero_matches_general_form(rng):
+def test_b_zero_matches_general_form(random_symmetric):
     for seed in (11, 23, 31):
-        path = _b_zero_path(seed)
+        K = np.random.default_rng(seed + 1).uniform(-0.8, 0.8, size=(2, 2))
+        r = np.random.default_rng(seed)
+        G0, G1 = random_symmetric(r, 2, 0.6), random_symmetric(r, 2, 0.6)
+        path = b_zero_loop((K - K.T) / 2.0, G0, G1, g0_weight=0.4)
         p = OscParams(0.9, (1.1, 0.8))
         reduced = phase_b_zero(path, p)
         general = integrate_phase(path, p)

@@ -31,7 +31,7 @@ def _child_json(code, env):
 def test_import_loads_no_scipy(child_env):
     out = _child_json(
         """
-        import sympberry, sympberry.cli
+        import sympberry, sympberry.cli, sympberry.oracles
         print(json.dumps({"file": sympberry.__file__, "scipy": scipy_modules()}))
         """,
         child_env,
