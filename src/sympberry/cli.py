@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -35,7 +36,7 @@ from .gaussian_states import OscParams
 from .geometric_phase import ADAPTIVE, FIXED, PhaseResult, QuadSpec, integrate_phase, polygon_phase
 from .sp4_closed_form import Sp4Generator
 from .squeeze_paths import squeeze_circle_path, reference_phase
-from .symplectic_core import GROUPED, SympMatrix
+from .symplectic_core import GROUPED, SympMatrix, _asymmetry
 
 __all__ = ["ConfigError", "RunConfig", "run_phase", "run_sweep", "run_verify", "run_expm", "main"]
 
@@ -264,7 +265,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, **values)
     if kind != KIND_CUSTOM:
         _fit_lengths(cfg, modes)
-    elif cfg.samples is None:
+    elif cfg.samples is None and cfg.command == "phase":  # the only command that reads a path
         raise ConfigError("custom-samples paths need a samples file ([path] samples or --samples)")
     _validate_config(cfg)
     return cfg
@@ -547,7 +548,7 @@ def run_expm(cfg: RunConfig) -> int:
     for name, arr in (("a", cfg.expm_a), ("b", cfg.expm_b), ("c", cfg.expm_c)):
         blocks[name] = np.zeros((2, 2)) if arr is None else arr
     for name in ("a", "c"):
-        asym = float(np.max(np.abs(blocks[name] - blocks[name].T)))
+        asym = _asymmetry(blocks[name])
         if asym > 1e-10:
             raise ConfigError(f"expm block {name} must be symmetric; asymmetry {asym:.3e}")
         blocks[name] = (blocks[name] + blocks[name].T) / 2.0
@@ -598,7 +599,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help=f"output file; relative paths honor ${OUT_DIR_ENV}")
 
 
+@functools.lru_cache(maxsize=1)
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sympberry",
         description="Geometric phases of Gaussian states along symplectic paths.",

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._quadrature import tanh_sinh_nodes
-from .symplectic_core import GROUPED, SympMatrix, omega
+from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _residual, omega
 
 __all__ = [
     "DIMENSION_FULL",
@@ -113,14 +113,14 @@ class CovarianceMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        arr = np.array(self.data, dtype=float, copy=True)
+        arr = np.array(self.data, dtype=float)  # copies
         if arr.shape != (2 * self.n, 2 * self.n):
             raise ValueError(
                 f"expected shape {(2 * self.n, 2 * self.n)}, got {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("covariance contains non-finite entries")
-        asym = float(np.max(np.abs(arr - arr.T)))
+        asym = _asymmetry(arr)
         if asym > _SYMMETRY_TOL:
             raise ValueError(f"covariance must be symmetric: asymmetry {asym:.3e}")
         min_eig = float(np.min(np.linalg.eigvalsh(arr)))
@@ -129,8 +129,7 @@ class CovarianceMatrix:
         if self.convention not in (DIMENSION_FULL, QUADRATURE):
             raise ValueError(f"unknown convention {self.convention!r}")
         if self.convention == QUADRATURE:
-            om = omega(self.n)
-            resid = float(np.max(np.abs((2 * arr) @ om @ (2 * arr).T - om)))
+            resid = _residual(2 * arr, omega(self.n))
             if resid > _PURITY_TOL:
                 raise ValueError(
                     f"2 x covariance fails the symplectic purity condition: "

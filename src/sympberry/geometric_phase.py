@@ -25,7 +25,7 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
 from .gaussian_states import OscParams, covariance
-from .symplectic_core import _DET_TOL, DEFAULT_TOL_SYMP, GROUPED, SympMatrix, omega
+from .symplectic_core import _DET_TOL, DEFAULT_TOL_SYMP, GROUPED, SympMatrix, _residual, omega
 
 __all__ = [
     "ADAPTIVE",
@@ -161,8 +161,7 @@ class SympPath:
             raise ValueError(f"eval({t}) has {M.n} modes, path declares {self.n}")
         if M.ordering != GROUPED:
             raise ValueError("paths require grouped ordering")
-        om = omega(self.n)
-        resid = float(np.max(np.abs(M.data @ om @ M.data.T - om)))
+        resid = _residual(M.data, omega(self.n))
         if resid > _SAMPLE_SYMP_TOL:
             raise ValueError(
                 f"sample at t={t} fails the symplectic condition: residual {resid:.3e}"
@@ -172,13 +171,12 @@ class SympPath:
     def _matrices(self, ts: np.ndarray) -> np.ndarray:
         """eval_batch(ts), with every stacked matrix checked like a SympMatrix."""
         Ms = _stack(self.eval_batch(ts), ts, self.n, "eval_batch")
-        bad = ~np.all(np.isfinite(Ms), axis=(1, 2))
+        bad = ~np.isfinite(Ms).all(axis=(1, 2))
         if bad.any():
             raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
-        om = omega(self.n)
-        resid = np.max(np.abs(Ms @ om @ Ms.transpose(0, 2, 1) - om), axis=(1, 2))
+        resid = _residual(Ms, omega(self.n))
         det = np.linalg.det(Ms)
-        bad = (resid > DEFAULT_TOL_SYMP) | (np.abs(det - 1.0) > _DET_TOL)
+        bad = (resid > DEFAULT_TOL_SYMP) | (abs(det - 1.0) > _DET_TOL)
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(

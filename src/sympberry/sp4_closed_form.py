@@ -24,6 +24,7 @@ from .symplectic_core import (
     INTERLEAVED,
     LieAlgElement,
     SympMatrix,
+    _asymmetry,
     exp_map,
     gamma_permutation,
     omega_interleaved,
@@ -71,10 +72,10 @@ def _join22(A, B, C, D) -> np.ndarray:
 
 
 def _block22(data, name: str) -> np.ndarray:
-    arr = np.array(data, dtype=float, copy=True)
+    arr = np.array(data, dtype=float)  # copies
     if arr.shape != (2, 2):
         raise ValueError(f"block {name} must be 2x2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"block {name} contains non-finite entries")
     return arr
 
@@ -96,7 +97,7 @@ class Sp4Generator:
         for name in ("a", "b", "c"):
             arr = _block22(getattr(self, name), name)
             if name in ("a", "c"):
-                asym = float(np.max(np.abs(arr - arr.T)))
+                asym = _asymmetry(arr)
                 if asym > _SYMMETRY_TOL:
                     raise ValueError(
                         f"block {name} must be symmetric: asymmetry {asym:.3e}"

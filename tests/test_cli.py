@@ -602,3 +602,44 @@ def test_module_run_passes_exit_code(tmp_path, child_env):
     proc = _run(_MODULE + ["phase", "--kind", "squeeze1", "--config", str(missing)], child_env)
     assert proc.returncode == EXIT_CONFIG
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, code, err",
+    [
+        ("verify", 0, ""),
+        ("expm", 0, ""),
+        ("phase", 2, "config error: custom-samples paths need a samples file ([path] samples or --samples)\n"),
+        ("sweep", 2, "config error: sweep supports the squeeze-circle kinds only\n"),
+    ],
+)
+def test_custom_samples_file_needed_by_phase_only(tmp_path, capsys, command, code, err):
+    cfg = tmp_path / "custom.ini"
+    cfg.write_text("[path]\nkind = custom-samples\n[verify]\nchecks = symplectic\ncount = 5\n")
+    assert main([command, "--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        assert captured.out
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, child_env):
+    cfg = _verify_config(tmp_path)
+    runs = [
+        ["verify", "--config", str(cfg), "--seed", "3"],
+        ["phase", "--kind", "no-such-kind"],  # argparse rejects it
+        ["phase", "--kind", "squeeze2", "--R", "0.4", "--format", "json"],
+        ["verify", "--config", str(cfg), "--seed", "3"],
+    ]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [0, 2, 0, 0]
+    assert in_process[3] == in_process[0]
+    for argv, (code, out) in zip(runs[:3], in_process):
+        proc = _run(_MODULE + argv, child_env)
+        assert (proc.returncode, proc.stdout) == (code, out)

@@ -1,4 +1,6 @@
 """Covariances, displacement amplitudes, and the one-mode overlap oracle."""
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,22 @@ def test_covariance_matrix_validation(rng, random_symplectic):
         CovarianceMatrix(1, np.diag([3.0, 5.0]), QUADRATURE)
     ok = CovarianceMatrix(1, np.diag([0.25, 1.0]), QUADRATURE)
     assert ok.convention == QUADRATURE
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, np.diag([np.nan, 1.0])), "covariance contains non-finite entries"),
+        ((1, np.array([[1.0, 0.1], [0.0, 1.0]])), "covariance must be symmetric: asymmetry 1.000e-01"),
+        (
+            (1, np.diag([3.0, 5.0]), QUADRATURE),
+            "2 x covariance fails the symplectic purity condition: residual 5.900e+01",
+        ),
+    ],
+)
+def test_covariance_matrix_rejections(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CovarianceMatrix(*args)
 
 
 def test_lambda_matrix_identity_cases():

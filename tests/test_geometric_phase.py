@@ -1,4 +1,6 @@
 """Phase line integrals: direct, boundary, and reduced forms, plus path checks."""
+import re
+
 import numpy as np
 import pytest
 
@@ -413,6 +415,46 @@ def test_batch_nonfinite_sample_names_first_node():
     first = 0.5 + 0.5 * 0.20778495500789847  # first panel node in (0.6, 0.7)
     with pytest.raises(NonFiniteIntegrand, match=f"t={first}"):
         integrate_phase(path, UNIT_PARAMS)
+
+
+def test_batch_rejections_name_the_first_bad_node():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    first = 0.5 - 0.5 * 0.8648644233597691  # first panel node in (0.05, 0.15)
+
+    def broken(change):
+        def eval_batch(ts):
+            Ms = base.eval_batch(ts).copy()
+            inside = (ts > 0.05) & (ts < 0.15)  # no construction sample lies here
+            Ms[inside] = change(Ms[inside])
+            return Ms
+
+        return _circle_with(eval_batch=eval_batch)
+
+    nonfinite = f"^{re.escape(f'path sample is non-finite at t={first}')}$"
+    for value in (np.nan, np.inf):
+        with pytest.raises(NonFiniteIntegrand, match=nonfinite):
+            integrate_phase(broken(lambda Ms, v=value: Ms * v), UNIT_PARAMS)
+    message = (
+        f"sample at t={first} fails the symplectic condition: residual 2.010e-02, "
+        f"determinant {np.float64(1.0201)!r}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        integrate_phase(broken(lambda Ms: 1.01 * Ms), UNIT_PARAMS)
+    assert type(info.value) is ValueError
+
+
+def test_scalar_path_sample_rejections():
+    loose = SympMatrix(1, np.diag([1 + 5e-9, 1.0]), GROUPED, tol_symp=1e-6)
+    with pytest.raises(
+        ValueError, match=r"^sample at t=0\.0 fails the symplectic condition: residual 5\.000e-09$"
+    ):
+        SympPath(n=1, eval=lambda t: loose)
+    with pytest.raises(TypeError, match=r"^eval\(0\.0\) returned ndarray, not SympMatrix$"):
+        SympPath(n=1, eval=lambda t: np.eye(2))
+    with pytest.raises(ValueError, match=r"^eval\(0\.0\) has 1 modes, path declares 2$"):
+        SympPath(n=2, eval=lambda t: SympMatrix(1, np.eye(2)))
+    with pytest.raises(ValueError, match="^paths require grouped ordering$"):
+        SympPath(n=1, eval=lambda t: SympMatrix(1, np.eye(2), "interleaved"))
 
 
 def test_batch_wrong_stack_shape():

@@ -1,5 +1,6 @@
 """Closed-form 4x4 exponential: structure, coefficients, branches, fallback."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,22 @@ def test_generator_validation():
         )
     g = _zero_gen([[0.0, 1.0], [2.0, 0.0]])  # b need not be symmetric
     assert g.lie_element().n == 2
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (dict(a=np.zeros((3, 3))), "block a must be 2x2, got shape (3, 3)"),
+        (dict(a=np.zeros((2, 3))), "block a must be 2x2, got shape (2, 3)"),
+        (dict(b=np.full((2, 2), np.nan)), "block b contains non-finite entries"),
+        (dict(b=np.full((2, 2), -np.inf)), "block b contains non-finite entries"),
+        (dict(c=np.array([[0.0, 1.0], [0.5, 0.0]])), "block c must be symmetric: asymmetry 5.000e-01"),
+    ],
+)
+def test_generator_rejections(blocks, message):
+    full = {name: np.zeros((2, 2)) for name in "abc"} | blocks
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Sp4Generator(**full)
 
 
 def test_invariants_computed_once_per_generator(monkeypatch):

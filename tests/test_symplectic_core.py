@@ -1,4 +1,6 @@
 """Group/algebra containers, ordering conversions, and the exponential map."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,10 +133,17 @@ def test_block_decompose_identities(rng, random_symplectic):
 
 
 def test_block_decomposition_rejects_broken_blocks():
-    with pytest.raises(ValueError):
-        BlockDecomposition(
-            A=np.eye(2), B=np.zeros((2, 2)), C=np.zeros((2, 2)), D=2 * np.eye(2)
-        )
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    message = "blocks violate the symplectic identities: residual {} exceeds {}"
+    with pytest.raises(ValueError, match=re.escape(message.format("1.000e+00", "1.000e-10"))):
+        BlockDecomposition(A=eye, B=zero, C=zero, D=2 * eye)
+    # A D^T - B C^T = I holds, A B^T = B A^T fails by 0.5
+    with pytest.raises(ValueError, match=re.escape(message.format("5.000e-01", "1.000e-03"))):
+        BlockDecomposition(A=eye, B=np.array([[0.0, 0.5], [0.0, 0.0]]), C=zero, D=eye, tol=1e-3)
+    with pytest.raises(ValueError, match="^blocks must share one shape$"):
+        BlockDecomposition(A=eye, B=zero, C=zero, D=np.eye(3))
+    with pytest.raises(ValueError, match="^block C contains non-finite entries$"):
+        BlockDecomposition(A=eye, B=zero, C=np.full((2, 2), np.nan), D=eye)
 
 
 def test_gamma_permutation_is_orthogonal():
@@ -198,3 +207,135 @@ def test_product_of_exponentials_stays_symplectic(rng, random_symmetric):
         L2 = LieAlgElement(2, random_symmetric(rng, 4))
         prod = exp_map(L1) @ exp_map(L2)
         assert is_symplectic(prod.data, tol=1e-9)
+
+
+# Every rejection of the validators, with its exception type and message.
+
+_NOT_SQUARE = np.zeros((2, 3))
+
+
+def _with(value):
+    arr = np.eye(2)
+    arr[1, 0] = value
+    return arr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, np.eye(2)), "mode count must be a positive integer, got 1.0"),
+        (("1", np.eye(2)), "mode count must be a positive integer, got '1'"),
+        ((0, np.eye(2)), "mode count must be a positive integer, got 0"),
+        ((1, _NOT_SQUARE), "symplectic matrix must be square, got shape (2, 3)"),
+        ((1, np.ones(2)), "symplectic matrix must be square, got shape (2,)"),
+        ((1, _with(np.nan)), "symplectic matrix contains non-finite entries"),
+        ((1, _with(np.inf)), "symplectic matrix contains non-finite entries"),
+        ((1, _with(-np.inf)), "symplectic matrix contains non-finite entries"),
+        # finiteness is checked before the shape
+        ((1, np.full((4, 4), np.nan)), "symplectic matrix contains non-finite entries"),
+        ((1, np.eye(4)), "expected shape (2, 2), got (4, 4)"),
+        # the shape is checked before the ordering
+        ((1, np.eye(4), "xp"), "expected shape (2, 2), got (4, 4)"),
+        ((1, np.eye(2), "xp"), "unknown ordering 'xp'"),
+        # the residual is checked before the determinant (here 4)
+        (
+            (1, 2 * np.eye(2)),
+            "matrix fails the symplectic condition: residual 3.000e+00 exceeds "
+            "tolerance 1.000e-10",
+        ),
+        (
+            (2, 2 * np.eye(4), INTERLEAVED, 1e-3),
+            "matrix fails the symplectic condition: residual 3.000e+00 exceeds "
+            "tolerance 1.000e-03",
+        ),
+        # residual 1e-6 passes the loose tolerance; the determinant does not
+        (
+            (1, np.diag([1 + 1e-6, 1.0]), GROUPED, 1e-3),
+            "determinant 1.000001 deviates from 1 beyond 1e-08",
+        ),
+    ],
+)
+def test_sympmatrix_rejections(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        SympMatrix(*args)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, np.eye(2)), "mode count must be a positive integer, got 1.5"),
+        ((1, _NOT_SQUARE), "generator must be square, got shape (2, 3)"),
+        ((1, _with(np.nan)), "generator contains non-finite entries"),
+        ((1, _with(np.inf)), "generator contains non-finite entries"),
+        ((1, np.eye(4)), "expected shape (2, 2), got (4, 4)"),
+        (
+            (1, np.array([[0.0, 1.0], [0.5, 0.0]])),
+            "generator must be symmetric: asymmetry 5.000e-01 exceeds 1e-12",
+        ),
+    ],
+)
+def test_lie_alg_element_rejections(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        LieAlgElement(*args)
+    assert type(info.value) is ValueError
+
+
+def test_exp_map_checks_its_result():
+    with pytest.raises(ValueError, match="^matrix fails the symplectic condition: residual "):
+        exp_map(LieAlgElement(2, 0.7 * np.eye(4)), tol=0.0)
+
+
+def test_residual_and_membership_values():
+    assert symplectic_residual(2 * np.eye(4)) == 3.0
+    assert symplectic_residual(2 * np.eye(4), INTERLEAVED) == 3.0
+    assert symplectic_residual(np.eye(4)) == 0.0
+    with pytest.raises(ValueError, match="^unknown ordering 'xp'$"):
+        symplectic_residual(np.eye(4), "xp")
+    with pytest.raises(ValueError, match="^mode count must be a positive integer, got 0$"):
+        symplectic_residual(np.zeros((1, 1)))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.eye(4)
+        bad[2, 1] = value
+        assert is_symplectic(bad) is False
+    assert is_symplectic(np.eye(4)) is True
+    assert is_symplectic(np.diag([1 + 1e-6, 1.0]), tol=1e-5) is True
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 4\)$"):
+        is_symplectic(np.eye(4)[:2])
+    with pytest.raises(ValueError, match="^dimension must be even and positive, got 3$"):
+        is_symplectic(np.eye(3))
+
+
+def test_convert_ordering_rejections():
+    with pytest.raises(ValueError, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        convert_ordering(_NOT_SQUARE)
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        convert_ordering(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="^dimension must be even, got 3$"):
+        convert_ordering(np.eye(3))
+    with pytest.raises(ValueError, match="^mode count must be a positive integer, got 0$"):
+        convert_ordering(np.zeros((0, 0)))
+    with pytest.raises(
+        ValueError,
+        match="^input fails the interleaved-ordering symplectic condition: "
+        r"residual 3\.000e\+00 exceeds 1\.000e-10$",
+    ):
+        convert_ordering(2 * np.eye(4))
+
+
+@pytest.mark.parametrize("cls", [SympMatrix, LieAlgElement])
+def test_validated_data_is_a_read_only_copy(cls):
+    source = np.array([[2.0, 0.5], [0.5, 0.625]])  # symmetric, det 1
+    obj = cls(1, source)
+    assert obj.data is not source
+    assert not np.shares_memory(obj.data, source)
+    assert not obj.data.flags.writeable
+    assert source.flags.writeable  # the caller's array is left alone
+    source[0, 0] = 5.0
+    assert obj.data[0, 0] == 2.0
+    with pytest.raises(ValueError):
+        obj.data[0, 0] = 5.0
+    frozen = np.eye(2)
+    frozen.setflags(write=False)  # a read-only input is copied too
+    assert not np.shares_memory(cls(1, frozen).data, frozen)
+    assert type(cls(np.int64(1), np.eye(2)).n) is int
