@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._quadrature import tanh_sinh_nodes
-from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _residual, omega
+from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _real_copy, _residual, omega
 
 __all__ = [
     "DIMENSION_FULL",
@@ -113,11 +113,10 @@ class CovarianceMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        arr = np.array(self.data, dtype=float)  # copies
-        if arr.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(
-                f"expected shape {(2 * self.n, 2 * self.n)}, got {arr.shape}"
-            )
+        n = int(self.n)
+        arr = _real_copy(self.data, "covariance")
+        if arr.shape != (2 * n, 2 * n):
+            raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("covariance contains non-finite entries")
         asym = _asymmetry(arr)
@@ -137,7 +136,7 @@ class CovarianceMatrix:
                 )
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
 
 def _require_grouped(M: SympMatrix) -> None:

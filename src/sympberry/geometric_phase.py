@@ -181,7 +181,7 @@ class SympPath:
             i = int(np.argmax(bad))
             raise ValueError(
                 f"sample at t={ts[i]} fails the symplectic condition: residual "
-                f"{resid[i]:.3e}, determinant {det[i]!r}"
+                f"{resid[i]:.3e}, determinant {float(det[i])!r}"
             )
         return Ms
 

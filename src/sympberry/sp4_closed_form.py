@@ -15,8 +15,10 @@ Formula pitfalls validated against the oracle are recorded in NOTES.md.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .symplectic_core import (
     INTERLEAVED,
     LieAlgElement,
     SympMatrix,
-    _asymmetry,
+    _real_copy,
     exp_map,
     gamma_permutation,
     omega_interleaved,
@@ -45,8 +47,10 @@ __all__ = [
     "BRANCH_FALLBACK",
 ]
 
-_J = omega_interleaved(1)  # J = [[0, 1], [-1, 0]]
 _JJ = omega_interleaved(2)  # diag(J, J)
+_GAMMA = gamma_permutation(2)  # interleaved -> grouped mode permutation
+_GAMMA.setflags(write=False)
+_EYE = (1.0, 0.0, 0.0, 1.0)
 _CLOSED_FORM_TOL = 1e-9
 _IMAG_RESIDUE_TOL = 1e-10
 _SINHC_TAYLOR_CUTOFF = 1e-6
@@ -61,32 +65,54 @@ class DegenerateEigenvalues(ValueError):
     """Eigenvalues coincide; the closed-form denominators vanish."""
 
 
+# 2x2 blocks as row-major sequences of four Python floats (NOTES.md: why not numpy)
+def _det22(x) -> float:
+    """ad - bc of the 2x2 block (a, b, c, d)."""
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def _mul22(p, q) -> tuple:
+    """The 2x2 product p q."""
+    return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+
+
+def _j(x) -> tuple:
+    """J x."""
+    return (x[2], x[3], -x[0], -x[1])
+
+
+def _t(x) -> tuple:
+    """x^T."""
+    return (x[0], x[2], x[1], x[3])
+
+
 def _join22(A, B, C, D) -> np.ndarray:
-    """The 4x4 matrix [[A, B], [C, D]] of four 2x2 blocks."""
-    out = np.empty((4, 4))
-    out[:2, :2] = A
-    out[:2, 2:] = B
-    out[2:, :2] = C
-    out[2:, 2:] = D
-    return out
+    """The 4x4 array [[A, B], [C, D]] of four 2x2 blocks."""
+    return np.array([A[0], A[1], B[0], B[1], A[2], A[3], B[2], B[3],
+                     C[0], C[1], D[0], D[1], C[2], C[3], D[2], D[3]]).reshape(4, 4)
 
 
-def _block22(data, name: str) -> np.ndarray:
-    arr = np.array(data, dtype=float)  # copies
+def _block22(data, name: str) -> tuple[np.ndarray, list]:
+    """A read-only float copy of a 2x2 block and its entries, or ValueError."""
+    arr = _real_copy(data, f"block {name}")
     if arr.shape != (2, 2):
         raise ValueError(f"block {name} must be 2x2, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    entries = arr.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise ValueError(f"block {name} contains non-finite entries")
-    return arr
+    arr.setflags(write=False)
+    return arr, entries
 
 
 @dataclasses.dataclass(frozen=True)
 class Sp4Generator:
     """Blocks (a, b, c) of a two-mode generator; a and c must be symmetric.
 
-    The blocks are stored read-only and the dataclass is frozen, so the
-    derived block d and the determinant invariants are computed once per
-    instance, on first use, and cached: no later change can make them stale.
+    The blocks are stored read-only and the dataclass is frozen. Their
+    Python-float entries and d = a J b + b J c are kept from construction;
+    the determinant invariants, the spectrum of S and the 4x4 generator are
+    computed on first use and cached. No later change can make them stale.
     """
 
     a: np.ndarray
@@ -94,37 +120,46 @@ class Sp4Generator:
     c: np.ndarray
 
     def __post_init__(self) -> None:
+        entries = []
         for name in ("a", "b", "c"):
-            arr = _block22(getattr(self, name), name)
-            if name in ("a", "c"):
-                asym = _asymmetry(arr)
-                if asym > _SYMMETRY_TOL:
-                    raise ValueError(
-                        f"block {name} must be symmetric: asymmetry {asym:.3e}"
-                    )
-            arr.setflags(write=False)
+            arr, x = _block22(getattr(self, name), name)
+            if name != "b" and (asym := abs(x[1] - x[2])) > _SYMMETRY_TOL:  # max|x - x^T|
+                raise ValueError(f"block {name} must be symmetric: asymmetry {asym:.3e}")
             object.__setattr__(self, name, arr)
+            entries.append(x)
+        a, b, c = entries
+        d = [p + q for p, q in zip(_mul22(a, _j(b)), _mul22(b, _j(c)))]
+        object.__setattr__(self, "_blocks", (a, b, c, d))
 
     @functools.cached_property
     def d(self) -> np.ndarray:
         """Derived off-diagonal structure block d = a J b + b J c (read-only)."""
-        d = self.a @ _J @ self.b + self.b @ _J @ self.c
+        d = np.array(self._blocks[3]).reshape(2, 2)
         d.setflags(write=False)
         return d
 
     @functools.cached_property
     def invariants(self) -> tuple[float, float, float, float]:
         """(det a, det b, det c, det d), the scalars every closed form uses."""
-        return (
-            float(np.linalg.det(self.a)),
-            float(np.linalg.det(self.b)),
-            float(np.linalg.det(self.c)),
-            float(np.linalg.det(self.d)),
-        )
+        return tuple(_det22(x) for x in self._blocks)
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[float, complex, complex, complex]:
+        """(gamma_1, lam_p, lam_m, lam_p - lam_m); see eigenvalues."""
+        det_a, det_b, det_c, det_d = self.invariants
+        center = -(det_a + det_c + 2.0 * det_b) / 2.0
+        root = cmath.sqrt((det_a - det_c) ** 2 + 4.0 * det_d) / 2.0
+        lam_p, lam_m = center + root, center - root
+        return -(det_c + det_b), lam_p, lam_m, lam_p - lam_m
+
+    @functools.cached_property
+    def _lie(self) -> LieAlgElement:
+        a, b, c, _ = self._blocks
+        return LieAlgElement(2, _join22(a, b, _t(b), c))
 
     def lie_element(self) -> LieAlgElement:
         """The full 4x4 symmetric generator in interleaved ordering."""
-        return LieAlgElement(2, _join22(self.a, self.b, self.b.T, self.c))
+        return self._lie
 
     def u_matrix(self) -> np.ndarray:
         """U = diag(J, J) L, the matrix actually exponentiated."""
@@ -154,12 +189,10 @@ def s_matrix(g: Sp4Generator) -> np.ndarray:
     Uses the 2x2 identity X J X^T = det(X) J to reduce each block:
     S = [[-(det a + det b) I, J d], [-J d^T, -(det b + det c) I]].
     """
-    d = g.d
+    d = g._blocks[3]
     det_a, det_b, det_c, _ = g.invariants
-    eye = np.eye(2)
-    return _join22(
-        -(det_a + det_b) * eye, _J @ d, -(_J @ d.T), -(det_b + det_c) * eye
-    )
+    a1, g1 = -(det_a + det_b), -(det_b + det_c)
+    return _join22((a1, 0.0, 0.0, a1), _j(d), [-x for x in _j(_t(d))], (g1, 0.0, 0.0, g1))
 
 
 def eigenvalues(g: Sp4Generator) -> tuple[complex, complex]:
@@ -168,24 +201,18 @@ def eigenvalues(g: Sp4Generator) -> tuple[complex, complex]:
     lambda_pm = -(det a + det c + 2 det b)/2 +- sqrt((det a - det c)^2
     + 4 det d)/2; complex when the radicand is negative.
     """
-    det_a, det_b, det_c, det_d = g.invariants
-    center = -(det_a + det_c + 2.0 * det_b) / 2.0
-    radicand = (det_a - det_c) ** 2 + 4.0 * det_d
-    root = np.sqrt(complex(radicand)) / 2.0
-    return complex(center + root), complex(center - root)
+    return g._spectrum[1:3]
 
 
 def _separated_eigenvalues(g: Sp4Generator, remedy: str) -> tuple[float, complex, complex, complex]:
     """(gamma_1, lam_p, lam_m, lam_p - lam_m), or DegenerateEigenvalues naming the
     remedy when the eigenvalues of S are too close for the closed-form denominators."""
-    _, det_b, det_c, _ = g.invariants
-    lam_p, lam_m = eigenvalues(g)
-    den = lam_p - lam_m
+    _, lam_p, lam_m, den = spectrum = g._spectrum
     if abs(den) < _DEG_FACTOR * max(1.0, abs(lam_p), abs(lam_m)):
         raise DegenerateEigenvalues(
             f"|lambda_+ - lambda_-| = {abs(den):.3e} is below the degeneracy threshold; {remedy}"
         )
-    return -(det_c + det_b), lam_p, lam_m, den
+    return spectrum
 
 
 def coeff_recurrence(g: Sp4Generator, n: int) -> tuple[float, float, float]:
@@ -235,26 +262,24 @@ def coeff_closed(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
     gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "use coeff_recurrence")
-    alpha = ((lam_p - gamma_1) * lam_p**n - (lam_m - gamma_1) * lam_m**n) / den
-    beta = (lam_p**n - lam_m**n) / den
-    gamma = ((lam_p - gamma_1) * lam_m**n - (lam_m - gamma_1) * lam_p**n) / den
+    wp, wm, pn, mn = lam_p - gamma_1, lam_m - gamma_1, lam_p**n, lam_m**n
     return (
-        _real_with_residue_check(alpha, f"alpha_{n}"),
-        _real_with_residue_check(beta, f"beta_{n}"),
-        _real_with_residue_check(gamma, f"gamma_{n}"),
+        _real_with_residue_check((wp * pn - wm * mn) / den, f"alpha_{n}"),
+        _real_with_residue_check((pn - mn) / den, f"beta_{n}"),
+        _real_with_residue_check((wp * mn - wm * pn) / den, f"gamma_{n}"),
     )
 
 
-def _sinhc(lam: complex) -> complex:
-    """sinh(sqrt(lam))/sqrt(lam); Taylor series near zero to avoid 0/0."""
+def _cosh_sinhc(lam: complex) -> tuple[complex, complex]:
+    """(cosh(sqrt(lam)), sinh(sqrt(lam))/sqrt(lam)); a Taylor series near zero avoids 0/0."""
+    root = cmath.sqrt(lam)
+    try:
+        ch, sh = cmath.cosh(root), cmath.sinh(root)
+    except OverflowError:  # numpy's inf, which the result's validation then rejects
+        return complex(math.inf), complex(math.inf)
     if abs(lam) < _SINHC_TAYLOR_CUTOFF:
-        return 1.0 + lam / 6.0 + lam * lam / 120.0 + lam * lam * lam / 5040.0
-    root = np.sqrt(complex(lam))
-    return complex(np.sinh(root) / root)
-
-
-def _cosh_sqrt(lam: complex) -> complex:
-    return complex(np.cosh(np.sqrt(complex(lam))))
+        return ch, 1.0 + lam / 6.0 + lam * lam / 120.0 + lam * lam * lam / 5040.0
+    return ch, sh / root
 
 
 def series_coefficients(g: Sp4Generator) -> SeriesCoefficients:
@@ -266,8 +291,7 @@ def series_coefficients(g: Sp4Generator) -> SeriesCoefficients:
     residue is checked before taking real parts.
     """
     gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "fall back to the generic exponential")
-    ch_p, ch_m = _cosh_sqrt(lam_p), _cosh_sqrt(lam_m)
-    sc_p, sc_m = _sinhc(lam_p), _sinhc(lam_m)
+    (ch_p, sc_p), (ch_m, sc_m) = _cosh_sinhc(lam_p), _cosh_sinhc(lam_m)
     wp, wm = lam_p - gamma_1, lam_m - gamma_1
     return SeriesCoefficients(
         alpha_e=_real_with_residue_check((wp * ch_p - wm * ch_m) / den, "alpha_e"),
@@ -285,14 +309,13 @@ def _assemble(g: Sp4Generator, coeffs: SeriesCoefficients) -> np.ndarray:
     E and O share the block pattern of S; multiplying O by
     U = [[J a, J b], [J b^T, J c]] and adding E gives the four blocks below.
     """
-    a, b, c, d = g.a, g.b, g.c, g.d
-    eye = np.eye(2)
-    jd = _J @ d
-    jdt = _J @ d.T
-    A = coeffs.alpha_e * eye + coeffs.alpha_o * (_J @ a) - coeffs.beta_o * (_J @ b @ jdt)
-    B = coeffs.beta_e * jd + coeffs.beta_o * (_J @ a @ jd) + coeffs.gamma_o * (_J @ b)
-    C = -coeffs.beta_e * jdt + coeffs.alpha_o * (_J @ b.T) - coeffs.beta_o * (_J @ c @ jdt)
-    D = coeffs.gamma_e * eye + coeffs.gamma_o * (_J @ c) + coeffs.beta_o * (_J @ b.T @ jd)
+    a, b, c, d = g._blocks
+    ja, jb, jbt, jc, jd, jdt = _j(a), _j(b), _j(_t(b)), _j(c), _j(d), _j(_t(d))
+    ae, ao, be, bo, ge, go = vars(coeffs).values()  # in field order
+    A = [ae * e + ao * x - bo * y for e, x, y in zip(_EYE, ja, _mul22(jb, jdt))]
+    B = [be * x + bo * y + go * z for x, y, z in zip(jd, _mul22(ja, jd), jb)]
+    C = [-be * x + ao * y - bo * z for x, y, z in zip(jdt, jbt, _mul22(jc, jdt))]
+    D = [ge * e + go * x + bo * y for e, x, y in zip(_EYE, jc, _mul22(jbt, jd))]
     return _join22(A, B, C, D)
 
 
@@ -309,12 +332,9 @@ def closed_form_exp(
     try:
         coeffs = series_coefficients(g)
     except DegenerateEigenvalues:
-        gamma = gamma_permutation(2)
-        grouped = LieAlgElement(2, gamma @ g.lie_element().data @ gamma.T)
+        grouped = LieAlgElement(2, _GAMMA @ g.lie_element().data @ _GAMMA.T)
         M = exp_map(grouped, tol=_CLOSED_FORM_TOL)
-        result = SympMatrix(
-            2, gamma.T @ M.data @ gamma, INTERLEAVED, _CLOSED_FORM_TOL
-        )
+        result = SympMatrix(2, _GAMMA.T @ M.data @ _GAMMA, INTERLEAVED, _CLOSED_FORM_TOL)
         return (result, BRANCH_FALLBACK) if return_branch else result
     result = SympMatrix(2, _assemble(g, coeffs), INTERLEAVED, _CLOSED_FORM_TOL)
     return (result, BRANCH_CLOSED_FORM) if return_branch else result
@@ -328,10 +348,11 @@ def squeeze_block_exp(b) -> SympMatrix:
     sinh(sqrt(-det b))/sqrt(-det b) scaling J b (upper right) and J b^T
     (lower left). The complex branch covers det b of either sign.
     """
-    b = _block22(b, "b")
-    mu = complex(-float(np.linalg.det(b)))
-    ch = _real_with_residue_check(_cosh_sqrt(mu), "diagonal scale")
-    sc = _real_with_residue_check(_sinhc(mu), "off-diagonal scale")
-    eye = np.eye(2)
-    M = _join22(ch * eye, sc * (_J @ b), sc * (_J @ b.T), ch * eye)
+    b = _block22(b, "b")[1]
+    mu = complex(-_det22(b))
+    ch, sc = _cosh_sinhc(mu)
+    ch = _real_with_residue_check(ch, "diagonal scale")
+    sc = _real_with_residue_check(sc, "off-diagonal scale")
+    diag = (ch, 0.0, 0.0, ch)
+    M = _join22(diag, [sc * x for x in _j(b)], [sc * x for x in _j(_t(b))], diag)
     return SympMatrix(2, M, INTERLEAVED, _CLOSED_FORM_TOL)

@@ -43,14 +43,25 @@ INTERLEAVED = "interleaved"
 DEFAULT_TOL_SYMP = 1e-10
 _DET_TOL = 1e-8
 _SYMMETRY_TOL = 1e-12
+_FLOAT64 = np.dtype(float)  # native float64: a singleton, so `is` tests it
 
 
 # Validation kernel. _residual computes every group-condition residual in the package;
 # on small matrices the np.max/np.all wrappers and a re-validated omega(n) cost more
 # than the arithmetic, so the kernel uses ndarray methods and takes the form as given.
+def _real_copy(data, name: str) -> np.ndarray:
+    """A float copy of data, or ValueError if data is complex-valued."""
+    arr = np.array(data)  # copies; the dtype is checked before any cast
+    if arr.dtype is not _FLOAT64:
+        if arr.dtype.kind == "c":
+            raise ValueError(f"{name} must be real-valued, got dtype {arr.dtype}")
+        arr = arr.astype(float)
+    return arr
+
+
 def _as_square_matrix(data, name: str = "matrix") -> np.ndarray:
-    """A float copy of data, or ValueError if it is not a finite square matrix."""
-    arr = np.array(data, dtype=float)  # copies
+    """A float copy of data, or ValueError if it is not a finite, real, square matrix."""
+    arr = _real_copy(data, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -155,10 +166,10 @@ class SympMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        arr = _as_square_matrix(self.data, "symplectic matrix")
-        if arr.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(f"expected shape {(2 * self.n, 2 * self.n)}, got {arr.shape}")
         n = int(self.n)
+        arr = _as_square_matrix(self.data, "symplectic matrix")
+        if arr.shape != (2 * n, 2 * n):
+            raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
         if self.ordering not in (GROUPED, INTERLEAVED):
             raise ValueError(f"unknown ordering {self.ordering!r}")
         resid = _residual(arr, _FORMS[self.ordering](n))
@@ -204,9 +215,10 @@ class LieAlgElement:
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
+        n = int(self.n)
         arr = _as_square_matrix(self.data, "generator")
-        if arr.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(f"expected shape {(2 * self.n, 2 * self.n)}, got {arr.shape}")
+        if arr.shape != (2 * n, 2 * n):
+            raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
         asym = _asymmetry(arr)
         if asym > _SYMMETRY_TOL:
             raise ValueError(
@@ -215,7 +227,7 @@ class LieAlgElement:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -75,11 +75,15 @@ def test_covariance_matrix_validation(rng, random_symplectic):
             (1, np.diag([3.0, 5.0]), QUADRATURE),
             "2 x covariance fails the symplectic purity condition: residual 5.900e+01",
         ),
+        ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
+        ((1, np.eye(2) + 1e-3j), "covariance must be real-valued, got dtype complex128"),
+        ((1, np.eye(2, dtype=complex), QUADRATURE), "covariance must be real-valued, got dtype complex128"),
     ],
 )
 def test_covariance_matrix_rejections(args, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         CovarianceMatrix(*args)
+    assert type(info.value) is ValueError
 
 
 def test_lambda_matrix_identity_cases():

@@ -436,7 +436,7 @@ def test_batch_rejections_name_the_first_bad_node():
             integrate_phase(broken(lambda Ms, v=value: Ms * v), UNIT_PARAMS)
     message = (
         f"sample at t={first} fails the symplectic condition: residual 2.010e-02, "
-        f"determinant {np.float64(1.0201)!r}"
+        "determinant 1.0201"
     )
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         integrate_phase(broken(lambda Ms: 1.01 * Ms), UNIT_PARAMS)

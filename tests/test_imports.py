@@ -1,5 +1,8 @@
 """`import sympberry` stays numpy-only; scipy.linalg loads at its first use.
 
+mpmath, a test dependency (the closed-form exponential's 40-digit oracle),
+is never loaded by the package.
+
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
 """
@@ -32,12 +35,14 @@ def test_import_loads_no_scipy(child_env):
     out = _child_json(
         """
         import sympberry, sympberry.cli, sympberry.oracles
-        print(json.dumps({"file": sympberry.__file__, "scipy": scipy_modules()}))
+        mpmath = sorted(name for name in sys.modules if name.startswith("mpmath"))
+        print(json.dumps({"file": sympberry.__file__, "scipy": scipy_modules(), "mpmath": mpmath}))
         """,
         child_env,
     )
     assert out["file"] == sympberry.__file__
     assert out["scipy"] == []
+    assert out["mpmath"] == []
 
 
 def test_cli_circle_phase_loads_no_scipy(child_env):

@@ -1,4 +1,5 @@
 """Closed-form 4x4 exponential: structure, coefficients, branches, fallback."""
+import cmath
 import math
 import re
 
@@ -11,6 +12,7 @@ from sympberry import (
     BRANCH_FALLBACK,
     DegenerateEigenvalues,
     INTERLEAVED,
+    LieAlgElement,
     Sp4Generator,
     closed_form_exp,
     coeff_closed,
@@ -22,6 +24,7 @@ from sympberry import (
     squeeze_block_exp,
     symplectic_residual,
 )
+from sympberry import sp4_closed_form
 
 COSH_HALF = 1.1276259652063807  # cosh(0.5)
 SINHC_QUARTER = 1.0421906109874948  # sinh(0.5) / 0.5
@@ -49,21 +52,61 @@ def test_generator_validation():
         (dict(b=np.full((2, 2), np.nan)), "block b contains non-finite entries"),
         (dict(b=np.full((2, 2), -np.inf)), "block b contains non-finite entries"),
         (dict(c=np.array([[0.0, 1.0], [0.5, 0.0]])), "block c must be symmetric: asymmetry 5.000e-01"),
+        (dict(b=np.eye(2) + 1e-3j), "block b must be real-valued, got dtype complex128"),
+        (dict(a=np.zeros((2, 2), dtype=complex)), "block a must be real-valued, got dtype complex128"),
     ],
 )
 def test_generator_rejections(blocks, message):
     full = {name: np.zeros((2, 2)) for name in "abc"} | blocks
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         Sp4Generator(**full)
+    assert type(info.value) is ValueError
+
+
+def test_squeeze_block_exp_rejects_complex_input():
+    with pytest.raises(ValueError, match=r"^block b must be real-valued, got dtype complex128$"):
+        squeeze_block_exp(np.diag([0.5, -0.5]) + 1e-3j)
+
+
+def _explicit_d_and_invariants(g):
+    """d = a J b + b J c and (det a, det b, det c, det d) written out entry by entry."""
+    (a00, a01), (a10, a11) = g.a.tolist()
+    (b00, b01), (b10, b11) = g.b.tolist()
+    (c00, c01), (c10, c11) = g.c.tolist()
+    # a J = [[-a01, a00], [-a11, a10]] and b J = [[-b01, b00], [-b11, b10]]
+    d00 = (-a01 * b00 + a00 * b10) + (-b01 * c00 + b00 * c10)
+    d01 = (-a01 * b01 + a00 * b11) + (-b01 * c01 + b00 * c11)
+    d10 = (-a11 * b00 + a10 * b10) + (-b11 * c00 + b10 * c10)
+    d11 = (-a11 * b01 + a10 * b11) + (-b11 * c01 + b10 * c11)
+    invariants = (
+        a00 * a11 - a01 * a10,
+        b00 * b11 - b01 * b10,
+        c00 * c11 - c01 * c10,
+        d00 * d11 - d01 * d10,
+    )
+    return np.array([[d00, d01], [d10, d11]]), invariants
 
 
 def test_invariants_computed_once_per_generator(monkeypatch):
-    real_det = np.linalg.det
-    shapes = []
+    real_det22, real_det = sp4_closed_form._det22, np.linalg.det
+    det22_calls, det_shapes = [], []
+
+    def counting_det22(x):
+        det22_calls.append(x)
+        return real_det22(x)
 
     def counting_det(x):
-        shapes.append(np.shape(x))
+        det_shapes.append(np.shape(x))
         return real_det(x)
+
+    def every_closed_form(g):
+        for order in range(1, 11):
+            coeff_recurrence(g, order)
+            coeff_closed(g, order)
+        series_coefficients(g)
+        eigenvalues(g)
+        s_matrix(g)
+        closed_form_exp(g)
 
     # non-degenerate, so every closed form below runs
     g = Sp4Generator(
@@ -71,35 +114,89 @@ def test_invariants_computed_once_per_generator(monkeypatch):
         b=np.array([[0.5, -0.4], [0.2, 0.7]]),
         c=np.array([[-0.1, 0.25], [0.25, 0.4]]),
     )
+    monkeypatch.setattr(sp4_closed_form, "_det22", counting_det22)
     monkeypatch.setattr(np.linalg, "det", counting_det)
-    for order in range(1, 11):
-        coeff_recurrence(g, order)
-        coeff_closed(g, order)
-    series_coefficients(g)
-    eigenvalues(g)
-    s_matrix(g)
-    closed_form_exp(g)
-    # det a, det b, det c, det d once; the 4x4 one is SympMatrix validating the result
-    assert shapes.count((2, 2)) <= 4
-    assert shapes.count((4, 4)) == 1
+    every_closed_form(g)
+    # det a, det b, det c, det d once; the one np.linalg.det is SympMatrix validating the result
+    assert len(det22_calls) == 4
+    assert det_shapes == [(4, 4)]
+    det22_calls.clear()
+    det_shapes.clear()
+    every_closed_form(g)
+    assert det22_calls == []
+    assert det_shapes == [(4, 4)]
 
     # the fault-injection pattern: a new instance gets its own values
-    shapes.clear()
     moved = Sp4Generator(a=g.a, b=g.b + 1e-3, c=g.c)
     assert moved.invariants != g.invariants
     assert not np.array_equal(moved.d, g.d)
-    assert shapes.count((2, 2)) == 4
+    assert len(det22_calls) == 4
     monkeypatch.undo()
-    assert np.linalg.det is real_det
+    assert sp4_closed_form._det22 is real_det22 and np.linalg.det is real_det
 
-    expected_d = moved.a @ _J @ moved.b + moved.b @ _J @ moved.c
-    np.testing.assert_array_equal(moved.d, expected_d)
-    assert moved.invariants == tuple(
-        float(np.linalg.det(x)) for x in (moved.a, moved.b, moved.c, expected_d)
-    )
+    for gen in (g, moved):
+        expected_d, expected_invariants = _explicit_d_and_invariants(gen)
+        np.testing.assert_array_equal(gen.d, expected_d)
+        assert gen.invariants == expected_invariants
+        assert all(type(x) is float for x in gen.invariants)
+        # the explicit formulas are a J b + b J c and the determinants
+        np.testing.assert_allclose(gen.d, gen.a @ _J @ gen.b + gen.b @ _J @ gen.c, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            gen.invariants, [np.linalg.det(x) for x in (gen.a, gen.b, gen.c, gen.d)], rtol=0, atol=1e-15
+        )
     assert not g.d.flags.writeable
     with pytest.raises(ValueError):
         g.d[0, 0] = 1.0
+
+
+def test_spectrum_and_lie_element_cached_per_instance(monkeypatch):
+    g = Sp4Generator(
+        a=np.array([[0.3, 0.1], [0.1, -0.2]]),
+        b=np.array([[0.5, -0.4], [0.2, 0.7]]),
+        c=np.array([[-0.1, 0.25], [0.25, 0.4]]),
+    )
+    moved = Sp4Generator(a=g.a, b=g.b + 1e-3, c=g.c)
+    real_sqrt = cmath.sqrt
+    sqrt_calls = []
+
+    def counting_sqrt(z):
+        sqrt_calls.append(z)
+        return real_sqrt(z)
+
+    monkeypatch.setattr(cmath, "sqrt", counting_sqrt)
+    for gen in (g, moved):
+        sqrt_calls.clear()
+        for order in range(1, 11):
+            coeff_closed(gen, order)
+        eigenvalues(gen)
+        assert len(sqrt_calls) == 1  # the eigenvalues' square root, once per instance
+    monkeypatch.undo()
+    assert eigenvalues(moved) != eigenvalues(g)
+    for gen in (g, moved):
+        det_a, det_b, det_c, det_d = gen.invariants
+        root = cmath.sqrt((det_a - det_c) ** 2 + 4.0 * det_d) / 2.0
+        center = -(det_a + det_c + 2.0 * det_b) / 2.0
+        assert eigenvalues(gen) == (center + root, center - root)
+
+    # one validated generator per instance, shared by u_matrix and the fallback
+    assert g.lie_element() is g.lie_element()
+    assert moved.lie_element() is not g.lie_element()
+    for gen in (g, moved):
+        np.testing.assert_array_equal(gen.lie_element().data, np.block([[gen.a, gen.b], [gen.b.T, gen.c]]))
+    degenerate = _zero_gen([[0.3, -0.5], [0.2, 0.1]])
+    L = degenerate.lie_element()
+    built = []
+    real_post_init = LieAlgElement.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(LieAlgElement, "__post_init__", counting_post_init)
+    degenerate.u_matrix()
+    assert closed_form_exp(degenerate, return_branch=True)[1] == BRANCH_FALLBACK
+    assert len(built) == 1 and built[0].data.shape == (4, 4)  # the grouped conjugate only
+    assert degenerate.lie_element() is L
 
 
 def test_s_matrix_zero_generator():
@@ -331,3 +428,18 @@ def test_interleaved_output_converts_to_grouped(rng):
     grouped = convert_ordering(M.data)
     assert grouped.n == 2
     assert symplectic_residual(grouped.data) <= 1e-10
+
+
+def test_overflowing_exponential_is_a_value_error():
+    # sqrt of the eigenvalues near 800: cosh overflows a double; the result is non-finite
+    huge = Sp4Generator(
+        a=np.diag([0.3, 0.1]), b=np.array([[800.0, 1.0], [2.0, -800.0]]), c=np.diag([0.2, -0.4])
+    )
+    message = "^symplectic matrix contains non-finite entries$"
+    with pytest.raises(ValueError, match=message) as info:
+        closed_form_exp(huge)
+    assert type(info.value) is ValueError
+    assert not np.isfinite(list(vars(series_coefficients(huge)).values())).any()
+    with pytest.raises(ValueError, match=message) as info:
+        squeeze_block_exp(np.diag([800.0, -800.0]))
+    assert type(info.value) is ValueError

@@ -144,6 +144,8 @@ def test_block_decomposition_rejects_broken_blocks():
         BlockDecomposition(A=eye, B=zero, C=zero, D=np.eye(3))
     with pytest.raises(ValueError, match="^block C contains non-finite entries$"):
         BlockDecomposition(A=eye, B=zero, C=np.full((2, 2), np.nan), D=eye)
+    with pytest.raises(ValueError, match="^block B must be real-valued, got dtype complex128$"):
+        BlockDecomposition(A=eye, B=zero + 0j, C=zero, D=eye)
 
 
 def test_gamma_permutation_is_orthogonal():
@@ -253,6 +255,11 @@ def _with(value):
             (1, np.diag([1 + 1e-6, 1.0]), GROUPED, 1e-3),
             "determinant 1.000001 deviates from 1 beyond 1e-08",
         ),
+        ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
+        # complex input is rejected before the cast, even with a zero imaginary part
+        ((1, np.eye(2) + 1e-3j), "symplectic matrix must be real-valued, got dtype complex128"),
+        ((1, np.eye(2, dtype=np.complex64)), "symplectic matrix must be real-valued, got dtype complex64"),
+        ((1, [[1.0, 0j], [0j, 1.0]]), "symplectic matrix must be real-valued, got dtype complex128"),
     ],
 )
 def test_sympmatrix_rejections(args, message):
@@ -273,6 +280,8 @@ def test_sympmatrix_rejections(args, message):
             (1, np.array([[0.0, 1.0], [0.5, 0.0]])),
             "generator must be symmetric: asymmetry 5.000e-01 exceeds 1e-12",
         ),
+        ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
+        ((1, np.eye(2) + 1e-3j), "generator must be real-valued, got dtype complex128"),
     ],
 )
 def test_lie_alg_element_rejections(args, message):
