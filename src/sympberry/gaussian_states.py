@@ -23,7 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from ._quadrature import tanh_sinh_nodes
-from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _real_copy, _residual, omega
+from .symplectic_core import (
+    _SYMMETRY_TOL,
+    GROUPED,
+    SympMatrix,
+    _asymmetry,
+    _mode_count,
+    _real_copy,
+    _residual,
+    omega,
+)
 
 __all__ = [
     "DIMENSION_FULL",
@@ -42,7 +51,6 @@ __all__ = [
 DIMENSION_FULL = "dimension_full"
 QUADRATURE = "quadrature"
 
-_SYMMETRY_TOL = 1e-12
 _PURITY_TOL = 1e-9
 _SINGULAR_B_TOL = 1e-8
 
@@ -111,9 +119,7 @@ class CovarianceMatrix:
     convention: str = DIMENSION_FULL
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        n = int(self.n)
+        n = _mode_count(self.n)
         arr = _real_copy(self.data, "covariance")
         if arr.shape != (2 * n, 2 * n):
             raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")

@@ -5,8 +5,8 @@ the accumulated geometric phase is the line integral of the connection
 
     -(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM/dt]
 
-over t in [0, 1]. This module provides the path container with finite
-difference tangents and optional batch evaluation, the integral in its
+over t in [0, 1]. This module provides the path container, sampled in
+stacks with analytic or finite-difference tangents, the integral in its
 direct and boundary-term forms, a reduced form for paths whose upper-right
 block vanishes, the exact sum over a geodesic polygon through given knots,
 and an invariance check under constant left translations (classical
@@ -18,6 +18,7 @@ call (a G7K15 panel or a split into two panels) at a time.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 from typing import Callable, Sequence
 
@@ -48,7 +49,6 @@ FIXED = "fixed"
 
 # construction-time sample points for path validation
 _PARAM_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
-_SAMPLE_SYMP_TOL = 1e-9
 _CLOSURE_TOL = 1e-10
 _FD_STEP_FACTOR = 1e-6
 _B_ZERO_TOL = 1e-12
@@ -113,26 +113,18 @@ class PhaseResult:
 class SympPath:
     """Path t in [0, 1] -> M(t) in Sp(2n, R), grouped ordering.
 
-    eval returns the SympMatrix at t; tangent, when given, returns dM/dt as a
-    plain array. Without an analytic tangent, derivatives fall back to
-    second-order finite differences with step 1e-6 * max(1, |M(0)|_max),
-    one-sided at the interval ends. closed asserts M(1) = M(0); construction
-    samples five parameter values and checks symplecticity and closure.
-
-    eval_batch and tangent_batch, given together or not at all, evaluate the
-    same path at a 1-D array of k parameters in one call: each returns a
-    (k, 2n, 2n) array of grouped-ordering matrices, row i belonging to ts[i].
-    They must agree with eval and with the path's tangent. The phase
-    integrals then evaluate whole quadrature panels through them and build
-    no SympMatrix per node; sample() checks the shape, finiteness, group
-    condition and determinant of every stacked matrix instead, with the
-    thresholds SympMatrix applies. Construction validates its five samples
-    through one eval_batch call. Paths without them are sampled by looping
-    over eval and derivative.
+    eval_batch and tangent_batch, given together, map a 1-D array of k
+    parameters to (k, 2n, 2n) stacks of M(t) and dM/dt. A path given per point
+    instead, by eval (t -> SympMatrix) and an optional tangent, is adapted to
+    that pair at construction; without a tangent, dM/dt is a second-order
+    finite difference with step 1e-6 * max(1, |M(0)|_max), one-sided within a
+    step of either end. sample() checks every stacked matrix as SympMatrix
+    does. Construction checks five samples, and closure when closed. eval(t)
+    and derivative(t) are one-point views.
     """
 
     n: int
-    eval: Callable[[float], SympMatrix]
+    eval: Callable[[float], SympMatrix] | None = None
     tangent: Callable[[float], np.ndarray] | None = None
     closed: bool = False
     eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
@@ -141,32 +133,27 @@ class SympPath:
     def __post_init__(self) -> None:
         if (self.eval_batch is None) != (self.tangent_batch is None):
             raise ValueError("eval_batch and tangent_batch must be given together")
-        if self.eval_batch is not None:
-            samples = self._matrices(np.array(_PARAM_SAMPLES))
-        else:
-            samples = np.array([self._scalar_sample(t) for t in _PARAM_SAMPLES])
+        n, eval_point, eval_batch = self.n, self.eval, self.eval_batch
+        if eval_batch is None:
+            if eval_point is None:
+                raise TypeError("a path needs eval or eval_batch")
+            eval_batch = lambda ts: np.array([_point_data(eval_point(t), t, n) for t in ts])
+            object.__setattr__(self, "eval_batch", eval_batch)
+        elif eval_point is None:
+            object.__setattr__(self, "eval", lambda t: SympMatrix(n, eval_batch(np.array([t]))[0]))
+        samples = self._matrices(np.array(_PARAM_SAMPLES))
         if self.closed:
             gap = float(np.max(np.abs(samples[-1] - samples[0])))
             if gap > _CLOSURE_TOL:
                 raise ValueError(f"closed path fails closure: |M(1) - M(0)|_max = {gap:.3e}")
-        scale = max(1.0, float(np.max(np.abs(samples[0]))))
-        object.__setattr__(self, "_fd_step", _FD_STEP_FACTOR * scale)
-
-    def _scalar_sample(self, t: float) -> np.ndarray:
-        """Construction check of eval(t): type, modes, ordering, group condition."""
-        M = self.eval(t)
-        if not isinstance(M, SympMatrix):
-            raise TypeError(f"eval({t}) returned {type(M).__name__}, not SympMatrix")
-        if M.n != self.n:
-            raise ValueError(f"eval({t}) has {M.n} modes, path declares {self.n}")
-        if M.ordering != GROUPED:
-            raise ValueError("paths require grouped ordering")
-        resid = _residual(M.data, omega(self.n))
-        if resid > _SAMPLE_SYMP_TOL:
-            raise ValueError(
-                f"sample at t={t} fails the symplectic condition: residual {resid:.3e}"
-            )
-        return M.data
+        if self.tangent_batch is None:
+            if self.tangent is None:
+                h = _FD_STEP_FACTOR * max(1.0, float(np.max(np.abs(samples[0]))))
+                tangent_batch = functools.partial(_fd_tangents, eval_batch, n, h)
+            else:
+                tangent = self.tangent
+                tangent_batch = lambda ts: np.array([tangent(t) for t in ts], dtype=float)
+            object.__setattr__(self, "tangent_batch", tangent_batch)
 
     def _matrices(self, ts: np.ndarray) -> np.ndarray:
         """eval_batch(ts), with every stacked matrix checked like a SympMatrix."""
@@ -186,33 +173,40 @@ class SympPath:
         return Ms
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked path matrices and tangents at the 1-D parameter array ts.
-
-        Returns (Ms, dMs), each of shape (k, 2n, 2n), from one call each of
-        eval_batch and tangent_batch when the path has them, else by looping
-        over eval and derivative.
-        """
+        """(Ms, dMs), each (k, 2n, 2n): checked path matrices and tangents at the 1-D ts."""
         ts = np.asarray(ts, dtype=float)
-        if self.eval_batch is None:
-            Ms = _stack([self.eval(t).data for t in ts], ts, self.n, "eval")
-            dMs = _stack([self.derivative(t) for t in ts], ts, self.n, "tangent")
-        else:
-            Ms = self._matrices(ts)
-            dMs = _stack(self.tangent_batch(ts), ts, self.n, "tangent_batch")
-        return Ms, dMs
+        return self._matrices(ts), _stack(self.tangent_batch(ts), ts, self.n, "tangent_batch")
 
     def derivative(self, t: float) -> np.ndarray:
-        """dM/dt at t: the analytic tangent if supplied, else finite difference."""
-        if self.tangent is not None:
-            return np.asarray(self.tangent(t), dtype=float)
-        h = self._fd_step
-        if t < h:
-            m0, m1, m2 = (self.eval(t + k * h).data for k in range(3))
-            return (-3.0 * m0 + 4.0 * m1 - m2) / (2.0 * h)
-        if t > 1.0 - h:
-            m0, m1, m2 = (self.eval(t - k * h).data for k in range(3))
-            return (3.0 * m0 - 4.0 * m1 + m2) / (2.0 * h)
-        return (self.eval(t + h).data - self.eval(t - h).data) / (2.0 * h)
+        """dM/dt at t."""
+        return np.asarray(self.tangent_batch(np.array([t], dtype=float))[0], dtype=float)
+
+
+def _point_data(M, t: float, n: int) -> np.ndarray:
+    """M.data for a per-point eval(t), checking what a stack cannot show."""
+    if not isinstance(M, SympMatrix):
+        raise TypeError(f"eval({t}) returned {type(M).__name__}, not SympMatrix")
+    if M.n != n:
+        raise ValueError(f"eval({t}) has {M.n} modes, path declares {n}")
+    if M.ordering != GROUPED:
+        raise ValueError("paths require grouped ordering")
+    return M.data
+
+
+def _fd_tangents(eval_batch: Callable, n: int, h: float, ts: np.ndarray) -> np.ndarray:
+    """Second-order differences of eval_batch with step h: central, or the
+    three-point one-sided rule within h of an end (mirrored by s = -1 at t = 1)."""
+    lo = ts < h
+    hi = ~lo & (ts > 1.0 - h)
+    mid = ~(lo | hi)
+    dMs = np.empty((ts.size, 2 * n, 2 * n))
+    if mid.any():
+        dMs[mid] = (eval_batch(ts[mid] + h) - eval_batch(ts[mid] - h)) / (2.0 * h)
+    for end, s in ((lo, 1.0), (hi, -1.0)):
+        if end.any():
+            m0, m1, m2 = (eval_batch(ts[end] + s * k * h) for k in range(3))
+            dMs[end] = (-3.0 * s * m0 + 4.0 * s * m1 - s * m2) / (2.0 * h)
+    return dMs
 
 
 def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
@@ -411,8 +405,7 @@ def check_canonical_invariance(
 
     Returns (original, translated, |difference|). The connection only sees
     M^T Omega dM, which the translation leaves fixed, so the difference is
-    pure quadrature noise. A path with eval_batch and tangent_batch is
-    translated stack by stack and stays a batch path.
+    pure quadrature noise. The translated path is sampled stack by stack.
     """
     if fixedM.n != path.n:
         raise ValueError(f"translation has {fixedM.n} modes, path has {path.n}")
@@ -420,23 +413,11 @@ def check_canonical_invariance(
         raise ValueError("translation must use grouped ordering")
     base = integrate_phase(path, p, quad)
     S = fixedM.data
-
-    def moved_eval(t: float) -> SympMatrix:
-        return fixedM @ path.eval(t)
-
-    def moved_tangent(t: float) -> np.ndarray:
-        return S @ path.derivative(t)
-
-    batch = {}
-    if path.eval_batch is not None:
-        # sample() checks each stacked S M(t) at 1e-10, stricter than the
-        # compounded 1e-9 of SympMatrix products on the scalar route
-        batch = dict(
-            eval_batch=lambda ts: S @ path.eval_batch(ts),
-            tangent_batch=lambda ts: S @ path.tangent_batch(ts),
-        )
     moved = SympPath(
-        n=path.n, eval=moved_eval, tangent=moved_tangent, closed=path.closed, **batch
+        n=path.n,
+        closed=path.closed,
+        eval_batch=lambda ts: S @ path.eval_batch(ts),
+        tangent_batch=lambda ts: S @ path.tangent_batch(ts),
     )
     translated = integrate_phase(moved, p, quad)
     return base.value, translated.value, abs(translated.value - base.value)

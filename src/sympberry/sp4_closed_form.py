@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .symplectic_core import (
+    _SYMMETRY_TOL,
     INTERLEAVED,
     LieAlgElement,
     SympMatrix,
@@ -55,7 +56,7 @@ _CLOSED_FORM_TOL = 1e-9
 _IMAG_RESIDUE_TOL = 1e-10
 _SINHC_TAYLOR_CUTOFF = 1e-6
 _DEG_FACTOR = 1e-8
-_SYMMETRY_TOL = 1e-12
+_OVERFLOW = "the coefficients of S^{} overflow the float range"
 
 BRANCH_CLOSED_FORM = "non-degenerate"
 BRANCH_FALLBACK = "degenerate-fallback"
@@ -222,7 +223,8 @@ def coeff_recurrence(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     alpha_k = alpha_1 alpha_{k-1} + det d * beta_{k-1},
     beta_k  = alpha_{k-1} + gamma_1 beta_{k-1},
     gamma_k = det d * beta_{k-1} + gamma_1 gamma_{k-1}.
-    Serves as the oracle for coeff_closed.
+    Serves as the oracle for coeff_closed. Raises ValueError when a
+    coefficient overflows the float range.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
@@ -236,7 +238,14 @@ def coeff_recurrence(g: Sp4Generator, n: int) -> tuple[float, float, float]:
             alpha + gamma_1 * beta,
             det_d * beta + gamma_1 * gamma,
         )
-    return float(alpha), float(beta), float(gamma)
+    return _finite_coefficients((float(alpha), float(beta), float(gamma)), n)
+
+
+def _finite_coefficients(coeffs: tuple[float, float, float], n: int) -> tuple[float, float, float]:
+    """coeffs, or ValueError naming the power S^n whose coefficients overflow."""
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(_OVERFLOW.format(n))
+    return coeffs
 
 
 def _real_with_residue_check(z: complex, what: str) -> float:
@@ -257,17 +266,23 @@ def coeff_closed(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     beta_n  = (lam_p^n - lam_m^n) / (lam_p - lam_m),
     gamma_n carries the same (lam_pm - gamma_1) factors as alpha_n but with
     the opposite power attached, i.e. lam_p^n and lam_m^n swapped.
-    Raises DegenerateEigenvalues when the denominator is numerically zero.
+    Raises DegenerateEigenvalues when the denominator is numerically zero,
+    and ValueError when a coefficient overflows the float range.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
     gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "use coeff_recurrence")
-    wp, wm, pn, mn = lam_p - gamma_1, lam_m - gamma_1, lam_p**n, lam_m**n
-    return (
+    try:
+        pn, mn = lam_p**n, lam_m**n
+    except OverflowError:  # complex powers raise where float arithmetic gives inf
+        raise ValueError(_OVERFLOW.format(n)) from None
+    wp, wm = lam_p - gamma_1, lam_m - gamma_1
+    coeffs = (
         _real_with_residue_check((wp * pn - wm * mn) / den, f"alpha_{n}"),
         _real_with_residue_check((pn - mn) / den, f"beta_{n}"),
         _real_with_residue_check((wp * mn - wm * pn) / den, f"gamma_{n}"),
     )
+    return _finite_coefficients(coeffs, n)
 
 
 def _cosh_sinhc(lam: complex) -> tuple[complex, complex]:

@@ -187,9 +187,9 @@ def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
 
     t in [0, 1] maps to angle 2 pi t; tangents are the hand-differentiated
     matrices times 2 pi, so no finite-difference error enters downstream
-    phase integrals. The path carries batch callables over the same closed
-    form, so phase integrals evaluate each quadrature panel in one call.
-    The magnitude and params are validated once, through a SqueezeSpec.
+    phase integrals, which evaluate each quadrature panel in one call of the
+    stacked closed form. The magnitude and params are validated once,
+    through a SqueezeSpec.
     """
     if modes not in (1, 2):
         raise ValueError(f"squeeze circles cover 1 or 2 modes, got {modes}")
@@ -204,20 +204,7 @@ def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
     def tangent_batch(ts: np.ndarray) -> np.ndarray:
         return _TWO_PI * _squeeze_tangents(modes, R, params, angles(ts))
 
-    def eval_path(t: float) -> SympMatrix:
-        return SympMatrix(modes, eval_batch([t])[0])
-
-    def tangent_path(t: float) -> np.ndarray:
-        return tangent_batch([t])[0]
-
-    return SympPath(
-        n=modes,
-        eval=eval_path,
-        tangent=tangent_path,
-        closed=True,
-        eval_batch=eval_batch,
-        tangent_batch=tangent_batch,
-    )
+    return SympPath(n=modes, closed=True, eval_batch=eval_batch, tangent_batch=tangent_batch)
 
 
 def reference_phase(modes: int, R: float) -> float:

@@ -55,8 +55,18 @@ def _real_copy(data, name: str) -> np.ndarray:
     if arr.dtype is not _FLOAT64:
         if arr.dtype.kind == "c":
             raise ValueError(f"{name} must be real-valued, got dtype {arr.dtype}")
-        arr = arr.astype(float)
+        try:
+            arr = arr.astype(float)
+        except TypeError:  # an object array holding complex numbers
+            raise ValueError(f"{name} must be real-valued, got dtype {arr.dtype}") from None
     return arr
+
+
+def _mode_count(n) -> int:
+    """n as an int, or ValueError if it is not a positive integer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def _as_square_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -87,9 +97,7 @@ def omega(n: int) -> np.ndarray:
 
     Built once per mode count and returned as a shared read-only array.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    return _omega_cached(int(n))
+    return _omega_cached(_mode_count(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,9 +114,7 @@ def omega_interleaved(n: int) -> np.ndarray:
 
     Built once per mode count and returned as a shared read-only array.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
-    return _omega_interleaved_cached(int(n))
+    return _omega_interleaved_cached(_mode_count(n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,9 +170,7 @@ class SympMatrix:
     tol_symp: float = DEFAULT_TOL_SYMP
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        n = int(self.n)
+        n = _mode_count(self.n)
         arr = _as_square_matrix(self.data, "symplectic matrix")
         if arr.shape != (2 * n, 2 * n):
             raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
@@ -213,9 +217,7 @@ class LieAlgElement:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"mode count must be a positive integer, got {self.n!r}")
-        n = int(self.n)
+        n = _mode_count(self.n)
         arr = _as_square_matrix(self.data, "generator")
         if arr.shape != (2 * n, 2 * n):
             raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
@@ -287,8 +289,7 @@ def gamma_permutation(n: int) -> np.ndarray:
     Acting on column vectors: (x1, p1, ..., xn, pn) |-> (x1..xn, p1..pn).
     Orthogonal, so its transpose is its inverse. n=1 gives the identity.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    n = _mode_count(n)
     g = np.zeros((2 * n, 2 * n))
     for i in range(n):
         g[i, 2 * i] = 1.0

@@ -78,6 +78,7 @@ def test_covariance_matrix_validation(rng, random_symplectic):
         ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
         ((1, np.eye(2) + 1e-3j), "covariance must be real-valued, got dtype complex128"),
         ((1, np.eye(2, dtype=complex), QUADRATURE), "covariance must be real-valued, got dtype complex128"),
+        ((1, np.array([[1 + 0j, 0], [0, 1]], dtype=object)), "covariance must be real-valued, got dtype object"),
     ],
 )
 def test_covariance_matrix_rejections(args, message):

@@ -446,7 +446,9 @@ def test_batch_rejections_name_the_first_bad_node():
 def test_scalar_path_sample_rejections():
     loose = SympMatrix(1, np.diag([1 + 5e-9, 1.0]), GROUPED, tol_symp=1e-6)
     with pytest.raises(
-        ValueError, match=r"^sample at t=0\.0 fails the symplectic condition: residual 5\.000e-09$"
+        ValueError,
+        match=r"^sample at t=0\.0 fails the symplectic condition: residual 5\.000e-09, "
+        r"determinant 1\.000000005$",
     ):
         SympPath(n=1, eval=lambda t: loose)
     with pytest.raises(TypeError, match=r"^eval\(0\.0\) returned ndarray, not SympMatrix$"):
@@ -500,7 +502,7 @@ def test_batch_and_loop_sampling_agree():
     # per-node loop over eval and derivative
     for modes, R, p in _circle_cases():
         batch = squeeze_circle_path(modes, R, p)
-        loop = SympPath(n=modes, eval=batch.eval, tangent=batch.tangent, closed=True)
+        loop = SympPath(n=modes, eval=batch.eval, tangent=batch.derivative, closed=True)
         for quad in (QuadSpec(), QuadSpec(kind=FIXED, panels=5)):
             a = integrate_phase(batch, p, quad)
             b = integrate_phase(loop, p, quad)
@@ -552,3 +554,54 @@ def test_polygon_phase_rejections():
     # the principal logarithm of -I is i pi I: no real geodesic segment
     with pytest.raises(ValueError, match="segment 0: matrix logarithm is not real"):
         polygon_phase([eye, SympMatrix(1, -np.eye(2), GROUPED)], UNIT_PARAMS)
+
+
+def test_stacked_finite_difference_matches_the_per_point_rules():
+    base = squeeze_circle_path(1, 0.9, OscParams(0.8, (1.3,)))
+    path = SympPath(n=1, eval=base.eval, closed=True)
+    h = 1e-6 * max(1.0, float(np.max(np.abs(base.eval(0.0).data))))
+
+    def m(t):
+        return base.eval(t).data
+
+    # one stack mixing both ends, nodes within h of them, and interior nodes
+    ts = np.array([0.0, 0.4 * h, 0.3, 1.0 - 0.5 * h, 0.71, 1.0, 0.9 * h])
+    expected = []
+    for t in ts:
+        if t < h:
+            expected.append((-3.0 * m(t) + 4.0 * m(t + h) - m(t + 2 * h)) / (2.0 * h))
+        elif t > 1.0 - h:
+            expected.append((3.0 * m(t) - 4.0 * m(t - h) + m(t - 2 * h)) / (2.0 * h))
+        else:
+            expected.append((m(t + h) - m(t - h)) / (2.0 * h))
+    expected = np.array(expected).tobytes()
+    assert path.sample(ts)[1].tobytes() == expected
+    assert np.array([path.derivative(t) for t in ts]).tobytes() == expected
+
+
+def test_eval_calls_per_node():
+    # a finite-difference tangent costs two evaluations more per interior node
+    base = squeeze_circle_path(1, 0.9, UNIT_PARAMS)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return base.eval(t)
+
+    fd = SympPath(n=1, eval=counted, closed=True)
+    analytic = SympPath(n=1, eval=counted, tangent=base.derivative, closed=True)
+    for path, per_node in ((fd, 3), (analytic, 1)):
+        for quad in (QuadSpec(), QuadSpec(kind=FIXED, panels=4)):
+            calls.clear()
+            result = integrate_phase(path, UNIT_PARAMS, quad)
+            assert len(calls) == per_node * result.evaluations
+
+
+def test_benchmark_path_contract():
+    # bench/workloads.py builds its loops with this call, and the traced run of
+    # bench/run.py wraps these two methods, taken from the class dict
+    assert {"__post_init__", "derivative"} <= set(vars(SympPath))
+    base = squeeze_circle_path(1, 0.5, UNIT_PARAMS)
+    path = SympPath(n=1, eval=base.eval, tangent=None, closed=True)
+    result = integrate_phase(path, UNIT_PARAMS)
+    assert result.value == pytest.approx(reference_phase(1, 0.5), rel=1e-8)

@@ -54,6 +54,7 @@ def test_generator_validation():
         (dict(c=np.array([[0.0, 1.0], [0.5, 0.0]])), "block c must be symmetric: asymmetry 5.000e-01"),
         (dict(b=np.eye(2) + 1e-3j), "block b must be real-valued, got dtype complex128"),
         (dict(a=np.zeros((2, 2), dtype=complex)), "block a must be real-valued, got dtype complex128"),
+        (dict(c=np.array([[1 + 0j, 0], [0, 1]], dtype=object)), "block c must be real-valued, got dtype object"),
     ],
 )
 def test_generator_rejections(blocks, message):
@@ -443,3 +444,13 @@ def test_overflowing_exponential_is_a_value_error():
     with pytest.raises(ValueError, match=message) as info:
         squeeze_block_exp(np.diag([800.0, -800.0]))
     assert type(info.value) is ValueError
+
+
+def test_overflowing_coefficients_are_a_value_error():
+    # eigenvalues near -4e40: the tenth power overflows a double in both routes
+    huge = Sp4Generator(a=1e20 * np.eye(2), b=1e20 * np.eye(2), c=1e20 * np.eye(2))
+    for coeffs in (coeff_closed, coeff_recurrence):
+        assert all(map(math.isfinite, coeffs(huge, 6)))
+        with pytest.raises(ValueError, match=r"^the coefficients of S\^10 overflow the float range$") as info:
+            coeffs(huge, 10)
+        assert type(info.value) is ValueError

@@ -260,6 +260,10 @@ def _with(value):
         ((1, np.eye(2) + 1e-3j), "symplectic matrix must be real-valued, got dtype complex128"),
         ((1, np.eye(2, dtype=np.complex64)), "symplectic matrix must be real-valued, got dtype complex64"),
         ((1, [[1.0, 0j], [0j, 1.0]]), "symplectic matrix must be real-valued, got dtype complex128"),
+        (
+            (1, np.array([[1 + 0j, 0], [0, 1]], dtype=object)),
+            "symplectic matrix must be real-valued, got dtype object",
+        ),
     ],
 )
 def test_sympmatrix_rejections(args, message):
