@@ -18,6 +18,7 @@ package's independent check on the amplitude formula.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .symplectic_core import (
     SympMatrix,
     _asymmetry,
     _mode_count,
-    _real_copy,
+    _real_array,
     _residual,
     omega,
 )
@@ -68,12 +69,15 @@ class OscParams:
 
     def __post_init__(self) -> None:
         hbar = float(self.hbar)
-        if not (np.isfinite(hbar) and hbar > 0):
+        if not (math.isfinite(hbar) and hbar > 0):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        lengths = tuple(float(l) for l in np.atleast_1d(np.asarray(self.lengths, float)))
+        arr = np.asarray(self.lengths, float)
+        if arr.ndim > 1:
+            raise ValueError(f"lengths must be a flat sequence, got shape {arr.shape}")
+        lengths = tuple(arr.reshape(-1).tolist())
         if len(lengths) < 1:
             raise ValueError("need at least one mode length")
-        if not all(np.isfinite(l) and l > 0 for l in lengths):
+        if not all(math.isfinite(l) and l > 0 for l in lengths):
             raise ValueError(f"lengths must be positive and finite, got {self.lengths!r}")
         object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "lengths", lengths)
@@ -120,7 +124,7 @@ class CovarianceMatrix:
 
     def __post_init__(self) -> None:
         n = _mode_count(self.n)
-        arr = _real_copy(self.data, "covariance")
+        arr = _real_array(self.data, "covariance")
         if arr.shape != (2 * n, 2 * n):
             raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
         if not np.isfinite(arr).all():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import warnings
 from typing import Callable, Sequence
 
@@ -26,7 +27,16 @@ import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
 from .gaussian_states import OscParams, covariance
-from .symplectic_core import _DET_TOL, DEFAULT_TOL_SYMP, GROUPED, SympMatrix, _residual, omega
+from .symplectic_core import (
+    _DET_TOL,
+    DEFAULT_TOL_SYMP,
+    GROUPED,
+    SympMatrix,
+    _omega_cached,
+    _real_array,
+    _residual,
+    omega,
+)
 
 __all__ = [
     "ADAPTIVE",
@@ -83,6 +93,9 @@ class QuadSpec:
             raise ValueError("panel count must be >= 1")
 
 
+_DEFAULT_QUAD = QuadSpec()  # frozen, so every caller can share it
+
+
 @dataclasses.dataclass(frozen=True)
 class PhaseResult:
     """Integrated phase in radians with the quadrature's own error estimate.
@@ -103,7 +116,7 @@ class PhaseResult:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise ValueError("phase value must be finite")
         if not self.error_estimate >= 0:
             raise ValueError("error estimate must be nonnegative")
@@ -152,20 +165,23 @@ class SympPath:
                 tangent_batch = functools.partial(_fd_tangents, eval_batch, n, h)
             else:
                 tangent = self.tangent
-                tangent_batch = lambda ts: np.array([tangent(t) for t in ts], dtype=float)
+                tangent_batch = lambda ts: np.array([tangent(t) for t in ts])
             object.__setattr__(self, "tangent_batch", tangent_batch)
 
     def _matrices(self, ts: np.ndarray) -> np.ndarray:
-        """eval_batch(ts), with every stacked matrix checked like a SympMatrix."""
+        """eval_batch(ts), with every stacked matrix checked like a SympMatrix.
+
+        Each check is one reduction over the stack, written so that NaN fails it;
+        the per-node mask that names the first bad t is built only on failure.
+        """
         Ms = _stack(self.eval_batch(ts), ts, self.n, "eval_batch")
-        bad = ~np.isfinite(Ms).all(axis=(1, 2))
-        if bad.any():
+        if not np.isfinite(Ms).all():
+            bad = ~np.isfinite(Ms).all(axis=(1, 2))
             raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
         resid = _residual(Ms, omega(self.n))
         det = np.linalg.det(Ms)
-        bad = (resid > DEFAULT_TOL_SYMP) | (abs(det - 1.0) > _DET_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not (resid.max() <= DEFAULT_TOL_SYMP and abs(det - 1.0).max() <= _DET_TOL):
+            i = int(np.argmax(~((resid <= DEFAULT_TOL_SYMP) & (abs(det - 1.0) <= _DET_TOL))))
             raise ValueError(
                 f"sample at t={ts[i]} fails the symplectic condition: residual "
                 f"{resid[i]:.3e}, determinant {float(det[i])!r}"
@@ -179,7 +195,8 @@ class SympPath:
 
     def derivative(self, t: float) -> np.ndarray:
         """dM/dt at t."""
-        return np.asarray(self.tangent_batch(np.array([t], dtype=float))[0], dtype=float)
+        ts = np.array([t], dtype=float)
+        return _stack(self.tangent_batch(ts), ts, self.n, "tangent_batch")[0]
 
 
 def _point_data(M, t: float, n: int) -> np.ndarray:
@@ -210,8 +227,8 @@ def _fd_tangents(eval_batch: Callable, n: int, h: float, ts: np.ndarray) -> np.n
 
 
 def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
-    """values as a float array of shape (len(ts), 2n, 2n), or ValueError."""
-    arr = np.asarray(values, dtype=float)
+    """values as a real float array of shape (len(ts), 2n, 2n), or ValueError."""
+    arr = _real_array(values, source, copy=False)
     expected = (ts.size, 2 * n, 2 * n)
     if arr.shape != expected:
         raise ValueError(f"{source} returned shape {arr.shape}, expected {expected}")
@@ -220,8 +237,8 @@ def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
 
 def _metric_diag(p: OscParams) -> np.ndarray:
     """diag(l^2, hbar^2 / l^2), the connection's metric weights."""
-    l = p.length_array()
-    return np.concatenate([l * l, p.hbar**2 / (l * l)])
+    l2 = [l * l for l in p.lengths]
+    return np.array(l2 + [p.hbar**2 / x for x in l2])
 
 
 def _check_modes(n: int, p: OscParams) -> None:
@@ -232,7 +249,7 @@ def _check_modes(n: int, p: OscParams) -> None:
 def _connection_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
     """-(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM] for each stacked pair."""
     # diagonal of M^T (Omega dM): sum over j of M_ji (Omega dM)_ji
-    core = np.einsum("kji,kji->ki", Ms, omega(p.n) @ dMs)
+    core = np.einsum("kji,kji->ki", Ms, _omega_cached(p.n) @ dMs)
     return -(0.25 / p.hbar) * (core @ _metric_diag(p))
 
 
@@ -287,8 +304,8 @@ def _run_quadrature(
 
 
 def _finite_or_raise(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(values)
-    if bad.any():
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
         raise NonFiniteIntegrand(f"integrand is non-finite at t={ts[np.argmax(bad)]}")
     return values
 
@@ -297,8 +314,7 @@ def integrate_phase(
     path: SympPath, p: OscParams, quad: QuadSpec | None = None
 ) -> PhaseResult:
     """Geometric phase of the path: the connection integrated over [0, 1]."""
-    if quad is None:
-        quad = QuadSpec()
+    quad = _DEFAULT_QUAD if quad is None else quad
     _check_modes(path.n, p)
 
     def f(ts: np.ndarray) -> np.ndarray:
@@ -331,8 +347,7 @@ def integrate_phase_boundary_form(
     boundary argument does not apply; the value is still computed but a
     warning flags it.
     """
-    if quad is None:
-        quad = QuadSpec()
+    quad = _DEFAULT_QUAD if quad is None else quad
     if not path.closed:
         warnings.warn(
             "boundary-form phase evaluated on an open path; the endpoint "
@@ -366,8 +381,7 @@ def phase_b_zero(
     -(1 / 4 hbar) Tr[diag(l^2) (A^T dC - C^T dA)]. Every evaluated sample is
     checked against the block form; NotBZeroForm reports a violation.
     """
-    if quad is None:
-        quad = QuadSpec()
+    quad = _DEFAULT_QUAD if quad is None else quad
     n = path.n
     _check_modes(n, p)
     l2 = np.asarray(p.lengths, dtype=float) ** 2

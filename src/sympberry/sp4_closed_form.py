@@ -27,7 +27,7 @@ from .symplectic_core import (
     INTERLEAVED,
     LieAlgElement,
     SympMatrix,
-    _real_copy,
+    _real_array,
     exp_map,
     gamma_permutation,
     omega_interleaved,
@@ -96,7 +96,7 @@ def _join22(A, B, C, D) -> np.ndarray:
 
 def _block22(data, name: str) -> tuple[np.ndarray, list]:
     """A read-only float copy of a 2x2 block and its entries, or ValueError."""
-    arr = _real_copy(data, f"block {name}")
+    arr = _real_array(data, f"block {name}")
     if arr.shape != (2, 2):
         raise ValueError(f"block {name} must be 2x2, got shape {arr.shape}")
     entries = arr.ravel().tolist()

@@ -14,12 +14,13 @@ end-to-end oracle.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .gaussian_states import OscParams
 from .geometric_phase import SympPath
-from .symplectic_core import GROUPED, LieAlgElement, SympMatrix
+from .symplectic_core import LieAlgElement, SympMatrix
 
 __all__ = [
     "SqueezeSpec",
@@ -51,10 +52,10 @@ class SqueezeSpec:
         if self.modes not in (1, 2):
             raise ValueError(f"squeeze transformations cover 1 or 2 modes, got {self.modes}")
         R = float(self.R)
-        if not (np.isfinite(R) and R >= 0):
+        if not (math.isfinite(R) and R >= 0):
             raise ValueError(f"magnitude must be finite and >= 0, got {self.R!r}")
         angle = float(self.angle)
-        if not np.isfinite(angle):
+        if not math.isfinite(angle):
             raise ValueError("angle must be finite")
         if self.params.n != self.modes:
             raise ValueError(
@@ -124,62 +125,32 @@ def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
     return _spec_matrix(spec)
 
 
-def _direction_n1(params: OscParams, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """cosh/sinh split direction matrices for the one-mode squeeze, stacked.
-
-    c and s are arrays of cos/sin of the angle (or their derivatives, for
-    tangents); the result has shape (len(c), 2, 2).
-    """
-    k = params.lengths[0] ** 2 / params.hbar
-    K = np.empty((c.size, 2, 2))
-    K[:, 0, 0] = -c
-    K[:, 0, 1] = -k * s
-    K[:, 1, 0] = -s / k
-    K[:, 1, 1] = c
-    return K
-
-
-def _direction_n2(params: OscParams, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """cosh/sinh split direction matrices for the two-mode squeeze, stacked.
-
-    c and s are arrays of cos/sin of the angle (or their derivatives, for
-    tangents); the result has shape (len(c), 4, 4). Ordering is grouped
-    (x1, x2, p1, p2).
-    """
-    hbar = params.hbar
-    l1, l2 = params.lengths
-    k1 = l1 / l2
-    k2 = l1 * l2 / hbar
-    k3 = hbar / (l1 * l2)
-    K = np.zeros((c.size, 4, 4))
-    K[:, 0, 1] = -k1 * c
-    K[:, 0, 3] = -k2 * s
-    K[:, 1, 0] = -c / k1
-    K[:, 1, 2] = -k2 * s
-    K[:, 2, 1] = -k3 * s
-    K[:, 2, 3] = c / k1
-    K[:, 3, 0] = -k3 * s
-    K[:, 3, 2] = k1 * c
-    return K
+def _circle_constants(modes: int, R: float, params: OscParams) -> tuple[np.ndarray, ...]:
+    """C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks, with the direction
+    matrix K(angle) = cos(angle) Kc + sin(angle) Ks split by its trig factor
+    (see NOTES.md); the squeeze matrix at an angle is C0 + cos C1 + sin C2."""
+    if modes == 1:
+        k = params.lengths[0] ** 2 / params.hbar
+        Kc = [[-1.0, 0.0], [0.0, 1.0]]
+        Ks = [[0.0, -k], [-1.0 / k, 0.0]]
+    else:
+        l1, l2 = params.lengths
+        k1, k2, k3 = l1 / l2, l1 * l2 / params.hbar, params.hbar / (l1 * l2)
+        Kc = [[0, -k1, 0, 0], [-1 / k1, 0, 0, 0], [0, 0, 0, 1 / k1], [0, 0, k1, 0]]
+        Ks = [[0, 0, 0, -k2], [0, 0, -k2, 0], [0, -k3, 0, 0], [-k3, 0, 0, 0]]
+    sh = np.sinh(R)
+    return np.cosh(R) * np.eye(2 * modes), sh * np.array(Kc), sh * np.array(Ks)
 
 
-_DIRECTIONS = {1: _direction_n1, 2: _direction_n2}
-
-
-def _squeeze_matrices(modes: int, R: float, params: OscParams, angles: np.ndarray) -> np.ndarray:
-    """cosh(R) I + sinh(R) K(angle) for each angle: the squeeze closed form."""
-    K = _DIRECTIONS[modes](params, np.cos(angles), np.sin(angles))
-    return np.cosh(R) * np.eye(2 * modes) + np.sinh(R) * K
-
-
-def _squeeze_tangents(modes: int, R: float, params: OscParams, angles: np.ndarray) -> np.ndarray:
-    """d/dangle of _squeeze_matrices: dK/dangle swaps c -> -s, s -> c in K."""
-    return np.sinh(R) * _DIRECTIONS[modes](params, -np.sin(angles), np.cos(angles))
+def _circle_matrices(C: tuple[np.ndarray, ...], angles: np.ndarray) -> np.ndarray:
+    """C0 + cos(angle) C1 + sin(angle) C2 for each angle: the squeeze closed form."""
+    C0, C1, C2 = C
+    return C0 + np.cos(angles)[:, None, None] * C1 + np.sin(angles)[:, None, None] * C2
 
 
 def _spec_matrix(spec: SqueezeSpec) -> SympMatrix:
-    data = _squeeze_matrices(spec.modes, spec.R, spec.params, np.array([spec.angle]))[0]
-    return SympMatrix(spec.modes, data)
+    C = _circle_constants(spec.modes, spec.R, spec.params)
+    return SympMatrix(spec.modes, _circle_matrices(C, np.array([spec.angle]))[0])
 
 
 def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
@@ -194,15 +165,18 @@ def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
     if modes not in (1, 2):
         raise ValueError(f"squeeze circles cover 1 or 2 modes, got {modes}")
     R = SqueezeSpec(modes=modes, R=R, angle=0.0, params=params).R
+    C = _circle_constants(modes, R, params)
+    _, C1, C2 = C
 
     def angles(ts) -> np.ndarray:
         return (_TWO_PI * np.asarray(ts, dtype=float)) % _TWO_PI
 
     def eval_batch(ts: np.ndarray) -> np.ndarray:
-        return _squeeze_matrices(modes, R, params, angles(ts))
+        return _circle_matrices(C, angles(ts))
 
     def tangent_batch(ts: np.ndarray) -> np.ndarray:
-        return _TWO_PI * _squeeze_tangents(modes, R, params, angles(ts))
+        a = angles(ts)
+        return _TWO_PI * (np.cos(a)[:, None, None] * C2 - np.sin(a)[:, None, None] * C1)
 
     return SympPath(n=modes, closed=True, eval_batch=eval_batch, tangent_batch=tangent_batch)
 
@@ -212,6 +186,6 @@ def reference_phase(modes: int, R: float) -> float:
     if modes not in (1, 2):
         raise ValueError(f"reference phases cover 1 or 2 modes, got {modes}")
     R = float(R)
-    if not (np.isfinite(R) and R >= 0):
+    if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"magnitude must be finite and >= 0, got {R!r}")
     return -modes * np.pi * np.sinh(R) ** 2

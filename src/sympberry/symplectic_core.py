@@ -49,9 +49,10 @@ _FLOAT64 = np.dtype(float)  # native float64: a singleton, so `is` tests it
 # Validation kernel. _residual computes every group-condition residual in the package;
 # on small matrices the np.max/np.all wrappers and a re-validated omega(n) cost more
 # than the arithmetic, so the kernel uses ndarray methods and takes the form as given.
-def _real_copy(data, name: str) -> np.ndarray:
-    """A float copy of data, or ValueError if data is complex-valued."""
-    arr = np.array(data)  # copies; the dtype is checked before any cast
+def _real_array(data, name: str, copy: bool = True) -> np.ndarray:
+    """data as a float array, or ValueError if it is complex-valued. The result is a
+    copy unless copy is False and data already is a float64 array."""
+    arr = np.array(data) if copy else np.asarray(data)  # dtype checked before any cast
     if arr.dtype is not _FLOAT64:
         if arr.dtype.kind == "c":
             raise ValueError(f"{name} must be real-valued, got dtype {arr.dtype}")
@@ -71,7 +72,7 @@ def _mode_count(n) -> int:
 
 def _as_square_matrix(data, name: str = "matrix") -> np.ndarray:
     """A float copy of data, or ValueError if it is not a finite, real, square matrix."""
-    arr = _real_copy(data, name)
+    arr = _real_array(data, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():

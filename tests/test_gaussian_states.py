@@ -46,6 +46,14 @@ def test_osc_params_validation():
         OscParams(hbar=1.0, lengths=())
 
 
+@pytest.mark.parametrize(
+    "lengths", [[[1.0, 2.0]], np.array([[1.0], [2.0]])], ids=["nested_list", "column"]
+)
+def test_osc_params_rejects_nested_lengths(lengths):
+    with pytest.raises(ValueError, match="^lengths must be a flat sequence, got shape"):
+        OscParams(1.0, lengths)
+
+
 def test_osc_params_from_mass_frequency():
     p = OscParams.from_mass_frequency(hbar=2.0, masses=[0.5, 2.0], frequencies=[1.0, 4.0])
     np.testing.assert_allclose(p.length_array(), [2.0, 0.5])

@@ -1,5 +1,6 @@
 """Phase line integrals: direct, boundary, and reduced forms, plus path checks."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sympberry import (
     reference_phase,
     squeeze_circle_path,
 )
+from sympberry import geometric_phase
 from sympberry.oracles import b_zero_loop
 from sympberry.symplectic_core import LieAlgElement
 
@@ -605,3 +607,77 @@ def test_benchmark_path_contract():
     path = SympPath(n=1, eval=base.eval, tangent=None, closed=True)
     result = integrate_phase(path, UNIT_PARAMS)
     assert result.value == pytest.approx(reference_phase(1, 0.5), rel=1e-8)
+
+
+def test_stack_whose_sum_overflows_fails_the_symplectic_check():
+    # every entry is finite, but a finiteness probe through Ms.sum() would read inf
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+
+    def eval_batch(ts):
+        Ms = base.eval_batch(ts).copy()
+        Ms[(ts > 0.05) & (ts < 0.15)] *= 9e307  # no construction sample lies here
+        return Ms
+
+    ts = 0.5 + 0.5 * np.array([-0.8648644233597691, -0.7415311855993945])  # the window's nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ms = eval_batch(ts)
+        assert np.isfinite(Ms).all() and not np.isfinite(Ms.sum())
+        with pytest.raises(ValueError, match="fails the symplectic condition") as info:
+            integrate_phase(_circle_with(eval_batch=eval_batch), UNIT_PARAMS)
+    assert type(info.value) is ValueError
+
+
+def test_stack_of_opposite_infinities_is_nonfinite_without_warning():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    first = 0.5 - 0.5 * 0.8648644233597691  # first panel node in (0.05, 0.15)
+
+    def eval_batch(ts):
+        Ms = base.eval_batch(ts).copy()
+        Ms[(ts > 0.05) & (ts < 0.15), 0, 1] = -np.inf
+        Ms[(ts > 0.6) & (ts < 0.7), 1, 0] = np.inf
+        return Ms
+
+    path = _circle_with(eval_batch=eval_batch)
+    message = f"^{re.escape(f'path sample is non-finite at t={first}')}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIntegrand, match=message):
+            integrate_phase(path, UNIT_PARAMS)
+
+
+def test_nan_residual_at_one_node_fails_the_stack(monkeypatch):
+    path = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    residual = geometric_phase._residual
+
+    def nan_at_node_3(Ms, form):
+        resid = residual(Ms, form)
+        assert resid.max() <= 1e-14  # every real residual passes
+        resid[3] = np.nan
+        return resid
+
+    monkeypatch.setattr(geometric_phase, "_residual", nan_at_node_3)
+    t3 = 0.5 - 0.5 * 0.7415311855993945  # the fourth of the 15 panel nodes
+    message = f"sample at t={t3} fails the symplectic condition: residual nan, "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        integrate_phase(path, UNIT_PARAMS)
+
+
+def test_complex_stacks_are_rejected():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    eval_complex = "^eval_batch must be real-valued, got dtype complex128$"
+    tangent_complex = "^tangent_batch must be real-valued, got dtype complex128$"
+    for imag in (1e-3j, 0j):  # zero imaginary parts are still a complex stack
+        with pytest.raises(ValueError, match=eval_complex):
+            _circle_with(eval_batch=lambda ts, z=imag: base.eval_batch(ts) + z)
+        path = _circle_with(tangent_batch=lambda ts, z=imag: base.tangent_batch(ts) + z)
+        with pytest.raises(ValueError, match=tangent_complex):
+            integrate_phase(path, UNIT_PARAMS)
+        with pytest.raises(ValueError, match=tangent_complex):
+            path.derivative(0.3)
+    as_objects = lambda ts: np.array(base.eval_batch(ts) + 0j, dtype=object)
+    with pytest.raises(ValueError, match="^eval_batch must be real-valued, got dtype object$"):
+        _circle_with(eval_batch=as_objects)
+    tangent = lambda t: base.derivative(t) + 0j
+    per_point = SympPath(n=1, eval=base.eval, tangent=tangent, closed=True)
+    with pytest.raises(ValueError, match=tangent_complex):
+        integrate_phase(per_point, UNIT_PARAMS)

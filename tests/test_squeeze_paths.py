@@ -175,3 +175,47 @@ def test_reference_phase_validation():
         reference_phase(1, -1.0)
     with pytest.raises(ValueError):
         reference_phase(1, np.nan)
+
+
+def _direction(modes, params, c, s):
+    """The NOTES.md direction matrix K, with c, s standing for cos, sin of the angle."""
+    if modes == 1:
+        k = params.lengths[0] ** 2 / params.hbar
+        return np.array([[-c, -k * s], [-s / k, c]])
+    l1, l2 = params.lengths
+    k1, k2, k3 = l1 / l2, l1 * l2 / params.hbar, params.hbar / (l1 * l2)
+    return np.array(
+        [
+            [0.0, -k1 * c, 0.0, -k2 * s],
+            [-c / k1, 0.0, -k2 * s, 0.0],
+            [0.0, -k3 * s, 0.0, c / k1],
+            [-k3 * s, 0.0, k1 * c, 0.0],
+        ]
+    )
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_spec_matrix_is_a_row_of_the_circle_stack(modes, rng):
+    # one closed form per family: the spec matrix and the circle agree bit for bit
+    matrix = squeeze_matrix_n1 if modes == 1 else squeeze_matrix_n2
+    for R in (0.0, 0.4, 1.3, 2.9):
+        params = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, modes)))
+        ts = np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0.0, 1.0, 64)])
+        Ms = squeeze_circle_path(modes, R, params).eval_batch(ts)
+        for angle, M in zip((2.0 * np.pi * ts) % (2.0 * np.pi), Ms):
+            spec = SqueezeSpec(modes=modes, R=R, angle=float(angle), params=params)
+            assert matrix(spec).data.tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_circle_tangent_is_the_quarter_turned_direction(modes, rng):
+    # dM/dt = 2 pi sinh(R) K(phi + pi/2); cos(phi + pi/2) = -sin(phi), sin(phi + pi/2) = cos(phi)
+    for _ in range(20):
+        R = rng.uniform(0.0, 3.0)
+        params = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, modes)))
+        ts = rng.uniform(0.0, 1.0, 15)
+        dMs = squeeze_circle_path(modes, R, params).tangent_batch(ts)
+        for phi, dM in zip((2.0 * np.pi * ts) % (2.0 * np.pi), dMs):
+            K = _direction(modes, params, -np.sin(phi), np.cos(phi))
+            expected = 2.0 * np.pi * np.sinh(R) * K
+            np.testing.assert_allclose(dM, expected, rtol=1e-15, atol=0.0)
