@@ -499,13 +499,12 @@ def run_sweep(cfg: RunConfig) -> int:
                     "seed": cfg.seed,
                 }
                 try:
-                    if R < 0:
-                        raise ConfigError(f"R must be >= 0, got {R}")
-                    path = squeeze_circle_path(cfg.modes, R, OscParams(hbar, lengths))
-                    result = integrate_phase(path, OscParams(hbar, lengths), cfg.quad())
+                    params = OscParams(hbar, lengths)
+                    path = squeeze_circle_path(cfg.modes, R, params)
+                    result = integrate_phase(path, params, cfg.quad())
                     record["gamma_quadrature"] = result.value
                     record["deviation"] = abs(result.value - ref)
-                except (QuadratureBudgetExceeded, ConfigError, ValueError) as exc:
+                except (QuadratureBudgetExceeded, ValueError) as exc:
                     record["status"] = f"error:{type(exc).__name__}"
                     any_failed = True
                 records.append(record)

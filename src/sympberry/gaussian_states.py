@@ -103,6 +103,11 @@ class OscParams:
         return np.asarray(self.lengths, dtype=float)
 
 
+def _check_modes(n: int, p: OscParams) -> None:
+    if p.n != n:
+        raise ValueError(f"parameter modes {p.n} do not match matrix modes {n}")
+
+
 def _weight_diag(p: OscParams) -> np.ndarray:
     """E = diag(l^2 / hbar^2, 1 / l^2), the vacuum quadratic-form weights."""
     l = p.length_array()
@@ -161,8 +166,7 @@ def _symmetrized(X: np.ndarray) -> np.ndarray:
 def lambda_matrix(M: SympMatrix, p: OscParams) -> np.ndarray:
     """Quadratic-form matrix of the displacement amplitude: M E M^T."""
     _require_grouped(M)
-    if p.n != M.n:
-        raise ValueError(f"parameter modes {p.n} do not match matrix modes {M.n}")
+    _check_modes(M.n, p)
     return _symmetrized(M.data @ np.diag(_weight_diag(p)) @ M.data.T)
 
 

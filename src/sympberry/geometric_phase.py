@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
-from .gaussian_states import OscParams, covariance
+from .gaussian_states import OscParams, _check_modes, covariance
 from .symplectic_core import (
     _DET_TOL,
     DEFAULT_TOL_SYMP,
@@ -178,8 +178,9 @@ class SympPath:
         if not np.isfinite(Ms).all():
             bad = ~np.isfinite(Ms).all(axis=(1, 2))
             raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
-        resid = _residual(Ms, omega(self.n))
-        det = np.linalg.det(Ms)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow to inf
+            resid = _residual(Ms, omega(self.n))
+            det = np.linalg.det(Ms)
         if not (resid.max() <= DEFAULT_TOL_SYMP and abs(det - 1.0).max() <= _DET_TOL):
             i = int(np.argmax(~((resid <= DEFAULT_TOL_SYMP) & (abs(det - 1.0) <= _DET_TOL))))
             raise ValueError(
@@ -241,11 +242,6 @@ def _metric_diag(p: OscParams) -> np.ndarray:
     return np.array(l2 + [p.hbar**2 / x for x in l2])
 
 
-def _check_modes(n: int, p: OscParams) -> None:
-    if p.n != n:
-        raise ValueError(f"parameter modes {p.n} do not match matrix modes {n}")
-
-
 def _connection_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
     """-(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM] for each stacked pair."""
     # diagonal of M^T (Omega dM): sum over j of M_ji (Omega dM)_ji
@@ -295,33 +291,36 @@ def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
     return PhaseResult(value=float(np.sum(terms)), error_estimate=error, evaluations=len(terms))
 
 
-def _run_quadrature(
-    f: Callable[[np.ndarray], np.ndarray], quad: QuadSpec
-) -> tuple[float, float, int]:
+def _integrate(
+    path: SympPath, p: OscParams, quad: QuadSpec | None, kernel: Callable
+) -> PhaseResult:
+    """Every phase integral runs here: kernel(Ms, dMs, ts) integrated over [0, 1].
+
+    The engines are looked up in this module's namespace at each call, so a
+    wrapper installed there sees every engine call and its integrand nodes.
+    """
+    quad = _DEFAULT_QUAD if quad is None else quad
+    _check_modes(path.n, p)
+
+    def f(ts: np.ndarray) -> np.ndarray:
+        values = kernel(*path.sample(ts), ts)
+        if not np.isfinite(values).all():
+            bad = ts[np.argmax(~np.isfinite(values))]
+            raise NonFiniteIntegrand(f"integrand is non-finite at t={bad}")
+        return values
+
     if quad.kind == ADAPTIVE:
-        return adaptive_gauss_kronrod(f, 0.0, 1.0, tol=quad.tol, max_evals=quad.max_evals)
-    return fixed_gauss_kronrod(f, 0.0, 1.0, panels=quad.panels)
-
-
-def _finite_or_raise(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        bad = ~np.isfinite(values)
-        raise NonFiniteIntegrand(f"integrand is non-finite at t={ts[np.argmax(bad)]}")
-    return values
+        value, error, evals = adaptive_gauss_kronrod(f, 0.0, 1.0, tol=quad.tol, max_evals=quad.max_evals)
+    else:
+        value, error, evals = fixed_gauss_kronrod(f, 0.0, 1.0, panels=quad.panels)
+    return PhaseResult(value=value, error_estimate=error, evaluations=evals)
 
 
 def integrate_phase(
     path: SympPath, p: OscParams, quad: QuadSpec | None = None
 ) -> PhaseResult:
     """Geometric phase of the path: the connection integrated over [0, 1]."""
-    quad = _DEFAULT_QUAD if quad is None else quad
-    _check_modes(path.n, p)
-
-    def f(ts: np.ndarray) -> np.ndarray:
-        return _finite_or_raise(_connection_values(*path.sample(ts), p), ts)
-
-    value, error, evals = _run_quadrature(f, quad)
-    return PhaseResult(value=value, error_estimate=error, evaluations=evals)
+    return _integrate(path, p, quad, lambda Ms, dMs, ts: _connection_values(Ms, dMs, p))
 
 
 def _omega_v_trace(M: SympMatrix, p: OscParams) -> float:
@@ -343,11 +342,10 @@ def integrate_phase_boundary_form(
     Tr[Omega M diag(l^2, hbar^2 / l^2) dM^T] minus the covariance boundary
     term (1 / 2 hbar) [Tr(Omega V)] at the endpoints.
 
-    Equals integrate_phase on closed paths. On open paths the vanishing
-    boundary argument does not apply; the value is still computed but a
-    warning flags it.
+    Tr(Omega V) vanishes for every symmetric V, so the boundary term is zero
+    and the form equals integrate_phase on any path, open ones included. An
+    open path still draws a warning until the open-path result is written.
     """
-    quad = _DEFAULT_QUAD if quad is None else quad
     if not path.closed:
         warnings.warn(
             "boundary-form phase evaluated on an open path; the endpoint "
@@ -355,21 +353,18 @@ def integrate_phase_boundary_form(
             UserWarning,
             stacklevel=2,
         )
-    _check_modes(path.n, p)
     weights = _metric_diag(p)
     om = omega(path.n)
 
-    def f(ts: np.ndarray) -> np.ndarray:
-        Ms, dMs = path.sample(ts)
+    def kernel(Ms: np.ndarray, dMs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         # Tr[(Omega M) W dM^T] = sum over a, b of (Omega M)_ab w_b dM_ab
-        core = np.einsum("kab,b,kab->k", om @ Ms, weights, dMs)
-        return _finite_or_raise((0.25 / p.hbar) * core, ts)
+        return (0.25 / p.hbar) * np.einsum("kab,b,kab->k", om @ Ms, weights, dMs)
 
-    value, error, evals = _run_quadrature(f, quad)
+    result = _integrate(path, p, quad, kernel)
     boundary = (0.5 / p.hbar) * (
         _omega_v_trace(path.eval(1.0), p) - _omega_v_trace(path.eval(0.0), p)
     )
-    return PhaseResult(value=value - boundary, error_estimate=error, evaluations=evals)
+    return dataclasses.replace(result, value=result.value - boundary)
 
 
 def phase_b_zero(
@@ -381,13 +376,10 @@ def phase_b_zero(
     -(1 / 4 hbar) Tr[diag(l^2) (A^T dC - C^T dA)]. Every evaluated sample is
     checked against the block form; NotBZeroForm reports a violation.
     """
-    quad = _DEFAULT_QUAD if quad is None else quad
     n = path.n
-    _check_modes(n, p)
-    l2 = np.asarray(p.lengths, dtype=float) ** 2
+    l2 = _metric_diag(p)[:n]
 
-    def f(ts: np.ndarray) -> np.ndarray:
-        Ms, dMs = path.sample(ts)
+    def kernel(Ms: np.ndarray, dMs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         A, B, C, D = Ms[:, :n, :n], Ms[:, :n, n:], Ms[:, n:, :n], Ms[:, n:, n:]
         b_max = np.max(np.abs(B), axis=(1, 2))
         if np.any(b_max > _B_ZERO_TOL):
@@ -403,10 +395,9 @@ def phase_b_zero(
         dA, dC = dMs[:, :n, :n], dMs[:, n:, :n]
         # diagonal of A^T dC - C^T dA
         core = np.einsum("kji,kji->ki", A, dC) - np.einsum("kji,kji->ki", C, dA)
-        return _finite_or_raise(-(0.25 / p.hbar) * (core @ l2), ts)
+        return -(0.25 / p.hbar) * (core @ l2)
 
-    value, error, evals = _run_quadrature(f, quad)
-    return PhaseResult(value=value, error_estimate=error, evaluations=evals)
+    return _integrate(path, p, quad, kernel)
 
 
 def check_canonical_invariance(

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "GROUPED",
     "INTERLEAVED",
-    "DEFAULT_TOL_SYMP",
     "SympMatrix",
     "LieAlgElement",
     "BlockDecomposition",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sympberry import (
+    ADAPTIVE,
     FIXED,
     GROUPED,
     NonFiniteIntegrand,
@@ -13,6 +14,7 @@ from sympberry import (
     OscParams,
     PhaseResult,
     QuadSpec,
+    QuadratureBudgetExceeded,
     SympMatrix,
     SympPath,
     check_canonical_invariance,
@@ -520,6 +522,69 @@ def test_integrate_phase_mode_mismatch():
             integral(path, two)
 
 
+INTEGRALS = (integrate_phase, integrate_phase_boundary_form, phase_b_zero)
+RULES = {ADAPTIVE: QuadSpec(), FIXED: QuadSpec(kind=FIXED, panels=3)}
+ENGINES = ("adaptive_gauss_kronrod", "fixed_gauss_kronrod")
+B_ZERO_PARAMS = OscParams(0.9, (1.1, 0.8))
+
+
+def _shear_loop():
+    # closed two-mode loop with zero upper-right block, so all three integrals apply,
+    # and a varying integrand, so the adaptive rule refines
+    K0 = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    G0, G1 = np.array([[0.4, -0.1], [-0.1, 0.3]]), np.array([[-0.2, 0.3], [0.3, 0.5]])
+    return b_zero_loop(K0, G0, G1)
+
+
+@pytest.mark.parametrize("kind", RULES)
+@pytest.mark.parametrize("integral", INTEGRALS)
+def test_integrals_share_budget_finiteness_and_counts(integral, kind):
+    loop = _shear_loop()
+    if kind == ADAPTIVE:
+        with pytest.raises(QuadratureBudgetExceeded):
+            integral(loop, B_ZERO_PARAMS, QuadSpec(max_evals=15))
+    else:
+        for panels in (1, 2, 7):
+            quad = QuadSpec(kind=FIXED, panels=panels)
+            assert integral(loop, B_ZERO_PARAMS, quad).evaluations == 15 * panels
+    nan_tangents = SympPath(
+        n=2,
+        closed=True,
+        eval_batch=loop.eval_batch,
+        tangent_batch=lambda ts: np.full((ts.size, 4, 4), np.nan),
+    )
+    with pytest.raises(NonFiniteIntegrand, match=r"^integrand is non-finite at t=0\.\d+$"):
+        integral(nan_tangents, B_ZERO_PARAMS, RULES[kind])
+
+
+@pytest.mark.parametrize("kind", RULES)
+@pytest.mark.parametrize("integral", INTEGRALS)
+def test_integrals_call_one_engine_through_the_module_namespace(monkeypatch, integral, kind):
+    # bench/tracing.py counts engine calls and integrand nodes by rebinding these
+    # names in geometric_phase; an integral holding its own reference would hide both
+    calls = dict.fromkeys(ENGINES, 0)
+    nodes = []
+    for name in ENGINES:
+        engine = getattr(geometric_phase, name)
+
+        def counting(f, *args, _name=name, _engine=engine, **kwargs):
+            calls[_name] += 1
+
+            def seen(ts):
+                nodes.extend(ts)
+                return f(ts)
+
+            return _engine(seen, *args, **kwargs)
+
+        monkeypatch.setattr(geometric_phase, name, counting)
+    result = integral(_shear_loop(), B_ZERO_PARAMS, RULES[kind])
+    selected = ENGINES[0] if kind == ADAPTIVE else ENGINES[1]
+    assert calls == {name: int(name == selected) for name in ENGINES}
+    assert len(nodes) == result.evaluations
+    if kind == ADAPTIVE:
+        assert result.evaluations > 15  # refined, so more than one integrand call was seen
+
+
 def _circle_knots(modes, R, p, knots):
     Ms = squeeze_circle_path(modes, R, p).eval_batch(np.linspace(0.0, 1.0, knots))
     return [SympMatrix(modes, M, GROUPED) for M in Ms]
@@ -619,11 +684,12 @@ def test_stack_whose_sum_overflows_fails_the_symplectic_check():
         return Ms
 
     ts = 0.5 + 0.5 * np.array([-0.8648644233597691, -0.7415311855993945])  # the window's nodes
-    with np.errstate(over="ignore", invalid="ignore"):
-        Ms = eval_batch(ts)
+    Ms = eval_batch(ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # the probe's own sum overflows
         assert np.isfinite(Ms).all() and not np.isfinite(Ms.sum())
-        with pytest.raises(ValueError, match="fails the symplectic condition") as info:
-            integrate_phase(_circle_with(eval_batch=eval_batch), UNIT_PARAMS)
+    # no errstate here: the check itself must not warn on the way to its error
+    with pytest.raises(ValueError, match="fails the symplectic condition") as info:
+        integrate_phase(_circle_with(eval_batch=eval_batch), UNIT_PARAMS)
     assert type(info.value) is ValueError
 
 

@@ -80,3 +80,27 @@ def test_first_exp_map_loads_scipy_linalg(child_env):
         child_env,
     )
     assert out == {"before": False, "after": True, "exact": True}
+
+
+_LIBRARY_MODULES = (
+    "symplectic_core",
+    "sp4_closed_form",
+    "gaussian_states",
+    "geometric_phase",
+    "squeeze_paths",
+    "_quadrature",
+)
+
+
+def test_each_public_name_is_declared_once_and_bound_to_its_module():
+    # the package star-imports these modules, so a name in two of them would
+    # let the later import shadow the earlier one without a word
+    modules = [getattr(sympberry, name) for name in _LIBRARY_MODULES]
+    owners = {}
+    for module in modules:
+        for name in module.__all__:
+            assert name not in owners, f"{name} is in {owners[name]} and {module.__name__}"
+            owners[name] = module.__name__
+            assert getattr(sympberry, name) is getattr(module, name), name
+    assert len(sympberry.__all__) == len(set(sympberry.__all__))
+    assert set(sympberry.__all__) == {"__version__", *owners}
