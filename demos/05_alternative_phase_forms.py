@@ -1,9 +1,10 @@
 """Three routes to the same phase, plus the invariance that makes it geometric.
 
-The direct connection integral, an integration-by-parts form with an
-explicit covariance boundary term, and a reduced form for paths whose
-upper-right block vanishes must all agree. Left-translating the whole path
-by a fixed group element must change nothing.
+The direct connection integral, the same phase split into the covariance
+connection plus the winding of the metaplectic factor det(A + B Z0)^(-1/2),
+and a reduced form for paths whose upper-right block vanishes must all
+agree. Left-translating the whole path by a fixed group element must
+change nothing.
 """
 import numpy as np
 

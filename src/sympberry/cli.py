@@ -447,14 +447,14 @@ def run_phase(cfg: RunConfig) -> int:
         if cfg.modes not in (None, n):
             raise ConfigError(f"samples declare n={n}, config modes={cfg.modes}")
         _fit_lengths(cfg, n)
-        p = OscParams(cfg.hbar, cfg.lengths)
-        try:
+    p = OscParams(cfg.hbar, cfg.lengths)
+    try:
+        if cfg.kind == KIND_CUSTOM:
             result = polygon_phase(knots, p)
-        except ValueError as exc:  # a segment's logarithm is not real
-            raise ConfigError(str(exc)) from exc
-    else:
-        p = OscParams(cfg.hbar, cfg.lengths)
-        result = integrate_phase(squeeze_circle_path(cfg.modes, cfg.R, p), p, cfg.quad())
+        else:
+            result = integrate_phase(squeeze_circle_path(cfg.modes, cfg.R, p), p, cfg.quad())
+    except ValueError as exc:  # a segment's logarithm is not real, or a sample fails its check
+        raise ConfigError(str(exc)) from exc
     record = _phase_record(cfg, result)
     if cfg.format == "json":
         _emit(_json_text(record), cfg.out)
@@ -487,18 +487,18 @@ def run_sweep(cfg: RunConfig) -> int:
         for hbar in hbar_grid:
             for length in length_grid:
                 lengths = (length,) * cfg.modes
-                ref = reference_phase(cfg.modes, R)
                 record = {
                     "R": R,
                     "hbar": hbar,
                     **{f"l{j + 1}": lengths[j] for j in range(cfg.modes)},
                     "gamma_quadrature": None,
-                    "gamma_reference": ref,
+                    "gamma_reference": None,
                     "deviation": None,
                     "status": "ok",
                     "seed": cfg.seed,
                 }
                 try:
+                    ref = record["gamma_reference"] = reference_phase(cfg.modes, R)
                     params = OscParams(hbar, lengths)
                     path = squeeze_circle_path(cfg.modes, R, params)
                     result = integrate_phase(path, params, cfg.quad())

@@ -215,8 +215,8 @@ class OverlapGrid:
     halfwidth_sigmas: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.points < 200:
-            raise ValueError("need at least 200 quadrature points")
+        if not isinstance(self.points, (int, np.integer)) or self.points < 200:
+            raise ValueError(f"need an integer of at least 200 quadrature points, got {self.points!r}")
         if self.halfwidth_sigmas < 8.0:
             raise ValueError("window must cover at least 8 standard deviations")
 

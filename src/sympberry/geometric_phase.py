@@ -6,11 +6,11 @@ the accumulated geometric phase is the line integral of the connection
     -(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM/dt]
 
 over t in [0, 1]. This module provides the path container, sampled in
-stacks with analytic or finite-difference tangents, the integral in its
-direct and boundary-term forms, a reduced form for paths whose upper-right
-block vanishes, the exact sum over a geodesic polygon through given knots,
-and an invariance check under constant left translations (classical
-canonical transformations leave the phase alone).
+stacks with analytic or finite-difference tangents, the integral directly
+and split into covariance and metaplectic-winding parts, a reduced form
+for paths whose upper-right block vanishes, the exact sum over a geodesic
+polygon through given knots, and an invariance check under constant left
+translations (classical canonical transformations leave the phase alone).
 
 The integrands are evaluated over stacks of path samples, one quadrature
 call (a G7K15 panel or a split into two panels) at a time.
@@ -20,13 +20,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
-from .gaussian_states import OscParams, _check_modes, covariance
+from .gaussian_states import OscParams, _check_modes
 from .symplectic_core import (
     _DET_TOL,
     DEFAULT_TOL_SYMP,
@@ -87,10 +86,10 @@ class QuadSpec:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_evals < 15:
-            raise ValueError("budget must allow at least one panel")
-        if self.panels < 1:
-            raise ValueError("panel count must be >= 1")
+        if not isinstance(self.max_evals, (int, np.integer)) or self.max_evals < 15:
+            raise ValueError(f"budget must be an integer >= 15 (one panel), got {self.max_evals!r}")
+        if not isinstance(self.panels, (int, np.integer)) or self.panels < 1:
+            raise ValueError(f"panel count must be an integer >= 1, got {self.panels!r}")
 
 
 _DEFAULT_QUAD = QuadSpec()  # frozen, so every caller can share it
@@ -132,8 +131,8 @@ class SympPath:
     that pair at construction; without a tangent, dM/dt is a second-order
     finite difference with step 1e-6 * max(1, |M(0)|_max), one-sided within a
     step of either end. sample() checks every stacked matrix as SympMatrix
-    does. Construction checks five samples, and closure when closed. eval(t)
-    and derivative(t) are one-point views.
+    does. Construction checks five samples, and closure when closed, the
+    flag's only effect. eval(t) and derivative(t) are one-point views.
     """
 
     n: int
@@ -323,48 +322,42 @@ def integrate_phase(
     return _integrate(path, p, quad, lambda Ms, dMs, ts: _connection_values(Ms, dMs, p))
 
 
-def _omega_v_trace(M: SympMatrix, p: OscParams) -> float:
-    """Tr[Omega V] for the dimension-full covariance V of the state at M.
+def _covariance_stack(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> tuple[np.ndarray, ...]:
+    """V = M W M^T / 2, the covariance at each stacked M, and its derivative dV along dM."""
+    MW = Ms * _metric_diag(p)
+    half = 0.5 * dMs @ MW.transpose(0, 2, 1)
+    return 0.5 * MW @ Ms.transpose(0, 2, 1), half + half.transpose(0, 2, 1)
 
-    Written out as the antisymmetric pairing sum(V[n+i, i] - V[i, n+i]); V is
-    symmetric, so this vanishes identically. Kept as an honest evaluation so
-    the boundary-term form stays a literal transcription.
-    """
-    V = covariance(M, p).data
-    n = M.n
-    return float(sum(V[n + i, i] - V[i, n + i] for i in range(n)))
+
+def _covariance_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
+    """-(1 / 2 hbar) Tr[V_xx d(V_px V_xx^-1)], as (Tr[V_xx^-1 dV_xx V_px] - Tr dV_px) / 2 hbar."""
+    n = p.n
+    V, dV = _covariance_stack(Ms, dMs, p)
+    moved = np.linalg.solve(V[:, :n, :n], dV[:, :n, :n] @ V[:, n:, :n])  # V_xx > 0
+    return (0.5 / p.hbar) * np.trace(moved - dV[:, n:, :n], axis1=1, axis2=2)
+
+
+def _winding_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
+    """(1/2) Im Tr[(A + B Z0)^-1 (dA + dB Z0)], Z0 = i hbar diag(1 / l^2): the rate of
+    (1/2) arg det(A + B Z0), whose matrix is invertible for every symplectic M."""
+    n = p.n
+    Z0 = 1j * p.hbar / _metric_diag(p)[:n]  # diagonal, so B Z0 scales B's columns
+    F, dF = (X[:, :n, :n] + X[:, :n, n:] * Z0 for X in (Ms, dMs))
+    return 0.5 * np.trace(np.linalg.solve(F, dF), axis1=1, axis2=2).imag
 
 
 def integrate_phase_boundary_form(
     path: SympPath, p: OscParams, quad: QuadSpec | None = None
 ) -> PhaseResult:
-    """Phase via integration by parts: +(1 / 4 hbar) integral of
-    Tr[Omega M diag(l^2, hbar^2 / l^2) dM^T] minus the covariance boundary
-    term (1 / 2 hbar) [Tr(Omega V)] at the endpoints.
+    """Phase as the covariance connection plus the metaplectic winding (NOTES.md).
 
-    Tr(Omega V) vanishes for every symmetric V, so the boundary term is zero
-    and the form equals integrate_phase on any path, open ones included. An
-    open path still draws a warning until the open-path result is written.
+    The first term sees only the covariance; the second, from the factor
+    det(A + B Z0)^(-1/2), is (1/2) d arg det(A + B Z0), integrated so its branch
+    is followed. With no arithmetic shared, the sum equals integrate_phase on
+    every path; on an open one both return the integral, with no closing term.
     """
-    if not path.closed:
-        warnings.warn(
-            "boundary-form phase evaluated on an open path; the endpoint "
-            "term only cancels for closed paths",
-            UserWarning,
-            stacklevel=2,
-        )
-    weights = _metric_diag(p)
-    om = omega(path.n)
-
-    def kernel(Ms: np.ndarray, dMs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        # Tr[(Omega M) W dM^T] = sum over a, b of (Omega M)_ab w_b dM_ab
-        return (0.25 / p.hbar) * np.einsum("kab,b,kab->k", om @ Ms, weights, dMs)
-
-    result = _integrate(path, p, quad, kernel)
-    boundary = (0.5 / p.hbar) * (
-        _omega_v_trace(path.eval(1.0), p) - _omega_v_trace(path.eval(0.0), p)
-    )
-    return dataclasses.replace(result, value=result.value - boundary)
+    kernel = lambda Ms, dMs, ts: _covariance_values(Ms, dMs, p) + _winding_values(Ms, dMs, p)
+    return _integrate(path, p, quad, kernel)
 
 
 def phase_b_zero(

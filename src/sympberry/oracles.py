@@ -121,16 +121,23 @@ _P1 = OscParams(0.7, (1.4,))
 _P2 = OscParams(2.0, (0.5, 1.5))
 
 
+def _arc(path: SympPath, end: float) -> SympPath:
+    """The open part t in [0, end] of path, rescaled to [0, 1]."""
+    tangents = lambda ts: end * path.tangent_batch(end * ts)
+    return SympPath(path.n, eval_batch=lambda ts: path.eval_batch(end * ts), tangent_batch=tangents)
+
+
 def _check_two_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
+    """The connection against its covariance-plus-winding split on circles and their arcs t in
+    [0, 0.3]: only an arc exposes a wrong Z0 or winding sign. The fault moves the split's R."""
     del rng, count  # deterministic check
     worst = 0.0
     for p in (_P1, _P2):
         R = 1.0 + (_FAULT_SIZE if fault else 0.0)
-        direct = geometric_phase.integrate_phase(squeeze_paths.squeeze_circle_path(p.n, 1.0, p), p)
-        boundary = geometric_phase.integrate_phase_boundary_form(
-            squeeze_paths.squeeze_circle_path(p.n, R, p), p
-        )
-        worst = max(worst, abs(direct.value - boundary.value))
+        circles = [squeeze_paths.squeeze_circle_path(p.n, r, p) for r in (1.0, R)]
+        for direct, split in (circles, [_arc(c, 0.3) for c in circles]):
+            a = geometric_phase.integrate_phase(direct, p).value
+            worst = max(worst, abs(a - geometric_phase.integrate_phase_boundary_form(split, p).value))
     return worst, 1e-9
 
 

@@ -188,4 +188,8 @@ def reference_phase(modes: int, R: float) -> float:
     R = float(R)
     if not (math.isfinite(R) and R >= 0):
         raise ValueError(f"magnitude must be finite and >= 0, got {R!r}")
-    return -modes * np.pi * np.sinh(R) ** 2
+    with np.errstate(over="ignore"):
+        gamma = -modes * np.pi * np.sinh(R) ** 2
+    if not math.isfinite(gamma):
+        raise ValueError(f"reference phase overflows at R={R!r}: sinh(R)^2 exceeds the float range")
+    return gamma

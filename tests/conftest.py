@@ -29,8 +29,9 @@ def random_generator():
 
 @pytest.fixture
 def child_env():
-    """Environment for a child interpreter that imports this sympberry package."""
+    """Environment for a child interpreter that imports this sympberry package,
+    with every warning raised as an error, as in this suite."""
     src = os.path.dirname(os.path.dirname(sympberry.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env

@@ -184,6 +184,28 @@ def test_sweep_row_error_marks_status(tmp_path):
     assert "error:QuadratureBudgetExceeded" in lines[1]
 
 
+@pytest.mark.parametrize("kind", ["squeeze1", "squeeze2"])
+def test_phase_circle_failing_its_check_is_config_error(capsys, kind):
+    # from about R = 7 the circle's samples fail the symplectic check in floating point
+    code = main(["phase", "--kind", kind, "--R", "8"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("config error: sample at t=")
+    assert "fails the symplectic condition" in captured.err
+
+
+def test_sweep_reference_overflow_row_is_valid_json(tmp_path):
+    out = tmp_path / "sweep.json"
+    code = main(["sweep", "--kind", "squeeze1", "--R", "400", "--format", "json", "--out", str(out)])
+    assert code == 1
+    text = out.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    (row,) = json.loads(text)["rows"]
+    assert row["status"] == "error:ValueError"
+    assert row["gamma_reference"] is None and row["gamma_quadrature"] is None
+
+
 def test_sweep_R_flag_overrides_config_grid(tmp_path):
     cfg = tmp_path / "sweep.ini"
     cfg.write_text("[path]\nkind = squeeze1\n[sweep]\nR = 0.5, 1.0\n")

@@ -204,6 +204,13 @@ def test_weyl_amplitude_vector_length_check():
         weyl_amplitude(_identity(2), OscParams(1.0, (1.0, 1.0)), [0.1], [0.2, 0.3])
 
 
+@pytest.mark.parametrize("points", [300.5, 400.0, "400"])
+def test_overlap_grid_rejects_non_integer_points(points):
+    with pytest.raises(ValueError, match="integer"):
+        OverlapGrid(points=points)
+    assert OverlapGrid(points=np.int64(300)).points == 300
+
+
 def test_overlap_grid_validation():
     grid = OverlapGrid()
     assert grid.points == 400 and grid.halfwidth_sigmas == 10.0

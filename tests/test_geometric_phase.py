@@ -19,9 +19,11 @@ from sympberry import (
     SympPath,
     check_canonical_invariance,
     connection_integrand,
+    covariance,
     exp_map,
     integrate_phase,
     integrate_phase_boundary_form,
+    omega,
     phase_b_zero,
     polygon_phase,
     reference_phase,
@@ -61,6 +63,15 @@ def test_connection_integrand_shape_checks(rng, random_symplectic):
         connection_integrand(M, np.zeros((4, 4)), UNIT_PARAMS)
     with pytest.raises(ValueError):
         connection_integrand(M, np.zeros((2, 2)), OscParams(1.0, (1.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "field,value", [("panels", 2.5), ("panels", 64.0), ("max_evals", 1e6), ("max_evals", "45")]
+)
+def test_quad_spec_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match="integer"):
+        QuadSpec(kind=FIXED, **{field: value})
+    assert QuadSpec(kind=FIXED, **{field: np.int64(64)}).kind == FIXED
 
 
 def test_quad_spec_validation():
@@ -213,19 +224,90 @@ def test_boundary_form_constant_path():
     assert result.value == 0.0
 
 
-def test_boundary_form_warns_on_open_path():
+def test_boundary_form_open_path_matches_direct_without_warning():
     base = squeeze_circle_path(1, 0.6, UNIT_PARAMS)
     half = SympPath(
         n=1,
         eval=lambda t: base.eval(0.5 * t),
         tangent=lambda t: 0.5 * base.derivative(0.5 * t),
     )
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         open_result = integrate_phase_boundary_form(half, UNIT_PARAMS)
-    # the endpoint trace vanishes identically, so even here the two
-    # formulations coincide; only the closure argument is lost
+    # both forms integrate the same connection; neither adds a closing term
     direct = integrate_phase(half, UNIT_PARAMS)
-    assert abs(open_result.value - direct.value) <= 1e-8
+    assert abs(open_result.value - direct.value) <= 1e-13 * abs(direct.value)
+    assert open_result.evaluations == direct.evaluations
+
+
+def _rotation_loop():
+    """M(t) = R(2 pi t), the phase-space rotation: a loop that winds once."""
+    def rotation(a):
+        return np.stack([np.cos(a), np.sin(a), -np.sin(a), np.cos(a)], -1).reshape(-1, 2, 2)
+
+    return SympPath(
+        n=1,
+        closed=True,
+        eval_batch=lambda ts: rotation(2.0 * np.pi * ts),
+        tangent_batch=lambda ts: 2.0 * np.pi * rotation(2.0 * np.pi * ts + 0.5 * np.pi),
+    )
+
+
+def test_rotation_loop_phase_is_all_winding():
+    # the rotation keeps the vacuum's covariance fixed, so pi = 0 + pi
+    loop, p = _rotation_loop(), UNIT_PARAMS
+
+    def part(kernel):
+        return geometric_phase._integrate(loop, p, None, lambda Ms, dMs, ts: kernel(Ms, dMs, p)).value
+
+    assert abs(part(geometric_phase._covariance_values)) <= 1e-14
+    assert abs(part(geometric_phase._winding_values) - np.pi) <= 1e-14
+    for integral in (integrate_phase, integrate_phase_boundary_form):
+        assert abs(integral(loop, p).value - np.pi) <= 1e-14
+
+
+def _random_path_stack(rng, random_symplectic, n, ts):
+    """Nodes and central-difference tangents of S0 expm(t X0 + sin(3 t) X1), X0 and X1
+    random Hamiltonian matrices Omega H (H symmetric) drawn from rng."""
+    import scipy.linalg
+
+    S0 = random_symplectic(rng, n).data
+    X0, X1 = (0.4 * omega(n) @ (H + H.T) for H in rng.normal(size=(2, 2 * n, 2 * n)))
+    path = lambda t: S0 @ scipy.linalg.expm(t * X0 + np.sin(3 * t) * X1)
+    h = 1e-5
+    Ms = np.array([path(t) for t in ts])
+    return Ms, np.array([(path(t + h) - path(t - h)) / (2.0 * h) for t in ts])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_kernels_sum_to_the_connection(rng, random_symplectic, n):
+    ts = np.linspace(0.0, 1.0, 9)
+    for _ in range(5):
+        p = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, n)))
+        Ms, dMs = _random_path_stack(rng, random_symplectic, n, ts)
+        direct = geometric_phase._connection_values(Ms, dMs, p)
+        cov = geometric_phase._covariance_values(Ms, dMs, p)
+        split = cov + geometric_phase._winding_values(Ms, dMs, p)
+        scale = max(1.0, float(np.max(np.abs(direct))))
+        assert np.max(np.abs(split - direct)) <= 1e-12 * scale
+
+
+def test_covariance_kernel_sees_the_state_covariance(rng, random_symplectic):
+    for n in (1, 2, 3):
+        p = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, n)))
+        Ms = np.array([random_symplectic(rng, n).data for _ in range(6)])
+        V, _ = geometric_phase._covariance_stack(Ms, np.zeros_like(Ms), p)
+        for M, Vk in zip(Ms, V):
+            expected = covariance(SympMatrix(n, M), p).data
+            assert np.max(np.abs(Vk - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # dV is the derivative of V along the tangent: exact for the quadratic M W M^T / 2
+        ts = np.linspace(0.1, 0.9, 3)
+        Ms, dMs = _random_path_stack(rng, random_symplectic, n, ts)
+        V, dV = geometric_phase._covariance_stack(Ms, dMs, p)
+        h = 1e-6
+        ahead, _ = geometric_phase._covariance_stack(Ms + h * dMs, dMs, p)
+        behind, _ = geometric_phase._covariance_stack(Ms - h * dMs, dMs, p)
+        assert np.max(np.abs(dV - (ahead - behind) / (2.0 * h))) <= 1e-8 * np.max(np.abs(V))
 
 
 def test_b_zero_rotation_only_path():

@@ -19,16 +19,45 @@ def _swapped_weights(integral):
     return swapped
 
 
+def _flipped_sign(winding):
+    return lambda Ms, dMs, p: -winding(Ms, dMs, p)
+
+
+def _dropped_hbar(winding):
+    """winding with Z0 = i diag(1/l^2): the lengths alone, as at hbar = 1."""
+    return lambda Ms, dMs, p: winding(Ms, dMs, OscParams(1.0, p.lengths))
+
+
+FAULTS = {
+    "integrate_phase_boundary_form": ("integrate_phase_boundary_form", _swapped_weights),
+    "phase_b_zero": ("phase_b_zero", _swapped_weights),
+    "winding_sign": ("_winding_values", _flipped_sign),
+    "winding_hbar": ("_winding_values", _dropped_hbar),
+}
+
+
 @pytest.mark.parametrize(
-    "check,integral", [("two_form", "integrate_phase_boundary_form"), ("b_zero", "phase_b_zero")]
+    "check,fault",
+    [
+        ("two_form", "integrate_phase_boundary_form"),
+        ("b_zero", "phase_b_zero"),
+        ("two_form", "winding_sign"),
+        ("two_form", "winding_hbar"),
+    ],
 )
-def test_check_catches_swapped_metric_weights(monkeypatch, check, integral):
+def test_check_catches_swapped_metric_weights(monkeypatch, check, fault):
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual <= tol
-    faulty = _swapped_weights(getattr(geometric_phase, integral))
-    monkeypatch.setattr(geometric_phase, integral, faulty)
+    name, make_faulty = FAULTS[fault]
+    monkeypatch.setattr(geometric_phase, name, make_faulty(getattr(geometric_phase, name)))
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual > tol
+
+
+def test_two_form_compares_two_routes():
+    # the split shares no arithmetic with the direct integrand, so rounding shows
+    residual, tol = CHECKS["two_form"](np.random.default_rng(0), 25, False)
+    assert 0.0 < residual <= tol
 
 
 def test_b_zero_loop_samples_keep_the_block_form():

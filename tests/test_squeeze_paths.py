@@ -1,4 +1,6 @@
 """Squeeze generators, matrices, circle paths, and their reference phases."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,17 @@ def test_reference_phase_values():
         assert reference_phase(1, R) == pytest.approx(expected, rel=1e-15)
         assert reference_phase(2, R) == pytest.approx(2.0 * expected, rel=1e-15)
     assert reference_phase(1, 0.0) == 0.0
+
+
+def test_reference_phase_overflow_is_an_error():
+    # sinh(R)^2 leaves the float range near R = 355; no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for modes, R in ((1, 400.0), (2, 400.0), (1, 800.0)):
+            with pytest.raises(ValueError, match="overflow"):
+                reference_phase(modes, R)
+        assert reference_phase(1, 7.0) == -np.pi * np.sinh(7.0) ** 2
+        assert np.isfinite(reference_phase(2, 350.0))
 
 
 def test_reference_phase_validation():
