@@ -473,7 +473,10 @@ def run_sweep(cfg: RunConfig) -> int:
     if cfg.kind == KIND_CUSTOM:
         raise ConfigError("sweep supports the squeeze-circle kinds only")
     hbar_grid = cfg.sweep_hbar if cfg.sweep_hbar is not None else (cfg.hbar,)
-    length_grid = cfg.sweep_length if cfg.sweep_length is not None else (cfg.lengths[0],)
+    if cfg.sweep_length is None:
+        length_grid = [cfg.lengths]
+    else:
+        length_grid = [(length,) * cfg.modes for length in cfg.sweep_length]
     header = ["R", "hbar"] + [f"l{j + 1}" for j in range(cfg.modes)] + [
         "gamma_quadrature",
         "gamma_reference",
@@ -485,8 +488,7 @@ def run_sweep(cfg: RunConfig) -> int:
     any_failed = False
     for R in cfg.sweep_R:
         for hbar in hbar_grid:
-            for length in length_grid:
-                lengths = (length,) * cfg.modes
+            for lengths in length_grid:
                 record = {
                     "R": R,
                     "hbar": hbar,

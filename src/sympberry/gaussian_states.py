@@ -5,11 +5,9 @@ The state attached to a grouped-ordering symplectic matrix M (with oscillator
 parameters hbar and per-mode characteristic lengths l_j) has zero first
 moments and second moments fixed by M:
 
-* dimension-full covariance V = (hbar^2 / 2) M E M^T with
-  E = diag(l^2/hbar^2, 1/l^2),
-* quadrature covariance V_q = M M^T / 2 (the hbar = l = 1 case),
-* displacement amplitude exp(-(a, b) Lambda (a, b)^T / 4) with
-  Lambda = M E M^T = (2/hbar^2) V.
+* dimension-full covariance V = M W M^T / 2 with W = diag(l^2, hbar^2/l^2),
+* displacement amplitude exp(-(a, b) Lambda (a, b)^T / 4), Lambda = (2/hbar^2) V,
+* quadrature covariance V_q = M M^T / 2 (the hbar = l = 1 case).
 
 For one mode, the same state can be built as an integral operator acting on
 the ground state; numeric_overlap_n1 does that numerically and is the
@@ -108,10 +106,15 @@ def _check_modes(n: int, p: OscParams) -> None:
         raise ValueError(f"parameter modes {p.n} do not match matrix modes {n}")
 
 
-def _weight_diag(p: OscParams) -> np.ndarray:
-    """E = diag(l^2 / hbar^2, 1 / l^2), the vacuum quadratic-form weights."""
-    l = p.length_array()
-    return np.concatenate([l**2 / p.hbar**2, 1.0 / l**2])
+def _metric_diag(p: OscParams) -> np.ndarray:
+    """W = diag(l^2, hbar^2 / l^2), the vacuum weights of the covariance and the connection."""
+    l2 = [l * l for l in p.lengths]
+    return np.array(l2 + [p.hbar**2 / x for x in l2])
+
+
+def _covariance_stack(Ms: np.ndarray, p: OscParams) -> np.ndarray:
+    """V = M W M^T / 2 for one matrix or a stack, as computed (not symmetrized)."""
+    return 0.5 * (Ms * _metric_diag(p)) @ Ms.swapaxes(-1, -2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,20 +166,21 @@ def _symmetrized(X: np.ndarray) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
-def lambda_matrix(M: SympMatrix, p: OscParams) -> np.ndarray:
-    """Quadratic-form matrix of the displacement amplitude: M E M^T."""
+def _state_covariance(M: SympMatrix, p: OscParams) -> np.ndarray:
+    """Symmetrized V = M W M^T / 2 of a grouped-ordering M whose modes match p."""
     _require_grouped(M)
     _check_modes(M.n, p)
-    return _symmetrized(M.data @ np.diag(_weight_diag(p)) @ M.data.T)
+    return _symmetrized(_covariance_stack(M.data, p))
+
+
+def lambda_matrix(M: SympMatrix, p: OscParams) -> np.ndarray:
+    """Quadratic-form matrix of the displacement amplitude: Lambda = (2 / hbar^2) V."""
+    return (2.0 / p.hbar**2) * _state_covariance(M, p)
 
 
 def covariance(M: SympMatrix, p: OscParams) -> CovarianceMatrix:
-    """Dimension-full covariance (hbar^2 / 2) M E M^T; first moments are zero."""
-    return CovarianceMatrix(
-        n=M.n,
-        data=(p.hbar**2 / 2.0) * lambda_matrix(M, p),
-        convention=DIMENSION_FULL,
-    )
+    """Dimension-full covariance V = M W M^T / 2; first moments are zero."""
+    return CovarianceMatrix(n=M.n, data=_state_covariance(M, p), convention=DIMENSION_FULL)
 
 
 def covariance_quadrature(M: SympMatrix) -> CovarianceMatrix:
@@ -198,8 +202,9 @@ def weyl_amplitude(M: SympMatrix, p: OscParams, a, b) -> float:
     if a.shape != (M.n,) or b.shape != (M.n,):
         raise ValueError(f"displacement vectors must have length {M.n}")
     v = np.concatenate([a, b])
-    lam = lambda_matrix(M, p)
-    return float(np.exp(-0.25 * v @ lam @ v))
+    if not np.isfinite(v).all():
+        raise ValueError(f"displacements must be finite, got a={a}, b={b}")
+    return float(np.exp(-0.25 * v @ lambda_matrix(M, p) @ v))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,6 +222,8 @@ class OverlapGrid:
     def __post_init__(self) -> None:
         if not isinstance(self.points, (int, np.integer)) or self.points < 200:
             raise ValueError(f"need an integer of at least 200 quadrature points, got {self.points!r}")
+        if not math.isfinite(self.halfwidth_sigmas):
+            raise ValueError(f"window halfwidth must be finite, got {self.halfwidth_sigmas!r}")
         if self.halfwidth_sigmas < 8.0:
             raise ValueError("window must cover at least 8 standard deviations")
 
@@ -271,8 +278,10 @@ def numeric_overlap_n1(
         grid = OverlapGrid()
     a = float(a)
     b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"displacements must be finite, got a={a}, b={b}")
     psi = _psi_closed_form(M, p)
-    sigma = float(np.sqrt(covariance(M, p).data[0, 0]))
+    sigma = math.sqrt(_covariance_stack(M.data, p)[0, 0])
     half = grid.halfwidth_sigmas * sigma + abs(b)
     nodes, weights = tanh_sinh_nodes(grid.points)
     xs = half * nodes

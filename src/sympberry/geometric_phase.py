@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
-from .gaussian_states import OscParams, _check_modes
+from .gaussian_states import OscParams, _check_modes, _covariance_stack, _metric_diag
 from .symplectic_core import (
     _DET_TOL,
     DEFAULT_TOL_SYMP,
@@ -235,12 +235,6 @@ def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
     return arr
 
 
-def _metric_diag(p: OscParams) -> np.ndarray:
-    """diag(l^2, hbar^2 / l^2), the connection's metric weights."""
-    l2 = [l * l for l in p.lengths]
-    return np.array(l2 + [p.hbar**2 / x for x in l2])
-
-
 def _connection_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
     """-(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM] for each stacked pair."""
     # diagonal of M^T (Omega dM): sum over j of M_ji (Omega dM)_ji
@@ -322,17 +316,12 @@ def integrate_phase(
     return _integrate(path, p, quad, lambda Ms, dMs, ts: _connection_values(Ms, dMs, p))
 
 
-def _covariance_stack(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> tuple[np.ndarray, ...]:
-    """V = M W M^T / 2, the covariance at each stacked M, and its derivative dV along dM."""
-    MW = Ms * _metric_diag(p)
-    half = 0.5 * dMs @ MW.transpose(0, 2, 1)
-    return 0.5 * MW @ Ms.transpose(0, 2, 1), half + half.transpose(0, 2, 1)
-
-
 def _covariance_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
     """-(1 / 2 hbar) Tr[V_xx d(V_px V_xx^-1)], as (Tr[V_xx^-1 dV_xx V_px] - Tr dV_px) / 2 hbar."""
     n = p.n
-    V, dV = _covariance_stack(Ms, dMs, p)
+    V = _covariance_stack(Ms, p)
+    half = 0.5 * dMs @ (Ms * _metric_diag(p)).transpose(0, 2, 1)
+    dV = half + half.transpose(0, 2, 1)  # (dM W M^T + M W dM^T) / 2, the derivative along dM
     moved = np.linalg.solve(V[:, :n, :n], dV[:, :n, :n] @ V[:, n:, :n])  # V_xx > 0
     return (0.5 / p.hbar) * np.trace(moved - dV[:, n:, :n], axis1=1, axis2=2)
 

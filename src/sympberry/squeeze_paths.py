@@ -128,16 +128,26 @@ def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
 def _circle_constants(modes: int, R: float, params: OscParams) -> tuple[np.ndarray, ...]:
     """C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks, with the direction
     matrix K(angle) = cos(angle) Kc + sin(angle) Ks split by its trig factor
-    (see NOTES.md); the squeeze matrix at an angle is C0 + cos C1 + sin C2."""
+    (see NOTES.md); the squeeze matrix at an angle is C0 + cos C1 + sin C2.
+    Its entries are at most m = cosh(R) + sinh(R) max|K|, and those of M Omega M^T
+    at most 2 modes m^2; ValueError, with no numpy warning, if that overflows."""
     if modes == 1:
         k = params.lengths[0] ** 2 / params.hbar
         Kc = [[-1.0, 0.0], [0.0, 1.0]]
         Ks = [[0.0, -k], [-1.0 / k, 0.0]]
+        k_max = max(1.0, k, 1.0 / k)
     else:
         l1, l2 = params.lengths
         k1, k2, k3 = l1 / l2, l1 * l2 / params.hbar, params.hbar / (l1 * l2)
         Kc = [[0, -k1, 0, 0], [-1 / k1, 0, 0, 0], [0, 0, 0, 1 / k1], [0, 0, k1, 0]]
         Ks = [[0, 0, 0, -k2], [0, 0, -k2, 0], [0, -k3, 0, 0], [-k3, 0, 0, 0]]
+        k_max = max(k1, 1 / k1, k2, k3)
+    try:
+        m = math.cosh(R) + math.sinh(R) * k_max
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(2 * modes * m * m):
+        raise ValueError(f"squeeze matrices overflow at R={R!r}: M Omega M^T leaves the float range")
     sh = np.sinh(R)
     return np.cosh(R) * np.eye(2 * modes), sh * np.array(Kc), sh * np.array(Ks)
 

@@ -195,6 +195,47 @@ def test_phase_circle_failing_its_check_is_config_error(capsys, kind):
     assert "fails the symplectic condition" in captured.err
 
 
+def test_phase_overflowing_magnitude_is_one_config_error_line(capsys):
+    code = main(["phase", "--R", "800"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == "config error: squeeze matrices overflow at R=800.0: M Omega M^T leaves the float range\n"
+
+
+def test_sweep_overflowing_magnitude_row_is_an_error(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--kind", "squeeze2", "--R", "800", "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[1] == "800,1,1,1,,,,error:ValueError,0"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_keeps_each_mode_length(tmp_path, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    flags = ["--modes", "2", "--R", "0.5", "--length", "1", "--length", "2", "--format", fmt]
+    assert main(["sweep", *flags, "--out", str(out)]) == 0
+    if fmt == "csv":
+        header, line = out.read_text().splitlines()
+        row = dict(zip(header.split(","), line.split(",")))
+        row["gamma_quadrature"] = float(row["gamma_quadrature"])
+        assert (row["l1"], row["l2"]) == ("1", "2")
+    else:
+        (row,) = json.loads(out.read_text())["rows"]
+        assert (row["l1"], row["l2"]) == (1.0, 2.0)
+    p = OscParams(1.0, (1.0, 2.0))
+    assert row["gamma_quadrature"] == integrate_phase(squeeze_circle_path(2, 0.5, p), p).value
+
+
+def test_sweep_length_grid_serves_every_mode(tmp_path):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[path]\nkind = squeeze2\nlengths = 1, 2\n[sweep]\nR = 0.5\nlength = 3\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert (row["l1"], row["l2"], row["status"]) == ("3", "3", "ok")
+
+
 def test_sweep_reference_overflow_row_is_valid_json(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["sweep", "--kind", "squeeze1", "--R", "400", "--format", "json", "--out", str(out)])

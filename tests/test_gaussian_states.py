@@ -220,6 +220,26 @@ def test_overlap_grid_validation():
         OverlapGrid(halfwidth_sigmas=4.0)
 
 
+@pytest.mark.parametrize("halfwidth", [float("nan"), float("inf")])
+def test_overlap_grid_rejects_non_finite_halfwidth(halfwidth):
+    with pytest.raises(ValueError, match="finite"):
+        OverlapGrid(halfwidth_sigmas=halfwidth)
+
+
+@pytest.mark.parametrize("a,b", [(float("nan"), 0.2), (0.1, float("inf"))])
+def test_numeric_overlap_rejects_non_finite_displacements(a, b):
+    M, p = _reference_setup()
+    with pytest.raises(ValueError, match="displacements must be finite"):
+        numeric_overlap_n1(M, p, a, b)
+
+
+@pytest.mark.parametrize("a,b", [([float("inf")], [0.2]), ([0.1], [float("nan")])])
+def test_weyl_amplitude_rejects_non_finite_displacements(a, b):
+    M, p = _reference_setup()
+    with pytest.raises(ValueError, match="displacements must be finite"):
+        weyl_amplitude(M, p, a, b)
+
+
 def _reference_setup():
     p = OscParams(1.0, (1.0,))
     M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.3, angle=np.pi / 2, params=p))

@@ -19,7 +19,6 @@ from sympberry import (
     SympPath,
     check_canonical_invariance,
     connection_integrand,
-    covariance,
     exp_map,
     integrate_phase,
     integrate_phase_boundary_form,
@@ -29,7 +28,7 @@ from sympberry import (
     reference_phase,
     squeeze_circle_path,
 )
-from sympberry import geometric_phase
+from sympberry import gaussian_states, geometric_phase
 from sympberry.oracles import b_zero_loop
 from sympberry.symplectic_core import LieAlgElement
 
@@ -295,19 +294,37 @@ def test_split_kernels_sum_to_the_connection(rng, random_symplectic, n):
 def test_covariance_kernel_sees_the_state_covariance(rng, random_symplectic):
     for n in (1, 2, 3):
         p = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, n)))
+        l2 = np.array(p.lengths) ** 2
+        E = np.diag(np.concatenate([l2 / p.hbar**2, 1.0 / l2]))
         Ms = np.array([random_symplectic(rng, n).data for _ in range(6)])
-        V, _ = geometric_phase._covariance_stack(Ms, np.zeros_like(Ms), p)
+        V = gaussian_states._covariance_stack(Ms, p)
         for M, Vk in zip(Ms, V):
-            expected = covariance(SympMatrix(n, M), p).data
+            expected = (p.hbar**2 / 2.0) * M @ E @ M.T
             assert np.max(np.abs(Vk - expected)) <= 1e-14 * np.max(np.abs(expected))
-        # dV is the derivative of V along the tangent: exact for the quadratic M W M^T / 2
+        # the kernel's dV is the derivative of the shared V along the tangent
         ts = np.linspace(0.1, 0.9, 3)
         Ms, dMs = _random_path_stack(rng, random_symplectic, n, ts)
-        V, dV = geometric_phase._covariance_stack(Ms, dMs, p)
+        V = gaussian_states._covariance_stack(Ms, p)
         h = 1e-6
-        ahead, _ = geometric_phase._covariance_stack(Ms + h * dMs, dMs, p)
-        behind, _ = geometric_phase._covariance_stack(Ms - h * dMs, dMs, p)
-        assert np.max(np.abs(dV - (ahead - behind) / (2.0 * h))) <= 1e-8 * np.max(np.abs(V))
+        dV = (
+            gaussian_states._covariance_stack(Ms + h * dMs, p)
+            - gaussian_states._covariance_stack(Ms - h * dMs, p)
+        ) / (2.0 * h)
+        moved = np.linalg.solve(V[:, :n, :n], dV[:, :n, :n] @ V[:, n:, :n])
+        expected = (0.5 / p.hbar) * np.trace(moved - dV[:, n:, :n], axis1=1, axis2=2)
+        got = geometric_phase._covariance_values(Ms, dMs, p)
+        assert np.max(np.abs(got - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+
+def test_state_weights_and_covariance_live_in_gaussian_states():
+    assert geometric_phase._metric_diag is gaussian_states._metric_diag
+    assert geometric_phase._covariance_stack is gaussian_states._covariance_stack
+    own = {
+        name
+        for name, obj in vars(geometric_phase).items()
+        if callable(obj) and getattr(obj, "__module__", None) == geometric_phase.__name__
+    }
+    assert {name for name in own if "covariance" in name or "metric" in name} == {"_covariance_values"}
 
 
 def test_b_zero_rotation_only_path():

@@ -181,6 +181,21 @@ def test_reference_phase_overflow_is_an_error():
         assert np.isfinite(reference_phase(2, 350.0))
 
 
+@pytest.mark.parametrize("R", [360.0, 711.0, 800.0])
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("hbar,length", [(1.0, 1.0), (0.5, 3.0)])
+def test_overflowing_magnitude_is_an_error_without_warnings(R, modes, hbar, length):
+    # M Omega M^T, the group check's product, leaves the float range near R = 355
+    params = OscParams(hbar, (length,) * modes)
+    matrix = squeeze_matrix_n1 if modes == 1 else squeeze_matrix_n2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"overflow at R={R!r}"):
+            squeeze_circle_path(modes, R, params)
+        with pytest.raises(ValueError, match=f"overflow at R={R!r}"):
+            matrix(SqueezeSpec(modes, R, 0.3, params))
+
+
 def test_reference_phase_validation():
     with pytest.raises(ValueError):
         reference_phase(3, 0.5)
