@@ -204,7 +204,8 @@ def weyl_amplitude(M: SympMatrix, p: OscParams, a, b) -> float:
     v = np.concatenate([a, b])
     if not np.isfinite(v).all():
         raise ValueError(f"displacements must be finite, got a={a}, b={b}")
-    return float(np.exp(-0.25 * v @ lambda_matrix(M, p) @ v))
+    with np.errstate(over="ignore"):  # a form beyond the float range is exp(-inf) = 0
+        return float(np.exp(-0.25 * v @ lambda_matrix(M, p) @ v))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -27,13 +27,13 @@ import numpy as np
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
 from .gaussian_states import OscParams, _check_modes, _covariance_stack, _metric_diag
 from .symplectic_core import (
-    _DET_TOL,
     DEFAULT_TOL_SYMP,
     GROUPED,
     SympMatrix,
+    _group_gates,
     _omega_cached,
+    _passes_group_check,
     _real_array,
-    _residual,
     omega,
 )
 
@@ -153,7 +153,7 @@ class SympPath:
             object.__setattr__(self, "eval_batch", eval_batch)
         elif eval_point is None:
             object.__setattr__(self, "eval", lambda t: SympMatrix(n, eval_batch(np.array([t]))[0]))
-        samples = self._matrices(np.array(_PARAM_SAMPLES))
+        samples = self._matrices(np.array(_PARAM_SAMPLES), omega)  # omega validates n, once
         if self.closed:
             gap = float(np.max(np.abs(samples[-1] - samples[0])))
             if gap > _CLOSURE_TOL:
@@ -167,25 +167,25 @@ class SympPath:
                 tangent_batch = lambda ts: np.array([tangent(t) for t in ts])
             object.__setattr__(self, "tangent_batch", tangent_batch)
 
-    def _matrices(self, ts: np.ndarray) -> np.ndarray:
+    def _matrices(self, ts: np.ndarray, form_of: Callable = _omega_cached) -> np.ndarray:
         """eval_batch(ts), with every stacked matrix checked like a SympMatrix.
 
-        Each check is one reduction over the stack, written so that NaN fails it;
-        the per-node mask that names the first bad t is built only on failure.
+        A passing stack costs one residual reduction; the finiteness check and the
+        per-node gates that name the first bad t run only on failure.
         """
         Ms = _stack(self.eval_batch(ts), ts, self.n, "eval_batch")
-        if not np.isfinite(Ms).all():
-            bad = ~np.isfinite(Ms).all(axis=(1, 2))
-            raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries overflow to inf
-            resid = _residual(Ms, omega(self.n))
-            det = np.linalg.det(Ms)
-        if not (resid.max() <= DEFAULT_TOL_SYMP and abs(det - 1.0).max() <= _DET_TOL):
-            i = int(np.argmax(~((resid <= DEFAULT_TOL_SYMP) & (abs(det - 1.0) <= _DET_TOL))))
-            raise ValueError(
-                f"sample at t={ts[i]} fails the symplectic condition: residual "
-                f"{resid[i]:.3e}, determinant {float(det[i])!r}"
-            )
+        form = form_of(self.n)
+        if not _passes_group_check(Ms, form, DEFAULT_TOL_SYMP):
+            if not np.isfinite(Ms).all():
+                bad = ~np.isfinite(Ms).all(axis=(1, 2))
+                raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
+            resid, det, passed = _group_gates(Ms, form, DEFAULT_TOL_SYMP)
+            if not passed.all():
+                i = int(np.argmax(~passed))
+                raise ValueError(
+                    f"sample at t={ts[i]} fails the symplectic condition: residual "
+                    f"{resid[i]:.3e}, determinant {float(det[i])!r}"
+                )
         return Ms
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:

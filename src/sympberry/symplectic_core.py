@@ -87,6 +87,23 @@ def _residual(M: np.ndarray, form: np.ndarray):
     return float(abs(M.dot(form).dot(M.T) - form).max())
 
 
+def _passes_group_check(M: np.ndarray, form: np.ndarray, tol: float) -> bool:
+    """True iff M, a matrix or a (k, 2n, 2n) stack, passes the group check at tol. NaN, inf and
+    overflow fail the residual, which implies the det gate where 2n tol <= _DET_TOL (NOTES.md)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = _residual(M, form)
+        if not (resid if M.ndim == 2 else resid.max()) <= tol:
+            return False
+        return M.shape[-1] * tol <= _DET_TOL or bool((abs(np.linalg.det(M) - 1.0) <= _DET_TOL).all())
+
+
+def _group_gates(M: np.ndarray, form: np.ndarray, tol: float):
+    """(residual, determinant, passed) of a matrix or of each stacked matrix, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid, det = _residual(M, form), np.linalg.det(M)
+    return resid, det, (resid <= tol) & (abs(det - 1.0) <= _DET_TOL)
+
+
 def _asymmetry(arr: np.ndarray) -> float:
     """max |arr - arr^T| of a square matrix."""
     return float(abs(arr - arr.T).max())
@@ -171,20 +188,22 @@ class SympMatrix:
 
     def __post_init__(self) -> None:
         n = _mode_count(self.n)
-        arr = _as_square_matrix(self.data, "symplectic matrix")
-        if arr.shape != (2 * n, 2 * n):
-            raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
-        if self.ordering not in (GROUPED, INTERLEAVED):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        resid = _residual(arr, _FORMS[self.ordering](n))
-        if resid > self.tol_symp:
-            raise ValueError(
-                f"matrix fails the symplectic condition: residual {resid:.3e} "
-                f"exceeds tolerance {self.tol_symp:.3e}"
-            )
-        det = float(np.linalg.det(arr))
-        if abs(det - 1.0) > _DET_TOL:
-            raise ValueError(f"determinant {det!r} deviates from 1 beyond {_DET_TOL}")
+        arr = _real_array(self.data, "symplectic matrix")
+        known = arr.shape == (2 * n, 2 * n) and self.ordering in (GROUPED, INTERLEAVED)
+        if not (known and _passes_group_check(arr, _FORMS[self.ordering](n), self.tol_symp)):
+            _as_square_matrix(arr, "symplectic matrix")  # the ordered checks name the failure
+            if arr.shape != (2 * n, 2 * n):
+                raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
+            if self.ordering not in (GROUPED, INTERLEAVED):
+                raise ValueError(f"unknown ordering {self.ordering!r}")
+            resid, det, _ = _group_gates(arr, _FORMS[self.ordering](n), self.tol_symp)
+            if resid > self.tol_symp:
+                raise ValueError(
+                    f"matrix fails the symplectic condition: residual {resid:.3e} "
+                    f"exceeds tolerance {self.tol_symp:.3e}"
+                )
+            if abs(det - 1.0) > _DET_TOL:
+                raise ValueError(f"determinant {float(det)!r} deviates from 1 beyond {_DET_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "n", n)

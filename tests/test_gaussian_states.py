@@ -1,5 +1,6 @@
 """Covariances, displacement amplitudes, and the one-mode overlap oracle."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,14 @@ def test_weyl_amplitude_rejects_non_finite_displacements(a, b):
     M, p = _reference_setup()
     with pytest.raises(ValueError, match="displacements must be finite"):
         weyl_amplitude(M, p, a, b)
+
+
+def test_weyl_amplitude_of_an_overflowing_form_is_zero_without_warning():
+    M, p = _reference_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weyl_amplitude(M, p, [1e200], [0.0]) == 0.0
+        assert weyl_amplitude(M, p, [0.0], [-1e200]) == 0.0
 
 
 def _reference_setup():

@@ -28,7 +28,7 @@ from sympberry import (
     reference_phase,
     squeeze_circle_path,
 )
-from sympberry import gaussian_states, geometric_phase
+from sympberry import gaussian_states, geometric_phase, symplectic_core
 from sympberry.oracles import b_zero_loop
 from sympberry.symplectic_core import LieAlgElement
 
@@ -560,6 +560,13 @@ def test_scalar_path_sample_rejections():
         SympPath(n=2, eval=lambda t: SympMatrix(1, np.eye(2)))
     with pytest.raises(ValueError, match="^paths require grouped ordering$"):
         SympPath(n=1, eval=lambda t: SympMatrix(1, np.eye(2), "interleaved"))
+    # the construction check validates the mode count, which later checks then trust
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    batch = {"eval_batch": base.eval_batch, "tangent_batch": base.tangent_batch}
+    for kwargs in ({"eval": base.eval}, batch):
+        with pytest.raises(ValueError, match=r"^mode count must be a positive integer, got 1\.0$") as info:
+            SympPath(n=1.0, **kwargs)
+        assert type(info.value) is ValueError
 
 
 def test_batch_wrong_stack_shape():
@@ -812,7 +819,7 @@ def test_stack_of_opposite_infinities_is_nonfinite_without_warning():
 
 def test_nan_residual_at_one_node_fails_the_stack(monkeypatch):
     path = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
-    residual = geometric_phase._residual
+    residual = symplectic_core._residual  # the path check's residual kernel
 
     def nan_at_node_3(Ms, form):
         resid = residual(Ms, form)
@@ -820,7 +827,7 @@ def test_nan_residual_at_one_node_fails_the_stack(monkeypatch):
         resid[3] = np.nan
         return resid
 
-    monkeypatch.setattr(geometric_phase, "_residual", nan_at_node_3)
+    monkeypatch.setattr(symplectic_core, "_residual", nan_at_node_3)
     t3 = 0.5 - 0.5 * 0.7415311855993945  # the fourth of the 15 panel nodes
     message = f"sample at t={t3} fails the symplectic condition: residual nan, "
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

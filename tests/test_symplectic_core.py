@@ -6,22 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.linalg
 
 from sympberry import (
     GROUPED,
     INTERLEAVED,
     BlockDecomposition,
     LieAlgElement,
+    NonFiniteIntegrand,
+    OscParams,
     SympMatrix,
+    SympPath,
     block_decompose,
     convert_ordering,
     exp_map,
     gamma_permutation,
+    integrate_phase,
     is_symplectic,
     omega,
     omega_interleaved,
+    squeeze_circle_path,
+    symplectic_core,
     symplectic_residual,
 )
+from sympberry._random import random_symmetric
 
 
 def test_omega_structure():
@@ -264,6 +272,11 @@ def _with(value):
             (1, np.array([[1 + 0j, 0], [0, 1]], dtype=object)),
             "symplectic matrix must be real-valued, got dtype object",
         ),
+        # a finite matrix whose residual overflows fails it, without an overflow warning
+        (
+            (1, [[1e200, 1e200], [0.0, 1.0]]),
+            "matrix fails the symplectic condition: residual inf exceeds tolerance 1.000e-10",
+        ),
     ],
 )
 def test_sympmatrix_rejections(args, message):
@@ -352,3 +365,155 @@ def test_validated_data_is_a_read_only_copy(cls):
     frozen.setflags(write=False)  # a read-only input is copied too
     assert not np.shares_memory(cls(1, frozen).data, frozen)
     assert type(cls(np.int64(1), np.eye(2)).n) is int
+
+
+def test_determinant_computed_only_where_the_residual_does_not_imply_it(monkeypatch):
+    real_det, det_shapes = np.linalg.det, []
+
+    def counting_det(x):
+        det_shapes.append(np.shape(x))
+        return real_det(x)
+
+    path = squeeze_circle_path(1, 0.7, OscParams(1.0, (1.0,)))
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    SympMatrix(2, np.eye(4))
+    SympMatrix(5, np.eye(10), tol_symp=1e-9)  # 2n tol = 1e-8: still implied
+    assert det_shapes == []
+    integrate_phase(path, OscParams(1.0, (1.0,)))
+    assert det_shapes == []
+    SympMatrix(2, np.eye(4), tol_symp=1e-3)
+    assert det_shapes == [(4, 4)]
+    SympMatrix(6, np.eye(12), tol_symp=1e-9)
+    assert det_shapes == [(4, 4), (12, 12)]
+
+
+# The group check as it was before the determinant and finiteness gates left its pass
+# path: every check in order, each computed. The kernel must reach the same verdict and
+# raise the same error on every input.
+def _reference_sympmatrix(n, data, ordering, tol):
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"mode count must be a positive integer, got {n!r}")
+    arr = np.array(data, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"symplectic matrix must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("symplectic matrix contains non-finite entries")
+    if arr.shape != (2 * n, 2 * n):
+        raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
+    if ordering not in (GROUPED, INTERLEAVED):
+        raise ValueError(f"unknown ordering {ordering!r}")
+    form = omega(n) if ordering == GROUPED else omega_interleaved(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(abs(arr.dot(form).dot(arr.T) - form).max())
+    if resid > tol:
+        raise ValueError(
+            f"matrix fails the symplectic condition: residual {resid:.3e} "
+            f"exceeds tolerance {tol:.3e}"
+        )
+    det = float(np.linalg.det(arr))
+    if abs(det - 1.0) > 1e-8:
+        raise ValueError(f"determinant {det!r} deviates from 1 beyond 1e-08")
+
+
+def _reference_stack(Ms, ts, n):
+    if not np.isfinite(Ms).all():
+        bad = ~np.isfinite(Ms).all(axis=(1, 2))
+        raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
+    form = omega(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = abs(Ms @ form @ Ms.swapaxes(-1, -2) - form).max(axis=(-2, -1))
+        det = np.linalg.det(Ms)
+    if not (resid.max() <= 1e-10 and abs(det - 1.0).max() <= 1e-8):
+        i = int(np.argmax(~((resid <= 1e-10) & (abs(det - 1.0) <= 1e-8))))
+        raise ValueError(
+            f"sample at t={ts[i]} fails the symplectic condition: residual "
+            f"{resid[i]:.3e}, determinant {float(det[i])!r}"
+        )
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+_SPECIAL = (np.nan, np.inf, -np.inf, 1e200, -1e200)
+
+
+@st.composite
+def _near_symplectic(draw, n, tol):
+    """A group element S = expm(Omega X) plus a perturbation that puts the residual
+    within a factor 30 of tol or of 1e-9 (where a loose tol leaves the determinant
+    gate to decide), and sometimes special entries."""
+    rng, form = np.random.default_rng(draw(st.integers(0, 2**32 - 1))), omega(n)
+    S = scipy.linalg.expm(form @ random_symmetric(rng, 2 * n, 0.4))
+    E = rng.standard_normal((2 * n, 2 * n))
+    slope = abs(E @ form @ S.T + S @ form @ E.T).max()  # the residual per unit of E
+    target = draw(st.sampled_from([tol, min(tol, 1e-9)])) * 10.0 ** draw(st.floats(-1.5, 1.5))
+    M = S + (target / slope) * E
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        M[draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))] = draw(
+            st.sampled_from(_SPECIAL)
+        )
+    return M
+
+
+_TOLS = st.sampled_from([1e-10, 1e-9, 1e-6, 1e-3])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), tol=_TOLS)
+def test_sympmatrix_check_matches_the_ordered_reference(data, n, tol):
+    M = data.draw(_near_symplectic(n, tol))
+    ordering = data.draw(st.sampled_from([GROUPED, GROUPED, INTERLEAVED, "xp"]))
+    if ordering == INTERLEAVED and data.draw(st.booleans()):
+        order = gamma_permutation(n).argmax(axis=0)
+        M = M[np.ix_(order, order)]  # Gamma^T M Gamma: a grouped element in interleaved coordinates
+    shape = data.draw(st.sampled_from(["right", "right", "right", "other n", "not square", "flat"]))
+    if shape == "other n":
+        M = np.pad(M, 1)
+    elif shape == "not square":
+        M = M[:, :-1]
+    elif shape == "flat":
+        M = M[0]
+    expected = _outcome(_reference_sympmatrix, n, M, ordering, tol)
+    assert _outcome(SympMatrix, n, M, ordering, tol) == expected
+    if expected is None:
+        assert np.array_equal(SympMatrix(n, M, ordering, tol).data, M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), k=st.integers(1, 6))
+def test_path_stack_check_matches_the_ordered_reference(data, n, k):
+    Ms = np.array([data.draw(_near_symplectic(n, 1e-10)) for _ in range(k)])
+    ts = np.linspace(0.1, 0.9, k)
+    drawn = []
+
+    def eval_batch(ts):  # identities for the construction samples, then the drawn stack
+        return drawn[0] if drawn else np.broadcast_to(np.eye(2 * n), (ts.size, 2 * n, 2 * n))
+
+    path = SympPath(n, eval_batch=eval_batch, tangent_batch=eval_batch)
+    drawn.append(Ms)
+    assert _outcome(path.sample, ts) == _outcome(_reference_stack, Ms, ts, n)
+    form = omega(n)
+    for tol in (1e-10, 1e-9, 1e-6, 1e-3):  # the kernel's verdict on a stack, at any tol
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = abs(Ms @ form @ Ms.swapaxes(-1, -2) - form).max()
+            expected = resid <= tol and abs(np.linalg.det(Ms) - 1.0).max() <= 1e-8
+        assert symplectic_core._passes_group_check(Ms, form, tol) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([1e-10, 1e-9]))
+def test_passing_residual_implies_the_determinant_gate(data, tol):
+    # det M = Pf(M Omega M^T) / Pf(Omega), so |det M - 1| <= n resid to first order
+    n = data.draw(st.integers(1, min(8, round(0.5e-8 / tol))))  # 2n tol <= 1e-8
+    M = data.draw(_near_symplectic(n, tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = symplectic_residual(M)
+    if resid <= tol:
+        deviation = abs(np.linalg.det(M) - 1.0)
+        assert deviation <= 1e-8
+        assert deviation <= 2 * n * resid + 1e-13
