@@ -3,9 +3,9 @@
 Numerical library for n-mode Gaussian states labelled by symplectic
 matrices: group/algebra utilities, a closed-form 4x4 exponential with a
 degeneracy fallback, covariance and displacement-amplitude constructions, a
-one-mode integral-kernel overlap oracle, Berry-phase line integrals, and
-ready-made squeeze-circle paths with known reference phases. The ``sympberry``
-command-line tool fronts the same machinery.
+one-mode overlap oracle built from the state's Siegel matrix, Berry-phase
+line integrals, and ready-made squeeze-circle paths with known reference
+phases. The ``sympberry`` command-line tool fronts the same machinery.
 
 A public name is declared only in its module's ``__all__``; this package
 re-exports every one of them.

@@ -9,9 +9,10 @@ moments and second moments fixed by M:
 * displacement amplitude exp(-(a, b) Lambda (a, b)^T / 4), Lambda = (2/hbar^2) V,
 * quadrature covariance V_q = M M^T / 2 (the hbar = l = 1 case).
 
-For one mode, the same state can be built as an integral operator acting on
-the ground state; numeric_overlap_n1 does that numerically and is the
-package's independent check on the amplitude formula.
+For one mode, numeric_overlap_n1 builds the state's wavefunction from its
+Siegel matrix Z = (C + D Z0)(A + B Z0)^-1, which reads M's blocks and not V,
+and integrates the displaced self-overlap numerically: the package's
+independent check on the amplitude formula.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .symplectic_core import (
 __all__ = [
     "DIMENSION_FULL",
     "QUADRATURE",
-    "SingularB",
     "OscParams",
     "CovarianceMatrix",
     "OverlapGrid",
@@ -51,11 +51,6 @@ DIMENSION_FULL = "dimension_full"
 QUADRATURE = "quadrature"
 
 _PURITY_TOL = 1e-9
-_SINGULAR_B_TOL = 1e-8
-
-
-class SingularB(ValueError):
-    """The upper-right block vanishes; the integral-kernel form is singular."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +105,14 @@ def _metric_diag(p: OscParams) -> np.ndarray:
     """W = diag(l^2, hbar^2 / l^2), the vacuum weights of the covariance and the connection."""
     l2 = [l * l for l in p.lengths]
     return np.array(l2 + [p.hbar**2 / x for x in l2])
+
+
+def _vacuum_frame(X: np.ndarray, p: OscParams) -> np.ndarray:
+    """X [I; Z0], Z0 = i hbar diag(1 / l^2), for a matrix or a stack X: the vacuum's Siegel frame
+    carried by X, complex (..., 2n, n). For X = M the upper block is F = A + B Z0 and the lower
+    G = C + D Z0, so the state's Siegel matrix is Z = G F^-1; linear in X, so dM gives dF."""
+    n = p.n
+    return X[..., :, :n] + X[..., :, n:] * (1j * p.hbar / _metric_diag(p)[:n])
 
 
 def _covariance_stack(Ms: np.ndarray, p: OscParams) -> np.ndarray:
@@ -229,34 +232,6 @@ class OverlapGrid:
             raise ValueError("window must cover at least 8 standard deviations")
 
 
-def _psi_closed_form(M: SympMatrix, p: OscParams):
-    """Position wavefunction of the one-mode state, via the integral kernel.
-
-    The kernel against the ground state is a Gaussian integral
-    integral exp(-q x'^2 + r x') dx' = sqrt(pi / q) exp(r^2 / (4 q)),
-    which leaves a closed-form complex Gaussian in x. Requires a
-    non-vanishing upper-right entry.
-    """
-    A, B = M.data[0, 0], M.data[0, 1]
-    D = M.data[1, 1]
-    hbar = p.hbar
-    l = p.lengths[0]
-    if abs(B) <= _SINGULAR_B_TOL:
-        raise SingularB(
-            f"upper-right block {B:.3e} is numerically singular; the kernel "
-            f"form does not apply"
-        )
-    q = 1.0 / (2.0 * l * l) - 1j * A / (2.0 * hbar * B)
-    prefactor = (np.pi * l * l) ** (-0.25) / np.sqrt(2j * np.pi * hbar * B)
-    gauss = np.sqrt(np.pi / q)
-
-    def psi(x: np.ndarray) -> np.ndarray:
-        r = -1j * x / (hbar * B)
-        return prefactor * gauss * np.exp(1j * D * x * x / (2.0 * hbar * B) + r * r / (4.0 * q))
-
-    return psi
-
-
 def numeric_overlap_n1(
     M: SympMatrix,
     p: OscParams,
@@ -266,27 +241,42 @@ def numeric_overlap_n1(
 ) -> complex:
     """Displaced self-overlap of the one-mode state, by numeric quadrature.
 
-    Builds the wavefunction from the integral kernel, applies the
+    Builds the wavefunction psi(x) = (Im Z / pi hbar)^(1/4) exp(i Z x^2 / 2 hbar)
+    from the Siegel matrix Z = (C + D Z0) / (A + B Z0), applies the
     displacement action psi(x) -> exp(i a b / (2 hbar)) exp(i a x / hbar)
     psi(x + b), and integrates conj(psi) times the displaced psi with
-    tanh-sinh quadrature. The modulus must reproduce weyl_amplitude; the
-    phase must be stable under grid refinement.
+    tanh-sinh quadrature over the window of halfwidth_sigmas position
+    deviations sqrt(hbar / (2 Im Z)) plus |b|. The modulus must reproduce
+    weyl_amplitude; the phase must be stable under grid refinement. A
+    displacement a whose factor turns by pi or more between adjacent nodes is
+    a ValueError naming the points that resolve it.
     """
     _require_grouped(M)
     if M.n != 1 or p.n != 1:
-        raise ValueError("the kernel overlap is a one-mode construction")
+        raise ValueError("the Siegel overlap is a one-mode construction")
     if grid is None:
         grid = OverlapGrid()
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"displacements must be finite, got a={a}, b={b}")
-    psi = _psi_closed_form(M, p)
-    sigma = math.sqrt(_covariance_stack(M.data, p)[0, 0])
-    half = grid.halfwidth_sigmas * sigma + abs(b)
+    hbar = p.hbar
+    F, G = _vacuum_frame(M.data, p)[:, 0].tolist()
+    Z = G / F
+    half = grid.halfwidth_sigmas * math.sqrt(hbar / (2.0 * Z.imag)) + abs(b)
     nodes, weights = tanh_sinh_nodes(grid.points)
+    turn = abs(a) * half * float(np.diff(nodes).max()) / hbar
+    if turn >= math.pi:
+        # the widest gap, at the centre, is below (pi/2) h with h = 8 / (points - 1)
+        needed = math.floor(4.0 * abs(a) * half / hbar) + 2
+        raise ValueError(
+            f"displacement a={a} turns exp(i a x / hbar) by {turn:.3g} rad between nodes of "
+            f"{grid.points} points; OverlapGrid(points={needed}) resolves it"
+        )
     xs = half * nodes
     ws = half * weights
-    phase = np.exp(0.5j * a * b / p.hbar) * np.exp(1j * a * xs / p.hbar)
+    norm = (Z.imag / (math.pi * hbar)) ** 0.25
+    psi = lambda x: norm * np.exp(0.5j * Z * x * x / hbar)
+    phase = np.exp(0.5j * a * b / hbar) * np.exp(1j * a * xs / hbar)
     vals = np.conj(psi(xs)) * phase * psi(xs + b)
     return complex(np.sum(vals * ws))

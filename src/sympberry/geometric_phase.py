@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
-from .gaussian_states import OscParams, _check_modes, _covariance_stack, _metric_diag
+from .gaussian_states import OscParams, _check_modes, _covariance_stack, _metric_diag, _vacuum_frame
 from .symplectic_core import (
     DEFAULT_TOL_SYMP,
     GROUPED,
@@ -330,8 +330,7 @@ def _winding_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray
     """(1/2) Im Tr[(A + B Z0)^-1 (dA + dB Z0)], Z0 = i hbar diag(1 / l^2): the rate of
     (1/2) arg det(A + B Z0), whose matrix is invertible for every symplectic M."""
     n = p.n
-    Z0 = 1j * p.hbar / _metric_diag(p)[:n]  # diagonal, so B Z0 scales B's columns
-    F, dF = (X[:, :n, :n] + X[:, :n, n:] * Z0 for X in (Ms, dMs))
+    F, dF = (_vacuum_frame(X, p)[:, :n] for X in (Ms, dMs))
     return 0.5 * np.trace(np.linalg.solve(F, dF), axis1=1, axis2=2).imag
 
 

@@ -12,7 +12,6 @@ from sympberry import (
     CovarianceMatrix,
     OscParams,
     OverlapGrid,
-    SingularB,
     SqueezeSpec,
     SympMatrix,
     covariance,
@@ -276,12 +275,48 @@ def test_numeric_overlap_grid_refinement():
     assert abs(coarse - fine) < 1e-7
 
 
-def test_numeric_overlap_singular_b():
+@pytest.mark.parametrize("angle", [0.0, np.pi])
+def test_numeric_overlap_at_zero_b(angle):
+    # diagonal squeezes have B = 0, where an integral-kernel route has no form
+    p = OscParams(0.7, (1.3,))
+    M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.5, angle=angle, params=p))
+    assert abs(M.data[0, 1]) < 1e-14
+    value = numeric_overlap_n1(M, p, 0.4, -0.3)
+    assert abs(abs(value) - weyl_amplitude(M, p, [0.4], [-0.3])) <= 1e-13
+
+
+def test_numeric_overlap_tracks_amplitude_with_and_without_b(rng):
+    # half the draws are lower-triangular [[e^r, 0], [c, e^-r]]: B = 0 exactly
+    worst = 0.0
+    for i in range(200):
+        p = OscParams(rng.uniform(0.5, 2.0), (rng.uniform(0.5, 2.0),))
+        if i % 2:
+            r, c = rng.uniform(-1.0, 1.0, 2)
+            M = SympMatrix(1, [[np.exp(r), 0.0], [c, np.exp(-r)]])
+        else:
+            M = squeeze_matrix_n1(SqueezeSpec(1, rng.uniform(0.1, 1.2), rng.uniform(0, 2 * np.pi), p))
+        a, b = rng.uniform(-1.0, 1.0, 2)
+        worst = max(worst, abs(abs(numeric_overlap_n1(M, p, a, b)) - weyl_amplitude(M, p, [a], [b])))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("a", [30.0, 300.0])
+def test_numeric_overlap_refuses_unresolved_displacements(a):
+    # unrefused, the 400-node grid reads modulus 0.974 at a = 30, where the amplitude is 2.9e-82
     p = OscParams(1.0, (1.0,))
-    M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.5, angle=0.0, params=p))
-    assert abs(M.data[0, 1]) < 1e-14  # diagonal squeeze has no kernel form
-    with pytest.raises(SingularB):
-        numeric_overlap_n1(M, p, 0.1, 0.2)
+    M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.3, angle=1.0, params=p))
+    with pytest.raises(ValueError, match=r"OverlapGrid\(points=\d+\) resolves it") as err:
+        numeric_overlap_n1(M, p, a, 0.2)
+    needed = int(re.search(r"points=(\d+)", str(err.value)).group(1))
+    assert abs(numeric_overlap_n1(M, p, a, 0.2, OverlapGrid(points=needed))) <= 1e-9
+
+
+def test_numeric_overlap_resolves_a_ten():
+    p = OscParams(1.0, (1.0,))
+    M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.3, angle=1.0, params=p))
+    value = numeric_overlap_n1(M, p, 10.0, 0.2)
+    amp = weyl_amplitude(M, p, [10.0], [0.2])
+    assert abs(abs(value) - amp) <= 1e-13
 
 
 def test_numeric_overlap_rejects_multimode():
@@ -292,19 +327,16 @@ def test_numeric_overlap_rejects_multimode():
 
 
 def test_numeric_overlap_random_points(rng):
-    # moduli must track the closed-form amplitude wherever the kernel applies
+    # moduli must track the closed-form amplitude
     for _ in range(5):
         p = OscParams(rng.uniform(0.5, 2.0), (rng.uniform(0.5, 2.0),))
-        while True:
-            spec = SqueezeSpec(
-                modes=1,
-                R=rng.uniform(0.1, 1.0),
-                angle=rng.uniform(0.0, 2.0 * np.pi),
-                params=p,
-            )
-            M = squeeze_matrix_n1(spec)
-            if abs(M.data[0, 1]) > 0.1:
-                break
+        spec = SqueezeSpec(
+            modes=1,
+            R=rng.uniform(0.1, 1.0),
+            angle=rng.uniform(0.0, 2.0 * np.pi),
+            params=p,
+        )
+        M = squeeze_matrix_n1(spec)
         a, b = rng.uniform(-1, 1, 2)
         value = numeric_overlap_n1(M, p, a, b)
         amp = weyl_amplitude(M, p, [a], [b])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sympberry import OscParams, geometric_phase, omega
+from sympberry import OscParams, gaussian_states, geometric_phase, omega
 from sympberry._random import random_symmetric
 from sympberry.oracles import CHECKS, b_zero_loop
 
@@ -50,6 +50,19 @@ def test_check_catches_swapped_metric_weights(monkeypatch, check, fault):
     assert residual <= tol
     name, make_faulty = FAULTS[fault]
     monkeypatch.setattr(geometric_phase, name, make_faulty(getattr(geometric_phase, name)))
+    residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
+    assert residual > tol
+
+
+@pytest.mark.parametrize("check", ["overlap", "two_form"])
+def test_checks_catch_a_frame_without_hbar(monkeypatch, check):
+    # Z0 = i diag(1/l^2) instead of i hbar diag(1/l^2), in every module that binds the frame
+    residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
+    assert residual <= tol
+    frame = gaussian_states._vacuum_frame
+    dropped = lambda X, p: frame(X, OscParams(1.0, p.lengths))
+    for module in (gaussian_states, geometric_phase):
+        monkeypatch.setattr(module, "_vacuum_frame", dropped)
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual > tol
 

@@ -156,6 +156,24 @@ def test_block_decomposition_rejects_broken_blocks():
         BlockDecomposition(A=eye, B=zero + 0j, C=zero, D=eye)
 
 
+# a finite matrix whose residual M Omega M^T overflows: each public entry point reports it
+# without numpy's overflow warning, which the suite turns into an error
+_OVERFLOWING = [[1e200, 1e200], [0.0, 1.0]]
+
+
+def test_symplectic_residual_of_an_overflowing_matrix_is_inf():
+    assert symplectic_residual(np.array(_OVERFLOWING)) == np.inf
+
+
+def test_is_symplectic_rejects_an_overflowing_matrix():
+    assert is_symplectic(_OVERFLOWING) is False
+
+
+def test_block_decomposition_rejects_overflowing_blocks():
+    with pytest.raises(ValueError, match="blocks violate the symplectic identities: residual inf"):
+        BlockDecomposition(A=[[1e200]], B=[[1e200]], C=[[0.0]], D=[[1.0]])
+
+
 def test_gamma_permutation_is_orthogonal():
     for n in (1, 2, 3):
         g = gamma_permutation(n)
