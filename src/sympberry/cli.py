@@ -288,6 +288,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if not cfg.tol > 0:
         raise ConfigError(f"tolerance must be positive, got {cfg.tol}")
+    if cfg.tol == np.inf:
+        raise ConfigError(f"tolerance must be finite, got {cfg.tol}")
     if not (np.isfinite(cfg.R) and cfg.R >= 0):
         raise ConfigError(f"R must be finite and >= 0, got {cfg.R}")
     if any(not (np.isfinite(v) and v >= 0) for v in cfg.sweep_R):

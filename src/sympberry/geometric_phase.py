@@ -31,6 +31,7 @@ from .symplectic_core import (
     GROUPED,
     SympMatrix,
     _group_gates,
+    _is_integer,
     _omega_cached,
     _passes_group_check,
     _real_array,
@@ -56,8 +57,9 @@ __all__ = [
 ADAPTIVE = "adaptive"
 FIXED = "fixed"
 
-# construction-time sample points for path validation
-_PARAM_SAMPLES = (0.0, 0.25, 0.5, 0.75, 1.0)
+# construction-time sample points for path validation, shared read-only
+_PARAM_SAMPLES = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
+_PARAM_SAMPLES.setflags(write=False)
 _CLOSURE_TOL = 1e-10
 _FD_STEP_FACTOR = 1e-6
 _B_ZERO_TOL = 1e-12
@@ -86,9 +88,11 @@ class QuadSpec:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        if not isinstance(self.max_evals, (int, np.integer)) or self.max_evals < 15:
+        if self.tol == math.inf:
+            raise ValueError("tolerance must be finite")
+        if not _is_integer(self.max_evals) or self.max_evals < 15:
             raise ValueError(f"budget must be an integer >= 15 (one panel), got {self.max_evals!r}")
-        if not isinstance(self.panels, (int, np.integer)) or self.panels < 1:
+        if not _is_integer(self.panels) or self.panels < 1:
             raise ValueError(f"panel count must be an integer >= 1, got {self.panels!r}")
 
 
@@ -153,14 +157,14 @@ class SympPath:
             object.__setattr__(self, "eval_batch", eval_batch)
         elif eval_point is None:
             object.__setattr__(self, "eval", lambda t: SympMatrix(n, eval_batch(np.array([t]))[0]))
-        samples = self._matrices(np.array(_PARAM_SAMPLES), omega)  # omega validates n, once
+        samples = self._matrices(_PARAM_SAMPLES, omega)  # omega validates n, once
         if self.closed:
-            gap = float(np.max(np.abs(samples[-1] - samples[0])))
+            gap = float(abs(samples[-1] - samples[0]).max())
             if gap > _CLOSURE_TOL:
                 raise ValueError(f"closed path fails closure: |M(1) - M(0)|_max = {gap:.3e}")
         if self.tangent_batch is None:
             if self.tangent is None:
-                h = _FD_STEP_FACTOR * max(1.0, float(np.max(np.abs(samples[0]))))
+                h = _FD_STEP_FACTOR * max(1.0, float(abs(samples[0]).max()))
                 tangent_batch = functools.partial(_fd_tangents, eval_batch, n, h)
             else:
                 tangent = self.tangent
@@ -297,7 +301,7 @@ def _integrate(
 
     def f(ts: np.ndarray) -> np.ndarray:
         values = kernel(*path.sample(ts), ts)
-        if not np.isfinite(values).all():
+        if not np.logical_and.reduce(np.isfinite(values)):
             bad = ts[np.argmax(~np.isfinite(values))]
             raise NonFiniteIntegrand(f"integrand is non-finite at t={bad}")
         return values

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_EYES = {1: ((1, 0), (0, 1)), 2: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,8 +126,8 @@ def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
     return _spec_matrix(spec)
 
 
-def _circle_constants(modes: int, R: float, params: OscParams) -> tuple[np.ndarray, ...]:
-    """C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks, with the direction
+def _circle_constants(modes: int, R: float, params: OscParams) -> np.ndarray:
+    """The stack C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks, with the direction
     matrix K(angle) = cos(angle) Kc + sin(angle) Ks split by its trig factor
     (see NOTES.md); the squeeze matrix at an angle is C0 + cos C1 + sin C2.
     Its entries are at most m = cosh(R) + sinh(R) max|K|, and those of M Omega M^T
@@ -149,10 +150,10 @@ def _circle_constants(modes: int, R: float, params: OscParams) -> tuple[np.ndarr
     if not math.isfinite(2 * modes * m * m):
         raise ValueError(f"squeeze matrices overflow at R={R!r}: M Omega M^T leaves the float range")
     sh = np.sinh(R)
-    return np.cosh(R) * np.eye(2 * modes), sh * np.array(Kc), sh * np.array(Ks)
+    return np.array([_EYES[modes], Kc, Ks]) * np.array([np.cosh(R), sh, sh])[:, None, None]
 
 
-def _circle_matrices(C: tuple[np.ndarray, ...], angles: np.ndarray) -> np.ndarray:
+def _circle_matrices(C: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """C0 + cos(angle) C1 + sin(angle) C2 for each angle: the squeeze closed form."""
     C0, C1, C2 = C
     return C0 + np.cos(angles)[:, None, None] * C1 + np.sin(angles)[:, None, None] * C2

@@ -62,37 +62,44 @@ def _real_array(data, name: str, copy: bool = True) -> np.ndarray:
     return arr
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; bool, a subclass of int, is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _mode_count(n) -> int:
     """n as an int, or ValueError if it is not a positive integer."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
     return int(n)
 
 
-def _as_square_matrix(data, name: str = "matrix") -> np.ndarray:
-    """A float copy of data, or ValueError if it is not a finite, real, square matrix."""
+def _as_square_matrix(data, name: str = "matrix", dim: int | None = None) -> np.ndarray:
+    """A float copy of data, or ValueError unless it is a finite, real, square (dim x dim) matrix."""
     arr = _real_array(data, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if dim is not None and arr.shape != (dim, dim):
+        raise ValueError(f"expected shape {(dim, dim)}, got {arr.shape}")
     return arr
 
 
-def _residual(M: np.ndarray, form: np.ndarray):
-    """max |M form M^T - form|: a float for a matrix, an array for a (k, m, m) stack."""
-    if M.ndim > 2:
-        return abs(M @ form @ M.swapaxes(-1, -2) - form).max(axis=(-2, -1))
-    # the same BLAS product as @ on 2-D float arrays, without the matmul ufunc's dispatch
-    return float(abs(M.dot(form).dot(M.T) - form).max())
+def _residual(M: np.ndarray, form: np.ndarray, axis=None):
+    """max |M form M^T - form| of a matrix or a (k, m, m) stack, over every entry or over axis:
+    M form M^T - form is built in place and reduced once, one reduction for a whole stack."""
+    # on 2-D float arrays .dot is the same BLAS product as @, without the matmul ufunc's dispatch
+    R = M.dot(form).dot(M.T) if M.ndim == 2 else M @ form @ M.swapaxes(-1, -2)
+    R -= form
+    return np.maximum.reduce(np.abs(R, out=R), axis=axis)
 
 
 def _passes_group_check(M: np.ndarray, form: np.ndarray, tol: float) -> bool:
     """True iff M, a matrix or a (k, 2n, 2n) stack, passes the group check at tol. NaN, inf and
     overflow fail the residual, which implies the det gate where 2n tol <= _DET_TOL (NOTES.md)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = _residual(M, form)
-        if not (resid if M.ndim == 2 else resid.max()) <= tol:
+        if not _residual(M, form) <= tol:
             return False
         return M.shape[-1] * tol <= _DET_TOL or bool((abs(np.linalg.det(M) - 1.0) <= _DET_TOL).all())
 
@@ -100,13 +107,14 @@ def _passes_group_check(M: np.ndarray, form: np.ndarray, tol: float) -> bool:
 def _group_gates(M: np.ndarray, form: np.ndarray, tol: float):
     """(residual, determinant, passed) of a matrix or of each stacked matrix, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        resid, det = _residual(M, form), np.linalg.det(M)
+        resid, det = _residual(M, form, (-2, -1)), np.linalg.det(M)
     return resid, det, (resid <= tol) & (abs(det - 1.0) <= _DET_TOL)
 
 
 def _asymmetry(arr: np.ndarray) -> float:
-    """max |arr - arr^T| of a square matrix."""
-    return float(abs(arr - arr.T).max())
+    """max |arr - arr^T| of a square matrix, unwarned; not finite if an entry is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.maximum.reduce(abs(arr - arr.T), axis=None))
 
 
 def omega(n: int) -> np.ndarray:
@@ -153,7 +161,7 @@ def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
         raise ValueError(f"unknown ordering {ordering!r}")
     form = omega if ordering == GROUPED else omega_interleaved
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an inf residual
-        return _residual(M, form(M.shape[0] // 2))
+        return float(_residual(M, form(M.shape[0] // 2)))
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
@@ -167,7 +175,7 @@ def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
     if M.shape[0] % 2 != 0 or M.shape[0] == 0:
         raise ValueError(f"dimension must be even and positive, got {M.shape[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the residual
-        return bool(np.isfinite(M).all()) and _residual(M, _omega_cached(M.shape[0] // 2)) <= tol
+        return bool(np.isfinite(M).all() and _residual(M, _omega_cached(M.shape[0] // 2)) <= tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,13 +197,11 @@ class SympMatrix:
     tol_symp: float = DEFAULT_TOL_SYMP
 
     def __post_init__(self) -> None:
-        n = _mode_count(self.n)
+        n = self.n if type(self.n) is int and self.n > 0 else _mode_count(self.n)
         arr = _real_array(self.data, "symplectic matrix")
         known = arr.shape == (2 * n, 2 * n) and self.ordering in (GROUPED, INTERLEAVED)
         if not (known and _passes_group_check(arr, _FORMS[self.ordering](n), self.tol_symp)):
-            _as_square_matrix(arr, "symplectic matrix")  # the ordered checks name the failure
-            if arr.shape != (2 * n, 2 * n):
-                raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
+            _as_square_matrix(arr, "symplectic matrix", 2 * n)  # ordered checks name the failure
             if self.ordering not in (GROUPED, INTERLEAVED):
                 raise ValueError(f"unknown ordering {self.ordering!r}")
             resid, det, _ = _group_gates(arr, _FORMS[self.ordering](n), self.tol_symp)
@@ -238,16 +244,17 @@ class LieAlgElement:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        n = _mode_count(self.n)
-        arr = _as_square_matrix(self.data, "generator")
-        if arr.shape != (2 * n, 2 * n):
-            raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
-        asym = _asymmetry(arr)
-        if asym > _SYMMETRY_TOL:
-            raise ValueError(
-                f"generator must be symmetric: asymmetry {asym:.3e} exceeds "
-                f"{_SYMMETRY_TOL}"
-            )
+        n = self.n if type(self.n) is int and self.n > 0 else _mode_count(self.n)
+        arr = _real_array(self.data, "generator")
+        # a non-finite entry makes the asymmetry non-finite, so one reduction decides a pass
+        if not (arr.shape == (2 * n, 2 * n) and _asymmetry(arr) <= _SYMMETRY_TOL):
+            arr = _as_square_matrix(arr, "generator", 2 * n)  # ordered checks name the failure
+            asym = _asymmetry(arr)
+            if asym > _SYMMETRY_TOL:
+                raise ValueError(
+                    f"generator must be symmetric: asymmetry {asym:.3e} exceeds "
+                    f"{_SYMMETRY_TOL}"
+                )
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "n", n)

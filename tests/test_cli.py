@@ -87,6 +87,18 @@ def test_config_negative_tol_exits_2(tmp_path, capsys):
     assert "config error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("inf", "tolerance must be finite, got inf"), ("nan", "tolerance must be positive, got nan")],
+)
+def test_non_finite_tol_flag_exits_2(capsys, value, message):
+    code = main(["phase", "--kind", "squeeze1", "--R", "1", "--tol", value, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: {message}" in captured.err
+    assert captured.out == ""
+
+
 def test_config_unknown_key_reports_line(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[path]\nkind = squeeze1\n[sweep]\nbogus = 1\n")

@@ -87,6 +87,7 @@ def test_covariance_matrix_validation(rng, random_symplectic):
         ((1, np.eye(2) + 1e-3j), "covariance must be real-valued, got dtype complex128"),
         ((1, np.eye(2, dtype=complex), QUADRATURE), "covariance must be real-valued, got dtype complex128"),
         ((1, np.array([[1 + 0j, 0], [0, 1]], dtype=object)), "covariance must be real-valued, got dtype object"),
+        ((True, np.eye(2)), "mode count must be a positive integer, got True"),  # bool is not a count
     ],
 )
 def test_covariance_matrix_rejections(args, message):

@@ -65,7 +65,16 @@ def test_connection_integrand_shape_checks(rng, random_symplectic):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("panels", 2.5), ("panels", 64.0), ("max_evals", 1e6), ("max_evals", "45")]
+    "field,value",
+    [
+        ("panels", 2.5),
+        ("panels", 64.0),
+        ("max_evals", 1e6),
+        ("max_evals", "45"),
+        ("panels", True),  # bool is a subclass of int, but not a count
+        ("max_evals", True),
+        ("max_evals", np.True_),
+    ],
 )
 def test_quad_spec_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match="integer"):
@@ -78,6 +87,9 @@ def test_quad_spec_validation():
         QuadSpec(kind="simpson")
     with pytest.raises(ValueError):
         QuadSpec(tol=0.0)
+    for tol, reason in ((np.inf, "finite"), (np.nan, "positive"), (-np.inf, "positive")):
+        with pytest.raises(ValueError, match=f"^tolerance must be {reason}$"):
+            QuadSpec(tol=tol)
     with pytest.raises(ValueError):
         QuadSpec(max_evals=10)
     with pytest.raises(ValueError):
@@ -819,13 +831,13 @@ def test_stack_of_opposite_infinities_is_nonfinite_without_warning():
 
 def test_nan_residual_at_one_node_fails_the_stack(monkeypatch):
     path = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
-    residual = symplectic_core._residual  # the path check's residual kernel
+    residual = symplectic_core._residual  # the kernel that decides pass or fail, and names the node
 
-    def nan_at_node_3(Ms, form):
-        resid = residual(Ms, form)
+    def nan_at_node_3(Ms, form, axis=None):
+        resid = residual(Ms, form, (1, 2))
         assert resid.max() <= 1e-14  # every real residual passes
         resid[3] = np.nan
-        return resid
+        return resid if axis is not None else np.maximum.reduce(resid)
 
     monkeypatch.setattr(symplectic_core, "_residual", nan_at_node_3)
     t3 = 0.5 - 0.5 * 0.7415311855993945  # the fourth of the 15 panel nodes

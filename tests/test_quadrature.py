@@ -1,4 +1,6 @@
 """Rule constants and adaptive behavior of the internal quadrature engines."""
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from sympberry._quadrature import (
     GK15_NODES,
     GK15_WEIGHTS,
     QuadratureBudgetExceeded,
-    _panel,
+    _panels,
     adaptive_gauss_kronrod,
     fixed_gauss_kronrod,
     tanh_sinh_nodes,
@@ -87,6 +89,109 @@ def test_bad_tolerance():
         adaptive_gauss_kronrod(np.exp, 0.0, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, np.inf, np.float64("inf")])
+def test_infinite_tolerance_is_rejected(tol):
+    with pytest.raises(ValueError, match="^tolerance must be finite$"):
+        adaptive_gauss_kronrod(np.exp, 0.0, 1.0, tol=tol)
+
+
+# The engine as it was before its panels moved to a heap: every split rescans the panel
+# list for the worst panel, and every stop is decided on a fresh sum of the errors. The
+# heap engine must do the same work and return the same numbers.
+def _reference_adaptive(f, a, b, tol=1e-10, max_evals=10**6):
+    k15, err = _panels(f, a, b)
+    panels = [(a, b, float(k15), float(err))]
+    evals = 15
+    while True:
+        total_err = sum(p[3] for p in panels)
+        if total_err <= tol:
+            break
+        if evals + 30 > max_evals:
+            raise QuadratureBudgetExceeded(evals, tol, total_err)
+        # split the panel with the largest error; ties break on left endpoint
+        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -panels[i][0]))
+        pa, pb, _, _ = panels.pop(worst)
+        pm = 0.5 * (pa + pb)
+        (v1, v2), (e1, e2) = _panels(f, np.array([pa, pm]), np.array([pm, pb]))
+        evals += 30
+        panels.append((pa, pm, float(v1), float(e1)))
+        panels.append((pm, pb, float(v2), float(e2)))
+    panels.sort(key=lambda p: p[0])
+    return float(sum(p[2] for p in panels)), float(sum(p[3] for p in panels)), evals
+
+
+def _noisy(x):
+    return np.sin(x) + 1e-9 * np.sin(1e7 * x)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, tol",
+    [
+        (lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-8), 0.0, 1.0, 1e-9),  # deep refinement
+        (lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-6), 0.0, 1.0, 1e-10),  # a symmetric peak
+        # a first error near 1e8: a running total of the panel errors drifts by more than tol
+        (lambda x: 1e-8 / ((x - 0.5) ** 2 + 1e-16), 0.0, 1.0, 1e-10),
+        (lambda x: np.abs(x - 0.5) ** 0.5, 0.0, 1.0, 1e-12),  # a kink at the midpoint
+        (lambda x: np.exp(-3 * x) * np.cos(20 * x), 0.0, 2.0, 1e-10),
+        (lambda x: np.zeros_like(x), 0.0, 1.0, 1e-10),  # one panel
+        (_noisy, 0.0, 1.0, 1e-10),
+    ],
+)
+def test_heap_engine_matches_the_rescanning_reference(f, a, b, tol):
+    assert adaptive_gauss_kronrod(f, a, b, tol=tol) == _reference_adaptive(f, a, b, tol=tol)
+
+
+def test_a_zero_integral_reads_positive_zero():
+    # from 1 to 0 the half-width is negative, so the one panel's K15 sum is -0.0
+    value, error, evals = adaptive_gauss_kronrod(np.zeros_like, 1.0, 0.0)
+    assert (math.copysign(1.0, value), error, evals) == (1.0, 0.0, 15)
+
+
+# Every panel sees the same 15 values, so panels of one width tie exactly, and each split
+# halves a panel's error without lowering the total: refinement never converges.
+_SAME_ON_EVERY_PANEL = np.cos(np.arange(15.0))
+
+
+def _tiled(x):
+    return np.tile(_SAME_ON_EVERY_PANEL, x.size // 15)
+
+
+def test_equal_errors_split_the_leftmost_panel_first():
+    lefts = []
+
+    def recorded(x):
+        if x.size == 30:  # a split: x[7] and x[22] are the centres of its halves
+            lefts.append(float(x[7] - (x[22] - x[7]) / 2))
+        return _tiled(x)
+
+    with pytest.raises(QuadratureBudgetExceeded) as info:
+        adaptive_gauss_kronrod(recorded, 0.0, 1.0, tol=1e-3, max_evals=15 + 7 * 30)
+    assert lefts == [0.0, 0.0, 0.5, 0.0, 0.25, 0.5, 0.75]
+    with pytest.raises(QuadratureBudgetExceeded) as reference:
+        _reference_adaptive(_tiled, 0.0, 1.0, tol=1e-3, max_evals=15 + 7 * 30)
+    assert (info.value.evaluations, info.value.error) == (225, reference.value.error)
+
+
+@pytest.mark.parametrize("f, tol, max_evals", [(_tiled, 1e-3, 1000), (_noisy, 1e-13, 3000)])
+def test_small_budget_raises_as_the_reference_does(f, tol, max_evals):
+    with pytest.raises(QuadratureBudgetExceeded) as info:
+        adaptive_gauss_kronrod(f, 0.0, 1.0, tol=tol, max_evals=max_evals)
+    with pytest.raises(QuadratureBudgetExceeded) as reference:
+        _reference_adaptive(f, 0.0, 1.0, tol=tol, max_evals=max_evals)
+    assert info.value.evaluations == reference.value.evaluations
+    assert info.value.error == pytest.approx(reference.value.error, rel=1e-12)
+    assert str(info.value) == str(reference.value)
+
+
+def test_noisy_integrand_exhausts_the_budget_after_the_reference_count():
+    # the count and error of the rescanning engine, whose scan of about 10^4 panels per split
+    # makes this case take seconds; the heap engine takes a small fraction of that
+    with pytest.raises(QuadratureBudgetExceeded) as info:
+        adaptive_gauss_kronrod(_noisy, 0.0, 1.0, tol=1e-13, max_evals=3 * 10**5)
+    assert info.value.evaluations == 299985
+    assert info.value.error == pytest.approx(5.647856441532177e-11, rel=1e-12)
+
+
 def test_fixed_rule():
     calls = []
 
@@ -108,9 +213,9 @@ def test_fixed_rule_sums_panels_in_order():
     edges = np.linspace(-0.5, 2.0, 7 + 1)
     value = error = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _panel(f, a, b)
-        value += v
-        error += e
+        v, e = _panels(f, a, b)
+        value += float(v)
+        error += float(e)
     assert fixed_gauss_kronrod(f, -0.5, 2.0, panels=7) == (value, error, 7 * 15)
 
 

@@ -58,6 +58,12 @@ def test_omega_interleaved_is_one_shared_read_only_array():
     assert omega_interleaved(np.int64(2)) is omega_interleaved(2)
 
 
+@pytest.mark.parametrize("form", [omega, omega_interleaved, gamma_permutation])
+def test_forms_reject_a_boolean_mode_count(form):
+    with pytest.raises(ValueError, match="^mode count must be a positive integer, got True$"):
+        form(True)
+
+
 def test_interleaved_sympmatrix_still_validated():
     with pytest.raises(ValueError, match="symplectic condition"):
         SympMatrix(2, 2 * np.eye(4), INTERLEAVED)
@@ -295,6 +301,9 @@ def _with(value):
             (1, [[1e200, 1e200], [0.0, 1.0]]),
             "matrix fails the symplectic condition: residual inf exceeds tolerance 1.000e-10",
         ),
+        # bool is a subclass of int, but not a count
+        ((True, np.eye(2)), "mode count must be a positive integer, got True"),
+        ((np.True_, np.eye(2)), "mode count must be a positive integer, got np.True_"),
     ],
 )
 def test_sympmatrix_rejections(args, message):
@@ -317,6 +326,11 @@ def test_sympmatrix_rejections(args, message):
         ),
         ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
         ((1, np.eye(2) + 1e-3j), "generator must be real-valued, got dtype complex128"),
+        # non-finite entries fail the one symmetry reduction; the ordered checks name them
+        ((1, np.full((2, 2), np.inf)), "generator contains non-finite entries"),
+        ((1, np.full((4, 4), np.nan)), "generator contains non-finite entries"),
+        ((2, np.full((2, 3), np.nan)), "generator must be square, got shape (2, 3)"),
+        ((True, np.eye(2)), "mode count must be a positive integer, got True"),
     ],
 )
 def test_lie_alg_element_rejections(args, message):
