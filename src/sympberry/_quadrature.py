@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .symplectic_core import _is_integer
+
 __all__ = [
     "QuadratureBudgetExceeded",
     "adaptive_gauss_kronrod",
@@ -127,12 +129,15 @@ def adaptive_gauss_kronrod(
     Returns (value, error_estimate, evaluations), where evaluations counts
     nodes. Panels are accumulated in left-endpoint order so the reduction is
     deterministic. Raises QuadratureBudgetExceeded if max_evals is reached
-    first, and ValueError unless tol is positive and finite.
+    first, and ValueError unless tol is positive and finite and max_evals an
+    integer (bool is not a count).
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if tol == math.inf:
         raise ValueError("tolerance must be finite")
+    if not _is_integer(max_evals):
+        raise ValueError(f"budget must be an integer, got {max_evals!r}")
     val, err = map(float, _panels(f, a, b))
     if err <= tol:  # + 0.0 as in the sums below, so a zero integral reads 0.0, not -0.0
         return val + 0.0, err + 0.0, 15
@@ -174,7 +179,7 @@ def fixed_gauss_kronrod(
     integrand values as an array of the same shape. The panel sums are added
     in panel order.
     """
-    if panels < 1:
+    if not _is_integer(panels) or panels < 1:
         raise ValueError("panel count must be >= 1")
     edges = np.linspace(a, b, panels + 1)
     values, errors = _panels(f, edges[:-1], edges[1:])

@@ -36,7 +36,7 @@ from .gaussian_states import OscParams
 from .geometric_phase import ADAPTIVE, FIXED, PhaseResult, QuadSpec, integrate_phase, polygon_phase
 from .sp4_closed_form import Sp4Generator
 from .squeeze_paths import squeeze_circle_path, reference_phase
-from .symplectic_core import GROUPED, SympMatrix, _asymmetry
+from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _is_integer
 
 __all__ = ["ConfigError", "RunConfig", "run_phase", "run_sweep", "run_verify", "run_expm", "main"]
 
@@ -396,7 +396,7 @@ def _load_samples(path: str) -> list[SympMatrix]:
         Ms = np.asarray(doc["M"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"samples file {path} needs keys n, t, M") from exc
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ConfigError(f"samples file {path}: n must be a positive integer, got {n!r}")
     if ts.ndim != 1 or len(ts) < 2:
         raise ConfigError("samples need at least two parameter values")

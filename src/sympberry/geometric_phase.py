@@ -18,7 +18,6 @@ call (a G7K15 panel or a split into two panels) at a time.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Sequence
 
@@ -109,8 +108,8 @@ class PhaseResult:
     path. On a path that converges in one panel (the squeeze circles, whose
     integrand is constant) it is rounding noise: 0 to about 6e-14, changing
     with the summation order of the same node values. On finite-difference
-    paths it under-reports the true error: it reads 5.1e-12 against an
-    actual 3.1e-10 (60x) on a reparametrized circle. polygon_phase uses no
+    paths it under-reports the true error: it reads 5.5e-12 against an
+    actual 2.2e-10 (40x) on a reparametrized circle. polygon_phase uses no
     quadrature; its error_estimate bounds the rounding of its finite sum.
     """
 
@@ -132,11 +131,14 @@ class SympPath:
     eval_batch and tangent_batch, given together, map a 1-D array of k
     parameters to (k, 2n, 2n) stacks of M(t) and dM/dt. A path given per point
     instead, by eval (t -> SympMatrix) and an optional tangent, is adapted to
-    that pair at construction; without a tangent, dM/dt is a second-order
-    finite difference with step 1e-6 * max(1, |M(0)|_max), one-sided within a
-    step of either end. sample() checks every stacked matrix as SympMatrix
-    does. Construction checks five samples, and closure when closed, the
-    flag's only effect. eval(t) and derivative(t) are one-point views.
+    that pair at construction. Without a tangent, with h = 1e-6 * max(1,
+    |M(0)|_max), a node t is evaluated at t + h/2 and t - h/2 only: its matrix
+    is their mean and dM/dt their difference over h, both O(h^2) from M(t) and
+    M'(t) (NOTES.md). A node within h/2 of either end takes M(t) and the
+    one-sided three-point difference with step h. sample() checks every
+    evaluated stack (both stencil stacks, never the mean) as SympMatrix does.
+    Construction checks five samples, and closure when closed, the flag's
+    only effect. eval(t) and derivative(t) are one-point views.
     """
 
     n: int
@@ -145,6 +147,7 @@ class SympPath:
     closed: bool = False
     eval_batch: Callable[[np.ndarray], np.ndarray] | None = None
     tangent_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    _fd_step = None  # not a field: h, set on a path built without a tangent
 
     def __post_init__(self) -> None:
         if (self.eval_batch is None) != (self.tangent_batch is None):
@@ -165,37 +168,43 @@ class SympPath:
         if self.tangent_batch is None:
             if self.tangent is None:
                 h = _FD_STEP_FACTOR * max(1.0, float(abs(samples[0]).max()))
-                tangent_batch = functools.partial(_fd_tangents, eval_batch, n, h)
+                object.__setattr__(self, "_fd_step", h)
+                tangent_batch = lambda ts: self.sample(ts)[1]
             else:
                 tangent = self.tangent
                 tangent_batch = lambda ts: np.array([tangent(t) for t in ts])
             object.__setattr__(self, "tangent_batch", tangent_batch)
 
-    def _matrices(self, ts: np.ndarray, form_of: Callable = _omega_cached) -> np.ndarray:
-        """eval_batch(ts), with every stacked matrix checked like a SympMatrix.
-
-        A passing stack costs one residual reduction; the finiteness check and the
-        per-node gates that name the first bad t run only on failure.
-        """
+    def _matrices(
+        self, ts: np.ndarray, form_of: Callable = _omega_cached, check: Callable | None = None
+    ) -> np.ndarray:
+        """eval_batch(ts), checked by _check_group and then by check(stack, ts) if given."""
         Ms = _stack(self.eval_batch(ts), ts, self.n, "eval_batch")
-        form = form_of(self.n)
-        if not _passes_group_check(Ms, form, DEFAULT_TOL_SYMP):
-            if not np.isfinite(Ms).all():
-                bad = ~np.isfinite(Ms).all(axis=(1, 2))
-                raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
-            resid, det, passed = _group_gates(Ms, form, DEFAULT_TOL_SYMP)
-            if not passed.all():
-                i = int(np.argmax(~passed))
-                raise ValueError(
-                    f"sample at t={ts[i]} fails the symplectic condition: residual "
-                    f"{resid[i]:.3e}, determinant {float(det[i])!r}"
-                )
+        _check_group(Ms, ts, form_of(self.n))
+        if check is not None:
+            check(Ms, ts)
         return Ms
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """(Ms, dMs), each (k, 2n, 2n): checked path matrices and tangents at the 1-D ts."""
-        ts = np.asarray(ts, dtype=float)
-        return self._matrices(ts), _stack(self.tangent_batch(ts), ts, self.n, "tangent_batch")
+        """(Ms, dMs), each (k, 2n, 2n): path matrices and tangents at the 1-D ts."""
+        return self._sample(np.asarray(ts, dtype=float))
+
+    def _sample(self, ts: np.ndarray, check: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """sample(ts), every evaluated stack checked by _matrices (and check)."""
+        h = self._fd_step
+        if h is None:
+            Ms = self._matrices(ts, check=check)
+            return Ms, _stack(self.tangent_batch(ts), ts, self.n, "tangent_batch")
+        end = (ts < 0.5 * h) | (ts > 1.0 - 0.5 * h)
+        mid, te = ts[~end], ts[end]
+        step = np.where(te < 0.5, h, -h)  # forward from t = 0, backward from t = 1
+        pts = np.concatenate((mid + 0.5 * h, mid - 0.5 * h, te, te + step, te + 2.0 * step))
+        sizes = np.cumsum((mid.size, mid.size, te.size, te.size))
+        plus, minus, m0, m1, m2 = np.split(self._matrices(pts, check=check), sizes)
+        Ms, dMs = np.empty((2, ts.size, 2 * self.n, 2 * self.n))
+        Ms[~end], dMs[~end] = 0.5 * (plus + minus), (plus - minus) / h
+        Ms[end], dMs[end] = m0, (-3.0 * m0 + 4.0 * m1 - m2) / (2.0 * step[:, None, None])
+        return Ms, dMs
 
     def derivative(self, t: float) -> np.ndarray:
         """dM/dt at t."""
@@ -214,20 +223,20 @@ def _point_data(M, t: float, n: int) -> np.ndarray:
     return M.data
 
 
-def _fd_tangents(eval_batch: Callable, n: int, h: float, ts: np.ndarray) -> np.ndarray:
-    """Second-order differences of eval_batch with step h: central, or the
-    three-point one-sided rule within h of an end (mirrored by s = -1 at t = 1)."""
-    lo = ts < h
-    hi = ~lo & (ts > 1.0 - h)
-    mid = ~(lo | hi)
-    dMs = np.empty((ts.size, 2 * n, 2 * n))
-    if mid.any():
-        dMs[mid] = (eval_batch(ts[mid] + h) - eval_batch(ts[mid] - h)) / (2.0 * h)
-    for end, s in ((lo, 1.0), (hi, -1.0)):
-        if end.any():
-            m0, m1, m2 = (eval_batch(ts[end] + s * k * h) for k in range(3))
-            dMs[end] = (-3.0 * s * m0 + 4.0 * s * m1 - s * m2) / (2.0 * h)
-    return dMs
+def _check_group(Ms: np.ndarray, ts: np.ndarray, form: np.ndarray) -> None:
+    """Check every stacked matrix like a SympMatrix: one residual reduction on a
+    pass, the finiteness and per-node gates that name the first bad t on failure."""
+    if not _passes_group_check(Ms, form, DEFAULT_TOL_SYMP):
+        if not np.isfinite(Ms).all():
+            bad = ~np.isfinite(Ms).all(axis=(1, 2))
+            raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
+        resid, det, passed = _group_gates(Ms, form, DEFAULT_TOL_SYMP)
+        if not passed.all():
+            i = int(np.argmax(~passed))
+            raise ValueError(
+                f"sample at t={ts[i]} fails the symplectic condition: residual "
+                f"{resid[i]:.3e}, determinant {float(det[i])!r}"
+            )
 
 
 def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
@@ -289,9 +298,10 @@ def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
 
 
 def _integrate(
-    path: SympPath, p: OscParams, quad: QuadSpec | None, kernel: Callable
+    path: SympPath, p: OscParams, quad: QuadSpec | None, kernel: Callable, check: Callable | None = None
 ) -> PhaseResult:
-    """Every phase integral runs here: kernel(Ms, dMs, ts) integrated over [0, 1].
+    """Every phase integral runs here: kernel(Ms, dMs, ts) integrated over [0, 1], with
+    check(stack, ts) run on every evaluated sample stack if given.
 
     The engines are looked up in this module's namespace at each call, so a
     wrapper installed there sees every engine call and its integrand nodes.
@@ -300,7 +310,7 @@ def _integrate(
     _check_modes(path.n, p)
 
     def f(ts: np.ndarray) -> np.ndarray:
-        values = kernel(*path.sample(ts), ts)
+        values = kernel(*path._sample(ts, check), ts)
         if not np.logical_and.reduce(np.isfinite(values)):
             bad = ts[np.argmax(~np.isfinite(values))]
             raise NonFiniteIntegrand(f"integrand is non-finite at t={bad}")
@@ -345,8 +355,11 @@ def integrate_phase_boundary_form(
 
     The first term sees only the covariance; the second, from the factor
     det(A + B Z0)^(-1/2), is (1/2) d arg det(A + B Z0), integrated so its branch
-    is followed. With no arithmetic shared, the sum equals integrate_phase on
-    every path; on an open one both return the integral, with no closing term.
+    is followed. With no arithmetic shared, the sum equals integrate_phase to
+    rounding on every path with a tangent; on an open one both return the
+    integral, with no closing term. Without a tangent both read the stencil
+    mean, which is symplectic only to O(h^2), so they agree to the
+    finite-difference error: 8.8e-11 on the reparametrized R = 1 circle.
     """
     kernel = lambda Ms, dMs, ts: _covariance_values(Ms, dMs, p) + _winding_values(Ms, dMs, p)
     return _integrate(path, p, quad, kernel)
@@ -364,8 +377,8 @@ def phase_b_zero(
     n = path.n
     l2 = _metric_diag(p)[:n]
 
-    def kernel(Ms: np.ndarray, dMs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        A, B, C, D = Ms[:, :n, :n], Ms[:, :n, n:], Ms[:, n:, :n], Ms[:, n:, n:]
+    def check(Ms: np.ndarray, ts: np.ndarray) -> None:
+        A, B, D = Ms[:, :n, :n], Ms[:, :n, n:], Ms[:, n:, n:]
         b_max = np.max(np.abs(B), axis=(1, 2))
         if np.any(b_max > _B_ZERO_TOL):
             i = int(np.argmax(b_max > _B_ZERO_TOL))
@@ -377,12 +390,14 @@ def phase_b_zero(
                 f"lower-right block deviates from inverse-transpose form by "
                 f"{d_resid[i]:.3e} at t={ts[i]}"
             )
-        dA, dC = dMs[:, :n, :n], dMs[:, n:, :n]
+
+    def kernel(Ms: np.ndarray, dMs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        A, C, dA, dC = Ms[:, :n, :n], Ms[:, n:, :n], dMs[:, :n, :n], dMs[:, n:, :n]
         # diagonal of A^T dC - C^T dA
         core = np.einsum("kji,kji->ki", A, dC) - np.einsum("kji,kji->ki", C, dA)
         return -(0.25 / p.hbar) * (core @ l2)
 
-    return _integrate(path, p, quad, kernel)
+    return _integrate(path, p, quad, kernel, check)
 
 
 def check_canonical_invariance(
@@ -395,19 +410,16 @@ def check_canonical_invariance(
 
     Returns (original, translated, |difference|). The connection only sees
     M^T Omega dM, which the translation leaves fixed, so the difference is
-    pure quadrature noise. The translated path is sampled stack by stack.
+    rounding. The translate reads the path's own sample pairs times S, so a
+    path without a tangent keeps its stencil and step.
     """
     if fixedM.n != path.n:
         raise ValueError(f"translation has {fixedM.n} modes, path has {path.n}")
     if fixedM.ordering != GROUPED:
         raise ValueError("translation must use grouped ordering")
     base = integrate_phase(path, p, quad)
-    S = fixedM.data
-    moved = SympPath(
-        n=path.n,
-        closed=path.closed,
-        eval_batch=lambda ts: S @ path.eval_batch(ts),
-        tangent_batch=lambda ts: S @ path.tangent_batch(ts),
-    )
-    translated = integrate_phase(moved, p, quad)
+    S, form = fixedM.data, _omega_cached(path.n)
+    # S dM: a difference of translated samples would divide their rounding by the step
+    kernel = lambda Ms, dMs, ts: _connection_values(S @ Ms, S @ dMs, p)
+    translated = _integrate(path, p, quad, kernel, lambda Ms, ts: _check_group(S @ Ms, ts, form))
     return base.value, translated.value, abs(translated.value - base.value)

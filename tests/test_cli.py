@@ -19,7 +19,7 @@ from sympberry import (
     polygon_phase,
     squeeze_circle_path,
 )
-from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, main
+from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, ConfigError, _load_samples, main
 
 REFERENCE_R1 = -4.3388468454428593
 REFERENCE_R05 = -0.85306906632122558
@@ -718,3 +718,14 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, child_en
     for argv, (code, out) in zip(runs[:3], in_process):
         proc = _run(_MODULE + argv, child_env)
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_load_samples_reads_the_mode_count_by_the_shared_integer_rule(tmp_path):
+    samples = tmp_path / "knots.json"
+    for n, accepted in ((True, False), (1, True)):
+        samples.write_text(json.dumps({"n": n, "t": [0.0, 1.0], "M": [np.eye(2).tolist()] * 2}))
+        if accepted:
+            assert [M.n for M in _load_samples(str(samples))] == [1, 1]
+        else:
+            with pytest.raises(ConfigError, match="n must be a positive integer, got True"):
+                _load_samples(str(samples))

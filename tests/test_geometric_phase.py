@@ -29,6 +29,7 @@ from sympberry import (
     squeeze_circle_path,
 )
 from sympberry import gaussian_states, geometric_phase, symplectic_core
+from sympberry._quadrature import GK15_NODES
 from sympberry.oracles import b_zero_loop
 from sympberry.symplectic_core import LieAlgElement
 
@@ -749,23 +750,24 @@ def test_stacked_finite_difference_matches_the_per_point_rules():
     def m(t):
         return base.eval(t).data
 
-    # one stack mixing both ends, nodes within h of them, and interior nodes
-    ts = np.array([0.0, 0.4 * h, 0.3, 1.0 - 0.5 * h, 0.71, 1.0, 0.9 * h])
+    # one stack mixing both ends, nodes within h/2 of them, interior nodes, and
+    # nodes h/2 (interior: the stencil reaches the end) and h from the ends
+    ts = np.array([0.0, 0.4 * h, 0.3, 1.0 - 0.5 * h, 0.71, 1.0, 0.9 * h, 1.0 - 0.3 * h])
     expected = []
     for t in ts:
-        if t < h:
+        if t < 0.5 * h:
             expected.append((-3.0 * m(t) + 4.0 * m(t + h) - m(t + 2 * h)) / (2.0 * h))
-        elif t > 1.0 - h:
+        elif t > 1.0 - 0.5 * h:
             expected.append((3.0 * m(t) - 4.0 * m(t - h) + m(t - 2 * h)) / (2.0 * h))
         else:
-            expected.append((m(t + h) - m(t - h)) / (2.0 * h))
+            expected.append((m(t + 0.5 * h) - m(t - 0.5 * h)) / h)
     expected = np.array(expected).tobytes()
     assert path.sample(ts)[1].tobytes() == expected
     assert np.array([path.derivative(t) for t in ts]).tobytes() == expected
 
 
 def test_eval_calls_per_node():
-    # a finite-difference tangent costs two evaluations more per interior node
+    # a finite-difference tangent costs one evaluation more per interior node
     base = squeeze_circle_path(1, 0.9, UNIT_PARAMS)
     calls = []
 
@@ -775,7 +777,7 @@ def test_eval_calls_per_node():
 
     fd = SympPath(n=1, eval=counted, closed=True)
     analytic = SympPath(n=1, eval=counted, tangent=base.derivative, closed=True)
-    for path, per_node in ((fd, 3), (analytic, 1)):
+    for path, per_node in ((fd, 2), (analytic, 1)):
         for quad in (QuadSpec(), QuadSpec(kind=FIXED, panels=4)):
             calls.clear()
             result = integrate_phase(path, UNIT_PARAMS, quad)
@@ -865,3 +867,116 @@ def test_complex_stacks_are_rejected():
     per_point = SympPath(n=1, eval=base.eval, tangent=tangent, closed=True)
     with pytest.raises(ValueError, match=tangent_complex):
         integrate_phase(per_point, UNIT_PARAMS)
+
+
+def _fd_step(path):
+    """The finite-difference step of a path without a tangent: 1e-6 * max(1, |M(0)|_max)."""
+    return 1e-6 * max(1.0, float(np.max(np.abs(path.eval(0.0).data))))
+
+
+def test_stencil_mean_is_the_node_matrix():
+    base = squeeze_circle_path(1, 0.9, OscParams(0.8, (1.3,)))
+    path = SympPath(n=1, eval=base.eval, closed=True)
+    h = _fd_step(base)
+
+    def m(t):
+        return base.eval(t).data
+
+    ts = np.array([0.0, 0.4 * h, 0.3, 0.9 * h, 1.0 - 0.3 * h, 1.0])
+    expected = [m(t) if t < 0.5 * h or t > 1.0 - 0.5 * h else 0.5 * (m(t + 0.5 * h) + m(t - 0.5 * h)) for t in ts]
+    assert path.sample(ts)[0].tobytes() == np.array(expected).tobytes()
+
+
+TWO_MODES = OscParams(1.0, (1.0, 1.0))
+# determinant 1 but not symplectic: residual 1e-6, inside a SympMatrix tolerance of 1e-3
+_OFF_GROUP = np.diag([1.0 + 1e-6, 1.0 / (1.0 + 1e-6), 1.0, 1.0])
+
+
+def _leaving_circle(lo, hi):
+    """Per-point two-mode circle that leaves the group for t in (lo, hi)."""
+    base = squeeze_circle_path(2, 0.7, TWO_MODES)
+
+    def eval_point(t):
+        M = base.eval(t).data
+        return SympMatrix(2, M @ _OFF_GROUP if lo < t < hi else M, GROUPED, 1e-3)
+
+    return SympPath(n=2, eval=eval_point, closed=True)
+
+
+@pytest.mark.parametrize("side", [0.5, -0.5])
+def test_both_stencil_stacks_are_group_checked(side):
+    # the path leaves the group only between the node 0.5 and its stencil point 0.5 + side h
+    h = _fd_step(squeeze_circle_path(2, 0.7, TWO_MODES))
+    path = _leaving_circle(*sorted((0.5, 0.5 + 2.0 * side * h)))
+    message = f"sample at t={0.5 + side * h} fails the symplectic condition"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_phase(path, TWO_MODES)
+
+
+def test_end_node_stacks_are_group_checked():
+    h = _fd_step(squeeze_circle_path(2, 0.7, TWO_MODES))
+    path = _leaving_circle(1.5 * h, 2.5 * h)
+    path.derivative(0.5)
+    with pytest.raises(ValueError, match=re.escape(f"sample at t={2.0 * h} fails the symplectic condition")):
+        path.derivative(0.0)
+
+
+def test_b_zero_checks_the_samples_not_the_stencil_mean():
+    # K0 entries to 2.5 and G scale 30: the stencil mean's D - A^-T reaches
+    # 4e-9, far over the 1e-10 check, while every evaluated sample has D = A^-T
+    K0 = np.array([[1.2, -2.5], [2.0, -0.6]])
+    G0, G1 = np.array([[0.8, -0.3], [-0.3, 0.5]]), np.array([[-0.4, 0.6], [0.6, 0.2]])
+    path = b_zero_loop(K0, G0, G1, g0_weight=0.4, scale=30.0)
+    p = OscParams(0.9, (1.1, 0.8))
+    quad = QuadSpec(kind=FIXED, panels=2)
+    ts = np.concatenate([0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES])
+    h = _fd_step(path)
+
+    def d_resid(Ms):
+        return np.max(np.abs(Ms[:, 2:, 2:] - np.linalg.inv(Ms[:, :2, :2]).transpose(0, 2, 1)))
+
+    samples = np.array([path.eval(t).data for t in np.concatenate([ts + 0.5 * h, ts - 0.5 * h])])
+    assert d_resid(path.sample(ts)[0]) > 1e-10 >= d_resid(samples)
+    reduced = phase_b_zero(path, p, quad)
+    assert abs(reduced.value - integrate_phase(path, p, quad).value) <= 1e-9
+
+
+def test_b_zero_names_the_evaluated_t():
+    # a B block only between the node 0.5 and its upper stencil point; there A = D
+    # is the identity to O(h), so [[A, B], [0, A]] still passes the group check
+    K0 = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    loop = b_zero_loop(K0)
+    h = _fd_step(loop)
+
+    def eval_point(t):
+        M = loop.eval(t).data.copy()
+        if 0.5 < t < 0.5 + h:
+            M[:2, 2:] = 1e-9 * np.eye(2)
+        return SympMatrix(2, M, GROUPED, 1e-3)
+
+    path = SympPath(n=2, eval=eval_point, closed=True)
+    with pytest.raises(NotBZeroForm, match=re.escape(f"at t={0.5 + 0.5 * h}")):
+        phase_b_zero(path, OscParams(1.0, (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_translated_finite_difference_circle_keeps_the_base_stencil(n, rng, random_symplectic):
+    # a per-point circle reparametrized by t + 0.4 sin(2 pi t) / 2 pi; the translate
+    # is integrated on S times the base's own stencil samples, so only rounding differs
+    p = OscParams(1.0, (1.0,) * n)
+    base = squeeze_circle_path(n, 1.0, p)
+    warp = lambda t: t + 0.4 * np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
+    path = SympPath(n=n, eval=lambda t: base.eval(warp(t)), closed=True)
+    for _ in range(3):
+        gamma, _, diff = check_canonical_invariance(path, random_symplectic(rng, n), p)
+        assert diff <= 1e-14 * max(1.0, abs(gamma))
+
+
+@pytest.mark.parametrize("tangent", [True, False])
+def test_translated_samples_are_group_checked(tangent):
+    # S passes its own check at tolerance 1e-3, but S M leaves the group by 1e-6
+    base = squeeze_circle_path(2, 0.7, TWO_MODES)
+    path = base if tangent else SympPath(n=2, eval=base.eval, closed=True)
+    S = SympMatrix(2, _OFF_GROUP, GROUPED, 1e-3)
+    with pytest.raises(ValueError, match="fails the symplectic condition"):
+        check_canonical_invariance(path, S, TWO_MODES)

@@ -1,5 +1,6 @@
 """Rule constants and adaptive behavior of the internal quadrature engines."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,3 +247,23 @@ def test_tanh_sinh_gaussian_moment():
 def test_tanh_sinh_validation():
     with pytest.raises(ValueError):
         tanh_sinh_nodes(1)
+
+
+@pytest.mark.parametrize("panels", [True, np.True_, 2.0])
+def test_fixed_rule_refuses_a_non_integer_panel_count(panels):
+    with pytest.raises(ValueError, match="panel count must be >= 1"):
+        fixed_gauss_kronrod(np.cos, 0.0, 1.0, panels=panels)
+
+
+@pytest.mark.parametrize("max_evals", [True, np.True_, 1e6])
+def test_adaptive_rule_refuses_a_non_integer_budget(max_evals):
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.cos(x)
+
+    with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, got {max_evals!r}")):
+        adaptive_gauss_kronrod(f, 0.0, 1.0, max_evals=max_evals)
+    assert calls == []  # refused before the first panel
+    assert adaptive_gauss_kronrod(np.cos, 0.0, 1.0, max_evals=np.int64(15))[2] == 15
