@@ -9,6 +9,7 @@ otherwise keeps its P panels in a heap ordered by error: a split costs O(log P).
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Callable
@@ -191,8 +192,9 @@ def fixed_gauss_kronrod(
     return value, error, 15 * panels
 
 
-def tanh_sinh_nodes(points: int, tmax: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-sinh nodes and weights on (-1, 1).
+@functools.lru_cache(maxsize=16)
+def tanh_sinh_nodes(points: int, tmax: float = 4.0) -> tuple[np.ndarray, np.ndarray, float]:
+    """Tanh-sinh nodes and weights on (-1, 1) and the widest node gap; cached, arrays read-only.
 
     The transform x = tanh((pi/2) sinh t) with a uniform t-grid gives
     spectral accuracy for integrands analytic on the interval.
@@ -203,4 +205,6 @@ def tanh_sinh_nodes(points: int, tmax: float = 4.0) -> tuple[np.ndarray, np.ndar
     st = 0.5 * np.pi * np.sinh(t)
     x = np.tanh(st)
     w = (t[1] - t[0]) * 0.5 * np.pi * np.cosh(t) / np.cosh(st) ** 2
-    return x, w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w, float(np.diff(x).max())

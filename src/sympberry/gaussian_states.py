@@ -264,8 +264,8 @@ def numeric_overlap_n1(
     F, G = _vacuum_frame(M.data, p)[:, 0].tolist()
     Z = G / F
     half = grid.halfwidth_sigmas * math.sqrt(hbar / (2.0 * Z.imag)) + abs(b)
-    nodes, weights = tanh_sinh_nodes(grid.points)
-    turn = abs(a) * half * float(np.diff(nodes).max()) / hbar
+    nodes, weights, gap = tanh_sinh_nodes(grid.points)
+    turn = abs(a) * half * gap / hbar
     if turn >= math.pi:
         # the widest gap, at the centre, is below (pi/2) h with h = 8 / (points - 1)
         needed = math.floor(4.0 * abs(a) * half / hbar) + 2

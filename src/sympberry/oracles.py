@@ -1,12 +1,12 @@
 """The cross-checks behind ``sympberry verify``, and the loop they share with the tests.
 
 ``CHECKS`` maps each check name, in report order, to ``(rng, count, fault)
--> (residual, tol)``: the worst disagreement of two independent routes to
-one quantity over inputs drawn from rng in a fixed order, and the bound it
-must stay under. fault perturbs one input by ``_FAULT_SIZE``, a negative
-control the check must catch. Library layers are called through their
-modules, so tracing that rebinds module functions sees these calls too;
-scipy.linalg is imported where it is used.
+-> (residual, tol)``: the worst disagreement (NaN if either route gives one)
+of two independent routes to one quantity over inputs drawn from rng in a
+fixed order, and the bound it must stay under. fault perturbs one input by
+``_FAULT_SIZE``, a negative control the check must catch. Library layers
+are called through their modules, so tracing that rebinds module functions
+sees these calls too; scipy.linalg is imported where it is used.
 """
 from __future__ import annotations
 
@@ -54,20 +54,32 @@ def b_zero_loop(
     return SympPath(n=2, eval=eval_path, closed=True)
 
 
-def expm_comparison(g: Sp4Generator, oracle: Sp4Generator | None = None) -> tuple:
-    """closed_form_exp(g) against scipy.linalg.expm of the oracle's U (g's by default).
+def _worst(deviations) -> float:
+    """max |deviation| in one reduction, which propagates a NaN: a NaN fails residual <= tol."""
+    return float(np.maximum.reduce(np.abs(deviations), axis=None, initial=0.0))
+
+
+def _generic_exp(gs) -> np.ndarray:
+    """scipy.linalg.expm of each generator's U = diag(J, J) L, in one call on the (k, 4, 4) stack."""
+    import scipy.linalg
+
+    a, b, c = (np.array([getattr(g, name) for g in gs]) for name in "abc")
+    return scipy.linalg.expm(sp4_closed_form._JJ @ np.block([[a, b], [b.swapaxes(1, 2), c]]))
+
+
+def expm_comparison(g: Sp4Generator) -> tuple:
+    """closed_form_exp(g) against scipy.linalg.expm of its U.
 
     Returns (closed form, branch taken, generic exponential, max |difference|).
     """
-    import scipy.linalg
-
     M, branch = sp4_closed_form.closed_form_exp(g, return_branch=True)
-    generic = scipy.linalg.expm((g if oracle is None else oracle).u_matrix())
-    return M, branch, generic, float(np.max(np.abs(M.data - generic)))
+    generic = _generic_exp([g])[0]
+    return M, branch, generic, _worst(M.data - generic)
 
 
 def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
+    """closed_form_exp per draw against scipy.linalg.expm, which runs once on the stacked draws."""
+    gs, closed = [], []
     n_degenerate = max(20, count // 5)
     for i in range(count + n_degenerate):
         if i < count:
@@ -76,30 +88,29 @@ def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tup
             # a = c = 0 forces the degenerate eigenvalue pair
             g = Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))
         g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and i == 0 else g
-        worst = max(worst, expm_comparison(g_used, g)[3])
-    return worst, 1e-9
+        gs.append(g)
+        closed.append(sp4_closed_form.closed_form_exp(g_used).data)
+    return _worst(np.array(closed) - _generic_exp(gs)), 1e-9
 
 
 def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
-    done = 0
-    while done < count:
+    """coeff_closed per draw and order against coeff_recurrence; one relative difference on the stack."""
+    pairs = []
+    while len(pairs) < 10 * count:
         g = random_generator(rng)
-        g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and done == 0 else g
+        g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and not pairs else g
         try:
-            for order in range(1, 11):
-                exact = sp4_closed_form.coeff_recurrence(g, order)
-                closed = sp4_closed_form.coeff_closed(g_used, order)
-                for x, y in zip(exact, closed):
-                    worst = max(worst, abs(x - y) / max(1.0, abs(x)))
+            pairs += [(sp4_closed_form.coeff_recurrence(g, k), sp4_closed_form.coeff_closed(g_used, k))
+                      for k in range(1, 11)]
         except DegenerateEigenvalues:
             continue
-        done += 1
-    return worst, 1e-9
+    exact, closed = np.array(pairs).swapaxes(0, 1)
+    return _worst((exact - closed) / np.maximum(1.0, np.abs(exact))), 1e-9
 
 
 def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
+    """Squeezes and random_symplectic per draw against symplectic_residual, once per mode count."""
+    stacks = [[], []]
     p1 = OscParams(1.0, (1.0,))
     p2 = OscParams(1.0, (1.0, 1.0))
     for i in range(count):
@@ -111,8 +122,9 @@ def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tupl
         M4 = random_symplectic(rng, 2).data
         if fault and i == 0:
             M1 = M1 + _FAULT_SIZE
-        worst = max(worst, *(symplectic_core.symplectic_residual(M) for M in (M1, M2, M3, M4)))
-    return worst, 1e-9
+        stacks[0] += M1, M3
+        stacks[1] += M2, M4
+    return _worst([symplectic_core.symplectic_residual(stack) for stack in stacks]), 1e-9
 
 
 # Non-unit hbar and unequal lengths, where the metric diag(l^2, hbar^2/l^2)
@@ -128,21 +140,22 @@ def _arc(path: SympPath, end: float) -> SympPath:
 
 
 def _check_two_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """The connection against its covariance-plus-winding split on circles and their arcs t in
-    [0, 0.3]: only an arc exposes a wrong Z0 or winding sign. The fault moves the split's R."""
+    """integrate_phase against its covariance-plus-winding split, per path; no stack to share."""
+    # only the arcs t in [0, 0.3] expose a wrong Z0 or winding sign; the fault moves the split's R
     del rng, count  # deterministic check
-    worst = 0.0
+    deviations = []
     for p in (_P1, _P2):
         R = 1.0 + (_FAULT_SIZE if fault else 0.0)
         circles = [squeeze_paths.squeeze_circle_path(p.n, r, p) for r in (1.0, R)]
         for direct, split in (circles, [_arc(c, 0.3) for c in circles]):
             a = geometric_phase.integrate_phase(direct, p).value
-            worst = max(worst, abs(a - geometric_phase.integrate_phase_boundary_form(split, p).value))
-    return worst, 1e-9
+            deviations.append(a - geometric_phase.integrate_phase_boundary_form(split, p).value)
+    return _worst(deviations), 1e-9
 
 
 def _check_invariance(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
+    """The phase of left-translated circles against the untranslated one, per draw; no stack."""
+    deviations = []
     p = OscParams(1.0, (1.0,))
     path = squeeze_paths.squeeze_circle_path(1, 1.0 + (_FAULT_SIZE if fault else 0.0), p)
     base = squeeze_paths.squeeze_circle_path(1, 1.0, p)
@@ -150,13 +163,13 @@ def _check_invariance(rng: np.random.Generator, count: int, fault: bool) -> tupl
     for _ in range(min(count, 5)):
         S0 = random_symplectic(rng, 1)
         _, translated, _ = geometric_phase.check_canonical_invariance(path, S0, p)
-        worst = max(worst, abs(translated - gamma0))
-    return worst, 1e-8
+        deviations.append(translated - gamma0)
+    return _worst(deviations), 1e-8
 
 
 def _check_b_zero(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """The general integrand against phase_b_zero on the same loop; the fault scales G."""
-    worst = 0.0
+    """integrate_phase against phase_b_zero on one loop per draw; no stack. The fault scales G."""
+    deviations = []
     for i in range(min(count, 3)):
         K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
         G0, G1 = random_symmetric(rng, 2), random_symmetric(rng, 2)
@@ -164,12 +177,13 @@ def _check_b_zero(rng: np.random.Generator, count: int, fault: bool) -> tuple[fl
         special = b_zero_loop(K0, G0, G1, scale=1.0 + _FAULT_SIZE) if fault and i == 0 else plain
         full = geometric_phase.integrate_phase(plain, _P2)
         reduced = geometric_phase.phase_b_zero(special, _P2)
-        worst = max(worst, abs(full.value - reduced.value))
-    return worst, 1e-9
+        deviations.append(full.value - reduced.value)
+    return _worst(deviations), 1e-9
 
 
 def _check_overlap(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    worst = 0.0
+    """|numeric_overlap_n1| against weyl_amplitude, both per draw; one reduction over the draws."""
+    deviations = []
     for i in range(min(count, 5)):
         p = OscParams(float(rng.uniform(0.5, 2.0)), (float(rng.uniform(0.5, 2.0)),))
         r = float(rng.uniform(0.2, 1.2))
@@ -179,8 +193,8 @@ def _check_overlap(rng: np.random.Generator, count: int, fault: bool) -> tuple[f
         b = float(rng.uniform(-1.0, 1.0))
         overlap = gaussian_states.numeric_overlap_n1(M, p, a, b)
         a_used = a + (_FAULT_SIZE if fault and i == 0 else 0.0)
-        worst = max(worst, abs(abs(overlap) - gaussian_states.weyl_amplitude(M, p, [a_used], [b])))
-    return worst, 1e-9
+        deviations.append(abs(overlap) - gaussian_states.weyl_amplitude(M, p, [a_used], [b]))
+    return _worst(deviations), 1e-9
 
 
 CHECKS: dict[str, Callable[[np.random.Generator, int, bool], tuple[float, float]]] = {

@@ -155,13 +155,13 @@ _FORMS = {GROUPED: _omega_cached, INTERLEAVED: _omega_interleaved_cached}  # for
 
 
 def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
-    """Max-norm residual of the group condition M form M^T = form."""
+    """Max-norm residual of the group condition M form M^T = form, over a matrix or a stack."""
     M = np.asarray(M, dtype=float)
     if ordering not in (GROUPED, INTERLEAVED):
         raise ValueError(f"unknown ordering {ordering!r}")
     form = omega if ordering == GROUPED else omega_interleaved
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an inf residual
-        return float(_residual(M, form(M.shape[0] // 2)))
+        return float(_residual(M, form(M.shape[-1] // 2)))
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:

@@ -672,6 +672,27 @@ def test_console_script_entry_point():
     assert scripts["sympberry"] == "sympberry.cli:main"
 
 
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_RANDOM_BLOCKS = ["--block-a=0.3,-0.2,-0.2,0.5", "--block-b=0.1,0.7,-0.4,0.2", "--block-c=-0.6,0.25,0.25,0.1"]
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (["verify", "--seed", "0"], "verify_seed0.txt"),
+        (["expm", "--format", "csv"], "expm_default.csv"),
+        (["expm", "--format", "json"], "expm_default.json"),
+        (["expm", "--format", "csv", "--seed", "4"] + _RANDOM_BLOCKS, "expm_random.csv"),
+        (["expm", "--format", "json", "--seed", "4"] + _RANDOM_BLOCKS, "expm_random.json"),
+    ],
+)
+def test_cli_output_matches_its_golden_file(child_env, args, golden):
+    # the output pinned line for line: a change to a check's arithmetic must not move a digit
+    proc = _run(_MODULE + args, child_env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == (_GOLDEN / golden).read_text().splitlines()
+
+
 def test_module_run_passes_exit_code(tmp_path, child_env):
     missing = tmp_path / "missing.ini"
     proc = _run(_MODULE + ["phase", "--kind", "squeeze1", "--config", str(missing)], child_env)

@@ -342,3 +342,32 @@ def test_numeric_overlap_random_points(rng):
         value = numeric_overlap_n1(M, p, a, b)
         amp = weyl_amplitude(M, p, [a], [b])
         assert abs(abs(value) - amp) <= 1e-6
+
+
+# numeric_overlap_n1 on the draws of `verify overlap` at seed 0 (rng [0, 6]), as computed
+# before the tanh-sinh nodes were cached: the cache must not move a bit
+_OVERLAP_DRAW_VALUES = [
+    (0.9829799353819113-6.938893903907228e-17j),
+    (0.9406961699417543+9.71445146547012e-17j),
+    (0.0154570055058919-2.6020852139652106e-15j),
+    (0.3385478771302918-1.3877787807814457e-17j),
+    (0.9937319838611532-6.938893903907228e-17j),
+]
+
+
+def _verify_overlap_values():
+    rng = np.random.default_rng([0, 6])
+    values = []
+    for _ in _OVERLAP_DRAW_VALUES:
+        p = OscParams(float(rng.uniform(0.5, 2.0)), (float(rng.uniform(0.5, 2.0)),))
+        r = float(rng.uniform(0.2, 1.2))
+        th = float(rng.uniform(0.0, 2.0 * np.pi))
+        M = squeeze_matrix_n1(SqueezeSpec(1, r, th, p))
+        a, b = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0))
+        values.append(numeric_overlap_n1(M, p, a, b))
+    return values
+
+
+def test_overlap_values_on_the_verify_draws_are_bytewise_fixed():
+    assert _verify_overlap_values() == _OVERLAP_DRAW_VALUES
+    assert _verify_overlap_values() == _OVERLAP_DRAW_VALUES  # from the cached nodes

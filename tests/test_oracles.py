@@ -1,10 +1,25 @@
 """The verify oracles: checks that can fail, and the shared zero-B loop."""
+import itertools
+import types
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sympberry import OscParams, gaussian_states, geometric_phase, omega
-from sympberry._random import random_symmetric
-from sympberry.oracles import CHECKS, b_zero_loop
+from sympberry import (
+    OscParams,
+    SqueezeSpec,
+    gaussian_states,
+    geometric_phase,
+    omega,
+    sp4_closed_form,
+    squeeze_paths,
+    symplectic_core,
+)
+from sympberry._random import random_generator, random_symmetric, random_symplectic
+from sympberry.cli import main
+from sympberry.oracles import _FAULT_SIZE, CHECKS, _generic_exp, b_zero_loop
+from sympberry.sp4_closed_form import DegenerateEigenvalues, Sp4Generator
 
 
 def _swapped_weights(integral):
@@ -87,3 +102,187 @@ def test_b_zero_loop_samples_keep_the_block_form():
             assert np.all(Ms[:, :2, 2:] == 0.0)
             np.testing.assert_allclose(Ms[:, 2:, 2:], np.linalg.inv(Ms[:, :2, :2]).transpose(0, 2, 1))
         assert np.all(rotation[:, 2:, :2] == 0.0)
+
+
+# The per-draw loops as they were before each check compared its draws in one stacked route:
+# the reference the stacked checks must reproduce.
+def _closed_form_per_draw(rng, count, fault):
+    worst = 0.0
+    for i in range(count + max(20, count // 5)):
+        if i < count:
+            g = random_generator(rng)
+        else:
+            g = Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))
+        g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and i == 0 else g
+        M = sp4_closed_form.closed_form_exp(g_used)
+        worst = max(worst, float(np.max(np.abs(M.data - scipy.linalg.expm(g.u_matrix())))))
+    return worst, 1e-9, None
+
+
+def _coefficients_per_draw(rng, count, fault):
+    worst = 0.0
+    done = 0
+    while done < count:
+        g = random_generator(rng)
+        g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and done == 0 else g
+        try:
+            for order in range(1, 11):
+                exact = sp4_closed_form.coeff_recurrence(g, order)
+                closed = sp4_closed_form.coeff_closed(g_used, order)
+                for x, y in zip(exact, closed):
+                    worst = max(worst, abs(x - y) / max(1.0, abs(x)))
+        except DegenerateEigenvalues:
+            continue
+        done += 1
+    return worst, 1e-9, None
+
+
+def _symplectic_per_draw(rng, count, fault):
+    """Also returns max |M| over the drawn matrices, which scales the rounding allowance."""
+    worst = scale = 0.0
+    p1 = OscParams(1.0, (1.0,))
+    p2 = OscParams(1.0, (1.0, 1.0))
+    for i in range(count):
+        r = rng.uniform(0.0, 2.0)
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        M1 = squeeze_paths.squeeze_matrix_n1(SqueezeSpec(1, r, th, p1)).data
+        M2 = squeeze_paths.squeeze_matrix_n2(SqueezeSpec(2, r, th, p2)).data
+        M3 = random_symplectic(rng, 1).data
+        M4 = random_symplectic(rng, 2).data
+        if fault and i == 0:
+            M1 = M1 + _FAULT_SIZE
+        for M in (M1, M2, M3, M4):
+            worst = max(worst, symplectic_core.symplectic_residual(M))
+            scale = max(scale, float(np.max(np.abs(M))))
+    return worst, 1e-9, scale
+
+
+_PER_DRAW = {
+    "closed_form": (_closed_form_per_draw, [(sp4_closed_form, "closed_form_exp")]),
+    "coefficients": (
+        _coefficients_per_draw,
+        [(sp4_closed_form, "coeff_closed"), (sp4_closed_form, "coeff_recurrence")],
+    ),
+    "symplectic": (_symplectic_per_draw, [(symplectic_core, "exp_map")]),
+}
+
+
+def _counting(monkeypatch, targets):
+    """Wrap each module function in targets with a call counter, as bench/tracing.py does."""
+    counts = dict.fromkeys((name for _, name in targets), 0)
+    for module, name in targets:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("count", [1, 20, 200])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("check", list(_PER_DRAW))
+def test_stacked_check_matches_the_per_draw_loop(monkeypatch, check, seed, count, fault):
+    reference, targets = _PER_DRAW[check]
+    counts = _counting(monkeypatch, targets)
+    residual, tol = CHECKS[check](np.random.default_rng([seed, 0]), count, fault)
+    stacked_counts = dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    expected, expected_tol, scale = reference(np.random.default_rng([seed, 0]), count, fault)
+    # the code under test still runs once per draw, where tracing sees it
+    assert stacked_counts == counts
+    if check == "closed_form":
+        assert counts["closed_form_exp"] == count + max(20, count // 5)
+    elif check == "coefficients":
+        assert counts["coeff_closed"] == 10 * count <= counts["coeff_recurrence"]
+    else:
+        assert counts["exp_map"] == 2 * count  # one per random_symplectic
+    assert tol == expected_tol
+    assert (residual <= tol) == (expected <= tol) == (not fault)
+    if scale is None:
+        assert residual == expected  # bytewise: the stacked expm equals each single call
+    else:
+        # a stacked matmul may round the last bit differently from a 2-D .dot
+        assert abs(residual - expected) <= 4.0 * np.finfo(float).eps * scale**2
+
+
+def test_stacked_generic_exponential_equals_each_single_call():
+    rng = np.random.default_rng(3)
+    gs = [random_generator(rng) for _ in range(30)]
+    gs += [Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))]
+    stacked = _generic_exp(gs)
+    assert np.array_equal(stacked, np.array([scipy.linalg.expm(g.u_matrix()) for g in gs]))
+
+
+def _nan_on_call(call, poison):
+    """A patch factory: the wrapped function's result on its call-th call goes through poison."""
+
+    def patch(fn):
+        calls = itertools.count()
+        return lambda *args, **kwargs: (
+            poison(fn(*args, **kwargs)) if next(calls) == call else fn(*args, **kwargs)
+        )
+
+    return patch
+
+
+def _nan_in_stacks(fn):
+    """fn, with a NaN in its result on a (k, m, m) stack: the check's own stacked route, not
+    the 2-D calls inside the code under test (the fallback's exp_map, each SympMatrix check)."""
+
+    def patched(M, *args, **kwargs):
+        out = fn(M, *args, **kwargs)
+        if np.ndim(M) != 3:
+            return out
+        out = np.array(out, dtype=float)
+        out[(2,) if out.ndim else ()] = np.nan  # the third draw's slice, or the whole reduction
+        return out
+
+    return patched
+
+
+_NAN_MATRIX = lambda out: types.SimpleNamespace(data=np.full_like(out.data, np.nan))
+_NAN_VALUE = lambda out: types.SimpleNamespace(value=np.nan)
+
+# check -> (module, function, patch) per route: the code under test, then its independent route
+_NAN_ROUTES = {
+    ("closed_form", "code"): (sp4_closed_form, "closed_form_exp", _nan_on_call(2, _NAN_MATRIX)),
+    ("closed_form", "oracle"): (scipy.linalg, "expm", _nan_in_stacks),
+    ("coefficients", "code"): (
+        sp4_closed_form, "coeff_closed", _nan_on_call(3, lambda c: (c[0], np.nan, c[2]))
+    ),
+    ("coefficients", "oracle"): (
+        sp4_closed_form, "coeff_recurrence", _nan_on_call(3, lambda c: (np.nan, c[1], c[2]))
+    ),
+    ("symplectic", "code"): (squeeze_paths, "squeeze_matrix_n2", _nan_on_call(1, _NAN_MATRIX)),
+    ("symplectic", "oracle"): (symplectic_core, "_residual", _nan_in_stacks),
+    ("two_form", "code"): (geometric_phase, "integrate_phase", _nan_on_call(1, _NAN_VALUE)),
+    ("two_form", "oracle"): (
+        geometric_phase, "integrate_phase_boundary_form", _nan_on_call(2, _NAN_VALUE)
+    ),
+    ("invariance", "code"): (
+        geometric_phase, "check_canonical_invariance", _nan_on_call(1, lambda r: (r[0], np.nan, r[2]))
+    ),
+    ("invariance", "oracle"): (geometric_phase, "integrate_phase", _nan_on_call(0, _NAN_VALUE)),
+    ("b_zero", "code"): (geometric_phase, "phase_b_zero", _nan_on_call(1, _NAN_VALUE)),
+    ("b_zero", "oracle"): (geometric_phase, "integrate_phase", _nan_on_call(1, _NAN_VALUE)),
+    ("overlap", "code"): (
+        gaussian_states, "numeric_overlap_n1", _nan_on_call(2, lambda z: complex(np.nan, z.imag))
+    ),
+    ("overlap", "oracle"): (gaussian_states, "weyl_amplitude", _nan_on_call(2, lambda w: np.nan)),
+}
+
+
+@pytest.mark.parametrize("check, route", list(_NAN_ROUTES))
+def test_a_nan_from_either_route_fails_verify(monkeypatch, tmp_path, capsys, check, route):
+    cfg = tmp_path / "one.ini"
+    cfg.write_text(f"[verify]\nchecks = {check}\ncount = 5\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    module, name, patch = _NAN_ROUTES[check, route]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    assert main(["verify", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(f"[FAIL] {check}: max residual nan (tol ")
+    assert lines[-1] == "verify: FAILED"

@@ -238,7 +238,7 @@ def test_integrand_must_map_nodes_to_values(bad):
 def test_tanh_sinh_gaussian_moment():
     # integral of a standard Gaussian over +-1 after rescaling to 8 sigma
     half = 8.0
-    x, w = tanh_sinh_nodes(400)
+    x, w, _ = tanh_sinh_nodes(400)
     xs, ws = half * x, half * w
     value = float(np.sum(ws * np.exp(-(xs**2) / 2.0)) / np.sqrt(2 * np.pi))
     assert abs(value - 1.0) < 1e-14
@@ -247,6 +247,16 @@ def test_tanh_sinh_gaussian_moment():
 def test_tanh_sinh_validation():
     with pytest.raises(ValueError):
         tanh_sinh_nodes(1)
+
+
+def test_tanh_sinh_nodes_are_cached_read_only():
+    x, w, gap = tanh_sinh_nodes(400)
+    again = tanh_sinh_nodes(400)
+    assert again[0] is x and again[1] is w and gap == float(np.diff(x).max())
+    for arr in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert tanh_sinh_nodes(400, 3.0)[0] is not x
 
 
 @pytest.mark.parametrize("panels", [True, np.True_, 2.0])
