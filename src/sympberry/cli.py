@@ -21,7 +21,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -355,11 +354,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _json_text(record) -> str:

@@ -246,8 +246,8 @@ def numeric_overlap_n1(
     displacement action psi(x) -> exp(i a b / (2 hbar)) exp(i a x / hbar)
     psi(x + b), and integrates conj(psi) times the displaced psi with
     tanh-sinh quadrature over the window of halfwidth_sigmas position
-    deviations sqrt(hbar / (2 Im Z)) plus |b|. The modulus must reproduce
-    weyl_amplitude; the phase must be stable under grid refinement. A
+    deviations sqrt(hbar / (2 Im Z)) plus |b|. The complex value must equal
+    weyl_amplitude, a positive real, and be stable under grid refinement. A
     displacement a whose factor turns by pi or more between adjacent nodes is
     a ValueError naming the points that resolve it.
     """

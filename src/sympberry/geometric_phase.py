@@ -128,17 +128,20 @@ class PhaseResult:
 class SympPath:
     """Path t in [0, 1] -> M(t) in Sp(2n, R), grouped ordering.
 
-    eval_batch and tangent_batch, given together, map a 1-D array of k
-    parameters to (k, 2n, 2n) stacks of M(t) and dM/dt. A path given per point
-    instead, by eval (t -> SympMatrix) and an optional tangent, is adapted to
-    that pair at construction. Without a tangent, with h = 1e-6 * max(1,
-    |M(0)|_max), a node t is evaluated at t + h/2 and t - h/2 only: its matrix
-    is their mean and dM/dt their difference over h, both O(h^2) from M(t) and
-    M'(t) (NOTES.md). A node within h/2 of either end takes M(t) and the
-    one-sided three-point difference with step h. sample() checks every
-    evaluated stack (both stencil stacks, never the mean) as SympMatrix does.
-    Construction checks five samples, and closure when closed, the flag's
-    only effect. eval(t) and derivative(t) are one-point views.
+    The path is sampled in stacks: eval_batch and tangent_batch map a 1-D
+    array of k parameters to (k, 2n, 2n) stacks of M(t) and dM/dt. Either
+    may be given per point instead, as eval (t -> SympMatrix) or tangent,
+    and is adapted to its stack at construction: any evaluator goes with any
+    tangent, or with none. A path without a tangent, stacked or per point,
+    gets the two-point stencil. With h = 1e-6 * max(1, |M(0)|_max), a node t
+    is evaluated at t + h/2 and t - h/2 only: its matrix is their mean and
+    dM/dt their difference over h, both O(h^2) from M(t) and M'(t)
+    (NOTES.md). A node within h/2 of either end takes M(t) and the one-sided
+    three-point difference with step h. sample() takes a non-empty 1-D ts and
+    checks every evaluated stack (both stencil stacks, never the mean) as
+    SympMatrix does. Construction checks five samples, and closure when
+    closed, the flag's only effect. eval(t) and derivative(t) are one-point
+    views.
     """
 
     n: int
@@ -150,8 +153,6 @@ class SympPath:
     _fd_step = None  # not a field: h, set on a path built without a tangent
 
     def __post_init__(self) -> None:
-        if (self.eval_batch is None) != (self.tangent_batch is None):
-            raise ValueError("eval_batch and tangent_batch must be given together")
         n, eval_point, eval_batch = self.n, self.eval, self.eval_batch
         if eval_batch is None:
             if eval_point is None:
@@ -187,7 +188,10 @@ class SympPath:
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """(Ms, dMs), each (k, 2n, 2n): path matrices and tangents at the 1-D ts."""
-        return self._sample(np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1 or not ts.size:
+            raise ValueError(f"ts must be a non-empty 1-D array, got shape {ts.shape}")
+        return self._sample(ts)
 
     def _sample(self, ts: np.ndarray, check: Callable | None = None) -> tuple[np.ndarray, np.ndarray]:
         """sample(ts), every evaluated stack checked by _matrices (and check)."""

@@ -20,7 +20,6 @@ from .gaussian_states import OscParams
 from .geometric_phase import SympPath
 from .sp4_closed_form import DegenerateEigenvalues, Sp4Generator
 from .squeeze_paths import SqueezeSpec
-from .symplectic_core import GROUPED, SympMatrix
 
 __all__ = ["CHECKS", "b_zero_loop", "expm_comparison"]
 
@@ -34,24 +33,24 @@ def b_zero_loop(
 
     A(t) = expm(sin(2 pi t) K0); G(t) = scale (w(t) G0 + (1 - cos 2 pi t) G1),
     symmetric and periodic for symmetric G0, G1, with w(t) = sin(2 pi t) or
-    the constant g0_weight. Without G0 and G1, G = 0: no shear, C = 0.
-    Tangents are finite differences.
+    the constant g0_weight. Without G0 and G1, G = 0: no shear, C = 0. One
+    expm and one inverse per stack of samples; tangents are finite differences.
     """
     import scipy.linalg
 
-    def eval_path(t: float) -> SympMatrix:
-        s = np.sin(2.0 * np.pi * t)
+    def eval_batch(ts: np.ndarray) -> np.ndarray:
+        s = np.sin(2.0 * np.pi * ts)[:, None, None]
         A = scipy.linalg.expm(s * K0)
-        M = np.zeros((4, 4))
-        M[:2, :2] = A
-        M[2:, 2:] = np.linalg.inv(A).T
+        M = np.zeros((ts.size, 4, 4))
+        M[:, :2, :2] = A
+        M[:, 2:, 2:] = np.linalg.inv(A).transpose(0, 2, 1)
         if G0 is not None:
             w = s if g0_weight is None else g0_weight
-            G = scale * (w * G0 + (1.0 - np.cos(2.0 * np.pi * t)) * G1)
-            M[2:, :2] = G @ A
-        return SympMatrix(2, M, GROUPED)
+            G = scale * (w * G0 + (1.0 - np.cos(2.0 * np.pi * ts))[:, None, None] * G1)
+            M[:, 2:, :2] = G @ A
+        return M
 
-    return SympPath(n=2, eval=eval_path, closed=True)
+    return SympPath(n=2, eval_batch=eval_batch, closed=True)
 
 
 def _worst(deviations) -> float:
@@ -182,7 +181,7 @@ def _check_b_zero(rng: np.random.Generator, count: int, fault: bool) -> tuple[fl
 
 
 def _check_overlap(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """|numeric_overlap_n1| against weyl_amplitude, both per draw; one reduction over the draws."""
+    """numeric_overlap_n1 against the real weyl_amplitude as complex numbers, per draw; one reduction."""
     deviations = []
     for i in range(min(count, 5)):
         p = OscParams(float(rng.uniform(0.5, 2.0)), (float(rng.uniform(0.5, 2.0)),))
@@ -193,7 +192,7 @@ def _check_overlap(rng: np.random.Generator, count: int, fault: bool) -> tuple[f
         b = float(rng.uniform(-1.0, 1.0))
         overlap = gaussian_states.numeric_overlap_n1(M, p, a, b)
         a_used = a + (_FAULT_SIZE if fault and i == 0 else 0.0)
-        deviations.append(abs(overlap) - gaussian_states.weyl_amplitude(M, p, [a_used], [b]))
+        deviations.append(overlap - gaussian_states.weyl_amplitude(M, p, [a_used], [b]))
     return _worst(deviations), 1e-9
 
 

@@ -27,6 +27,7 @@ from .symplectic_core import (
     INTERLEAVED,
     LieAlgElement,
     SympMatrix,
+    _is_integer,
     _real_array,
     exp_map,
     gamma_permutation,
@@ -226,7 +227,7 @@ def coeff_recurrence(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     Serves as the oracle for coeff_closed. Raises ValueError when a
     coefficient overflows the float range.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
     det_a, det_b, det_c, det_d = g.invariants
     alpha_1 = -(det_a + det_b)
@@ -269,7 +270,7 @@ def coeff_closed(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     Raises DegenerateEigenvalues when the denominator is numerically zero,
     and ValueError when a coefficient overflows the float range.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
     gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "use coeff_recurrence")
     try:

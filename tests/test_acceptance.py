@@ -192,6 +192,6 @@ def test_criterion_10_kernel_overlap_oracle():
         a, b = rng.uniform(-1.0, 1.0, 2)
         value = numeric_overlap_n1(M, p, a, b)
         amp = weyl_amplitude(M, p, [a], [b])
-        assert abs(abs(value) - amp) <= 1e-6
+        assert abs(value - amp) <= 1e-6
         refined = numeric_overlap_n1(M, p, a, b, OverlapGrid(points=800))
         assert abs(value - refined) < 1e-7

@@ -684,12 +684,18 @@ _RANDOM_BLOCKS = ["--block-a=0.3,-0.2,-0.2,0.5", "--block-b=0.1,0.7,-0.4,0.2", "
         (["expm", "--format", "json"], "expm_default.json"),
         (["expm", "--format", "csv", "--seed", "4"] + _RANDOM_BLOCKS, "expm_random.csv"),
         (["expm", "--format", "json", "--seed", "4"] + _RANDOM_BLOCKS, "expm_random.json"),
+        (["phase", "--kind", "squeeze2", "--R", "2", "--hbar", "0.7", "--length", "0.5", "--length", "1.5",
+          "--format", "json"], "phase_squeeze2.json"),
+        (["phase", "--kind", "squeeze1", "--R", "1", "--format", "csv"], "phase_squeeze1.csv"),
+        (["sweep", "--config", str(_GOLDEN / "sweep_grid.ini"), "--format", "csv"], "sweep_grid.csv"),
+        (["sweep", "--config", str(_GOLDEN / "sweep_error.ini"), "--format", "json"], "sweep_error.json"),
     ],
 )
 def test_cli_output_matches_its_golden_file(child_env, args, golden):
-    # the output pinned line for line: a change to a check's arithmetic must not move a digit
+    # the output pinned line for line: a change to a check's arithmetic must not move a digit;
+    # the sweep with an R = 400 row reports that row's error and exits 1
     proc = _run(_MODULE + args, child_env)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (proc.returncode, proc.stderr) == (1 if golden == "sweep_error.json" else 0, "")
     assert proc.stdout.splitlines() == (_GOLDEN / golden).read_text().splitlines()
 
 
@@ -750,3 +756,89 @@ def test_load_samples_reads_the_mode_count_by_the_shared_integer_rule(tmp_path):
         else:
             with pytest.raises(ConfigError, match="n must be a positive integer, got True"):
                 _load_samples(str(samples))
+
+
+_KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_zero, overlap"
+
+
+@pytest.mark.parametrize(
+    "argv, ini, message",
+    [
+        (["phase", "--kind", "squeeze1", "--modes", "2"], None, "kind squeeze1 requires modes=1, got 2"),
+        (["phase", "--kind", "squeeze2", "--modes", "1"], None, "kind squeeze2 requires modes=2, got 1"),
+        (["phase"], "[path]\nkind = custom-samples\nmodes = 3\n", "modes must be 1 or 2, got 3"),
+        (["phase"], "[path]\nkind = spiral\n", "unknown path kind 'spiral'"),
+        (["phase"], "[quadrature]\nkind = simpson\n", "[quadrature] kind must be adaptive or fixed, got 'simpson'"),
+        (["phase"], "[output]\nformat = xml\n", "format must be csv or json, got 'xml'"),
+        (["phase", "--R=-1"], None, "R must be finite and >= 0, got -1.0"),
+        (["phase"], "[path]\nR = nan\n", "R must be finite and >= 0, got nan"),
+        (["sweep"], "[sweep]\nR = 0.5, -1\n", "sweep R values must be finite and >= 0"),
+        (["phase", "--hbar", "0"], None, "hbar must be positive, got 0.0"),
+        (["phase", "--length=-1"], None, "lengths must be positive, got (-1.0,)"),
+        (["phase", "--modes", "2"], "[path]\nlengths = 1, 2, 3\n", "got 3 lengths for 2 mode(s)"),
+        (["phase"], "[quadrature]\nmax_evals = 14\n", "max_evals must allow at least one panel (15)"),
+        (["phase"], "[quadrature]\npanels = 0\n", "panels must be >= 1"),
+        (["verify"], "[verify]\ncount = 0\n", "verify count must be >= 1"),
+        (["verify"], "[verify]\ninject_fault = warp\n", f"unknown inject_fault target 'warp'; {_KNOWN}"),
+        (["expm", "--block-a=1,2,3"], None, "expm block a: expected 4 numbers row-major, got 3"),
+        (["expm"], "[expm]\nc = 1, 2, 3, 4, 5\n", "expm block c: expected 4 numbers row-major, got 5"),
+    ],
+)
+def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, message):
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file {cfg}: [Errno 2] No such file or directory: '{cfg}'"),
+        ("R = 1\n", "cannot parse {cfg}: File contains no section headers.\nfile: '{cfg}', line: 1\n'R = 1\\n'"),
+        ("[path]\nR = 1\nR = 2\n", "cannot parse {cfg}: While reading from '{cfg}' [line  3]: option 'R' "
+         "in section 'path' already exists"),
+    ],
+)
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.ini"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["phase", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message.format(cfg=cfg)}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "samples file {path} is not valid JSON: Expecting property name enclosed in "
+         "double quotes: line 1 column 2 (char 1)"),
+        ('{"n": 1, "M": []}', "samples file {path} needs keys n, t, M"),
+        ('{"n": 1, "t": [0, "x"], "M": []}', "samples file {path} needs keys n, t, M"),
+        ('{"n": 1, "t": [0.0], "M": [[[1, 0], [0, 1]]]}', "samples need at least two parameter values"),
+        ('{"n": 1, "t": [[0.0, 1.0]], "M": []}', "samples need at least two parameter values"),
+        ('{"n": 1, "t": [0.0, 1.0], "M": [[[1, 0], [0, 1]]]}',
+         "samples matrix block has shape (1, 2, 2), expected (2, 2, 2)"),
+        ('{"n": 2, "t": [0.0, 1.0], "M": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}',
+         "samples matrix block has shape (2, 2, 2), expected (2, 4, 4)"),
+    ],
+)
+def test_malformed_samples_file_is_one_config_error(tmp_path, capsys, text, message):
+    samples = tmp_path / "knots.json"
+    samples.write_text(text)
+    assert main(["phase", "--kind", "custom-samples", "--samples", str(samples)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message.format(path=samples)}\n")
+
+
+def test_failed_write_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "phase.json"
+    with pytest.raises(OSError, match="^rename refused$"):
+        main(["phase", "--R", "0.5", "--out", str(target)])
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr() == ("", "")

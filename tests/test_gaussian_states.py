@@ -265,7 +265,7 @@ def test_numeric_overlap_matches_amplitude():
     M, p = _reference_setup()
     value = numeric_overlap_n1(M, p, 0.7, -0.2)
     amp = weyl_amplitude(M, p, [0.7], [-0.2])
-    assert abs(abs(value) - amp) <= 1e-6
+    assert abs(value - amp) <= 1e-6
     assert abs(value) == pytest.approx(OVERLAP_REFERENCE, abs=1e-9)
 
 
@@ -283,7 +283,7 @@ def test_numeric_overlap_at_zero_b(angle):
     M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.5, angle=angle, params=p))
     assert abs(M.data[0, 1]) < 1e-14
     value = numeric_overlap_n1(M, p, 0.4, -0.3)
-    assert abs(abs(value) - weyl_amplitude(M, p, [0.4], [-0.3])) <= 1e-13
+    assert abs(value - weyl_amplitude(M, p, [0.4], [-0.3])) <= 1e-13
 
 
 def test_numeric_overlap_tracks_amplitude_with_and_without_b(rng):
@@ -297,7 +297,7 @@ def test_numeric_overlap_tracks_amplitude_with_and_without_b(rng):
         else:
             M = squeeze_matrix_n1(SqueezeSpec(1, rng.uniform(0.1, 1.2), rng.uniform(0, 2 * np.pi), p))
         a, b = rng.uniform(-1.0, 1.0, 2)
-        worst = max(worst, abs(abs(numeric_overlap_n1(M, p, a, b)) - weyl_amplitude(M, p, [a], [b])))
+        worst = max(worst, abs(numeric_overlap_n1(M, p, a, b) - weyl_amplitude(M, p, [a], [b])))
     assert worst <= 1e-13
 
 
@@ -317,7 +317,7 @@ def test_numeric_overlap_resolves_a_ten():
     M = squeeze_matrix_n1(SqueezeSpec(modes=1, R=0.3, angle=1.0, params=p))
     value = numeric_overlap_n1(M, p, 10.0, 0.2)
     amp = weyl_amplitude(M, p, [10.0], [0.2])
-    assert abs(abs(value) - amp) <= 1e-13
+    assert abs(value - amp) <= 1e-13
 
 
 def test_numeric_overlap_rejects_multimode():
@@ -341,7 +341,7 @@ def test_numeric_overlap_random_points(rng):
         a, b = rng.uniform(-1, 1, 2)
         value = numeric_overlap_n1(M, p, a, b)
         amp = weyl_amplitude(M, p, [a], [b])
-        assert abs(abs(value) - amp) <= 1e-6
+        assert abs(value - amp) <= 1e-6
 
 
 # numeric_overlap_n1 on the draws of `verify overlap` at seed 0 (rng [0, 6]), as computed

@@ -592,12 +592,59 @@ def test_batch_wrong_stack_shape():
         _circle_with(eval_batch=lambda ts: base.eval_batch(ts)[0])
 
 
-def test_batch_callables_given_together():
-    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
-    with pytest.raises(ValueError, match="together"):
-        SympPath(n=1, eval=base.eval, eval_batch=base.eval_batch)
-    with pytest.raises(ValueError, match="together"):
-        SympPath(n=1, eval=base.eval, tangent_batch=base.tangent_batch)
+def _warped_circle(n):
+    """The R = 0.8 circle reparametrized by t + 0.4 sin(2 pi t) / 2 pi, stacked and
+    without a tangent, so its integrand varies and the adaptive rule refines."""
+    base = squeeze_circle_path(n, 0.8, OscParams(1.0, (1.0,) * n))
+    warp = lambda ts: ts + 0.4 * np.sin(2.0 * np.pi * ts) / (2.0 * np.pi)
+    return SympPath(n=n, eval_batch=lambda ts: base.eval_batch(warp(ts)), closed=True)
+
+
+def _triple(result):
+    return result.value, result.error_estimate, result.evaluations
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_evaluator_without_tangent_is_the_per_point_stencil(n):
+    stacked = _warped_circle(n)
+    per_point = SympPath(n=n, eval=stacked.eval, closed=True)
+    p = OscParams(0.8, (1.3, 0.6)[:n])
+    assert stacked._fd_step == per_point._fd_step
+    ts = np.concatenate([[0.0, 1e-7, 1.0], GK15_NODES])
+    for a, b in zip(stacked.sample(ts), per_point.sample(ts)):
+        assert np.array_equal(a, b)
+    for integral in (integrate_phase, integrate_phase_boundary_form):
+        for quad in (None, QuadSpec(kind=FIXED, panels=3)):
+            assert _triple(integral(stacked, p, quad)) == _triple(integral(per_point, p, quad))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_any_evaluator_goes_with_any_tangent(n):
+    p = OscParams(0.8, (1.3, 0.6)[:n])
+    base = squeeze_circle_path(n, 0.8, p)
+    mixed = [
+        SympPath(n=n, eval_batch=base.eval_batch, tangent=base.derivative, closed=True),
+        SympPath(n=n, eval=base.eval, tangent_batch=base.tangent_batch, closed=True),
+    ]
+    ts = np.linspace(0.0, 1.0, 9)
+    expected = base.sample(ts)
+    for path in mixed:
+        assert path._fd_step is None
+        for a, b in zip(path.sample(ts), expected):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+        assert integrate_phase(path, p).value == pytest.approx(reference_phase(n, 0.8), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ts, shape",
+    [([], "(0,)"), (np.empty((0, 3)), "(0, 3)"), ([[0.1, 0.2]], "(1, 2)"), (0.5, "()")],
+)
+def test_sample_takes_a_nonempty_1d_array(ts, shape):
+    circle = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    paths = (circle, SympPath(n=1, eval=circle.eval, closed=True), _warped_circle(1))
+    for path in paths:
+        with pytest.raises(ValueError, match=f"^ts must be a non-empty 1-D array, got shape {re.escape(shape)}$"):
+            path.sample(ts)
 
 
 def test_batch_construction_checks_closure():

@@ -104,6 +104,92 @@ def test_b_zero_loop_samples_keep_the_block_form():
         assert np.all(rotation[:, 2:, :2] == 0.0)
 
 
+def _b_zero_loop_per_point(K0, G0=None, G1=None, *, g0_weight=None, scale=1.0):
+    """b_zero_loop as it was before its samples came in stacks: one expm, one inverse and
+    one SympMatrix per point. The reference the stacked loop must reproduce bitwise."""
+
+    def eval_path(t):
+        s = np.sin(2.0 * np.pi * t)
+        A = scipy.linalg.expm(s * K0)
+        M = np.zeros((4, 4))
+        M[:2, :2] = A
+        M[2:, 2:] = np.linalg.inv(A).T
+        if G0 is not None:
+            w = s if g0_weight is None else g0_weight
+            G = scale * (w * G0 + (1.0 - np.cos(2.0 * np.pi * t)) * G1)
+            M[2:, :2] = G @ A
+        return symplectic_core.SympMatrix(2, M, symplectic_core.GROUPED)
+
+    return geometric_phase.SympPath(n=2, eval=eval_path, closed=True)
+
+
+_B_ZERO_FORMS = (
+    geometric_phase.integrate_phase,
+    geometric_phase.integrate_phase_boundary_form,
+    geometric_phase.phase_b_zero,
+)
+_B_ZERO_RULES = (None, geometric_phase.QuadSpec(kind=geometric_phase.FIXED, panels=3))
+
+
+def _loop_results(loop, p):
+    ts = np.array([0.0, 0.3, 1.0])
+    phases = [
+        (r.value, r.error_estimate, r.evaluations)
+        for r in (form(loop, p, quad) for form in _B_ZERO_FORMS for quad in _B_ZERO_RULES)
+    ]
+    return loop.sample(ts), phases
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_b_zero_loop_matches_the_per_point_loop_bitwise(seed):
+    # the draws of the b_zero check: three loops per seed, each plain, with a constant
+    # G0 weight and with the fault's scaled G
+    rng = np.random.default_rng(seed)
+    p = OscParams(2.0, (0.5, 1.5))
+    cases = []
+    for _ in range(3):
+        K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
+        G0, G1 = random_symmetric(rng, 2), random_symmetric(rng, 2)
+        cases += [((K0, G0, G1), kwargs) for kwargs in ({}, {"g0_weight": 0.4}, {"scale": 1.001})]
+    if seed == 0:
+        cases.append(((np.array([[0.0, 0.5], [-0.5, 0.0]]),), {}))  # the unsheared loop
+    for args, kwargs in cases:
+        (Ms, dMs), phases = _loop_results(b_zero_loop(*args, **kwargs), p)
+        (ref_Ms, ref_dMs), ref_phases = _loop_results(_b_zero_loop_per_point(*args, **kwargs), p)
+        assert np.array_equal(Ms, ref_Ms) and np.array_equal(dMs, ref_dMs)
+        assert phases == ref_phases
+
+
+def test_b_zero_loop_builds_no_sympmatrix_while_integrating(monkeypatch):
+    rng = np.random.default_rng(0)
+    K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
+    loop = b_zero_loop(K0, random_symmetric(rng, 2), random_symmetric(rng, 2))
+    built = []
+    original = symplectic_core.SympMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(symplectic_core.SympMatrix, "__post_init__", counting)
+    for form in _B_ZERO_FORMS:
+        for quad in _B_ZERO_RULES:
+            form(loop, OscParams(2.0, (0.5, 1.5)), quad)
+    assert built == []
+
+
+def test_overlap_check_sees_the_displacement_phase_factor(monkeypatch):
+    # exp(i a b / 2 hbar) flipped to exp(-i a b / 2 hbar): the modulus is unchanged, so
+    # only a complex comparison catches it
+    residual, tol = CHECKS["overlap"](np.random.default_rng([0, 6]), 200, False)
+    assert residual <= tol
+    overlap = gaussian_states.numeric_overlap_n1
+    flipped = lambda M, p, a, b, grid=None: overlap(M, p, a, b, grid) * np.exp(-1j * a * b / p.hbar)
+    monkeypatch.setattr(gaussian_states, "numeric_overlap_n1", flipped)
+    residual, tol = CHECKS["overlap"](np.random.default_rng([0, 6]), 200, False)
+    assert residual > 0.1
+
+
 # The per-draw loops as they were before each check compared its draws in one stacked route:
 # the reference the stacked checks must reproduce.
 def _closed_form_per_draw(rng, count, fault):

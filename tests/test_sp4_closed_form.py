@@ -276,6 +276,16 @@ def test_closed_coefficients_match_recurrence(rng, random_generator):
                 assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
 
 
+@pytest.mark.parametrize("coeffs", [coeff_recurrence, coeff_closed])
+@pytest.mark.parametrize("power", [True, np.True_, 2.0, 0, -1])
+def test_coefficient_power_must_be_a_positive_integer(rng, random_generator, coeffs, power):
+    # a bool is an int subclass but no count, as everywhere else in the package
+    g = _nondegenerate(rng, random_generator)
+    with pytest.raises(ValueError, match=f"^power must be a positive integer, got {re.escape(repr(power))}$"):
+        coeffs(g, power)
+    assert coeffs(g, np.int64(3)) == coeffs(g, 3)
+
+
 def test_closed_coefficients_degenerate_raises():
     g = _zero_gen([[0.0, -0.5], [-0.5, 0.0]])  # lambda_+ = lambda_-
     with pytest.raises(DegenerateEigenvalues):
