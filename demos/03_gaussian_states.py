@@ -52,7 +52,9 @@ overlap = numeric_overlap_n1(M, p, a, b)
 print(f"closed-form amplitude:      {amp:.15f}")
 print(f"numeric overlap modulus:    {abs(overlap):.15f}")
 print(f"numeric overlap phase:      {np.angle(overlap):.15f} rad")
-print(f"modulus deviation:          {abs(abs(overlap) - amp):.3e}")
+# compared as complex numbers, as `sympberry verify overlap` does: a modulus
+# check alone cannot see a wrong phase factor
+print(f"complex deviation:          {abs(overlap - amp):.3e}")
 
 print("\n== normalization sanity ==")
 unity = numeric_overlap_n1(M, p, 0.0, 0.0)

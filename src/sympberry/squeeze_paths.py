@@ -14,6 +14,7 @@ end-to-end oracle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+_TRIG_CACHED_NODES = 30  # one adaptive call: a first panel, or both halves of a split
 _EYES = {1: ((1, 0), (0, 1)), 2: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}
 
 
@@ -176,20 +178,38 @@ def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
     if modes not in (1, 2):
         raise ValueError(f"squeeze circles cover 1 or 2 modes, got {modes}")
     R = SqueezeSpec(modes=modes, R=R, angle=0.0, params=params).R
-    C = _circle_constants(modes, R, params)
-    _, C1, C2 = C
-
-    def angles(ts) -> np.ndarray:
-        return (_TWO_PI * np.asarray(ts, dtype=float)) % _TWO_PI
+    C0, C1, C2 = _circle_constants(modes, R, params)
 
     def eval_batch(ts: np.ndarray) -> np.ndarray:
-        return _circle_matrices(C, angles(ts))
+        c, s = _circle_trig(ts)
+        return C0 + c * C1 + s * C2
 
     def tangent_batch(ts: np.ndarray) -> np.ndarray:
-        a = angles(ts)
-        return _TWO_PI * (np.cos(a)[:, None, None] * C2 - np.sin(a)[:, None, None] * C1)
+        c, s = _circle_trig(ts)
+        return _TWO_PI * (c * C2 - s * C1)
 
     return SympPath(n=modes, closed=True, eval_batch=eval_batch, tangent_batch=tangent_batch)
+
+
+def _circle_trig(ts) -> tuple[np.ndarray, np.ndarray]:
+    """(cos a, sin a) at a = 2 pi t, as (k, 1, 1) stacks. Every circle samples the same few
+    node sets, so a 1-D ts of at most 30 nodes is cached by its bytes (NOTES.md)."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim == 1 and ts.size <= _TRIG_CACHED_NODES:
+        return _cached_trig(ts.tobytes())
+    return _trig(ts)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_trig(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+    c, s = _trig(np.frombuffer(key))
+    c.flags.writeable = s.flags.writeable = False  # shared by every circle
+    return c, s
+
+
+def _trig(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a = (_TWO_PI * ts) % _TWO_PI
+    return np.cos(a)[:, None, None], np.sin(a)[:, None, None]
 
 
 def reference_phase(modes: int, R: float) -> float:

@@ -167,7 +167,10 @@ def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
     """True iff the matrix preserves the grouped-ordering form within tol.
 
-    Rejects non-square and odd-dimension inputs.
+    Rejects non-square and odd-dimension inputs. Only the residual is checked,
+    not SympMatrix's determinant gate, so at a loose tol the two can disagree:
+    diag(1 + 1e-6, 1) is symplectic at tol=1e-5 here, while SympMatrix with
+    tol_symp=1e-5 rejects its determinant 1.000001 (|det - 1| above 1e-8).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from sympberry import (
     OscParams,
+    QuadSpec,
     SqueezeSpec,
     convert_ordering,
     exp_map,
+    integrate_phase,
     reference_phase,
     squeeze_b_block_n2,
     squeeze_block_exp,
@@ -19,6 +21,9 @@ from sympberry import (
     squeeze_matrix_n1,
     squeeze_matrix_n2,
 )
+from sympberry import squeeze_paths as sp
+from sympberry._quadrature import GK15_NODES
+from sympberry.geometric_phase import _PARAM_SAMPLES
 
 UNIT_1 = OscParams(1.0, (1.0,))
 UNIT_2 = OscParams(1.0, (1.0, 1.0))
@@ -247,3 +252,71 @@ def test_circle_tangent_is_the_quarter_turned_direction(modes, rng):
             K = _direction(modes, params, -np.sin(phi), np.cos(phi))
             expected = 2.0 * np.pi * np.sinh(R) * K
             np.testing.assert_allclose(dM, expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_circle_samples_match_the_uncached_formulas_bitwise(modes, rng):
+    # a looked-up (cos, sin) pair changes no bit of a sample, on a miss or on a hit
+    params = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, modes)))
+    R = rng.uniform(0.0, 3.0)
+    C = sp._circle_constants(modes, R, params)
+    path = squeeze_circle_path(modes, R, params)
+    node_sets = (_PARAM_SAMPLES, 0.5 + 0.5 * GK15_NODES, rng.uniform(0.0, 1.0, 15), rng.uniform(0.0, 1.0, 100))
+    for ts in node_sets:
+        a = (2.0 * np.pi * ts) % (2.0 * np.pi)
+        Ms_expected = sp._circle_matrices(C, a)
+        dMs_expected = 2.0 * np.pi * (np.cos(a)[:, None, None] * C[2] - np.sin(a)[:, None, None] * C[1])
+        sp._cached_trig.cache_clear()
+        for _ in range(2):
+            Ms, dMs = path.sample(ts)
+            assert Ms.tobytes() == Ms_expected.tobytes()
+            assert dMs.tobytes() == dMs_expected.tobytes()
+        info = sp._cached_trig.cache_info()
+        cached = ts.size <= 30  # one miss, then the tangent and the second sample hit
+        assert (info.misses, info.hits) == ((1, 3) if cached else (0, 0))
+
+
+def test_the_trig_cache_is_keyed_by_content_and_read_only():
+    path = squeeze_circle_path(1, 0.7, UNIT_1)
+    ts = np.linspace(0.0, 1.0, 15)
+    first = path.eval_batch(ts)
+    ts[3] = 0.123  # the same array object, new content: a new key
+    second = path.eval_batch(ts)
+    assert second[3].tobytes() == path.eval_batch(np.array([0.123]))[0].tobytes()
+    assert second[3].tobytes() != first[3].tobytes()
+    assert np.delete(second, 3, axis=0).tobytes() == np.delete(first, 3, axis=0).tobytes()
+    assert first.flags.writeable  # a sample is fresh, never the cached stack
+    c, s = sp._circle_trig(ts)
+    assert not c.flags.writeable and not s.flags.writeable
+
+
+def test_a_fixed_rule_caches_no_node_set_above_one_adaptive_call(monkeypatch):
+    sizes = []
+    cached = sp._cached_trig
+
+    def recording(key):
+        sizes.append(len(key) // 8)
+        return cached(key)
+
+    monkeypatch.setattr(sp, "_cached_trig", recording)
+    cached.cache_clear()
+    for panels in (1, 2, 64):  # 15, 30 and 960 nodes
+        path = squeeze_circle_path(2, 1.0, UNIT_2)
+        integrate_phase(path, UNIT_2, QuadSpec(kind="fixed", panels=panels))
+    assert max(sizes) == 30 and 960 not in sizes
+    assert cached.cache_info().maxsize == 8
+    assert cached.cache_info().currsize == 3  # the construction points, 15 and 30 nodes
+
+
+def test_circles_share_the_trig_cache_and_spec_matrices_bypass_it(rng):
+    sp._cached_trig.cache_clear()
+    for modes, params in ((1, UNIT_1), (2, UNIT_2)):
+        integrate_phase(squeeze_circle_path(modes, 0.9, params), params)
+    # the first circle misses its construction points and its first panel; the tangent and
+    # every later sample hit
+    before = sp._cached_trig.cache_info()
+    assert (before.misses, before.hits) == (2, 4)
+    for angle in rng.uniform(0.0, 2.0 * np.pi, 10):
+        squeeze_matrix_n1(_spec1(0.9, angle))
+        squeeze_matrix_n2(_spec2(0.9, angle))
+    assert sp._cached_trig.cache_info() == before

@@ -175,6 +175,14 @@ def test_is_symplectic_rejects_an_overflowing_matrix():
     assert is_symplectic(_OVERFLOWING) is False
 
 
+def test_is_symplectic_applies_no_determinant_gate():
+    # residual 1e-6 passes tol 1e-5 in both; only SympMatrix then checks |det - 1| <= 1e-8
+    M = np.diag([1 + 1e-6, 1.0])
+    assert is_symplectic(M, tol=1e-5) is True
+    with pytest.raises(ValueError, match="^determinant 1.000001 deviates from 1 beyond 1e-08$"):
+        SympMatrix(1, M, tol_symp=1e-5)
+
+
 def test_block_decomposition_rejects_overflowing_blocks():
     with pytest.raises(ValueError, match="blocks violate the symplectic identities: residual inf"):
         BlockDecomposition(A=[[1e200]], B=[[1e200]], C=[[0.0]], D=[[1.0]])
