@@ -83,6 +83,11 @@ def test_covariance_matrix_validation(rng, random_symplectic):
             (1, np.diag([3.0, 5.0]), QUADRATURE),
             "2 x covariance fails the symplectic purity condition: residual 5.900e+01",
         ),
+        ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
+        ((1, np.eye(2) + 1e-3j), "covariance must be real-valued, got dtype complex128"),
+        ((1, np.eye(2, dtype=complex), QUADRATURE), "covariance must be real-valued, got dtype complex128"),
+        ((1, np.array([[1 + 0j, 0], [0, 1]], dtype=object)), "covariance must be real-valued, got dtype object"),
+        ((True, np.eye(2)), "mode count must be a positive integer, got True"),  # bool is not a count
         # 2V's residual overflows to inf, without an overflow warning
         (
             (2, np.diag([1e160, 1e-160, 1e160, 1e-160]), QUADRATURE),
@@ -93,11 +98,6 @@ def test_covariance_matrix_validation(rng, random_symplectic):
             (1, np.diag([1e308, 1.0]), QUADRATURE),
             "2 x covariance fails the symplectic purity condition: residual nan",
         ),
-        ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
-        ((1, np.eye(2) + 1e-3j), "covariance must be real-valued, got dtype complex128"),
-        ((1, np.eye(2, dtype=complex), QUADRATURE), "covariance must be real-valued, got dtype complex128"),
-        ((1, np.array([[1 + 0j, 0], [0, 1]], dtype=object)), "covariance must be real-valued, got dtype object"),
-        ((True, np.eye(2)), "mode count must be a positive integer, got True"),  # bool is not a count
     ],
 )
 def test_covariance_matrix_rejections(args, message):
