@@ -110,6 +110,14 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
     return k15, abs(k15 - g7)
 
 
+def _left_sum(terms) -> float:
+    """0.0 + t_1 + t_2 + ..., left to right: from Python 3.12 on, builtin sum compensates floats."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def adaptive_gauss_kronrod(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -165,7 +173,7 @@ def adaptive_gauss_kronrod(
         slack += total - neg + e1 + e2
         total += e1 + e2 + neg
     heap.sort(key=lambda p: p[1])
-    return float(sum(p[3] for p in heap)), float(sum(-p[0] for p in heap)), evals
+    return _left_sum(p[3] for p in heap), _left_sum(-p[0] for p in heap), evals
 
 
 def fixed_gauss_kronrod(
@@ -184,12 +192,7 @@ def fixed_gauss_kronrod(
         raise ValueError("panel count must be >= 1")
     edges = np.linspace(a, b, panels + 1)
     values, errors = _panels(f, edges[:-1], edges[1:])
-    value = 0.0
-    error = 0.0
-    for v, e in zip(values.tolist(), errors.tolist()):
-        value += v
-        error += e
-    return value, error, 15 * panels
+    return _left_sum(values.tolist()), _left_sum(errors.tolist()), 15 * panels
 
 
 @functools.lru_cache(maxsize=16)

@@ -21,6 +21,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -116,18 +117,18 @@ def _text(raw: str, section: str, key: str) -> str:
     return raw
 
 
-def _int(raw: str, section: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
+def _number(cast: Callable[[str], object], what: str) -> Callable[[str, str, str], object]:
+    def parse(raw: str, section: str, key: str):
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: expected {what}, got {raw!r}") from exc
+
+    return parse
 
 
-def _float(raw: str, section: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
+_int = _number(int, "an integer")
+_float = _number(float, "a number")
 
 
 def _floats(raw: str, section: str, key: str) -> tuple[float, ...]:
@@ -208,25 +209,28 @@ def _parse_config_file(path: str) -> dict[str, dict[str, str]]:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     lines = text.splitlines()
-    cp = configparser.ConfigParser()
+    # values are literal, % included; and since no header names the empty section, [DEFAULT]
+    # is an ordinary section, rejected as unknown, that lends no key to the others
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keys are case-sensitive (R vs r)
     try:
         cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+
+    def located(message: str, section: str, key: str | None = None) -> ConfigError:
+        where = _key_line(lines, section, key)
+        return ConfigError(f"{path}:{where}: {message}" if where else f"{path}: {message}")
+
     sections = {section for section, _ in _SETTINGS}
     out: dict[str, dict[str, str]] = {}
     for section in cp.sections():
         if section not in sections:
-            where = _key_line(lines, section, None)
-            loc = f"{path}:{where}: " if where else f"{path}: "
-            raise ConfigError(f"{loc}unknown section [{section}]")
+            raise located(f"unknown section [{section}]", section)
         out[section] = {}
         for key, value in cp.items(section):
             if (section, key) not in _SETTINGS:
-                where = _key_line(lines, section, key)
-                loc = f"{path}:{where}: " if where else f"{path}: "
-                raise ConfigError(f"{loc}unknown key {key!r} in [{section}]")
+                raise located(f"unknown key {key!r} in [{section}]", section, key)
             out[section][key] = value
     return out
 
@@ -361,6 +365,14 @@ def _json_text(record) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
+def _emit_record(cfg: RunConfig, doc, header: Sequence[str], rows: Sequence[dict]) -> None:
+    """Emit doc as JSON, or the header's cells of each row as CSV, as cfg.format selects."""
+    if cfg.format == "json":
+        _emit(_json_text(doc), cfg.out)
+    else:
+        _emit(_csv_table(header, [[_cell(row[col]) for col in header] for row in rows]), cfg.out)
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -453,11 +465,7 @@ def run_phase(cfg: RunConfig) -> int:
     except ValueError as exc:  # a segment's logarithm is not real, or a sample fails its check
         raise ConfigError(str(exc)) from exc
     record = _phase_record(cfg, result)
-    if cfg.format == "json":
-        _emit(_json_text(record), cfg.out)
-    else:
-        columns = [col for col in record if col != "rng"]
-        _emit(_csv_table(columns, [[_cell(record[col]) for col in columns]]), cfg.out)
+    _emit_record(cfg, record, [col for col in record if col != "rng"], [record])
     return EXIT_OK
 
 
@@ -474,44 +482,24 @@ def run_sweep(cfg: RunConfig) -> int:
         length_grid = [cfg.lengths]
     else:
         length_grid = [(length,) * cfg.modes for length in cfg.sweep_length]
-    header = ["R", "hbar"] + [f"l{j + 1}" for j in range(cfg.modes)] + [
-        "gamma_quadrature",
-        "gamma_reference",
-        "deviation",
-        "status",
-        "seed",
-    ]
+    length_cols = [f"l{j + 1}" for j in range(cfg.modes)]
+    header = ["R", "hbar", *length_cols]
+    header += ["gamma_quadrature", "gamma_reference", "deviation", "status", "seed"]
     records: list[dict] = []
-    any_failed = False
-    for R in cfg.sweep_R:
-        for hbar in hbar_grid:
-            for lengths in length_grid:
-                record = {
-                    "R": R,
-                    "hbar": hbar,
-                    **{f"l{j + 1}": lengths[j] for j in range(cfg.modes)},
-                    "gamma_quadrature": None,
-                    "gamma_reference": None,
-                    "deviation": None,
-                    "status": "ok",
-                    "seed": cfg.seed,
-                }
-                try:
-                    ref = record["gamma_reference"] = reference_phase(cfg.modes, R)
-                    params = OscParams(hbar, lengths)
-                    path = squeeze_circle_path(cfg.modes, R, params)
-                    result = integrate_phase(path, params, cfg.quad())
-                    record["gamma_quadrature"] = result.value
-                    record["deviation"] = abs(result.value - ref)
-                except (QuadratureBudgetExceeded, ValueError) as exc:
-                    record["status"] = f"error:{type(exc).__name__}"
-                    any_failed = True
-                records.append(record)
-    if cfg.format == "json":
-        _emit(_json_text({"rng": RNG_NAME, "seed": cfg.seed, "rows": records}), cfg.out)
-    else:
-        _emit(_csv_table(header, [[_cell(r[col]) for col in header] for r in records]), cfg.out)
-    return EXIT_FAILED if any_failed else EXIT_OK
+    for R, hbar, lengths in itertools.product(cfg.sweep_R, hbar_grid, length_grid):
+        record = dict.fromkeys(header)  # the header's key order; unset cells stay None
+        record.update(zip(length_cols, lengths), R=R, hbar=hbar, status="ok", seed=cfg.seed)
+        try:
+            ref = record["gamma_reference"] = reference_phase(cfg.modes, R)
+            params = OscParams(hbar, lengths)
+            result = integrate_phase(squeeze_circle_path(cfg.modes, R, params), params, cfg.quad())
+            record["gamma_quadrature"] = result.value
+            record["deviation"] = abs(result.value - ref)
+        except (QuadratureBudgetExceeded, ValueError) as exc:
+            record["status"] = f"error:{type(exc).__name__}"
+        records.append(record)
+    _emit_record(cfg, {"rng": RNG_NAME, "seed": cfg.seed, "rows": records}, header, records)
+    return EXIT_OK if all(r["status"] == "ok" for r in records) else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -552,26 +540,19 @@ def run_expm(cfg: RunConfig) -> int:
         blocks[name] = (blocks[name] + blocks[name].T) / 2.0
     g = Sp4Generator(a=blocks["a"], b=blocks["b"], c=blocks["c"])
     M, branch, generic, deviation = oracles.expm_comparison(g)
-    if cfg.format == "json":
-        record = {
-            "blocks": {k: blocks[k].tolist() for k in ("a", "b", "c")},
-            "branch": branch,
-            "closed_form": M.data.tolist(),
-            "generic": generic.tolist(),
-            "max_deviation": deviation,
-            "rng": RNG_NAME,
-            "seed": cfg.seed,
-        }
-        _emit(_json_text(record), cfg.out)
-    else:
-        header = ["branch", "max_deviation", "seed"]
-        row = [branch, _fmt_float(deviation), str(cfg.seed)]
-        for tag, mat in (("closed", M.data), ("generic", generic)):
-            for i in range(4):
-                for j in range(4):
-                    header.append(f"{tag}_{i}{j}")
-                    row.append(_fmt_float(mat[i, j]))
-        _emit(_csv_table(header, [row]), cfg.out)
+    record = {
+        "blocks": {k: blocks[k].tolist() for k in ("a", "b", "c")},
+        "branch": branch,
+        "closed_form": M.data.tolist(),
+        "generic": generic.tolist(),
+        "max_deviation": deviation,
+        "rng": RNG_NAME,
+        "seed": cfg.seed,
+    }
+    row = {"branch": branch, "max_deviation": deviation, "seed": cfg.seed}
+    for tag, mat in (("closed", M.data), ("generic", generic)):
+        row.update((f"{tag}_{i}{j}", x) for (i, j), x in np.ndenumerate(mat))
+    _emit_record(cfg, record, list(row), [row])
     return EXIT_OK
 
 

@@ -272,18 +272,24 @@ def coeff_closed(g: Sp4Generator, n: int) -> tuple[float, float, float]:
     """
     if not _is_integer(n) or n < 1:
         raise ValueError(f"power must be a positive integer, got {n!r}")
-    gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "use coeff_recurrence")
+    spectrum = _, lam_p, lam_m, _ = _separated_eigenvalues(g, "use coeff_recurrence")
     try:
         pn, mn = lam_p**n, lam_m**n
     except OverflowError:  # complex powers raise where float arithmetic gives inf
         raise ValueError(_OVERFLOW.format(n)) from None
+    return _finite_coefficients(_spectral(spectrum, pn, mn, n), n)
+
+
+def _spectral(spectrum, f_p: complex, f_m: complex, tag) -> tuple[float, float, float]:
+    """(alpha_tag, beta_tag, gamma_tag) of f(S) from f_p, f_m = f(lam_p), f(lam_m), as in
+    coeff_closed with lam^n replaced by f: gamma swaps f_p and f_m (power attachment, NOTES.md)."""
+    gamma_1, lam_p, lam_m, den = spectrum
     wp, wm = lam_p - gamma_1, lam_m - gamma_1
-    coeffs = (
-        _real_with_residue_check((wp * pn - wm * mn) / den, f"alpha_{n}"),
-        _real_with_residue_check((pn - mn) / den, f"beta_{n}"),
-        _real_with_residue_check((wp * mn - wm * pn) / den, f"gamma_{n}"),
+    return (
+        _real_with_residue_check((wp * f_p - wm * f_m) / den, f"alpha_{tag}"),
+        _real_with_residue_check((f_p - f_m) / den, f"beta_{tag}"),
+        _real_with_residue_check((wp * f_m - wm * f_p) / den, f"gamma_{tag}"),
     )
-    return _finite_coefficients(coeffs, n)
 
 
 def _cosh_sinhc(lam: complex) -> tuple[complex, complex]:
@@ -306,17 +312,11 @@ def series_coefficients(g: Sp4Generator) -> SeriesCoefficients:
     Everything is evaluated through the complex branch and the imaginary
     residue is checked before taking real parts.
     """
-    gamma_1, lam_p, lam_m, den = _separated_eigenvalues(g, "fall back to the generic exponential")
-    (ch_p, sc_p), (ch_m, sc_m) = _cosh_sinhc(lam_p), _cosh_sinhc(lam_m)
-    wp, wm = lam_p - gamma_1, lam_m - gamma_1
-    return SeriesCoefficients(
-        alpha_e=_real_with_residue_check((wp * ch_p - wm * ch_m) / den, "alpha_e"),
-        alpha_o=_real_with_residue_check((wp * sc_p - wm * sc_m) / den, "alpha_o"),
-        beta_e=_real_with_residue_check((ch_p - ch_m) / den, "beta_e"),
-        beta_o=_real_with_residue_check((sc_p - sc_m) / den, "beta_o"),
-        gamma_e=_real_with_residue_check((wp * ch_m - wm * ch_p) / den, "gamma_e"),
-        gamma_o=_real_with_residue_check((wp * sc_m - wm * sc_p) / den, "gamma_o"),
-    )
+    spectrum = _separated_eigenvalues(g, "fall back to the generic exponential")
+    (ch_p, sc_p), (ch_m, sc_m) = map(_cosh_sinhc, spectrum[1:3])
+    ae, be, ge = _spectral(spectrum, ch_p, ch_m, "e")
+    ao, bo, go = _spectral(spectrum, sc_p, sc_m, "o")
+    return SeriesCoefficients(ae, ao, be, bo, ge, go)
 
 
 def _assemble(g: Sp4Generator, coeffs: SeriesCoefficients) -> np.ndarray:

@@ -54,9 +54,7 @@ class SqueezeSpec:
     def __post_init__(self) -> None:
         if self.modes not in (1, 2):
             raise ValueError(f"squeeze transformations cover 1 or 2 modes, got {self.modes}")
-        R = float(self.R)
-        if not (math.isfinite(R) and R >= 0):
-            raise ValueError(f"magnitude must be finite and >= 0, got {self.R!r}")
+        R = _magnitude(self.R)
         angle = float(self.angle)
         if not math.isfinite(angle):
             raise ValueError("angle must be finite")
@@ -66,6 +64,14 @@ class SqueezeSpec:
             )
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "angle", angle % _TWO_PI)
+
+
+def _magnitude(raw) -> float:
+    """float(raw), or ValueError, naming raw by its repr, unless that is finite and >= 0."""
+    R = float(raw)
+    if not (math.isfinite(R) and R >= 0):
+        raise ValueError(f"magnitude must be finite and >= 0, got {raw!r}")
+    return R
 
 
 def _require_modes(spec: SqueezeSpec, modes: int) -> None:
@@ -172,11 +178,9 @@ def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:
     t in [0, 1] maps to angle 2 pi t; tangents are the hand-differentiated
     matrices times 2 pi, so no finite-difference error enters downstream
     phase integrals, which evaluate each quadrature panel in one call of the
-    stacked closed form. The magnitude and params are validated once,
+    stacked closed form. The mode count, magnitude and params are validated once,
     through a SqueezeSpec.
     """
-    if modes not in (1, 2):
-        raise ValueError(f"squeeze circles cover 1 or 2 modes, got {modes}")
     R = SqueezeSpec(modes=modes, R=R, angle=0.0, params=params).R
     C0, C1, C2 = _circle_constants(modes, R, params)
 
@@ -216,9 +220,7 @@ def reference_phase(modes: int, R: float) -> float:
     """Closed-form circle phase: -pi sinh^2(R), doubled for two modes."""
     if modes not in (1, 2):
         raise ValueError(f"reference phases cover 1 or 2 modes, got {modes}")
-    R = float(R)
-    if not (math.isfinite(R) and R >= 0):
-        raise ValueError(f"magnitude must be finite and >= 0, got {R!r}")
+    R = _magnitude(float(R))
     with np.errstate(over="ignore"):
         gamma = -modes * np.pi * np.sinh(R) ** 2
     if not math.isfinite(gamma):

@@ -87,27 +87,32 @@ def _as_square_matrix(data, name: str = "matrix", dim: int | None = None) -> np.
 
 
 def _residual(M: np.ndarray, form: np.ndarray, axis=None):
-    """max |M form M^T - form| of a matrix or a (k, m, m) stack, over every entry or over axis:
+    """max |M form M^T - form| of a matrix or a (k, m, m) stack, over every entry or over axis,
+    unwarned: NaN, inf and overflow give a NaN or inf residual, which fails any `<= tol`.
     M form M^T - form is built in place and reduced once, one reduction for a whole stack."""
-    # on 2-D float arrays .dot is the same BLAS product as @, without the matmul ufunc's dispatch
-    R = M.dot(form).dot(M.T) if M.ndim == 2 else M @ form @ M.swapaxes(-1, -2)
-    R -= form
-    return np.maximum.reduce(np.abs(R, out=R), axis=axis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # on 2-D float arrays .dot is the same BLAS product as @, without the matmul ufunc's dispatch
+        R = M.dot(form).dot(M.T) if M.ndim == 2 else M @ form @ M.swapaxes(-1, -2)
+        R -= form
+        return np.maximum.reduce(np.abs(R, out=R), axis=axis)
 
 
 def _passes_group_check(M: np.ndarray, form: np.ndarray, tol: float) -> bool:
     """True iff M, a matrix or a (k, 2n, 2n) stack, passes the group check at tol. NaN, inf and
     overflow fail the residual, which implies the det gate where 2n tol <= _DET_TOL (NOTES.md)."""
+    if not _residual(M, form) <= tol:
+        return False
+    if M.shape[-1] * tol <= _DET_TOL:
+        return True
     with np.errstate(over="ignore", invalid="ignore"):
-        if not _residual(M, form) <= tol:
-            return False
-        return M.shape[-1] * tol <= _DET_TOL or bool((abs(np.linalg.det(M) - 1.0) <= _DET_TOL).all())
+        return bool((abs(np.linalg.det(M) - 1.0) <= _DET_TOL).all())
 
 
 def _group_gates(M: np.ndarray, form: np.ndarray, tol: float):
     """(residual, determinant, passed) of a matrix or of each stacked matrix, unwarned."""
+    resid = _residual(M, form, (-2, -1))
     with np.errstate(over="ignore", invalid="ignore"):
-        resid, det = _residual(M, form, (-2, -1)), np.linalg.det(M)
+        det = np.linalg.det(M)
     return resid, det, (resid <= tol) & (abs(det - 1.0) <= _DET_TOL)
 
 
@@ -160,8 +165,7 @@ def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
     if ordering not in (GROUPED, INTERLEAVED):
         raise ValueError(f"unknown ordering {ordering!r}")
     form = omega if ordering == GROUPED else omega_interleaved
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an inf residual
-        return float(_residual(M, form(M.shape[-1] // 2)))
+    return float(_residual(M, form(M.shape[-1] // 2)))
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
@@ -177,8 +181,7 @@ def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] % 2 != 0 or M.shape[0] == 0:
         raise ValueError(f"dimension must be even and positive, got {M.shape[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the residual
-        return bool(np.isfinite(M).all() and _residual(M, _omega_cached(M.shape[0] // 2)) <= tol)
+    return bool(_residual(M, _omega_cached(M.shape[0] // 2)) <= tol)  # non-finite M fails it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,10 +221,6 @@ class SympMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "n", n)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
     def inverse(self) -> "SympMatrix":
         """Group inverse via the form: M^{-1} = form^{-1} M^T form."""
@@ -288,17 +287,12 @@ class BlockDecomposition:
                 raise ValueError("blocks must share one shape")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the residual
-            worst = _residual(self.assemble(), _omega_cached(shape[0]))
+        worst = _residual(self.assemble(), _omega_cached(shape[0]))
         if not worst <= self.tol:
             raise ValueError(
                 f"blocks violate the symplectic identities: residual {worst:.3e} "
                 f"exceeds {self.tol:.3e}"
             )
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
     def assemble(self) -> np.ndarray:
         return np.block([[self.A, self.B], [self.C, self.D]])

@@ -842,3 +842,28 @@ def test_failed_write_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch, 
         main(["phase", "--R", "0.5", "--out", str(target)])
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name", ["phase%1.json", "phase%(x)s.json", "phase%(format)s.json"])
+def test_config_values_are_literal_percent_included(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
+    cfg = tmp_path / "run.ini"  # %(format)s names a key of its section, and stays as written
+    cfg.write_text(f"[path]\nR = 0.5\n[output]\nformat = json\nout = {name}\n")
+    assert main(["phase", "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert json.loads((tmp_path / name).read_text())["R"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["phase"], "[DEFAULT]\nbogus = 1\n"),
+        (["phase"], "[DEFAULT]\nR = 2\n[path]\nkind = squeeze1\n"),
+        (["verify"], "[DEFAULT]\nR = 2\n[path]\nkind = squeeze1\n[verify]\ncount = 5\n"),
+    ],
+)
+def test_config_default_section_is_an_unknown_section(tmp_path, capsys, argv, ini):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {cfg}:1: unknown section [DEFAULT]\n")

@@ -381,3 +381,13 @@ def _verify_overlap_values():
 def test_overlap_values_on_the_verify_draws_are_bytewise_fixed():
     assert _verify_overlap_values() == _OVERLAP_DRAW_VALUES
     assert _verify_overlap_values() == _OVERLAP_DRAW_VALUES  # from the cached nodes
+
+
+def test_covariance_rejects_an_unknown_convention():
+    with pytest.raises(ValueError, match="^unknown convention 'natural'$"):
+        CovarianceMatrix(1, np.eye(2), convention="natural")
+
+
+def test_covariance_of_an_interleaved_matrix_is_rejected():
+    with pytest.raises(ValueError, match="^state constructions require grouped ordering$"):
+        covariance(SympMatrix(1, np.eye(2), "interleaved"), OscParams(1.0, (1.0,)))

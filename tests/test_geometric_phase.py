@@ -1027,3 +1027,32 @@ def test_translated_samples_are_group_checked(tangent):
     S = SympMatrix(2, _OFF_GROUP, GROUPED, 1e-3)
     with pytest.raises(ValueError, match="fails the symplectic condition"):
         check_canonical_invariance(path, S, TWO_MODES)
+
+
+def test_phase_b_zero_rejects_a_lower_right_block_off_the_inverse_transpose():
+    A = np.diag([0.01, 100.0])
+    D = np.linalg.inv(A).T
+    D[0, 0] += 5e-9  # group residual 5e-11 passes the check; the block form does not
+    M = np.zeros((4, 4))
+    M[:2, :2], M[2:, 2:] = A, D
+    path = SympPath(
+        n=2,
+        closed=True,
+        eval_batch=lambda ts: np.broadcast_to(M, (ts.size, 4, 4)).copy(),
+        tangent_batch=lambda ts: np.zeros((ts.size, 4, 4)),
+    )
+    message = "lower-right block deviates from inverse-transpose form by 5.000e-09 at t="
+    with pytest.raises(NotBZeroForm, match=message):
+        phase_b_zero(path, OscParams(1.0, (1.0, 1.0)))
+
+
+def test_canonical_invariance_rejects_an_interleaved_translation():
+    p = OscParams(1.0, (1.0,))
+    S = SympMatrix(1, np.eye(2), "interleaved")
+    with pytest.raises(ValueError, match="^translation must use grouped ordering$"):
+        check_canonical_invariance(squeeze_circle_path(1, 0.5, p), S, p)
+
+
+def test_path_without_an_evaluator_is_a_type_error():
+    with pytest.raises(TypeError, match="^a path needs eval or eval_batch$"):
+        SympPath(n=1)

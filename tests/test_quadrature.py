@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from sympberry import _quadrature
 from sympberry._quadrature import (
     G7_WEIGHTS_EMBEDDED,
     GK15_NODES,
     GK15_WEIGHTS,
     QuadratureBudgetExceeded,
+    _left_sum,
     _panels,
     adaptive_gauss_kronrod,
     fixed_gauss_kronrod,
@@ -277,3 +279,41 @@ def test_adaptive_rule_refuses_a_non_integer_budget(max_evals):
         adaptive_gauss_kronrod(f, 0.0, 1.0, max_evals=max_evals)
     assert calls == []  # refused before the first panel
     assert adaptive_gauss_kronrod(np.cos, 0.0, 1.0, max_evals=np.int64(15))[2] == 15
+
+
+# Panel sums that a compensated sum (builtin sum from Python 3.12 on, or math.fsum) reads
+# differently: left to right, 1e16 + 1 rounds back to 1e16.
+_VALUES, _VALUES_LEFT, _VALUES_EXACT = [1e16, 1.0, -1e16], 0.0, 1.0
+_ERRORS, _ERRORS_LEFT, _ERRORS_EXACT = [1e16, 1.0, 1.0], 1e16, 1e16 + 2.0
+
+
+def test_left_sum_adds_left_to_right_on_every_python():
+    assert math.fsum(_VALUES) == _VALUES_EXACT and math.fsum(_ERRORS) == _ERRORS_EXACT
+    assert _left_sum(_VALUES) == _VALUES_LEFT
+    assert _left_sum(iter(_ERRORS)) == _ERRORS_LEFT
+    assert repr(_left_sum([-0.0])) == "0.0"
+
+
+def test_fixed_rule_adds_its_panels_left_to_right(monkeypatch):
+    monkeypatch.setattr(_quadrature, "_panels", lambda f, a, b: (np.array(_VALUES), np.array(_ERRORS)))
+    assert fixed_gauss_kronrod(np.cos, 0.0, 1.0, panels=3) == (_VALUES_LEFT, _ERRORS_LEFT, 45)
+
+
+def test_adaptive_rule_adds_its_panels_left_to_right(monkeypatch):
+    # [0, 1] splits into [0, 1/2] and [1/2, 1], then [0, 1/2] into quarters; the three
+    # final panels, in left-endpoint order, carry _VALUES and _ERRORS
+    table = {
+        (0.0, 0.5): (0.0, 1e17),
+        (0.5, 1.0): (_VALUES[2], _ERRORS[2]),
+        (0.0, 0.25): (_VALUES[0], _ERRORS[0]),
+        (0.25, 0.5): (_VALUES[1], _ERRORS[1]),
+    }
+
+    def panels(f, a, b):
+        if not isinstance(a, np.ndarray):
+            return 0.0, 1e18
+        rows = [table[ab] for ab in zip(a.tolist(), b.tolist())]
+        return tuple(np.array(col) for col in zip(*rows))
+
+    monkeypatch.setattr(_quadrature, "_panels", panels)
+    assert adaptive_gauss_kronrod(np.cos, 0.0, 1.0, tol=3e16) == (_VALUES_LEFT, _ERRORS_LEFT, 75)

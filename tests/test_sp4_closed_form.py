@@ -464,3 +464,9 @@ def test_overflowing_coefficients_are_a_value_error():
         with pytest.raises(ValueError, match=r"^the coefficients of S\^10 overflow the float range$") as info:
             coeffs(huge, 10)
         assert type(info.value) is ValueError
+
+
+def test_an_imaginary_residue_beyond_the_scale_is_rejected():
+    message = "imaginary residue 1.000e-06 of beta_3 exceeds 1e-10 x scale; branch evaluation is inconsistent"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sp4_closed_form._real_with_residue_check(2.0 + 1e-6j, "beta_3")

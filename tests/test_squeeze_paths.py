@@ -1,4 +1,5 @@
 """Squeeze generators, matrices, circle paths, and their reference phases."""
+import re
 import warnings
 
 import numpy as np
@@ -320,3 +321,28 @@ def test_circles_share_the_trig_cache_and_spec_matrices_bypass_it(rng):
         squeeze_matrix_n1(_spec1(0.9, angle))
         squeeze_matrix_n2(_spec2(0.9, angle))
     assert sp._cached_trig.cache_info() == before
+
+
+@pytest.mark.parametrize("angle", [np.nan, np.inf])
+def test_squeeze_spec_rejects_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="^angle must be finite$"):
+        SqueezeSpec(modes=1, R=0.5, angle=angle, params=OscParams(1.0, (1.0,)))
+
+
+def test_one_mode_squeeze_matrix_rejects_a_two_mode_spec():
+    spec = SqueezeSpec(modes=2, R=0.5, angle=0.0, params=OscParams(1.0, (1.0, 1.0)))
+    with pytest.raises(ValueError, match="^expected a 1-mode spec, got 2$"):
+        sp.squeeze_matrix_n1(spec)
+
+
+def test_circle_mode_count_is_checked_by_its_squeeze_spec():
+    with pytest.raises(ValueError, match="^squeeze transformations cover 1 or 2 modes, got 3$"):
+        squeeze_circle_path(3, 0.5, OscParams(1.0, (1.0, 1.0, 1.0)))
+
+
+@pytest.mark.parametrize("R", [-1, np.float32(-0.5), "nan"])
+def test_magnitude_rule_names_the_spec_value_and_the_reference_float(R):
+    with pytest.raises(ValueError, match=re.escape(f"magnitude must be finite and >= 0, got {R!r}")):
+        SqueezeSpec(modes=1, R=R, angle=0.0, params=OscParams(1.0, (1.0,)))
+    with pytest.raises(ValueError, match=re.escape(f"magnitude must be finite and >= 0, got {float(R)!r}")):
+        reference_phase(1, R)

@@ -557,3 +557,8 @@ def test_passing_residual_implies_the_determinant_gate(data, tol):
         deviation = abs(np.linalg.det(M) - 1.0)
         assert deviation <= 1e-8
         assert deviation <= 2 * n * resid + 1e-13
+
+
+def test_block_decomposition_of_an_interleaved_matrix_is_rejected():
+    with pytest.raises(ValueError, match="^block decomposition is defined for grouped ordering$"):
+        block_decompose(SympMatrix(1, np.eye(2), INTERLEAVED))
