@@ -152,6 +152,8 @@ def _block(raw: str, section: str, key: str) -> np.ndarray:
     vals = _parse_floats(raw, f"expm block {key}")
     if len(vals) != 4:
         raise ConfigError(f"expm block {key}: expected 4 numbers row-major, got {len(vals)}")
+    if not all(map(np.isfinite, vals)):
+        raise ConfigError(f"expm block {key}: expected finite numbers, got {raw!r}")
     return np.array(vals, dtype=float).reshape(2, 2)
 
 
@@ -185,19 +187,20 @@ _SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str, str, str], object], s
 
 
 def _key_line(lines: Sequence[str], section: str, key: str | None) -> int | None:
-    """Best-effort line number of a section header or of a key inside it."""
+    """Best-effort line number of a section header or of a key inside it, each found with
+    the pattern configparser reads it by, so a name matches as the parser took it."""
     in_section = False
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if line.startswith("[") and line.endswith("]"):
+        if header := configparser.ConfigParser.SECTCRE.match(line):
             if in_section and key is not None:
                 return None
-            in_section = line[1:-1].strip() == section
+            in_section = header.group("header") == section
             if in_section and key is None:
                 return i
         elif in_section and key is not None:
-            name = line.split("=", 1)[0].split(":", 1)[0].strip()
-            if name == key:
+            option = configparser.ConfigParser.OPTCRE.match(line)
+            if option and option.group("option").rstrip() == key:
                 return i
     return None
 
@@ -319,6 +322,8 @@ def _validate_config(cfg: RunConfig) -> None:
     for axis, grid in (("hbar", cfg.sweep_hbar), ("length", cfg.sweep_length)):
         if grid is not None and any(not (np.isfinite(v) and v > 0) for v in grid):
             raise ConfigError(f"sweep {axis} values must be positive")
+    if cfg.seed < 0:  # a PCG64 seed, as every record names it
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +543,11 @@ def run_expm(cfg: RunConfig) -> int:
         if asym > 1e-10:
             raise ConfigError(f"expm block {name} must be symmetric; asymmetry {asym:.3e}")
         blocks[name] = (blocks[name] + blocks[name].T) / 2.0
-    g = Sp4Generator(a=blocks["a"], b=blocks["b"], c=blocks["c"])
-    M, branch, generic, deviation = oracles.expm_comparison(g)
+    try:
+        g = Sp4Generator(a=blocks["a"], b=blocks["b"], c=blocks["c"])
+        M, branch, generic, deviation = oracles.expm_comparison(g)
+    except ValueError as exc:  # the spectrum or the exponential overflows
+        raise ConfigError(str(exc)) from exc
     record = {
         "blocks": {k: blocks[k].tolist() for k in ("a", "b", "c")},
         "branch": branch,

@@ -29,12 +29,11 @@ from .symplectic_core import (
     DEFAULT_TOL_SYMP,
     GROUPED,
     SympMatrix,
-    _group_gates,
+    _group_failure,
     _is_integer,
+    _mode_count,
     _omega_cached,
-    _passes_group_check,
     _real_array,
-    omega,
 )
 
 __all__ = [
@@ -153,7 +152,7 @@ class SympPath:
     _fd_step = None  # not a field: h, set on a path built without a tangent
 
     def __post_init__(self) -> None:
-        n, eval_point, eval_batch = self.n, self.eval, self.eval_batch
+        n, eval_point, eval_batch = _mode_count(self.n), self.eval, self.eval_batch
         if eval_batch is None:
             if eval_point is None:
                 raise TypeError("a path needs eval or eval_batch")
@@ -161,7 +160,7 @@ class SympPath:
             object.__setattr__(self, "eval_batch", eval_batch)
         elif eval_point is None:
             object.__setattr__(self, "eval", lambda t: SympMatrix(n, eval_batch(np.array([t]))[0]))
-        samples = self._matrices(_PARAM_SAMPLES, omega)  # omega validates n, once
+        samples = self._matrices(_PARAM_SAMPLES)
         if self.closed:
             gap = float(abs(samples[-1] - samples[0]).max())
             if gap > _CLOSURE_TOL:
@@ -176,12 +175,10 @@ class SympPath:
                 tangent_batch = lambda ts: np.array([tangent(t) for t in ts])
             object.__setattr__(self, "tangent_batch", tangent_batch)
 
-    def _matrices(
-        self, ts: np.ndarray, form_of: Callable = _omega_cached, check: Callable | None = None
-    ) -> np.ndarray:
+    def _matrices(self, ts: np.ndarray, check: Callable | None = None) -> np.ndarray:
         """eval_batch(ts), checked by _check_group and then by check(stack, ts) if given."""
         Ms = _stack(self.eval_batch(ts), ts, self.n, "eval_batch")
-        _check_group(Ms, ts, form_of(self.n))
+        _check_group(Ms, ts, _omega_cached(self.n))
         if check is not None:
             check(Ms, ts)
         return Ms
@@ -228,19 +225,18 @@ def _point_data(M, t: float, n: int) -> np.ndarray:
 
 
 def _check_group(Ms: np.ndarray, ts: np.ndarray, form: np.ndarray) -> None:
-    """Check every stacked matrix like a SympMatrix: one residual reduction on a
-    pass, the finiteness and per-node gates that name the first bad t on failure."""
-    if not _passes_group_check(Ms, form, DEFAULT_TOL_SYMP):
+    """Check every stacked matrix with SympMatrix's group check; a failure names the
+    first non-finite t, or else the first failing t with its residual and determinant."""
+    failure = _group_failure(Ms, form, DEFAULT_TOL_SYMP)
+    if failure is not None:
         if not np.isfinite(Ms).all():
             bad = ~np.isfinite(Ms).all(axis=(1, 2))
             raise NonFiniteIntegrand(f"path sample is non-finite at t={ts[np.argmax(bad)]}")
-        resid, det, passed = _group_gates(Ms, form, DEFAULT_TOL_SYMP)
-        if not passed.all():
-            i = int(np.argmax(~passed))
-            raise ValueError(
-                f"sample at t={ts[i]} fails the symplectic condition: residual "
-                f"{resid[i]:.3e}, determinant {float(det[i])!r}"
-            )
+        i, resid, det = failure
+        raise ValueError(
+            f"sample at t={ts[i]} fails the symplectic condition: residual "
+            f"{resid:.3e}, determinant {float(det)!r}"
+        )
 
 
 def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:

@@ -147,12 +147,18 @@ class Sp4Generator:
 
     @functools.cached_property
     def _spectrum(self) -> tuple[float, complex, complex, complex]:
-        """(gamma_1, lam_p, lam_m, lam_p - lam_m); see eigenvalues."""
+        """(gamma_1, lam_p, lam_m, lam_p - lam_m); see eigenvalues. ValueError if it overflows."""
         det_a, det_b, det_c, det_d = self.invariants
         center = -(det_a + det_c + 2.0 * det_b) / 2.0
-        root = cmath.sqrt((det_a - det_c) ** 2 + 4.0 * det_d) / 2.0
+        try:
+            root = cmath.sqrt((det_a - det_c) ** 2 + 4.0 * det_d) / 2.0
+        except OverflowError:  # a float power raises where float products give inf
+            root = complex(math.inf)
         lam_p, lam_m = center + root, center - root
-        return -(det_c + det_b), lam_p, lam_m, lam_p - lam_m
+        spectrum = -(det_c + det_b), lam_p, lam_m, lam_p - lam_m
+        if not all(map(cmath.isfinite, spectrum)):
+            raise ValueError("the eigenvalues of S overflow the float range")
+        return spectrum
 
     @functools.cached_property
     def _lie(self) -> LieAlgElement:

@@ -97,23 +97,18 @@ def _residual(M: np.ndarray, form: np.ndarray, axis=None):
         return np.maximum.reduce(np.abs(R, out=R), axis=axis)
 
 
-def _passes_group_check(M: np.ndarray, form: np.ndarray, tol: float) -> bool:
-    """True iff M, a matrix or a (k, 2n, 2n) stack, passes the group check at tol. NaN, inf and
-    overflow fail the residual, which implies the det gate where 2n tol <= _DET_TOL (NOTES.md)."""
-    if not _residual(M, form) <= tol:
-        return False
-    if M.shape[-1] * tol <= _DET_TOL:
-        return True
+def _group_failure(M: np.ndarray, form: np.ndarray, tol: float):
+    """None if M, a matrix or a (k, 2n, 2n) stack, passes the group check at tol: residual
+    within tol and |det - 1| within _DET_TOL. Else (index, residual, determinant) of the first
+    failing matrix, index 0 for a single one. NaN, inf and overflow fail the residual, which
+    implies the det gate where 2n tol <= _DET_TOL, so a pass there costs one reduction (NOTES.md)."""
+    if _residual(M, form) <= tol and M.shape[-1] * tol <= _DET_TOL:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool((abs(np.linalg.det(M) - 1.0) <= _DET_TOL).all())
-
-
-def _group_gates(M: np.ndarray, form: np.ndarray, tol: float):
-    """(residual, determinant, passed) of a matrix or of each stacked matrix, unwarned."""
-    resid = _residual(M, form, (-2, -1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = np.linalg.det(M)
-    return resid, det, (resid <= tol) & (abs(det - 1.0) <= _DET_TOL)
+        resid, det = np.atleast_1d(_residual(M, form, (-2, -1)), np.linalg.det(M))
+    failed = ~((resid <= tol) & (abs(det - 1.0) <= _DET_TOL))
+    i = int(failed.argmax())
+    return (i, resid[i], det[i]) if failed[i] else None
 
 
 def _asymmetry(arr: np.ndarray) -> float:
@@ -169,19 +164,16 @@ def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
-    """True iff the matrix preserves the grouped-ordering form within tol.
+    """True iff the matrix passes SympMatrix's group check in grouped ordering at tol.
 
-    Rejects non-square and odd-dimension inputs. Only the residual is checked,
-    not SympMatrix's determinant gate, so at a loose tol the two can disagree:
-    diag(1 + 1e-6, 1) is symplectic at tol=1e-5 here, while SympMatrix with
-    tol_symp=1e-5 rejects its determinant 1.000001 (|det - 1| above 1e-8).
+    Rejects non-square and odd-dimension inputs.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] % 2 != 0 or M.shape[0] == 0:
         raise ValueError(f"dimension must be even and positive, got {M.shape[0]}")
-    return bool(_residual(M, _omega_cached(M.shape[0] // 2)) <= tol)  # non-finite M fails it
+    return _group_failure(M, _omega_cached(M.shape[0] // 2), tol) is None  # non-finite M fails it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,11 +198,12 @@ class SympMatrix:
         n = self.n if type(self.n) is int and self.n > 0 else _mode_count(self.n)
         arr = _real_array(self.data, "symplectic matrix")
         known = arr.shape == (2 * n, 2 * n) and self.ordering in (GROUPED, INTERLEAVED)
-        if not (known and _passes_group_check(arr, _FORMS[self.ordering](n), self.tol_symp)):
+        failure = _group_failure(arr, _FORMS[self.ordering](n), self.tol_symp) if known else ()
+        if failure is not None:
             _as_square_matrix(arr, "symplectic matrix", 2 * n)  # ordered checks name the failure
             if self.ordering not in (GROUPED, INTERLEAVED):
                 raise ValueError(f"unknown ordering {self.ordering!r}")
-            resid, det, _ = _group_gates(arr, _FORMS[self.ordering](n), self.tol_symp)
+            _, resid, det = failure
             if resid > self.tol_symp:
                 raise ValueError(
                     f"matrix fails the symplectic condition: residual {resid:.3e} "

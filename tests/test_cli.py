@@ -867,3 +867,39 @@ def test_config_default_section_is_an_unknown_section(tmp_path, capsys, argv, in
     cfg.write_text(ini)
     assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {cfg}:1: unknown section [DEFAULT]\n")
+
+
+@pytest.mark.parametrize("header", ["[ path ]", "[path ]"])
+def test_config_header_with_inner_spaces_names_its_line(tmp_path, capsys, header):
+    # configparser keeps the spaces, so the header names an unknown section
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nseed = 0\n{header}\nR = 1\n")
+    assert main(["phase", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {cfg}:3: unknown section {header}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--block-a=nan,0,0,1", "expm block a: expected finite numbers, got 'nan,0,0,1'"),
+        ("--block-b=inf,0,0,1", "expm block b: expected finite numbers, got 'inf,0,0,1'"),
+        ("--block-a=1e200,0,0,1", "the eigenvalues of S overflow the float range"),
+        ("--block-b=1e200,0,0,1e200", "the eigenvalues of S overflow the float range"),
+    ],
+)
+def test_expm_non_finite_or_overflowing_block_is_one_config_error_line(capsys, flag, message):
+    assert main(["expm", flag]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "phase"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_is_one_config_error_line(tmp_path, capsys, command, source):
+    if source == "flag":
+        argv = [command, "--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nseed = -1\n")
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: seed must be a non-negative integer, got -1\n")

@@ -582,6 +582,15 @@ def test_scalar_path_sample_rejections():
         assert type(info.value) is ValueError
 
 
+def test_zero_mode_path_is_rejected_before_any_sample():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+    batch = {"eval_batch": base.eval_batch, "tangent_batch": base.tangent_batch}
+    for kwargs in ({"eval": base.eval}, batch):
+        with pytest.raises(ValueError, match="^mode count must be a positive integer, got 0$") as info:
+            SympPath(n=0, **kwargs)
+        assert type(info.value) is ValueError
+
+
 def test_batch_wrong_stack_shape():
     base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
     with pytest.raises(ValueError, match="tangent_batch returned shape"):

@@ -466,6 +466,16 @@ def test_overflowing_coefficients_are_a_value_error():
         assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize("a, b", [(np.diag([1e200, 1.0]), np.zeros((2, 2))), (np.zeros((2, 2)), np.diag([1e200, 1e200]))])
+def test_an_overflowing_spectrum_is_a_value_error(a, b):
+    # (det a)^2 overflows a Python float; det b = inf leaves lam_p - lam_m NaN
+    g = Sp4Generator(a=a, b=b, c=np.zeros((2, 2)))
+    for call in (eigenvalues, closed_form_exp, lambda g: coeff_closed(g, 3)):
+        with pytest.raises(ValueError, match="^the eigenvalues of S overflow the float range$") as info:
+            call(g)
+        assert type(info.value) is ValueError
+
+
 def test_an_imaginary_residue_beyond_the_scale_is_rejected():
     message = "imaginary residue 1.000e-06 of beta_3 exceeds 1e-10 x scale; branch evaluation is inconsistent"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

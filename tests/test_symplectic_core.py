@@ -175,10 +175,10 @@ def test_is_symplectic_rejects_an_overflowing_matrix():
     assert is_symplectic(_OVERFLOWING) is False
 
 
-def test_is_symplectic_applies_no_determinant_gate():
-    # residual 1e-6 passes tol 1e-5 in both; only SympMatrix then checks |det - 1| <= 1e-8
+def test_is_symplectic_applies_the_determinant_gate():
+    # residual 1e-6 passes tol 1e-5 in both; both then reject |det - 1| = 1e-6 above 1e-8
     M = np.diag([1 + 1e-6, 1.0])
-    assert is_symplectic(M, tol=1e-5) is True
+    assert is_symplectic(M, tol=1e-5) is False
     with pytest.raises(ValueError, match="^determinant 1.000001 deviates from 1 beyond 1e-08$"):
         SympMatrix(1, M, tol_symp=1e-5)
 
@@ -365,7 +365,7 @@ def test_residual_and_membership_values():
         bad[2, 1] = value
         assert is_symplectic(bad) is False
     assert is_symplectic(np.eye(4)) is True
-    assert is_symplectic(np.diag([1 + 1e-6, 1.0]), tol=1e-5) is True
+    assert is_symplectic(np.diag([1 + 1e-6, 1.0]), tol=1e-5) is False
     with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 4\)$"):
         is_symplectic(np.eye(4)[:2])
     with pytest.raises(ValueError, match="^dimension must be even and positive, got 3$"):
@@ -524,6 +524,13 @@ def test_sympmatrix_check_matches_the_ordered_reference(data, n, tol):
         assert np.array_equal(SympMatrix(n, M, ordering, tol).data, M)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), tol=_TOLS)
+def test_is_symplectic_agrees_with_sympmatrix(data, n, tol):
+    M = data.draw(_near_symplectic(n, tol))
+    assert is_symplectic(M, tol) == (_outcome(SympMatrix, n, M, GROUPED, tol) is None)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 8), k=st.integers(1, 6))
 def test_path_stack_check_matches_the_ordered_reference(data, n, k):
@@ -542,7 +549,7 @@ def test_path_stack_check_matches_the_ordered_reference(data, n, k):
         with np.errstate(over="ignore", invalid="ignore"):
             resid = abs(Ms @ form @ Ms.swapaxes(-1, -2) - form).max()
             expected = resid <= tol and abs(np.linalg.det(Ms) - 1.0).max() <= 1e-8
-        assert symplectic_core._passes_group_check(Ms, form, tol) == expected
+        assert (symplectic_core._group_failure(Ms, form, tol) is None) == expected
 
 
 @settings(max_examples=300, deadline=None)
