@@ -51,47 +51,15 @@ EXIT_BUDGET = 3
 KIND_SQUEEZE1 = "squeeze1"
 KIND_SQUEEZE2 = "squeeze2"
 KIND_CUSTOM = "custom-samples"
-_KINDS = (KIND_SQUEEZE1, KIND_SQUEEZE2, KIND_CUSTOM)
+# the mode count each path kind requires; a samples file fixes its own (run_phase)
+_KIND_MODES = {KIND_SQUEEZE1: 1, KIND_SQUEEZE2: 2, KIND_CUSTOM: None}
+_KINDS = tuple(_KIND_MODES)
 
 CHECK_NAMES = tuple(oracles.CHECKS)
 
 
 class ConfigError(ValueError):
     """Bad configuration; maps to exit code 2."""
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved settings for one CLI run (flags > config file > these defaults)."""
-
-    command: str
-    kind: str = KIND_SQUEEZE1
-    modes: int | None = 1  # None on custom-samples until the samples file is read
-    R: float = 1.0
-    hbar: float = 1.0
-    lengths: tuple[float, ...] = (1.0,)
-    samples: str | None = None
-    quad_kind: str = ADAPTIVE
-    tol: float = 1e-10
-    max_evals: int = 10**6
-    panels: int = 64
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
-    sweep_R: tuple[float, ...] = ()
-    sweep_hbar: tuple[float, ...] | None = None
-    sweep_length: tuple[float, ...] | None = None
-    expm_a: np.ndarray | None = None
-    expm_b: np.ndarray | None = None
-    expm_c: np.ndarray | None = None
-    verify_count: int = 200
-    verify_checks: tuple[str, ...] = CHECK_NAMES
-    inject_fault: str | None = None
-
-    def quad(self) -> QuadSpec:
-        return QuadSpec(
-            kind=self.quad_kind, tol=self.tol, max_evals=self.max_evals, panels=self.panels
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +125,53 @@ def _block(raw: str, section: str, key: str) -> np.ndarray:
     return np.array(vals, dtype=float).reshape(2, 2)
 
 
-# Every setting, declared once: (section, key) -> (RunConfig field, parser,
-# argparse dest of the flag that overrides it, or None). A setting that is
-# neither flagged nor in the file keeps its RunConfig default.
-_SETTINGS: dict[tuple[str, str], tuple[str, Callable[[str, str, str], object], str | None]] = {
-    ("run", "seed"): ("seed", _int, "seed"),
-    ("path", "kind"): ("kind", _text, "kind"),
-    ("path", "modes"): ("modes", _int, "modes"),
-    ("path", "R"): ("R", _float, "R"),
-    ("path", "hbar"): ("hbar", _float, "hbar"),
-    ("path", "lengths"): ("lengths", _floats, "length"),
-    ("path", "samples"): ("samples", _text, "samples"),
-    ("quadrature", "kind"): ("quad_kind", _text, None),
-    ("quadrature", "tol"): ("tol", _float, "tol"),
-    ("quadrature", "max_evals"): ("max_evals", _int, None),
-    ("quadrature", "panels"): ("panels", _int, None),
-    ("output", "format"): ("format", _text, "format"),
-    ("output", "out"): ("out", _text, "out"),
-    ("sweep", "R"): ("sweep_R", _floats, None),
-    ("sweep", "hbar"): ("sweep_hbar", _grid, None),
-    ("sweep", "length"): ("sweep_length", _grid, None),
-    ("expm", "a"): ("expm_a", _block, "block_a"),
-    ("expm", "b"): ("expm_b", _block, "block_b"),
-    ("expm", "c"): ("expm_c", _block, "block_c"),
-    ("verify", "count"): ("verify_count", _int, None),
-    ("verify", "checks"): ("verify_checks", _names, None),
-    ("verify", "inject_fault"): ("inject_fault", _text, "inject_fault"),
+def _setting(section: str, key: str, parse: Callable, flag: str | None, default):
+    """A RunConfig field that is the setting [section] key: parse reads its text value, flag is
+    the argparse dest that overrides it (None: file only), default holds when neither is given."""
+    metadata = {"where": (section, key), "parse": parse, "flag": flag}
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+@dataclasses.dataclass
+class RunConfig:
+    """Resolved settings for one CLI run (flags > config file > these defaults)."""
+
+    command: str
+    seed: int = _setting("run", "seed", _int, "seed", 0)
+    kind: str = _setting("path", "kind", _text, "kind", KIND_SQUEEZE1)
+    # None on custom-samples until the samples file is read
+    modes: int | None = _setting("path", "modes", _int, "modes", 1)
+    R: float = _setting("path", "R", _float, "R", 1.0)
+    hbar: float = _setting("path", "hbar", _float, "hbar", 1.0)
+    lengths: tuple[float, ...] = _setting("path", "lengths", _floats, "length", (1.0,))
+    samples: str | None = _setting("path", "samples", _text, "samples", None)
+    quad_kind: str = _setting("quadrature", "kind", _text, None, ADAPTIVE)
+    tol: float = _setting("quadrature", "tol", _float, "tol", 1e-10)
+    max_evals: int = _setting("quadrature", "max_evals", _int, None, 10**6)
+    panels: int = _setting("quadrature", "panels", _int, None, 64)
+    format: str = _setting("output", "format", _text, "format", "json")
+    out: str | None = _setting("output", "out", _text, "out", None)
+    sweep_R: tuple[float, ...] = _setting("sweep", "R", _floats, None, ())
+    sweep_hbar: tuple[float, ...] | None = _setting("sweep", "hbar", _grid, None, None)
+    sweep_length: tuple[float, ...] | None = _setting("sweep", "length", _grid, None, None)
+    expm_a: np.ndarray | None = _setting("expm", "a", _block, "block_a", None)
+    expm_b: np.ndarray | None = _setting("expm", "b", _block, "block_b", None)
+    expm_c: np.ndarray | None = _setting("expm", "c", _block, "block_c", None)
+    verify_count: int = _setting("verify", "count", _int, None, 200)
+    verify_checks: tuple[str, ...] = _setting("verify", "checks", _names, None, CHECK_NAMES)
+    inject_fault: str | None = _setting("verify", "inject_fault", _text, "inject_fault", None)
+
+    def quad(self) -> QuadSpec:
+        return QuadSpec(
+            kind=self.quad_kind, tol=self.tol, max_evals=self.max_evals, panels=self.panels
+        )
+
+
+# (section, key) -> (RunConfig field, parser, flag dest), in field order
+_SETTINGS = {
+    f.metadata["where"]: (f.name, f.metadata["parse"], f.metadata["flag"])
+    for f in dataclasses.fields(RunConfig)
+    if f.metadata
 }
 
 
@@ -253,14 +242,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
     modes = values.get("modes")
     kind = values.setdefault("kind", KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1)
-    if kind not in _KINDS:
+    if kind not in _KIND_MODES:
         raise ConfigError(f"unknown path kind {kind!r}")
-    # a samples file fixes its own mode count, so custom-samples has no default (run_phase)
-    modes = values.setdefault("modes", {KIND_SQUEEZE1: 1, KIND_SQUEEZE2: 2}.get(kind))
-    if kind == KIND_SQUEEZE1 and modes != 1:
-        raise ConfigError(f"kind {kind} requires modes=1, got {modes}")
-    if kind == KIND_SQUEEZE2 and modes != 2:
-        raise ConfigError(f"kind {kind} requires modes=2, got {modes}")
+    want = _KIND_MODES[kind]
+    modes = values.setdefault("modes", want)
+    if want is not None and modes != want:
+        raise ConfigError(f"kind {kind} requires modes={want}, got {modes}")
     if modes not in (None, 1, 2):
         raise ConfigError(f"modes must be 1 or 2, got {modes}")
     if args.command == "sweep":
@@ -519,11 +506,13 @@ def run_verify(cfg: RunConfig) -> int:
         if name not in cfg.verify_checks:
             continue
         rng = np.random.default_rng([cfg.seed, index])
-        residual, tol = check(rng, cfg.verify_count, cfg.inject_fault == name)
-        passed = residual <= tol
+        try:
+            residual, tol = check(rng, cfg.verify_count, cfg.inject_fault == name)
+            passed, detail = residual <= tol, f"max residual {residual:.3e} (tol {tol:.1e})"
+        except (ValueError, ArithmeticError) as exc:  # the code under test refused or overflowed
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_passed = all_passed and passed
-        tag = "PASS" if passed else "FAIL"
-        lines.append(f"[{tag}] {name}: max residual {residual:.3e} (tol {tol:.1e})")
+        lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     lines.append("verify: all checks passed" if all_passed else "verify: FAILED")
     _emit("\n".join(lines) + "\n", cfg.out)
     return EXIT_OK if all_passed else EXIT_FAILED

@@ -1,4 +1,6 @@
 """Command-line interface: configs, outputs, exit codes, verify checks."""
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -15,10 +17,15 @@ from sympberry import (
     SympMatrix,
     SympPath,
     cli,
+    gaussian_states,
+    geometric_phase,
     integrate_phase,
     polygon_phase,
+    sp4_closed_form,
     squeeze_circle_path,
+    squeeze_paths,
 )
+from sympberry._quadrature import QuadratureBudgetExceeded
 from sympberry.cli import CHECK_NAMES, EXIT_CONFIG, ConfigError, _load_samples, main
 
 REFERENCE_R1 = -4.3388468454428593
@@ -390,6 +397,43 @@ def test_verify_inject_fault_fails(tmp_path, capsys, target):
         if name != target:
             assert f"[PASS] {name}:" in captured.out
     assert "verify: FAILED" in captured.out
+
+
+# the code under test of each check, as the check calls it
+_CODE_UNDER_TEST = {
+    "closed_form": (sp4_closed_form, "closed_form_exp"),
+    "coefficients": (sp4_closed_form, "coeff_closed"),
+    "symplectic": (squeeze_paths, "squeeze_matrix_n2"),
+    "two_form": (geometric_phase, "integrate_phase_boundary_form"),
+    "invariance": (geometric_phase, "check_canonical_invariance"),
+    "b_zero": (geometric_phase, "phase_b_zero"),
+    "overlap": (gaussian_states, "numeric_overlap_n1"),
+}
+
+
+@pytest.mark.parametrize("target", CHECK_NAMES)
+def test_verify_check_whose_code_raises_is_one_fail_line(tmp_path, monkeypatch, capsys, target):
+    def refuse(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(*_CODE_UNDER_TEST[target], refuse)
+    code = main(["verify", "--config", str(_verify_config(tmp_path))])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines[1:-1]] == [
+        f"[{'FAIL' if name == target else 'PASS'}] {name}" for name in CHECK_NAMES
+    ]
+    assert f"[FAIL] {target}: raised ValueError: injected" in lines
+    assert lines[-1] == "verify: FAILED"
+
+
+def test_verify_budget_exhaustion_still_exits_3(tmp_path, monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise QuadratureBudgetExceeded(45, 1e-10, 1.0)
+
+    monkeypatch.setattr(geometric_phase, "integrate_phase_boundary_form", exhaust)
+    assert main(["verify", "--config", str(_verify_config(tmp_path, extra="checks = two_form\n"))]) == 3
+    assert capsys.readouterr().err.startswith("quadrature budget exhausted: ")
 
 
 def test_expm_defaults_to_identity(capsys):
@@ -903,3 +947,30 @@ def test_negative_seed_is_one_config_error_line(tmp_path, capsys, command, sourc
         argv = [command, "--config", str(cfg)]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr() == ("", "config error: seed must be a non-negative integer, got -1\n")
+
+
+def test_setting_declarations_and_parser_option_dests_agree():
+    declared = [f.metadata for f in dataclasses.fields(cli.RunConfig) if f.metadata]
+    (commands,) = [a for a in cli._make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in commands.choices.values() for a in sub._actions} - {"help", "config"}
+    assert {setting["flag"] for setting in declared} - {None} == dests
+    wheres = [setting["where"] for setting in declared]
+    assert len(set(wheres)) == len(wheres) == len(cli._SETTINGS)
+
+
+def test_readme_settings_table_matches_the_declarations():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Every setting, with the flag that overrides it")[1].split("\n\n")[1]
+    flags = {}
+    for row in table.splitlines()[2:]:
+        section, keys, flag = (cell.strip() for cell in row.strip("|").split("|")[:3])
+        for key in keys.split(","):
+            where = (section.strip("`[]"), key.strip(" `"))
+            assert where not in flags, f"{where} listed twice"
+            flags[where] = flag
+    assert sorted(flags) == sorted(cli._SETTINGS)
+    for where, (_, _, dest) in cli._SETTINGS.items():
+        if dest is not None:
+            assert f"`--{dest.replace('_', '-')}`" in flags[where]
+        elif where != ("sweep", "R"):  # build_config's special case: --R on sweep sets the grid
+            assert flags[where] == "-"
