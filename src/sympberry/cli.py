@@ -56,6 +56,7 @@ _KIND_MODES = {KIND_SQUEEZE1: 1, KIND_SQUEEZE2: 2, KIND_CUSTOM: None}
 _KINDS = tuple(_KIND_MODES)
 
 CHECK_NAMES = tuple(oracles.CHECKS)
+_PATH_COMMANDS = ("phase", "sweep")  # the commands that read [path], [quadrature] and [sweep]
 
 
 class ConfigError(ValueError):
@@ -64,10 +65,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_floats(text: str, what: str) -> tuple[float, ...]:
@@ -240,23 +237,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             values[field] = value
 
-    modes = values.get("modes")
-    kind = values.setdefault("kind", KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1)
-    if kind not in _KIND_MODES:
-        raise ConfigError(f"unknown path kind {kind!r}")
-    want = _KIND_MODES[kind]
-    modes = values.setdefault("modes", want)
-    if want is not None and modes != want:
-        raise ConfigError(f"kind {kind} requires modes={want}, got {modes}")
-    if modes not in (None, 1, 2):
-        raise ConfigError(f"modes must be 1 or 2, got {modes}")
     if args.command == "sweep":
         values.setdefault("format", "csv")
         if args.R is not None:
             values["sweep_R"] = (args.R,)
+    reads_path = args.command in _PATH_COMMANDS  # the others parse [path] but never read it
+    if reads_path:
+        modes = values.get("modes")
+        kind = values.setdefault("kind", KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1)
+        if kind not in _KIND_MODES:
+            raise ConfigError(f"unknown path kind {kind!r}")
+        want = _KIND_MODES[kind]
+        modes = values.setdefault("modes", want)
+        if want is not None and modes != want:
+            raise ConfigError(f"kind {kind} requires modes={want}, got {modes}")
+        if modes not in (None, 1, 2):
+            raise ConfigError(f"modes must be 1 or 2, got {modes}")
 
     cfg = RunConfig(command=args.command, **values)
-    if kind != KIND_CUSTOM:
+    if reads_path and kind != KIND_CUSTOM:
         _fit_lengths(cfg, modes)
     elif cfg.samples is None and cfg.command == "phase":  # the only command that reads a path
         raise ConfigError("custom-samples paths need a samples file ([path] samples or --samples)")
@@ -275,10 +274,25 @@ def _fit_lengths(cfg: RunConfig, modes: int) -> None:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.quad_kind not in (ADAPTIVE, FIXED):
-        raise ConfigError(f"[quadrature] kind must be adaptive or fixed, got {cfg.quad_kind!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
+    if cfg.verify_count < 1:
+        raise ConfigError("verify count must be >= 1")
+    if not cfg.verify_checks:
+        raise ConfigError(f"[verify] checks selects no check; known: {', '.join(CHECK_NAMES)}")
+    for name in cfg.verify_checks:
+        if name not in CHECK_NAMES:
+            raise ConfigError(f"unknown verify check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    if cfg.inject_fault is not None and cfg.inject_fault not in CHECK_NAMES:
+        raise ConfigError(
+            f"unknown inject_fault target {cfg.inject_fault!r}; known: {', '.join(CHECK_NAMES)}"
+        )
+    if cfg.seed < 0:  # a PCG64 seed, as every record names it
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
+    if cfg.command not in _PATH_COMMANDS:  # [path], [quadrature] and [sweep] are not read
+        return
+    if cfg.quad_kind not in (ADAPTIVE, FIXED):
+        raise ConfigError(f"[quadrature] kind must be adaptive or fixed, got {cfg.quad_kind!r}")
     if not cfg.tol > 0:
         raise ConfigError(f"tolerance must be positive, got {cfg.tol}")
     if cfg.tol == np.inf:
@@ -295,45 +309,25 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("max_evals must allow at least one panel (15)")
     if cfg.panels < 1:
         raise ConfigError("panels must be >= 1")
-    if cfg.verify_count < 1:
-        raise ConfigError("verify count must be >= 1")
-    if not cfg.verify_checks:
-        raise ConfigError(f"[verify] checks selects no check; known: {', '.join(CHECK_NAMES)}")
-    for name in cfg.verify_checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown verify check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    if cfg.inject_fault is not None and cfg.inject_fault not in CHECK_NAMES:
-        raise ConfigError(
-            f"unknown inject_fault target {cfg.inject_fault!r}; known: {', '.join(CHECK_NAMES)}"
-        )
     for axis, grid in (("hbar", cfg.sweep_hbar), ("length", cfg.sweep_length)):
         if grid is not None and any(not (np.isfinite(v) and v > 0) for v in grid):
             raise ConfigError(f"sweep {axis} values must be positive")
-    if cfg.seed < 0:  # a PCG64 seed, as every record names it
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 
 
-def _resolve_out(out: str | None) -> str | None:
-    if out is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(out):
-        return os.path.join(base, out)
-    return out
-
-
 def _emit(text: str, out: str | None) -> None:
-    """Print to stdout, or write atomically to a file (no partial files)."""
-    target = _resolve_out(out)
-    if target is None:
+    """Print to stdout, or write atomically to out (no partial files), a relative out under
+    $SYMPBERRY_OUT_DIR when that is set."""
+    if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    base = os.environ.get(OUT_DIR_ENV)
+    target = os.path.join(base, out) if base and not os.path.isabs(out) else out
     directory = os.path.dirname(os.path.abspath(target))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sympberry-")
@@ -349,20 +343,13 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
-
-
-def _json_text(record) -> str:
-    return json.dumps(record, indent=2) + "\n"
-
-
 def _emit_record(cfg: RunConfig, doc, header: Sequence[str], rows: Sequence[dict]) -> None:
     """Emit doc as JSON, or the header's cells of each row as CSV, as cfg.format selects."""
     if cfg.format == "json":
-        _emit(_json_text(doc), cfg.out)
+        _emit(json.dumps(doc, indent=2) + "\n", cfg.out)
     else:
-        _emit(_csv_table(header, [[_cell(row[col]) for col in header] for row in rows]), cfg.out)
+        table = [header, *([_cell(row[col]) for col in header] for row in rows)]
+        _emit("".join(",".join(line) + "\n" for line in table), cfg.out)
 
 
 def _cell(value) -> str:
@@ -374,7 +361,7 @@ def _cell(value) -> str:
         return ";".join(_cell(v) for v in value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _fmt_float(value)
+    return format(float(value), ".17g")
 
 
 # ---------------------------------------------------------------------------

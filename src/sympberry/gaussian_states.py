@@ -5,9 +5,13 @@ The state attached to a grouped-ordering symplectic matrix M (with oscillator
 parameters hbar and per-mode characteristic lengths l_j) has zero first
 moments and second moments fixed by M:
 
-* dimension-full covariance V = M W M^T / 2 with W = diag(l^2, hbar^2/l^2),
+* dimension-full covariance V = M W M^T / 2 with W = D^2 = diag(l^2, hbar^2/l^2),
 * displacement amplitude exp(-(a, b) Lambda (a, b)^T / 4), Lambda = (2/hbar^2) V,
 * quadrature covariance V_q = M M^T / 2 (the hbar = l = 1 case).
+
+The units live here alone: d = (l, hbar / l), D = diag(d), makes a unit M' the
+physical D M' D^-1 and a unit generator L' hbar D^-1 L' D^-1 (NOTES.md). Phase kernels
+read M' = D^-1 M D from the one conversion _unit_conversion; physical outputs use d.
 
 For one mode, numeric_overlap_n1 builds the state's wavefunction from its
 Siegel matrix Z = (C + D Z0)(A + B Z0)^-1, which reads M's blocks and not V,
@@ -26,6 +30,7 @@ from ._quadrature import tanh_sinh_nodes
 from .symplectic_core import (
     _SYMMETRY_TOL,
     GROUPED,
+    INTERLEAVED,
     SympMatrix,
     _asymmetry,
     _mode_count,
@@ -100,23 +105,37 @@ def _check_modes(n: int, p: OscParams) -> None:
         raise ValueError(f"parameter modes {p.n} do not match matrix modes {n}")
 
 
-def _metric_diag(p: OscParams) -> np.ndarray:
-    """W = diag(l^2, hbar^2 / l^2), the vacuum weights of the covariance and the connection."""
-    l2 = [l * l for l in p.lengths]
-    return np.array(l2 + [p.hbar**2 / x for x in l2])
+def _scales(p: OscParams) -> np.ndarray:
+    """d = (l, hbar / l) in grouped ordering: x = l x' and p = (hbar / l) p' for unit quadratures."""
+    return np.array([*p.lengths, *[p.hbar / l for l in p.lengths]])
 
 
-def _vacuum_frame(X: np.ndarray, p: OscParams) -> np.ndarray:
-    """X [I; Z0], Z0 = i hbar diag(1 / l^2), for a matrix or a stack X: the vacuum's Siegel frame
-    carried by X, complex (..., 2n, n). For X = M the upper block is F = A + B Z0 and the lower
-    G = C + D Z0, so the state's Siegel matrix is Z = G F^-1; linear in X, so dM gives dF."""
-    n = p.n
-    return X[..., :, :n] + X[..., :, n:] * (1j * p.hbar / _metric_diag(p)[:n])
+def _unit_conversion(p: OscParams) -> np.ndarray:
+    """q_ij = d_i / d_j, so that D^-1 X D = X / q for a physical matrix or stack X: the one
+    conversion to hbar = l = 1, taken once per call and applied to every stack."""
+    d = _scales(p)
+    return d[:, None] / d
 
 
-def _covariance_stack(Ms: np.ndarray, p: OscParams) -> np.ndarray:
-    """V = M W M^T / 2 for one matrix or a stack, as computed (not symmetrized)."""
-    return 0.5 * (Ms * _metric_diag(p)) @ Ms.swapaxes(-1, -2)
+def _physical_generator(L: np.ndarray, p: OscParams, ordering: str = GROUPED) -> np.ndarray:
+    """hbar D^-1 L D^-1: the physical generator of D exp(Omega L) D^-1 for a unit generator L,
+    with d in L's ordering, since D Omega = hbar Omega D^-1 (NOTES.md)."""
+    d = _scales(p)
+    if ordering == INTERLEAVED:
+        d = d.reshape(2, -1).T.reshape(-1)  # (l_1, hbar / l_1, l_2, ...)
+    return p.hbar * L / np.multiply.outer(d, d)
+
+
+def _vacuum_frame(X: np.ndarray) -> np.ndarray:
+    """X [I; i I], complex (..., 2n, n), for a unit matrix or stack X: for X = M it is F = A + i B
+    over G = C + i D, and the state's Siegel matrix is Z = G F^-1; linear in X, so dM gives dF."""
+    n = X.shape[-1] // 2
+    return X[..., :, :n] + X[..., :, n:] * 1j
+
+
+def _covariance_stack(Ms: np.ndarray) -> np.ndarray:
+    """V = M M^T / 2 of a unit matrix or stack, not symmetrized; of M D it is M W M^T / 2."""
+    return 0.5 * Ms @ Ms.swapaxes(-1, -2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,7 +192,7 @@ def _state_covariance(M: SympMatrix, p: OscParams) -> np.ndarray:
     """Symmetrized V = M W M^T / 2 of a grouped-ordering M whose modes match p."""
     _require_grouped(M)
     _check_modes(M.n, p)
-    return _symmetrized(_covariance_stack(M.data, p))
+    return _symmetrized(_covariance_stack(M.data * _scales(p)))
 
 
 def lambda_matrix(M: SympMatrix, p: OscParams) -> np.ndarray:
@@ -189,9 +208,7 @@ def covariance(M: SympMatrix, p: OscParams) -> CovarianceMatrix:
 def covariance_quadrature(M: SympMatrix) -> CovarianceMatrix:
     """Quadrature covariance M M^T / 2 (equal to covariance at hbar = l = 1)."""
     _require_grouped(M)
-    return CovarianceMatrix(
-        n=M.n, data=_symmetrized(M.data @ M.data.T) / 2.0, convention=QUADRATURE
-    )
+    return CovarianceMatrix(n=M.n, data=_symmetrized(_covariance_stack(M.data)), convention=QUADRATURE)
 
 
 def weyl_amplitude(M: SympMatrix, p: OscParams, a, b) -> float:
@@ -242,7 +259,8 @@ def numeric_overlap_n1(
     """Displaced self-overlap of the one-mode state, by numeric quadrature.
 
     Builds the wavefunction psi(x) = (Im Z / pi hbar)^(1/4) exp(i Z x^2 / 2 hbar)
-    from the Siegel matrix Z = (C + D Z0) / (A + B Z0), applies the
+    from the Siegel matrix Z = (C + D Z0) / (A + B Z0), Z0 = i hbar / l^2,
+    read as hbar / l^2 times the unit one of D^-1 M D (NOTES.md), applies the
     displacement action psi(x) -> exp(i a b / (2 hbar)) exp(i a x / hbar)
     psi(x + b), and integrates conj(psi) times the displaced psi with
     tanh-sinh quadrature over the window of halfwidth_sigmas position
@@ -261,8 +279,9 @@ def numeric_overlap_n1(
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"displacements must be finite, got a={a}, b={b}")
     hbar = p.hbar
-    F, G = _vacuum_frame(M.data, p)[:, 0].tolist()
-    Z = G / F
+    l, p_scale = _scales(p).tolist()
+    F, G = _vacuum_frame(M.data / _unit_conversion(p))[:, 0].tolist()
+    Z = (G / F) * p_scale / l  # Z = (hbar / l^2) Z' (NOTES.md)
     half = grid.halfwidth_sigmas * math.sqrt(hbar / (2.0 * Z.imag)) + abs(b)
     nodes, weights, gap = tanh_sinh_nodes(grid.points)
     turn = abs(a) * half * gap / hbar

@@ -5,7 +5,9 @@ the accumulated geometric phase is the line integral of the connection
 
     -(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM/dt]
 
-over t in [0, 1]. This module provides the path container, sampled in
+over t in [0, 1]: -(1/4) Tr[M'^T Omega dM'] for M' = D^-1 M D, D = diag(l, hbar / l)
+(NOTES.md). So the kernels work at hbar = l = 1 on stacks converted once by
+gaussian_states._unit_conversion. This module provides the path container, sampled in
 stacks with analytic or finite-difference tangents, the integral directly
 and split into covariance and metaplectic-winding parts, a reduced form
 for paths whose upper-right block vanishes, the exact sum over a geodesic
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
-from .gaussian_states import OscParams, _check_modes, _covariance_stack, _metric_diag, _vacuum_frame
+from .gaussian_states import OscParams, _check_modes, _covariance_stack, _unit_conversion, _vacuum_frame
 from .symplectic_core import (
     DEFAULT_TOL_SYMP,
     GROUPED,
@@ -248,11 +250,11 @@ def _stack(values, ts: np.ndarray, n: int, source: str) -> np.ndarray:
     return arr
 
 
-def _connection_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
-    """-(1 / 4 hbar) Tr[diag(l^2, hbar^2 / l^2) M^T Omega dM] for each stacked pair."""
+def _connection_values(Ms: np.ndarray, dMs: np.ndarray) -> np.ndarray:
+    """-(1/4) Tr[M^T Omega dM] for each stacked unit pair."""
     # diagonal of M^T (Omega dM): sum over j of M_ji (Omega dM)_ji
-    core = np.einsum("kji,kji->ki", Ms, _omega_cached(p.n) @ dMs)
-    return -(0.25 / p.hbar) * (core @ _metric_diag(p))
+    core = np.einsum("kji,kji->ki", Ms, _omega_cached(Ms.shape[-1] // 2) @ dMs)
+    return -0.25 * (core @ np.ones(core.shape[1]))  # a BLAS dot: np.sum adds in another order
 
 
 def connection_integrand(M: SympMatrix, dM: np.ndarray, p: OscParams) -> float:
@@ -262,7 +264,8 @@ def connection_integrand(M: SympMatrix, dM: np.ndarray, p: OscParams) -> float:
     if dM.shape != M.data.shape:
         raise ValueError(f"tangent shape {dM.shape} does not match {M.data.shape}")
     _check_modes(M.n, p)
-    return float(_connection_values(M.data[None], dM[None], p)[0])
+    q = _unit_conversion(p)
+    return float(_connection_values(M.data[None] / q, dM[None] / q)[0])
 
 
 def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
@@ -292,7 +295,8 @@ def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
                 f"far apart or leave the real group"
             )
         logs[i] = np.real(log)
-    terms = _connection_values(np.broadcast_to(np.eye(2 * n), logs.shape), logs, p)
+    # log(D^-1 X D) = D^-1 log(X) D: each segment's generator converts like a matrix
+    terms = _connection_values(np.broadcast_to(np.eye(2 * n), logs.shape), logs / _unit_conversion(p))
     error = len(terms) * np.finfo(float).eps * float(np.sum(np.abs(terms)))
     return PhaseResult(value=float(np.sum(terms)), error_estimate=error, evaluations=len(terms))
 
@@ -300,17 +304,19 @@ def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
 def _integrate(
     path: SympPath, p: OscParams, quad: QuadSpec | None, kernel: Callable, check: Callable | None = None
 ) -> PhaseResult:
-    """Every phase integral runs here: kernel(Ms, dMs, ts) integrated over [0, 1], with
-    check(stack, ts) run on every evaluated sample stack if given.
+    """Every phase integral runs here: kernel(Ms, dMs) on each sampled pair at hbar = l = 1,
+    integrated over [0, 1], with check(stack, ts) run on every evaluated physical stack if given.
 
     The engines are looked up in this module's namespace at each call, so a
     wrapper installed there sees every engine call and its integrand nodes.
     """
     quad = _DEFAULT_QUAD if quad is None else quad
     _check_modes(path.n, p)
+    q = _unit_conversion(p)
 
     def f(ts: np.ndarray) -> np.ndarray:
-        values = kernel(*path._sample(ts, check), ts)
+        Ms, dMs = path._sample(ts, check)
+        values = kernel(Ms / q, dMs / q)
         if not np.logical_and.reduce(np.isfinite(values)):
             bad = ts[np.argmax(~np.isfinite(values))]
             raise NonFiniteIntegrand(f"integrand is non-finite at t={bad}")
@@ -323,28 +329,26 @@ def _integrate(
     return PhaseResult(value=value, error_estimate=error, evaluations=evals)
 
 
-def integrate_phase(
-    path: SympPath, p: OscParams, quad: QuadSpec | None = None
-) -> PhaseResult:
+def integrate_phase(path: SympPath, p: OscParams, quad: QuadSpec | None = None) -> PhaseResult:
     """Geometric phase of the path: the connection integrated over [0, 1]."""
-    return _integrate(path, p, quad, lambda Ms, dMs, ts: _connection_values(Ms, dMs, p))
+    return _integrate(path, p, quad, _connection_values)
 
 
-def _covariance_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
-    """-(1 / 2 hbar) Tr[V_xx d(V_px V_xx^-1)], as (Tr[V_xx^-1 dV_xx V_px] - Tr dV_px) / 2 hbar."""
-    n = p.n
-    V = _covariance_stack(Ms, p)
-    half = 0.5 * dMs @ (Ms * _metric_diag(p)).transpose(0, 2, 1)
-    dV = half + half.transpose(0, 2, 1)  # (dM W M^T + M W dM^T) / 2, the derivative along dM
+def _covariance_values(Ms: np.ndarray, dMs: np.ndarray) -> np.ndarray:
+    """-(1/2) Tr[V_xx d(V_px V_xx^-1)] of unit pairs, as (Tr[V_xx^-1 dV_xx V_px] - Tr dV_px) / 2."""
+    n = Ms.shape[-1] // 2
+    V = _covariance_stack(Ms)
+    half = 0.5 * dMs @ Ms.transpose(0, 2, 1)
+    dV = half + half.transpose(0, 2, 1)  # (dM M^T + M dM^T) / 2, the derivative along dM
     moved = np.linalg.solve(V[:, :n, :n], dV[:, :n, :n] @ V[:, n:, :n])  # V_xx > 0
-    return (0.5 / p.hbar) * np.trace(moved - dV[:, n:, :n], axis1=1, axis2=2)
+    return 0.5 * np.trace(moved - dV[:, n:, :n], axis1=1, axis2=2)
 
 
-def _winding_values(Ms: np.ndarray, dMs: np.ndarray, p: OscParams) -> np.ndarray:
-    """(1/2) Im Tr[(A + B Z0)^-1 (dA + dB Z0)], Z0 = i hbar diag(1 / l^2): the rate of
-    (1/2) arg det(A + B Z0), whose matrix is invertible for every symplectic M."""
-    n = p.n
-    F, dF = (_vacuum_frame(X, p)[:, :n] for X in (Ms, dMs))
+def _winding_values(Ms: np.ndarray, dMs: np.ndarray) -> np.ndarray:
+    """(1/2) Im Tr[(A + i B)^-1 (dA + i dB)] of unit pairs: the rate of (1/2) arg det(A + i B),
+    whose matrix is invertible for every symplectic M."""
+    n = Ms.shape[-1] // 2
+    F, dF = (_vacuum_frame(X)[:, :n] for X in (Ms, dMs))
     return 0.5 * np.trace(np.linalg.solve(F, dF), axis1=1, axis2=2).imag
 
 
@@ -355,27 +359,25 @@ def integrate_phase_boundary_form(
 
     The first term sees only the covariance; the second, from the factor
     det(A + B Z0)^(-1/2), is (1/2) d arg det(A + B Z0), integrated so its branch
-    is followed. With no arithmetic shared, the sum equals integrate_phase to
+    is followed. Sharing only the unit conversion, the sum equals integrate_phase to
     rounding on every path with a tangent; on an open one both return the
     integral, with no closing term. Without a tangent both read the stencil
     mean, which is symplectic only to O(h^2), so they agree to the
     finite-difference error: 8.8e-11 on the reparametrized R = 1 circle.
     """
-    kernel = lambda Ms, dMs, ts: _covariance_values(Ms, dMs, p) + _winding_values(Ms, dMs, p)
+    kernel = lambda Ms, dMs: _covariance_values(Ms, dMs) + _winding_values(Ms, dMs)
     return _integrate(path, p, quad, kernel)
 
 
-def phase_b_zero(
-    path: SympPath, p: OscParams, quad: QuadSpec | None = None
-) -> PhaseResult:
+def phase_b_zero(path: SympPath, p: OscParams, quad: QuadSpec | None = None) -> PhaseResult:
     """Phase for paths with vanishing upper-right block.
 
     Such matrices have D = A^{-T} and the connection collapses to
-    -(1 / 4 hbar) Tr[diag(l^2) (A^T dC - C^T dA)]. Every evaluated sample is
-    checked against the block form; NotBZeroForm reports a violation.
+    -(1 / 4 hbar) Tr[diag(l^2) (A^T dC - C^T dA)], which the kernel takes at
+    hbar = l = 1 on the converted samples. Every evaluated sample is checked
+    against the block form; NotBZeroForm reports a violation.
     """
     n = path.n
-    l2 = _metric_diag(p)[:n]
 
     def check(Ms: np.ndarray, ts: np.ndarray) -> None:
         A, B, D = Ms[:, :n, :n], Ms[:, :n, n:], Ms[:, n:, n:]
@@ -391,20 +393,17 @@ def phase_b_zero(
                 f"{d_resid[i]:.3e} at t={ts[i]}"
             )
 
-    def kernel(Ms: np.ndarray, dMs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    def kernel(Ms: np.ndarray, dMs: np.ndarray) -> np.ndarray:
         A, C, dA, dC = Ms[:, :n, :n], Ms[:, n:, :n], dMs[:, :n, :n], dMs[:, n:, :n]
         # diagonal of A^T dC - C^T dA
         core = np.einsum("kji,kji->ki", A, dC) - np.einsum("kji,kji->ki", C, dA)
-        return -(0.25 / p.hbar) * (core @ l2)
+        return -0.25 * (core @ np.ones(n))
 
     return _integrate(path, p, quad, kernel, check)
 
 
 def check_canonical_invariance(
-    path: SympPath,
-    fixedM: SympMatrix,
-    p: OscParams,
-    quad: QuadSpec | None = None,
+    path: SympPath, fixedM: SympMatrix, p: OscParams, quad: QuadSpec | None = None
 ) -> tuple[float, float, float]:
     """Phase before and after left translation by a constant symplectic matrix.
 
@@ -419,7 +418,8 @@ def check_canonical_invariance(
         raise ValueError("translation must use grouped ordering")
     base = integrate_phase(path, p, quad)
     S, form = fixedM.data, _omega_cached(path.n)
+    S_unit = S / _unit_conversion(p)  # D^-1 S M D = (D^-1 S D)(D^-1 M D)
     # S dM: a difference of translated samples would divide their rounding by the step
-    kernel = lambda Ms, dMs, ts: _connection_values(S @ Ms, S @ dMs, p)
+    kernel = lambda Ms, dMs: _connection_values(S_unit @ Ms, S_unit @ dMs)
     translated = _integrate(path, p, quad, kernel, lambda Ms, ts: _check_group(S @ Ms, ts, form))
     return base.value, translated.value, abs(translated.value - base.value)

@@ -126,8 +126,8 @@ def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tupl
     return _worst([symplectic_core.symplectic_residual(stack) for stack in stacks]), 1e-9
 
 
-# Non-unit hbar and unequal lengths, where the metric diag(l^2, hbar^2/l^2)
-# is not the identity: a kernel that swapped or dropped its weights fails.
+# Non-unit hbar and unequal lengths, where D = diag(l, hbar/l) is not the identity: a
+# conversion that swapped l and hbar/l, or dropped hbar, fails.
 _P1 = OscParams(0.7, (1.4,))
 _P2 = OscParams(2.0, (0.5, 1.5))
 
@@ -139,8 +139,10 @@ def _arc(path: SympPath, end: float) -> SympPath:
 
 
 def _check_two_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """integrate_phase against its covariance-plus-winding split, per path; no stack to share."""
-    # only the arcs t in [0, 0.3] expose a wrong Z0 or winding sign; the fault moves the split's R
+    """integrate_phase against its covariance-plus-winding split, and each closed circle
+    against reference_phase, per path; no stack to share."""
+    # the arcs t in [0, 0.3] expose a wrong winding sign, and reference_phase a fault of the
+    # conversion both integrals share; the fault moves the split's R
     del rng, count  # deterministic check
     deviations = []
     for p in (_P1, _P2):
@@ -149,6 +151,8 @@ def _check_two_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[
         for direct, split in (circles, [_arc(c, 0.3) for c in circles]):
             a = geometric_phase.integrate_phase(direct, p).value
             deviations.append(a - geometric_phase.integrate_phase_boundary_form(split, p).value)
+            if direct.closed:
+                deviations.append(a - squeeze_paths.reference_phase(p.n, 1.0))
     return _worst(deviations), 1e-9
 
 

@@ -1,9 +1,10 @@
 """Squeeze-transformation generators, matrices, and parameter-circle paths.
 
 One-mode squeezing with magnitude r and angle theta, and its two-mode
-counterpart with magnitude R and angle phi, written directly in dimension
-full variables (hbar, characteristic lengths). The circle paths sweep the
-angle once at fixed magnitude; their phases have closed forms
+counterpart with magnitude R and angle phi, each written at hbar = l = 1 and
+carried to dimension-full variables by gaussian_states' d = (l, hbar / l):
+M_ij d_i / d_j, or hbar L_ij / (d_i d_j) for a generator (NOTES.md). The
+circle paths sweep the angle once at fixed magnitude; their phases have closed forms
 
     -pi sinh^2(R)      (one mode)
     -2 pi sinh^2(R)    (two modes)
@@ -19,9 +20,9 @@ import math
 
 import numpy as np
 
-from .gaussian_states import OscParams
+from .gaussian_states import OscParams, _physical_generator, _scales
 from .geometric_phase import SympPath
-from .symplectic_core import LieAlgElement, SympMatrix
+from .symplectic_core import INTERLEAVED, LieAlgElement, SympMatrix
 
 __all__ = [
     "SqueezeSpec",
@@ -35,7 +36,14 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _TRIG_CACHED_NODES = 30  # one adaptive call: a first panel, or both halves of a split
-_EYES = {1: ((1, 0), (0, 1)), 2: ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))}
+# (I, Kc, Ks) at hbar = l = 1, K(angle) = cos(angle) Kc + sin(angle) Ks (NOTES.md); read-only
+_UNIT_STACKS = {
+    1: np.array([[[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[0, -1], [-1, 0]]], dtype=float),
+    2: np.array([np.eye(4), [[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                 [[0, 0, 0, -1], [0, 0, -1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]]]),
+}
+for _stack in _UNIT_STACKS.values():
+    _stack.setflags(write=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,15 +91,8 @@ def squeeze_lie_n1(spec: SqueezeSpec) -> LieAlgElement:
     """Symmetric generator of one-mode squeezing; traceless by construction."""
     _require_modes(spec, 1)
     r, th = spec.R, spec.angle
-    hbar = spec.params.hbar
-    l2 = spec.params.lengths[0] ** 2
-    L = np.array(
-        [
-            [(hbar / l2) * r * np.sin(th), -r * np.cos(th)],
-            [-r * np.cos(th), -(l2 / hbar) * r * np.sin(th)],
-        ]
-    )
-    return LieAlgElement(1, L)
+    unit = r * np.array([[np.sin(th), -np.cos(th)], [-np.cos(th), -np.sin(th)]])
+    return LieAlgElement(1, _physical_generator(unit, spec.params))
 
 
 def squeeze_matrix_n1(spec: SqueezeSpec) -> SympMatrix:
@@ -107,21 +108,17 @@ def squeeze_matrix_n1(spec: SqueezeSpec) -> SympMatrix:
 def squeeze_b_block_n2(spec: SqueezeSpec) -> np.ndarray:
     """Upper-right generator block of the two-mode squeeze, dimension full.
 
-    With zx = R cos(phi), zy = R sin(phi), lengths l1, l2:
+    With zx = R cos(phi), zy = R sin(phi), the unit block [[zy, -zx], [-zx, -zy]]
+    of an interleaved-ordering generator becomes, with lengths l1, l2:
     [[(hbar / (l1 l2)) zy, -(l2 / l1) zx], [-(l1 / l2) zx, -(l1 l2 / hbar) zy]].
     Its determinant is -R^2 for every angle.
     """
     _require_modes(spec, 2)
     zx = spec.R * np.cos(spec.angle)
     zy = spec.R * np.sin(spec.angle)
-    hbar = spec.params.hbar
-    l1, l2 = spec.params.lengths
-    return np.array(
-        [
-            [(hbar / (l1 * l2)) * zy, -(l2 / l1) * zx],
-            [-(l1 / l2) * zx, -(l1 * l2 / hbar) * zy],
-        ]
-    )
+    L = np.zeros((4, 4))
+    L[:2, 2:] = L[2:, :2] = [[zy, -zx], [-zx, -zy]]  # symmetric, so it is its own transpose
+    return _physical_generator(L, spec.params, INTERLEAVED)[:2, 2:]
 
 
 def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
@@ -135,22 +132,13 @@ def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
 
 
 def _circle_constants(modes: int, R: float, params: OscParams) -> np.ndarray:
-    """The stack C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks, with the direction
-    matrix K(angle) = cos(angle) Kc + sin(angle) Ks split by its trig factor
-    (see NOTES.md); the squeeze matrix at an angle is C0 + cos C1 + sin C2.
-    Its entries are at most m = cosh(R) + sinh(R) max|K|, and those of M Omega M^T
-    at most 2 modes m^2; ValueError, with no numpy warning, if that overflows."""
-    if modes == 1:
-        k = params.lengths[0] ** 2 / params.hbar
-        Kc = [[-1.0, 0.0], [0.0, 1.0]]
-        Ks = [[0.0, -k], [-1.0 / k, 0.0]]
-        k_max = max(1.0, k, 1.0 / k)
-    else:
-        l1, l2 = params.lengths
-        k1, k2, k3 = l1 / l2, l1 * l2 / params.hbar, params.hbar / (l1 * l2)
-        Kc = [[0, -k1, 0, 0], [-1 / k1, 0, 0, 0], [0, 0, 0, 1 / k1], [0, 0, k1, 0]]
-        Ks = [[0, 0, 0, -k2], [0, 0, -k2, 0], [0, -k3, 0, 0], [-k3, 0, 0, 0]]
-        k_max = max(k1, 1 / k1, k2, k3)
+    """The stack C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks in dimension-full
+    variables, each unit matrix times d_i / d_j; the squeeze matrix at an angle is
+    C0 + cos C1 + sin C2. Its entries are at most m = cosh(R) + sinh(R) max|K|, and those
+    of M Omega M^T at most 2 modes m^2; ValueError, with no numpy warning, if that overflows."""
+    d = _scales(params)  # not the inbound conversion, so that a fault there shows in the phase
+    C = _UNIT_STACKS[modes] * (d[:, None] / d)  # D C' D^-1
+    k_max = float(np.abs(C[1:]).max())
     try:
         m = math.cosh(R) + math.sinh(R) * k_max
     except OverflowError:
@@ -158,7 +146,7 @@ def _circle_constants(modes: int, R: float, params: OscParams) -> np.ndarray:
     if not math.isfinite(2 * modes * m * m):
         raise ValueError(f"squeeze matrices overflow at R={R!r}: M Omega M^T leaves the float range")
     sh = np.sinh(R)
-    return np.array([_EYES[modes], Kc, Ks]) * np.array([np.cosh(R), sh, sh])[:, None, None]
+    return C * np.array([np.cosh(R), sh, sh])[:, None, None]
 
 
 def _circle_matrices(C: np.ndarray, angles: np.ndarray) -> np.ndarray:

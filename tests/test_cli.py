@@ -837,6 +837,31 @@ def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, messag
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
+_ONE_CHECK = "[verify]\nchecks = symplectic\ncount = 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, ini, code",
+    [
+        (["verify", "--hbar", "-1"], _ONE_CHECK, 0),
+        (["expm", "--R", "nan"], None, 0),
+        (["verify", "--length", "1", "--length", "2"], _ONE_CHECK, 0),
+        (["expm", "--tol", "0"], None, 0),
+        (["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\nkind = simpson\n[sweep]\nR = -1\n", 0),
+        (["verify"], _ONE_CHECK + "[path]\nhbar = abc\n", EXIT_CONFIG),  # still parsed
+    ],
+)
+def test_a_command_checks_only_the_settings_it_reads(tmp_path, capsys, argv, ini, code):
+    # [path], [quadrature] and [sweep] are range-checked for phase and sweep, which read them
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "config error: [path] hbar: expected a number, got 'abc'\n")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -1,9 +1,12 @@
 """Phase line integrals: direct, boundary, and reduced forms, plus path checks."""
+import inspect
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympberry import (
     ADAPTIVE,
@@ -270,7 +273,7 @@ def test_rotation_loop_phase_is_all_winding():
     loop, p = _rotation_loop(), UNIT_PARAMS
 
     def part(kernel):
-        return geometric_phase._integrate(loop, p, None, lambda Ms, dMs, ts: kernel(Ms, dMs, p)).value
+        return geometric_phase._integrate(loop, p, None, kernel).value
 
     assert abs(part(geometric_phase._covariance_values)) <= 1e-14
     assert abs(part(geometric_phase._winding_values) - np.pi) <= 1e-14
@@ -291,17 +294,29 @@ def _random_path_stack(rng, random_symplectic, n, ts):
     return Ms, np.array([(path(t + h) - path(t - h)) / (2.0 * h) for t in ts])
 
 
+def _unit_pair(p, Ms, dMs):
+    """The physical stack pair converted once to hbar = l = 1, through the one conversion."""
+    q = gaussian_states._unit_conversion(p)
+    return Ms / q, dMs / q
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_split_kernels_sum_to_the_connection(rng, random_symplectic, n):
     ts = np.linspace(0.0, 1.0, 9)
     for _ in range(5):
         p = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, n)))
         Ms, dMs = _random_path_stack(rng, random_symplectic, n, ts)
-        direct = geometric_phase._connection_values(Ms, dMs, p)
-        cov = geometric_phase._covariance_values(Ms, dMs, p)
-        split = cov + geometric_phase._winding_values(Ms, dMs, p)
+        units = _unit_pair(p, Ms, dMs)
+        direct = geometric_phase._connection_values(*units)
+        split = geometric_phase._covariance_values(*units) + geometric_phase._winding_values(*units)
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(split - direct)) <= 1e-12 * scale
+        # the unit connection is the physical one, -(1 / 4 hbar) Tr[W M^T Omega dM]
+        l2 = np.array(p.lengths) ** 2
+        W = np.concatenate([l2, p.hbar**2 / l2])
+        weighted = W[:, None] * Ms.transpose(0, 2, 1) @ omega(n) @ dMs  # W M^T Omega dM
+        physical = -(0.25 / p.hbar) * np.trace(weighted, axis1=1, axis2=2)
+        assert np.max(np.abs(direct - physical)) <= 1e-12 * scale
 
 
 def test_covariance_kernel_sees_the_state_covariance(rng, random_symplectic):
@@ -309,35 +324,37 @@ def test_covariance_kernel_sees_the_state_covariance(rng, random_symplectic):
         p = OscParams(rng.uniform(0.3, 3.0), tuple(rng.uniform(0.3, 3.0, n)))
         l2 = np.array(p.lengths) ** 2
         E = np.diag(np.concatenate([l2 / p.hbar**2, 1.0 / l2]))
-        Ms = np.array([random_symplectic(rng, n).data for _ in range(6)])
-        V = gaussian_states._covariance_stack(Ms, p)
-        for M, Vk in zip(Ms, V):
-            expected = (p.hbar**2 / 2.0) * M @ E @ M.T
-            assert np.max(np.abs(Vk - expected)) <= 1e-14 * np.max(np.abs(expected))
-        # the kernel's dV is the derivative of the shared V along the tangent
+        for _ in range(6):
+            M = random_symplectic(rng, n)
+            expected = (p.hbar**2 / 2.0) * M.data @ E @ M.data.T
+            V = gaussian_states.covariance(M, p).data
+            assert np.max(np.abs(V - expected)) <= 1e-14 * np.max(np.abs(expected))
+        # the kernel, on the converted pair, is the covariance connection of the physical V,
+        # -(1 / 2 hbar) Tr[V_xx d(V_px V_xx^-1)] with dV its derivative along the tangent
         ts = np.linspace(0.1, 0.9, 3)
         Ms, dMs = _random_path_stack(rng, random_symplectic, n, ts)
-        V = gaussian_states._covariance_stack(Ms, p)
+        cov = lambda X: 0.5 * (X * np.diag(E) * p.hbar**2) @ X.transpose(0, 2, 1)  # M W M^T / 2
+        V = cov(Ms)
         h = 1e-6
-        dV = (
-            gaussian_states._covariance_stack(Ms + h * dMs, p)
-            - gaussian_states._covariance_stack(Ms - h * dMs, p)
-        ) / (2.0 * h)
+        dV = (cov(Ms + h * dMs) - cov(Ms - h * dMs)) / (2.0 * h)
         moved = np.linalg.solve(V[:, :n, :n], dV[:, :n, :n] @ V[:, n:, :n])
         expected = (0.5 / p.hbar) * np.trace(moved - dV[:, n:, :n], axis1=1, axis2=2)
-        got = geometric_phase._covariance_values(Ms, dMs, p)
+        got = geometric_phase._covariance_values(*_unit_pair(p, Ms, dMs))
         assert np.max(np.abs(got - expected)) <= 1e-7 * np.max(np.abs(expected))
 
 
 def test_state_weights_and_covariance_live_in_gaussian_states():
-    assert geometric_phase._metric_diag is gaussian_states._metric_diag
-    assert geometric_phase._covariance_stack is gaussian_states._covariance_stack
+    # one module owns the units: the kernels take unit stacks and no oscillator parameters
+    for name in ("_unit_conversion", "_covariance_stack", "_vacuum_frame"):
+        assert getattr(geometric_phase, name) is getattr(gaussian_states, name)
     own = {
         name
         for name, obj in vars(geometric_phase).items()
         if callable(obj) and getattr(obj, "__module__", None) == geometric_phase.__name__
     }
     assert {name for name in own if "covariance" in name or "metric" in name} == {"_covariance_values"}
+    for name in ("_connection_values", "_covariance_values", "_winding_values"):
+        assert list(inspect.signature(getattr(geometric_phase, name)).parameters) == ["Ms", "dMs"]
 
 
 def test_b_zero_rotation_only_path():
@@ -1065,3 +1082,49 @@ def test_canonical_invariance_rejects_an_interleaved_translation():
 def test_path_without_an_evaluator_is_a_type_error():
     with pytest.raises(TypeError, match="^a path needs eval or eval_batch$"):
         SympPath(n=1)
+
+
+def _generator_loop(rng, n):
+    """(eval_batch, tangent_batch) of the closed unit loop S0 expm(A(t)), with
+    A(t) = Omega (sin(2 pi t) H0 + (1 - cos 2 pi t) H1), H0 and H1 random symmetric, and the
+    analytic tangent S0 L(A, A') from the Frechet derivative of expm."""
+    import scipy.linalg
+
+    from sympberry._random import random_symmetric, random_symplectic
+
+    S0 = random_symplectic(rng, n).data
+    X0, X1 = (omega(n) @ random_symmetric(rng, 2 * n, 0.4) for _ in range(2))
+    A = lambda t: np.sin(2.0 * np.pi * t) * X0 + (1.0 - np.cos(2.0 * np.pi * t)) * X1
+    dA = lambda t: 2.0 * np.pi * (np.cos(2.0 * np.pi * t) * X0 + np.sin(2.0 * np.pi * t) * X1)
+    eval_batch = lambda ts: np.array([S0 @ scipy.linalg.expm(A(t)) for t in ts])
+    frechet = lambda t: scipy.linalg.expm_frechet(A(t), dA(t), compute_expm=False)
+    tangent_batch = lambda ts: np.array([S0 @ frechet(t) for t in ts])
+    return eval_batch, tangent_batch
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    hbar=st.floats(0.3, 3.0),
+    lengths=st.lists(st.floats(0.3, 3.0), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_physical_loop_has_the_phase_of_its_unit_conversion(n, hbar, lengths, seed):
+    # gamma(M; hbar, l) = gamma(D^-1 M D; 1, 1), D = diag(l, hbar / l), in both phase forms
+    p = OscParams(hbar, tuple(lengths[:n]))
+    d = np.concatenate([p.lengths, [hbar / l for l in p.lengths]])
+    unit_eval, unit_tangent = _generator_loop(np.random.default_rng(seed), n)
+    to_physical = lambda Xs: Xs * d[:, None] / d  # D X D^-1
+    physical = SympPath(
+        n, closed=True, eval_batch=lambda ts: to_physical(unit_eval(ts)),
+        tangent_batch=lambda ts: to_physical(unit_tangent(ts)),
+    )
+    D, D_inv = np.diag(d), np.diag(1.0 / d)
+    converted = SympPath(
+        n, closed=True, eval_batch=lambda ts: D_inv @ physical.eval_batch(ts) @ D,
+        tangent_batch=lambda ts: D_inv @ physical.tangent_batch(ts) @ D,
+    )
+    unit = OscParams(1.0, (1.0,) * n)
+    for integral in (integrate_phase, integrate_phase_boundary_form):
+        expected = integral(converted, unit).value
+        assert abs(integral(physical, p).value - expected) <= 1e-12 * max(1.0, abs(expected))

@@ -22,64 +22,90 @@ from sympberry.oracles import _FAULT_SIZE, CHECKS, _generic_exp, b_zero_loop
 from sympberry.sp4_closed_form import DegenerateEigenvalues, Sp4Generator
 
 
-def _swapped_weights(integral):
-    """integral with its metric diag(l^2, hbar^2/l^2) swapped to diag(hbar^2/l^2, l^2).
-
-    Lengths hbar/l give exactly the swapped weights at the same hbar.
-    """
-
-    def swapped(path, p, quad=None):
-        return integral(path, OscParams(p.hbar, tuple(p.hbar / l for l in p.lengths)), quad)
-
-    return swapped
+def _swapped_conversion(conversion):
+    """The conversion with D = diag(hbar/l, l): lengths hbar/l swap l and hbar/l at the same hbar."""
+    return lambda p: conversion(OscParams(p.hbar, tuple(p.hbar / l for l in p.lengths)))
 
 
-def _flipped_sign(winding):
-    return lambda Ms, dMs, p: -winding(Ms, dMs, p)
+def _conversion_without_hbar(conversion):
+    """The conversion with D = diag(l, 1/l), as at hbar = 1: the frame then reads Z0 = i diag(1/l^2)."""
+    return lambda p: conversion(OscParams(1.0, p.lengths))
 
 
-def _dropped_hbar(winding):
-    """winding with Z0 = i diag(1/l^2): the lengths alone, as at hbar = 1."""
-    return lambda Ms, dMs, p: winding(Ms, dMs, OscParams(1.0, p.lengths))
+def _inject_into_the_conversion(monkeypatch, make_faulty):
+    # the one conversion, in every module that binds it
+    faulty = make_faulty(gaussian_states._unit_conversion)
+    for module in (gaussian_states, geometric_phase):
+        monkeypatch.setattr(module, "_unit_conversion", faulty)
+
+
+def _flipped_winding_sign(monkeypatch):
+    winding = geometric_phase._winding_values
+    monkeypatch.setattr(geometric_phase, "_winding_values", lambda Ms, dMs: -winding(Ms, dMs))
+
+
+def _winding_without_hbar(monkeypatch):
+    """The winding kernel alone on samples converted as at hbar = 1, so its frame reads
+    Z0 = i diag(1/l^2); the connection route keeps the true conversion, so the routes part."""
+    boundary_form = geometric_phase.integrate_phase_boundary_form
+    winding = geometric_phase._winding_values
+    convert = gaussian_states._unit_conversion
+    ratio = []  # q / q at hbar = 1, for the OscParams of the running call
+
+    def recording(path, p, quad=None):
+        ratio[:] = [convert(p) / convert(OscParams(1.0, p.lengths))]
+        return boundary_form(path, p, quad)
+
+    monkeypatch.setattr(geometric_phase, "integrate_phase_boundary_form", recording)
+    dropped = lambda Ms, dMs: winding(Ms * ratio[0], dMs * ratio[0])
+    monkeypatch.setattr(geometric_phase, "_winding_values", dropped)
 
 
 FAULTS = {
-    "integrate_phase_boundary_form": ("integrate_phase_boundary_form", _swapped_weights),
-    "phase_b_zero": ("phase_b_zero", _swapped_weights),
-    "winding_sign": ("_winding_values", _flipped_sign),
-    "winding_hbar": ("_winding_values", _dropped_hbar),
+    "winding_sign": _flipped_winding_sign,
+    "winding_hbar": _winding_without_hbar,
+    "swapped_conversion": lambda mp: _inject_into_the_conversion(mp, _swapped_conversion),
 }
 
 
 @pytest.mark.parametrize(
     "check,fault",
     [
-        ("two_form", "integrate_phase_boundary_form"),
-        ("b_zero", "phase_b_zero"),
         ("two_form", "winding_sign"),
         ("two_form", "winding_hbar"),
+        ("two_form", "swapped_conversion"),
+        ("overlap", "swapped_conversion"),
     ],
 )
 def test_check_catches_swapped_metric_weights(monkeypatch, check, fault):
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual <= tol
-    name, make_faulty = FAULTS[fault]
-    monkeypatch.setattr(geometric_phase, name, make_faulty(getattr(geometric_phase, name)))
+    FAULTS[fault](monkeypatch)
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual > tol
 
 
 @pytest.mark.parametrize("check", ["overlap", "two_form"])
 def test_checks_catch_a_frame_without_hbar(monkeypatch, check):
-    # Z0 = i diag(1/l^2) instead of i hbar diag(1/l^2), in every module that binds the frame
+    # D = diag(l, 1/l) in the one conversion: the physical frame Z0 = i diag(1/l^2), without hbar
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual <= tol
-    frame = gaussian_states._vacuum_frame
-    dropped = lambda X, p: frame(X, OscParams(1.0, p.lengths))
-    for module in (gaussian_states, geometric_phase):
-        monkeypatch.setattr(module, "_vacuum_frame", dropped)
+    _inject_into_the_conversion(monkeypatch, _conversion_without_hbar)
     residual, tol = CHECKS[check](np.random.default_rng(0), 25, False)
     assert residual > tol
+
+
+@pytest.mark.parametrize(
+    "make_faulty", [_swapped_conversion, _conversion_without_hbar], ids=["swapped", "without_hbar"]
+)
+def test_verify_fails_on_a_faulty_conversion(monkeypatch, capsys, make_faulty):
+    # two_form's two integrals and b_zero's share the conversion, so they agree on its fault;
+    # two_form's closed circles against reference_phase and the overlap see it
+    _inject_into_the_conversion(monkeypatch, make_faulty)
+    assert main(["verify", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1].rstrip(":") for line in lines if line.startswith("[FAIL]")}
+    assert failed == {"two_form", "overlap"}
 
 
 def test_two_form_compares_two_routes():
