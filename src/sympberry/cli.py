@@ -33,9 +33,9 @@ import numpy as np
 from . import oracles
 from ._quadrature import QuadratureBudgetExceeded
 from .gaussian_states import OscParams
-from .geometric_phase import ADAPTIVE, FIXED, PhaseResult, QuadSpec, integrate_phase, polygon_phase
+from .geometric_phase import ADAPTIVE, PhaseResult, QuadSpec, integrate_phase, polygon_phase
 from .sp4_closed_form import Sp4Generator
-from .squeeze_paths import squeeze_circle_path, reference_phase
+from .squeeze_paths import _magnitude, squeeze_circle_path, reference_phase
 from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _is_integer
 
 __all__ = ["ConfigError", "RunConfig", "run_phase", "run_sweep", "run_verify", "run_expm", "main"]
@@ -117,8 +117,6 @@ def _block(raw: str, section: str, key: str) -> np.ndarray:
     vals = _parse_floats(raw, f"expm block {key}")
     if len(vals) != 4:
         raise ConfigError(f"expm block {key}: expected 4 numbers row-major, got {len(vals)}")
-    if not all(map(np.isfinite, vals)):
-        raise ConfigError(f"expm block {key}: expected finite numbers, got {raw!r}")
     return np.array(vals, dtype=float).reshape(2, 2)
 
 
@@ -260,6 +258,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     elif cfg.samples is None and cfg.command == "phase":  # the only command that reads a path
         raise ConfigError("custom-samples paths need a samples file ([path] samples or --samples)")
     _validate_config(cfg)
+    if reads_path:
+        try:  # the library objects the command builds decide the ranges of their settings
+            cfg.quad()
+            for hbar in (cfg.hbar, *(cfg.sweep_hbar or ())):
+                OscParams(hbar, cfg.lengths)
+            for length in cfg.sweep_length or ():
+                OscParams(cfg.hbar, (length,))
+            for R in (cfg.R, *cfg.sweep_R):
+                _magnitude(R)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -274,44 +283,22 @@ def _fit_lengths(cfg: RunConfig, modes: int) -> None:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.format not in ("csv", "json"):
+    """The CLI's own rules: [verify] for verify, format for the others, the seed for all."""
+    if cfg.command == "verify":
+        known = f"known: {', '.join(CHECK_NAMES)}"
+        if cfg.verify_count < 1:
+            raise ConfigError("verify count must be >= 1")
+        if not cfg.verify_checks:
+            raise ConfigError(f"[verify] checks selects no check; {known}")
+        for name in cfg.verify_checks:
+            if name not in CHECK_NAMES:
+                raise ConfigError(f"unknown verify check {name!r}; {known}")
+        if cfg.inject_fault is not None and cfg.inject_fault not in CHECK_NAMES:
+            raise ConfigError(f"unknown inject_fault target {cfg.inject_fault!r}; {known}")
+    elif cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.verify_count < 1:
-        raise ConfigError("verify count must be >= 1")
-    if not cfg.verify_checks:
-        raise ConfigError(f"[verify] checks selects no check; known: {', '.join(CHECK_NAMES)}")
-    for name in cfg.verify_checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown verify check {name!r}; known: {', '.join(CHECK_NAMES)}")
-    if cfg.inject_fault is not None and cfg.inject_fault not in CHECK_NAMES:
-        raise ConfigError(
-            f"unknown inject_fault target {cfg.inject_fault!r}; known: {', '.join(CHECK_NAMES)}"
-        )
     if cfg.seed < 0:  # a PCG64 seed, as every record names it
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
-    if cfg.command not in _PATH_COMMANDS:  # [path], [quadrature] and [sweep] are not read
-        return
-    if cfg.quad_kind not in (ADAPTIVE, FIXED):
-        raise ConfigError(f"[quadrature] kind must be adaptive or fixed, got {cfg.quad_kind!r}")
-    if not cfg.tol > 0:
-        raise ConfigError(f"tolerance must be positive, got {cfg.tol}")
-    if cfg.tol == np.inf:
-        raise ConfigError(f"tolerance must be finite, got {cfg.tol}")
-    if not (np.isfinite(cfg.R) and cfg.R >= 0):
-        raise ConfigError(f"R must be finite and >= 0, got {cfg.R}")
-    if any(not (np.isfinite(v) and v >= 0) for v in cfg.sweep_R):
-        raise ConfigError("sweep R values must be finite and >= 0")
-    if not (np.isfinite(cfg.hbar) and cfg.hbar > 0):
-        raise ConfigError(f"hbar must be positive, got {cfg.hbar}")
-    if any(not (np.isfinite(l) and l > 0) for l in cfg.lengths):
-        raise ConfigError(f"lengths must be positive, got {cfg.lengths}")
-    if cfg.max_evals < 15:
-        raise ConfigError("max_evals must allow at least one panel (15)")
-    if cfg.panels < 1:
-        raise ConfigError("panels must be >= 1")
-    for axis, grid in (("hbar", cfg.sweep_hbar), ("length", cfg.sweep_length)):
-        if grid is not None and any(not (np.isfinite(v) and v > 0) for v in grid):
-            raise ConfigError(f"sweep {axis} values must be positive")
 
 
 # ---------------------------------------------------------------------------

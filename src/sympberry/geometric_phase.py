@@ -87,9 +87,9 @@ class QuadSpec:
         if self.kind not in (ADAPTIVE, FIXED):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
         if self.tol == math.inf:
-            raise ValueError("tolerance must be finite")
+            raise ValueError(f"tolerance must be finite, got {self.tol!r}")
         if not _is_integer(self.max_evals) or self.max_evals < 15:
             raise ValueError(f"budget must be an integer >= 15 (one panel), got {self.max_evals!r}")
         if not _is_integer(self.panels) or self.panels < 1:

@@ -10,6 +10,7 @@ sees these calls too; scipy.linalg is imported where it is used.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -34,23 +35,34 @@ def b_zero_loop(
     A(t) = expm(sin(2 pi t) K0); G(t) = scale (w(t) G0 + (1 - cos 2 pi t) G1),
     symmetric and periodic for symmetric G0, G1, with w(t) = sin(2 pi t) or
     the constant g0_weight. Without G0 and G1, G = 0: no shear, C = 0. One
-    expm and one inverse per stack of samples; tangents are finite differences.
+    expm and one inverse per stack of samples, which its exact tangent reuses:
+    dA = 2 pi cos(2 pi t) K0 A, dD = -A^{-T} dA^T A^{-T}, dC = dG A + G dA.
     """
     import scipy.linalg
 
-    def eval_batch(ts: np.ndarray) -> np.ndarray:
-        s = np.sin(2.0 * np.pi * ts)[:, None, None]
+    @functools.lru_cache(maxsize=1)
+    def stacks(key: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (M, dM/dt) stacks at the ts whose float bytes are key."""
+        angle = 2.0 * np.pi * np.frombuffer(key)[:, None, None]
+        s, c = np.sin(angle), np.cos(angle)
         A = scipy.linalg.expm(s * K0)
-        M = np.zeros((ts.size, 4, 4))
-        M[:, :2, :2] = A
-        M[:, 2:, 2:] = np.linalg.inv(A).transpose(0, 2, 1)
+        dA = 2.0 * np.pi * c * (K0 @ A)
+        M, dM = np.zeros((2, angle.size, 4, 4))
+        M[:, :2, :2], dM[:, :2, :2] = A, dA
+        M[:, 2:, 2:] = D = np.linalg.inv(A).transpose(0, 2, 1)
+        dM[:, 2:, 2:] = -D @ dA.transpose(0, 2, 1) @ D
         if G0 is not None:
-            w = s if g0_weight is None else g0_weight
-            G = scale * (w * G0 + (1.0 - np.cos(2.0 * np.pi * ts))[:, None, None] * G1)
+            w, dw = (s, 2.0 * np.pi * c) if g0_weight is None else (g0_weight, 0.0)
+            G = scale * (w * G0 + (1.0 - c) * G1)
             M[:, 2:, :2] = G @ A
-        return M
+            dM[:, 2:, :2] = scale * (dw * G0 + 2.0 * np.pi * s * G1) @ A + G @ dA
+        M.flags.writeable = dM.flags.writeable = False
+        return M, dM
 
-    return SympPath(n=2, eval_batch=eval_batch, closed=True)
+    sample = lambda ts: stacks(np.asarray(ts, dtype=float).tobytes())
+    return SympPath(
+        n=2, eval_batch=lambda ts: sample(ts)[0], tangent_batch=lambda ts: sample(ts)[1], closed=True
+    )
 
 
 def _worst(deviations) -> float:

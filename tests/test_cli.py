@@ -88,10 +88,8 @@ def test_flags_override_config(tmp_path, capsys):
 def test_config_negative_tol_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[path]\nkind = squeeze1\nR = 1\n[quadrature]\ntol = -1e-10\n")
-    code = main(["phase", "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "config error" in captured.err
+    assert main(["phase", "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: tolerance must be positive, got -1e-10\n")
 
 
 @pytest.mark.parametrize(
@@ -100,10 +98,8 @@ def test_config_negative_tol_exits_2(tmp_path, capsys):
 )
 def test_non_finite_tol_flag_exits_2(capsys, value, message):
     code = main(["phase", "--kind", "squeeze1", "--R", "1", "--tol", value, "--format", "json"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"config error: {message}" in captured.err
-    assert captured.out == ""
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 def test_config_unknown_key_reports_line(tmp_path, capsys):
@@ -278,13 +274,26 @@ def test_sweep_R_flag_overrides_config_grid(tmp_path):
 
 @pytest.mark.parametrize("axis,value", [("hbar", "nan"), ("hbar", "inf"), ("length", "inf")])
 def test_sweep_nonfinite_grid_value_is_config_error(tmp_path, capsys, axis, value):
+    # OscParams decides the range of each grid value, as the sweep's rows would build it
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(f"[path]\nkind = squeeze1\n[sweep]\nR = 1.0\n{axis} = 1.0, {value}\n")
-    code = main(["sweep", "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"config error: sweep {axis} values must be positive" in captured.err
-    assert captured.out == ""
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    rejected = f"hbar must be positive and finite, got {value}" if axis == "hbar" else (
+        f"lengths must be positive and finite, got ({value},)"
+    )
+    assert capsys.readouterr() == ("", f"config error: {rejected}\n")
+
+
+def test_bad_sweep_grid_value_runs_no_row_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the last R is rejected before the first row integrates
+    calls = []
+    monkeypatch.setattr(cli, "integrate_phase", lambda *args: calls.append(args))
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[path]\nkind = squeeze1\n[sweep]\nR = 0.5, 1.0, nan\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: magnitude must be finite and >= 0, got nan\n")
+    assert calls == [] and os.listdir(tmp_path) == ["sweep.ini"]
 
 
 @pytest.mark.parametrize("value", [",", ", ;"])
@@ -812,20 +821,21 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
         (["phase", "--kind", "squeeze2", "--modes", "1"], None, "kind squeeze2 requires modes=2, got 1"),
         (["phase"], "[path]\nkind = custom-samples\nmodes = 3\n", "modes must be 1 or 2, got 3"),
         (["phase"], "[path]\nkind = spiral\n", "unknown path kind 'spiral'"),
-        (["phase"], "[quadrature]\nkind = simpson\n", "[quadrature] kind must be adaptive or fixed, got 'simpson'"),
+        (["phase"], "[quadrature]\nkind = simpson\n", "unknown quadrature kind 'simpson'"),
         (["phase"], "[output]\nformat = xml\n", "format must be csv or json, got 'xml'"),
-        (["phase", "--R=-1"], None, "R must be finite and >= 0, got -1.0"),
-        (["phase"], "[path]\nR = nan\n", "R must be finite and >= 0, got nan"),
-        (["sweep"], "[sweep]\nR = 0.5, -1\n", "sweep R values must be finite and >= 0"),
-        (["phase", "--hbar", "0"], None, "hbar must be positive, got 0.0"),
-        (["phase", "--length=-1"], None, "lengths must be positive, got (-1.0,)"),
+        (["phase", "--R=-1"], None, "magnitude must be finite and >= 0, got -1.0"),
+        (["phase"], "[path]\nR = nan\n", "magnitude must be finite and >= 0, got nan"),
+        (["sweep"], "[sweep]\nR = 0.5, -1\n", "magnitude must be finite and >= 0, got -1.0"),
+        (["phase", "--hbar", "0"], None, "hbar must be positive and finite, got 0.0"),
+        (["phase", "--length=-1"], None, "lengths must be positive and finite, got (-1.0,)"),
         (["phase", "--modes", "2"], "[path]\nlengths = 1, 2, 3\n", "got 3 lengths for 2 mode(s)"),
-        (["phase"], "[quadrature]\nmax_evals = 14\n", "max_evals must allow at least one panel (15)"),
-        (["phase"], "[quadrature]\npanels = 0\n", "panels must be >= 1"),
+        (["phase"], "[quadrature]\nmax_evals = 14\n", "budget must be an integer >= 15 (one panel), got 14"),
+        (["phase"], "[quadrature]\npanels = 0\n", "panel count must be an integer >= 1, got 0"),
         (["verify"], "[verify]\ncount = 0\n", "verify count must be >= 1"),
         (["verify"], "[verify]\ninject_fault = warp\n", f"unknown inject_fault target 'warp'; {_KNOWN}"),
         (["expm", "--block-a=1,2,3"], None, "expm block a: expected 4 numbers row-major, got 3"),
         (["expm"], "[expm]\nc = 1, 2, 3, 4, 5\n", "expm block c: expected 4 numbers row-major, got 5"),
+        (["sweep"], "[sweep]\nR = 1\nlength = 1, 0\n", "lengths must be positive and finite, got (0.0,)"),
     ],
 )
 def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, message):
@@ -849,10 +859,13 @@ _ONE_CHECK = "[verify]\nchecks = symplectic\ncount = 2\n"
         (["expm", "--tol", "0"], None, 0),
         (["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\nkind = simpson\n[sweep]\nR = -1\n", 0),
         (["verify"], _ONE_CHECK + "[path]\nhbar = abc\n", EXIT_CONFIG),  # still parsed
+        (["verify"], _ONE_CHECK + "[output]\nformat = xml\n", 0),
+        (["phase"], "[verify]\ncount = 0\n", 0),
     ],
 )
 def test_a_command_checks_only_the_settings_it_reads(tmp_path, capsys, argv, ini, code):
-    # [path], [quadrature] and [sweep] are range-checked for phase and sweep, which read them
+    # [path], [quadrature] and [sweep] are range-checked for phase and sweep, which read them,
+    # [verify] for verify, and the format for the commands that emit a record
     if ini is not None:
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
@@ -950,8 +963,8 @@ def test_config_header_with_inner_spaces_names_its_line(tmp_path, capsys, header
 @pytest.mark.parametrize(
     "flag, message",
     [
-        ("--block-a=nan,0,0,1", "expm block a: expected finite numbers, got 'nan,0,0,1'"),
-        ("--block-b=inf,0,0,1", "expm block b: expected finite numbers, got 'inf,0,0,1'"),
+        ("--block-a=nan,0,0,1", "block a contains non-finite entries"),
+        ("--block-b=inf,0,0,1", "block b contains non-finite entries"),
         ("--block-a=1e200,0,0,1", "the eigenvalues of S overflow the float range"),
         ("--block-b=1e200,0,0,1e200", "the eigenvalues of S overflow the float range"),
     ],

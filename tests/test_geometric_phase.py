@@ -92,7 +92,7 @@ def test_quad_spec_validation():
     with pytest.raises(ValueError):
         QuadSpec(tol=0.0)
     for tol, reason in ((np.inf, "finite"), (np.nan, "positive"), (-np.inf, "positive")):
-        with pytest.raises(ValueError, match=f"^tolerance must be {reason}$"):
+        with pytest.raises(ValueError, match=f"^tolerance must be {reason}, got {tol!r}$"):
             QuadSpec(tol=tol)
     with pytest.raises(ValueError):
         QuadSpec(max_evals=10)
@@ -996,10 +996,12 @@ def test_end_node_stacks_are_group_checked():
 
 def test_b_zero_checks_the_samples_not_the_stencil_mean():
     # K0 entries to 2.5 and G scale 30: the stencil mean's D - A^-T reaches
-    # 4e-9, far over the 1e-10 check, while every evaluated sample has D = A^-T
+    # 4e-9, far over the 1e-10 check, while every evaluated sample has D = A^-T;
+    # the loop's samples without its exact tangent get the stencil
     K0 = np.array([[1.2, -2.5], [2.0, -0.6]])
     G0, G1 = np.array([[0.8, -0.3], [-0.3, 0.5]]), np.array([[-0.4, 0.6], [0.6, 0.2]])
-    path = b_zero_loop(K0, G0, G1, g0_weight=0.4, scale=30.0)
+    loop = b_zero_loop(K0, G0, G1, g0_weight=0.4, scale=30.0)
+    path = SympPath(n=2, eval_batch=loop.eval_batch, closed=True)
     p = OscParams(0.9, (1.1, 0.8))
     quad = QuadSpec(kind=FIXED, panels=2)
     ts = np.concatenate([0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES])

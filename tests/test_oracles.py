@@ -169,7 +169,8 @@ def _loop_results(loop, p):
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_b_zero_loop_matches_the_per_point_loop_bitwise(seed):
     # the draws of the b_zero check: three loops per seed, each plain, with a constant
-    # G0 weight and with the fault's scaled G
+    # G0 weight and with the fault's scaled G. The samples are pinned bitwise; so are the
+    # phases of the stacked samples under the per-point loop's two-point stencil
     rng = np.random.default_rng(seed)
     p = OscParams(2.0, (0.5, 1.5))
     cases = []
@@ -179,11 +180,57 @@ def test_stacked_b_zero_loop_matches_the_per_point_loop_bitwise(seed):
         cases += [((K0, G0, G1), kwargs) for kwargs in ({}, {"g0_weight": 0.4}, {"scale": 1.001})]
     if seed == 0:
         cases.append(((np.array([[0.0, 0.5], [-0.5, 0.0]]),), {}))  # the unsheared loop
+    ts = np.linspace(0.0, 1.0, 33)
     for args, kwargs in cases:
-        (Ms, dMs), phases = _loop_results(b_zero_loop(*args, **kwargs), p)
-        (ref_Ms, ref_dMs), ref_phases = _loop_results(_b_zero_loop_per_point(*args, **kwargs), p)
+        loop, reference = b_zero_loop(*args, **kwargs), _b_zero_loop_per_point(*args, **kwargs)
+        assert np.array_equal(loop.eval_batch(ts), reference.eval_batch(ts))
+        stencil = geometric_phase.SympPath(n=2, eval_batch=loop.eval_batch, closed=True)
+        (Ms, dMs), phases = _loop_results(stencil, p)
+        (ref_Ms, ref_dMs), ref_phases = _loop_results(reference, p)
         assert np.array_equal(Ms, ref_Ms) and np.array_equal(dMs, ref_dMs)
         assert phases == ref_phases
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_b_zero_loop_tangent_is_exact(seed):
+    # against a central difference of eval_batch, whose error falls as h^2; and its phases
+    # against those of the two-point stencil on the same samples, within the stencil's
+    # rounding (eps / h = 2e-10 per node at h = 1e-6), while the three exact-tangent
+    # integrals agree to rounding of the integrand
+    rng = np.random.default_rng(seed)
+    p = OscParams(2.0, (0.5, 1.5))
+    ts = np.linspace(0.0, 1.0, 37)
+    K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
+    G0, G1 = random_symmetric(rng, 2), random_symmetric(rng, 2)
+    for kwargs in ({}, {"g0_weight": 0.4}, {"scale": 1.001}):
+        loop = b_zero_loop(K0, G0, G1, **kwargs)
+        errors = [
+            np.max(np.abs((loop.eval_batch(ts + h) - loop.eval_batch(ts - h)) / (2 * h)
+                          - loop.tangent_batch(ts)))
+            for h in (2e-3, 1e-3)
+        ]
+        assert 3.9 < errors[0] / errors[1] < 4.1 and errors[1] < 1e-3
+        stencil = geometric_phase.SympPath(n=2, eval_batch=loop.eval_batch, closed=True)
+        exact = [form(loop, p) for form in _B_ZERO_FORMS]
+        for form, result in zip(_B_ZERO_FORMS, exact):
+            differenced = form(stencil, p)
+            assert result.evaluations == differenced.evaluations
+            assert 0.0 < abs(result.value - differenced.value) <= 1e-9
+            assert abs(result.value - exact[0].value) <= 1e-14
+    rotation = b_zero_loop(K0)
+    assert np.all(rotation.tangent_batch(ts)[:, 2:, :2] == 0.0)
+
+
+def test_b_zero_loop_tangent_reuses_the_samples_expm(monkeypatch):
+    # a sampled node set costs one expm of its k matrices, where the stencil took 2k
+    rng = np.random.default_rng(0)
+    loop = b_zero_loop(rng.uniform(-0.7, 0.7, size=(2, 2)), random_symmetric(rng, 2), random_symmetric(rng, 2))
+    shapes = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda X: shapes.append(X.shape) or expm(X))
+    Ms, dMs = loop.sample(np.linspace(0.0, 1.0, 15))
+    assert shapes == [(15, 2, 2)]
+    assert not (Ms.flags.writeable or dMs.flags.writeable)
 
 
 def test_b_zero_loop_builds_no_sympmatrix_while_integrating(monkeypatch):
