@@ -3,7 +3,7 @@
 Subcommands:
 
 * phase   compute the geometric phase of one configured path
-* sweep   tabulate phases over a parameter grid as CSV or JSON
+* sweep   tabulate phases over an R grid as CSV or JSON, at the [path] hbar and lengths
 * verify  run the internal oracle suites and report pass/fail per check
 * expm    compare the closed-form 4x4 exponential against the generic one
 
@@ -13,15 +13,15 @@ written atomically (temp file plus rename; failures leave nothing behind).
 A relative --out is placed under $SYMPBERRY_OUT_DIR when that is set.
 
 Exit codes: 0 success, 1 failed verify check or failed sweep row, 2 config
-error, 3 quadrature budget exhausted.
+error (an --out that cannot be written included), 3 quadrature budget exhausted.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import os
 import sys
@@ -104,11 +104,6 @@ def _floats(raw: str, section: str, key: str) -> tuple[float, ...]:
     return vals
 
 
-def _grid(raw: str, section: str, key: str) -> tuple[float, ...] | None:
-    """A sweep axis; an empty value leaves it unset, so the scalar setting is used."""
-    return _floats(raw, section, key) if raw else None
-
-
 def _names(raw: str, section: str, key: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
@@ -147,8 +142,6 @@ class RunConfig:
     format: str = _setting("output", "format", _text, "format", "json")
     out: str | None = _setting("output", "out", _text, "out", None)
     sweep_R: tuple[float, ...] = _setting("sweep", "R", _floats, None, ())
-    sweep_hbar: tuple[float, ...] | None = _setting("sweep", "hbar", _grid, None, None)
-    sweep_length: tuple[float, ...] | None = _setting("sweep", "length", _grid, None, None)
     expm_a: np.ndarray | None = _setting("expm", "a", _block, "block_a", None)
     expm_b: np.ndarray | None = _setting("expm", "b", _block, "block_b", None)
     expm_c: np.ndarray | None = _setting("expm", "c", _block, "block_c", None)
@@ -261,10 +254,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if reads_path:
         try:  # the library objects the command builds decide the ranges of their settings
             cfg.quad()
-            for hbar in (cfg.hbar, *(cfg.sweep_hbar or ())):
-                OscParams(hbar, cfg.lengths)
-            for length in cfg.sweep_length or ():
-                OscParams(cfg.hbar, (length,))
+            OscParams(cfg.hbar, cfg.lengths)
             for R in (cfg.R, *cfg.sweep_R):
                 _magnitude(R)
         except ValueError as exc:
@@ -316,17 +306,19 @@ def _emit(text: str, out: str | None) -> None:
     base = os.environ.get(OUT_DIR_ENV)
     target = os.path.join(base, out) if base and not os.path.isabs(out) else out
     directory = os.path.dirname(os.path.abspath(target))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sympberry-")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sympberry-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):  # the file system refuses the target, as a directory
+            raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -440,25 +432,20 @@ def run_phase(cfg: RunConfig) -> int:
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    """Tabulate phases over the (R, hbar, length) grid in lexicographic order."""
+    """Tabulate phases over the R grid, in its order, at the [path] hbar and lengths."""
     if cfg.kind == KIND_CUSTOM:
         raise ConfigError("sweep supports the squeeze-circle kinds only")
-    hbar_grid = cfg.sweep_hbar if cfg.sweep_hbar is not None else (cfg.hbar,)
-    if cfg.sweep_length is None:
-        length_grid = [cfg.lengths]
-    else:
-        length_grid = [(length,) * cfg.modes for length in cfg.sweep_length]
     length_cols = [f"l{j + 1}" for j in range(cfg.modes)]
     header = ["R", "hbar", *length_cols]
     header += ["gamma_quadrature", "gamma_reference", "deviation", "status", "seed"]
+    params, quad = OscParams(cfg.hbar, cfg.lengths), cfg.quad()
     records: list[dict] = []
-    for R, hbar, lengths in itertools.product(cfg.sweep_R, hbar_grid, length_grid):
+    for R in cfg.sweep_R:
         record = dict.fromkeys(header)  # the header's key order; unset cells stay None
-        record.update(zip(length_cols, lengths), R=R, hbar=hbar, status="ok", seed=cfg.seed)
+        record.update(zip(length_cols, cfg.lengths), R=R, hbar=cfg.hbar, status="ok", seed=cfg.seed)
         try:
             ref = record["gamma_reference"] = reference_phase(cfg.modes, R)
-            params = OscParams(hbar, lengths)
-            result = integrate_phase(squeeze_circle_path(cfg.modes, R, params), params, cfg.quad())
+            result = integrate_phase(squeeze_circle_path(cfg.modes, R, params), params, quad)
             record["gamma_quadrature"] = result.value
             record["deviation"] = abs(result.value - ref)
         except (QuadratureBudgetExceeded, ValueError) as exc:
@@ -505,7 +492,7 @@ def run_expm(cfg: RunConfig) -> int:
         asym = _asymmetry(blocks[name])
         if asym > 1e-10:
             raise ConfigError(f"expm block {name} must be symmetric; asymmetry {asym:.3e}")
-        blocks[name] = (blocks[name] + blocks[name].T) / 2.0
+        blocks[name] = blocks[name] / 2.0 + blocks[name].T / 2.0  # halved first: the sum can overflow
     try:
         g = Sp4Generator(a=blocks["a"], b=blocks["b"], c=blocks["c"])
         M, branch, generic, deviation = oracles.expm_comparison(g)
@@ -563,7 +550,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_phase.add_argument("--kind", choices=_KINDS, default=None, help="path family")
     p_phase.add_argument("--samples", default=None, help="JSON samples file for custom-samples")
 
-    p_sweep = sub.add_parser("sweep", help="tabulate phases over a parameter grid")
+    p_sweep = sub.add_parser("sweep", help="tabulate phases over an R grid")
     _add_common_flags(p_sweep)
     p_sweep.add_argument("--kind", choices=(KIND_SQUEEZE1, KIND_SQUEEZE2), default=None)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gaussian_states import OscParams, _physical_generator, _scales
 from .geometric_phase import SympPath
-from .symplectic_core import INTERLEAVED, LieAlgElement, SympMatrix
+from .symplectic_core import INTERLEAVED, LieAlgElement, SympMatrix, _is_integer
 
 __all__ = [
     "SqueezeSpec",
@@ -60,7 +60,7 @@ class SqueezeSpec:
     params: OscParams
 
     def __post_init__(self) -> None:
-        if self.modes not in (1, 2):
+        if not _is_integer(self.modes) or self.modes not in (1, 2):
             raise ValueError(f"squeeze transformations cover 1 or 2 modes, got {self.modes}")
         R = _magnitude(self.R)
         angle = float(self.angle)
@@ -206,7 +206,7 @@ def _trig(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_phase(modes: int, R: float) -> float:
     """Closed-form circle phase: -pi sinh^2(R), doubled for two modes."""
-    if modes not in (1, 2):
+    if not _is_integer(modes) or modes not in (1, 2):
         raise ValueError(f"reference phases cover 1 or 2 modes, got {modes}")
     R = _magnitude(float(R))
     with np.errstate(over="ignore"):

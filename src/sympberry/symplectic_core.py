@@ -156,19 +156,22 @@ _FORMS = {GROUPED: _omega_cached, INTERLEAVED: _omega_interleaved_cached}  # for
 
 def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
     """Max-norm residual of the group condition M form M^T = form, over a matrix or a stack."""
-    M = np.asarray(M, dtype=float)
+    M = _real_array(M, "matrix", copy=False)
     if ordering not in (GROUPED, INTERLEAVED):
         raise ValueError(f"unknown ordering {ordering!r}")
-    form = omega if ordering == GROUPED else omega_interleaved
-    return float(_residual(M, form(M.shape[-1] // 2)))
+    if M.ndim in (2, 3):  # a dimension below 2 names its mode count, 0
+        form = (omega if ordering == GROUPED else omega_interleaved)(M.shape[-1] // 2)
+    if M.ndim not in (2, 3) or M.shape[-2:] != form.shape:
+        raise ValueError(f"expected a 2n x 2n matrix or a (k, 2n, 2n) stack, got shape {M.shape}")
+    return float(_residual(M, form))
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
     """True iff the matrix passes SympMatrix's group check in grouped ordering at tol.
 
-    Rejects non-square and odd-dimension inputs.
+    Rejects complex, non-square and odd-dimension inputs.
     """
-    M = np.asarray(M, dtype=float)
+    M = _real_array(M, "matrix", copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] % 2 != 0 or M.shape[0] == 0:

@@ -121,7 +121,7 @@ def test_config_unknown_section(tmp_path, capsys):
     assert "unknown section [mystery]" in captured.err
 
 
-_NUMERIC_PARSERS = (cli._int, cli._float, cli._floats, cli._grid)
+_NUMERIC_PARSERS = (cli._int, cli._float, cli._floats)
 
 
 @pytest.mark.parametrize(
@@ -151,18 +151,17 @@ def test_quadrature_budget_exit_3(tmp_path, capsys):
 
 def test_sweep_csv_grid(tmp_path):
     cfg = tmp_path / "sweep.ini"
-    cfg.write_text(
-        "[path]\nkind = squeeze1\n[sweep]\nR = 0.5, 1.0\nhbar = 1.0, 2.0\nlength = 1.0\n"
-    )
+    cfg.write_text("[path]\nkind = squeeze1\nhbar = 2.0\nlengths = 1.5\n[sweep]\nR = 0.5, 1.0\n")
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--config", str(cfg), "--out", str(out), "--seed", "3"])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "R,hbar,l1,gamma_quadrature,gamma_reference,deviation,status,seed"
-    assert len(lines) == 1 + 4  # 2 R values x 2 hbar values x 1 length
-    for line in lines[1:]:
+    assert len(lines) == 1 + 2  # one row per R value
+    for R, line in zip(("0.5", "1"), lines[1:]):
         cells = line.split(",")
-        assert cells[-2] == "ok"
+        assert cells[:3] == [R, "2", "1.5"]
+        assert cells[-2:] == ["ok", "3"]
         assert float(cells[5]) <= 1e-8  # deviation column
 
 
@@ -241,16 +240,6 @@ def test_sweep_keeps_each_mode_length(tmp_path, fmt):
     assert row["gamma_quadrature"] == integrate_phase(squeeze_circle_path(2, 0.5, p), p).value
 
 
-def test_sweep_length_grid_serves_every_mode(tmp_path):
-    cfg = tmp_path / "sweep.ini"
-    cfg.write_text("[path]\nkind = squeeze2\nlengths = 1, 2\n[sweep]\nR = 0.5\nlength = 3\n")
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    header, line = out.read_text().splitlines()
-    row = dict(zip(header.split(","), line.split(",")))
-    assert (row["l1"], row["l2"], row["status"]) == ("3", "3", "ok")
-
-
 def test_sweep_reference_overflow_row_is_valid_json(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["sweep", "--kind", "squeeze1", "--R", "400", "--format", "json", "--out", str(out)])
@@ -272,13 +261,13 @@ def test_sweep_R_flag_overrides_config_grid(tmp_path):
     assert [row.split(",")[0] for row in rows] == ["2"]
 
 
-@pytest.mark.parametrize("axis,value", [("hbar", "nan"), ("hbar", "inf"), ("length", "inf")])
-def test_sweep_nonfinite_grid_value_is_config_error(tmp_path, capsys, axis, value):
-    # OscParams decides the range of each grid value, as the sweep's rows would build it
+@pytest.mark.parametrize("key,value", [("hbar", "nan"), ("hbar", "inf"), ("lengths", "inf")])
+def test_sweep_nonfinite_grid_value_is_config_error(tmp_path, capsys, key, value):
+    # OscParams decides the range of the [path] hbar and lengths that every row is built at
     cfg = tmp_path / "sweep.ini"
-    cfg.write_text(f"[path]\nkind = squeeze1\n[sweep]\nR = 1.0\n{axis} = 1.0, {value}\n")
+    cfg.write_text(f"[path]\nkind = squeeze1\n{key} = {value}\n[sweep]\nR = 0.5, 1.0\n")
     assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
-    rejected = f"hbar must be positive and finite, got {value}" if axis == "hbar" else (
+    rejected = f"hbar must be positive and finite, got {value}" if key == "hbar" else (
         f"lengths must be positive and finite, got ({value},)"
     )
     assert capsys.readouterr() == ("", f"config error: {rejected}\n")
@@ -298,7 +287,7 @@ def test_bad_sweep_grid_value_runs_no_row_and_writes_no_file(tmp_path, monkeypat
 
 @pytest.mark.parametrize("value", [",", ", ;"])
 @pytest.mark.parametrize(
-    "section,key", [("sweep", "R"), ("sweep", "hbar"), ("sweep", "length"), ("path", "lengths")]
+    "section,key", [("sweep", "R"), ("path", "lengths")]
 )
 def test_separators_only_number_list_is_config_error(tmp_path, capsys, section, key, value):
     sections = {"path": {"kind": "squeeze1"}, "sweep": {"R": "1.0"}}
@@ -317,16 +306,19 @@ def test_separators_only_number_list_is_config_error(tmp_path, capsys, section, 
     assert captured.out == ""
 
 
-def test_sweep_empty_hbar_and_length_use_scalars(tmp_path):
+def test_sweep_rows_echo_path_hbar_and_lengths(tmp_path):
     cfg = tmp_path / "sweep.ini"
-    cfg.write_text(
-        "[path]\nkind = squeeze1\nhbar = 2\nlengths = 3\n[sweep]\nR = 1.0\nhbar =\nlength =\n"
-    )
-    out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    header, row = out.read_text().splitlines()
-    cols = dict(zip(header.split(","), row.split(",")))
-    assert (cols["R"], cols["hbar"], cols["l1"], cols["status"]) == ("1", "2", "3", "ok")
+    cfg.write_text("[path]\nkind = squeeze2\nhbar = 2\nlengths = 3, 0.5\n[sweep]\nR = 1.0, 0.5\n")
+    csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert main(["sweep", "--config", str(cfg), "--out", str(csv_out)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--format", "json", "--out", str(json_out)]) == 0
+    header, *lines = csv_out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    cells = [(r["R"], r["hbar"], r["l1"], r["l2"], r["status"]) for r in rows]
+    assert cells == [("1", "2", "3", "0.5", "ok"), ("0.5", "2", "3", "0.5", "ok")]
+    rows = json.loads(json_out.read_text())["rows"]
+    cells = [(r["R"], r["hbar"], r["l1"], r["l2"], r["status"]) for r in rows]
+    assert cells == [(1.0, 2.0, 3.0, 0.5, "ok"), (0.5, 2.0, 3.0, 0.5, "ok")]
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
@@ -351,6 +343,31 @@ def test_no_temp_files_left_behind(tmp_path):
         ) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".sympberry-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["phase"], ["sweep", "--R", "0.5"], ["verify", "--seed", "0"], ["expm"]]
+)
+def test_out_naming_a_directory_is_one_config_error_line(tmp_path, capsys, argv):
+    if argv[0] == "verify":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(_ONE_CHECK)
+        argv = argv + ["--config", str(cfg)]
+    target = tmp_path / "taken"
+    target.mkdir()
+    assert main([*argv, "--out", str(target)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: cannot write {target}: Is a directory\n")
+    assert [p for p in os.listdir(tmp_path) if p.startswith(".sympberry-")] == []
+
+
+def test_out_dir_env_naming_a_file_is_one_config_error_line(tmp_path, monkeypatch, capsys):
+    base = tmp_path / "base"
+    base.write_text("")
+    monkeypatch.setenv("SYMPBERRY_OUT_DIR", str(base))
+    assert main(["phase", "--out", "r.json"]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: cannot write {base / 'r.json'}: ")
+    assert err.count("\n") == 1 and base.read_text() == ""
 
 
 def _verify_config(tmp_path, count=25, extra=""):
@@ -835,7 +852,8 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
         (["verify"], "[verify]\ninject_fault = warp\n", f"unknown inject_fault target 'warp'; {_KNOWN}"),
         (["expm", "--block-a=1,2,3"], None, "expm block a: expected 4 numbers row-major, got 3"),
         (["expm"], "[expm]\nc = 1, 2, 3, 4, 5\n", "expm block c: expected 4 numbers row-major, got 5"),
-        (["sweep"], "[sweep]\nR = 1\nlength = 1, 0\n", "lengths must be positive and finite, got (0.0,)"),
+        (["sweep"], "[sweep]\nR = 1\nhbar = 1\n", "<ini>:3: unknown key 'hbar' in [sweep]"),
+        (["sweep"], "[sweep]\nR = 1\nlength = 1\n", "<ini>:3: unknown key 'length' in [sweep]"),
     ],
 )
 def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, message):
@@ -843,6 +861,7 @@ def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, messag
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
         argv = argv + ["--config", str(cfg)]
+        message = message.replace("<ini>", str(cfg))
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr() == ("", f"config error: {message}\n")
 
@@ -915,13 +934,21 @@ def test_malformed_samples_file_is_one_config_error(tmp_path, capsys, text, mess
 
 
 def test_failed_write_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    # an OSError is a target the file system refuses, a config error; anything else propagates
     def refuse(src, dst):
         raise OSError("rename refused")
 
+    def interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    argv = ["phase", "--R", "0.5", "--out", str(tmp_path / "phase.json")]
     monkeypatch.setattr(os, "replace", refuse)
-    target = tmp_path / "phase.json"
-    with pytest.raises(OSError, match="^rename refused$"):
-        main(["phase", "--R", "0.5", "--out", str(target)])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: cannot write {argv[-1]}: rename refused\n")
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(os, "replace", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr() == ("", "")
 
@@ -967,6 +994,8 @@ def test_config_header_with_inner_spaces_names_its_line(tmp_path, capsys, header
         ("--block-b=inf,0,0,1", "block b contains non-finite entries"),
         ("--block-a=1e200,0,0,1", "the eigenvalues of S overflow the float range"),
         ("--block-b=1e200,0,0,1e200", "the eigenvalues of S overflow the float range"),
+        # halved before the symmetrizing sum, which would overflow, so no warning comes first
+        ("--block-a=1e308,1e308,1e308,1e308", "the eigenvalues of S overflow the float range"),
     ],
 )
 def test_expm_non_finite_or_overflowing_block_is_one_config_error_line(capsys, flag, message):

@@ -335,6 +335,16 @@ def test_one_mode_squeeze_matrix_rejects_a_two_mode_spec():
         sp.squeeze_matrix_n1(spec)
 
 
+@pytest.mark.parametrize("modes", [True, 1.0, np.float64(2.0)])
+def test_a_mode_count_is_an_integer_not_a_bool_or_float(modes):
+    params = OscParams(1.0, (1.0,) * int(modes))
+    with pytest.raises(ValueError, match=f"^squeeze transformations cover 1 or 2 modes, got {modes}$"):
+        SqueezeSpec(modes=modes, R=0.5, angle=0.0, params=params)
+    with pytest.raises(ValueError, match=f"^reference phases cover 1 or 2 modes, got {modes}$"):
+        reference_phase(modes, 0.5)
+    assert reference_phase(np.int64(int(modes)), 0.5) == reference_phase(int(modes), 0.5)
+
+
 def test_circle_mode_count_is_checked_by_its_squeeze_spec():
     with pytest.raises(ValueError, match="^squeeze transformations cover 1 or 2 modes, got 3$"):
         squeeze_circle_path(3, 0.5, OscParams(1.0, (1.0, 1.0, 1.0)))

@@ -175,6 +175,37 @@ def test_is_symplectic_rejects_an_overflowing_matrix():
     assert is_symplectic(_OVERFLOWING) is False
 
 
+_COMPLEX = "matrix must be real-valued, got dtype complex128"
+_SHAPE = "expected a 2n x 2n matrix or a (k, 2n, 2n) stack, got shape "
+
+
+@pytest.mark.parametrize(
+    "check, M, message",
+    [
+        (is_symplectic, np.eye(2) + 1e-3j, _COMPLEX),
+        (symplectic_residual, np.eye(2) * (1 + 1j), _COMPLEX),
+        (symplectic_residual, np.eye(3), _SHAPE + "(3, 3)"),
+        (symplectic_residual, np.eye(4)[:2], _SHAPE + "(2, 4)"),
+        (symplectic_residual, np.ones(2), _SHAPE + "(2,)"),
+        (symplectic_residual, np.ones((3, 2, 4)), _SHAPE + "(3, 2, 4)"),
+        (symplectic_residual, np.ones((1, 1, 2, 2)), _SHAPE + "(1, 1, 2, 2)"),
+    ],
+    ids=["is_symplectic-complex", "residual-complex", "odd", "not-square", "vector", "stack-not-square", "4-d"],
+)
+def test_public_group_checks_refuse_what_sympmatrix_refuses(check, M, message):
+    # the complex part is not cast away, and a wrong shape gets a named error
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(M)
+
+
+def test_symplectic_residual_reads_a_float_stack_without_copying(monkeypatch):
+    stack = np.stack([np.eye(2)] * 3)
+    seen = []
+    monkeypatch.setattr(symplectic_core, "_residual", lambda M, form: seen.append(M) or 0.0)
+    assert symplectic_residual(stack) == 0.0
+    assert seen[0] is stack
+
+
 def test_is_symplectic_applies_the_determinant_gate():
     # residual 1e-6 passes tol 1e-5 in both; both then reject |det - 1| = 1e-6 above 1e-8
     M = np.diag([1 + 1e-6, 1.0])
