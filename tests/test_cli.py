@@ -852,8 +852,8 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
         (["verify"], "[verify]\ninject_fault = warp\n", f"unknown inject_fault target 'warp'; {_KNOWN}"),
         (["expm", "--block-a=1,2,3"], None, "expm block a: expected 4 numbers row-major, got 3"),
         (["expm"], "[expm]\nc = 1, 2, 3, 4, 5\n", "expm block c: expected 4 numbers row-major, got 5"),
-        (["sweep"], "[sweep]\nR = 1\nhbar = 1\n", "<ini>:3: unknown key 'hbar' in [sweep]"),
         (["sweep"], "[sweep]\nR = 1\nlength = 1\n", "<ini>:3: unknown key 'length' in [sweep]"),
+        (["sweep"], "[sweep]\nR = 1\nhbar = 1\n", "<ini>:3: unknown key 'hbar' in [sweep]"),
     ],
 )
 def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, message):
