@@ -346,7 +346,9 @@ def test_no_temp_files_left_behind(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [["phase"], ["sweep", "--R", "0.5"], ["verify", "--seed", "0"], ["expm"]]
+    "argv",
+    [["phase"], ["sweep", "--R", "0.5"], ["verify", "--seed", "0"], ["expm"]],
+    ids=["phase", "sweep", "verify", "expm"],
 )
 def test_out_naming_a_directory_is_one_config_error_line(tmp_path, capsys, argv):
     if argv[0] == "verify":
@@ -834,26 +836,77 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
 @pytest.mark.parametrize(
     "argv, ini, message",
     [
-        (["phase", "--kind", "squeeze1", "--modes", "2"], None, "kind squeeze1 requires modes=1, got 2"),
-        (["phase", "--kind", "squeeze2", "--modes", "1"], None, "kind squeeze2 requires modes=2, got 1"),
-        (["phase"], "[path]\nkind = custom-samples\nmodes = 3\n", "modes must be 1 or 2, got 3"),
-        (["phase"], "[path]\nkind = spiral\n", "unknown path kind 'spiral'"),
-        (["phase"], "[quadrature]\nkind = simpson\n", "unknown quadrature kind 'simpson'"),
-        (["phase"], "[output]\nformat = xml\n", "format must be csv or json, got 'xml'"),
-        (["phase", "--R=-1"], None, "magnitude must be finite and >= 0, got -1.0"),
-        (["phase"], "[path]\nR = nan\n", "magnitude must be finite and >= 0, got nan"),
-        (["sweep"], "[sweep]\nR = 0.5, -1\n", "magnitude must be finite and >= 0, got -1.0"),
-        (["phase", "--hbar", "0"], None, "hbar must be positive and finite, got 0.0"),
-        (["phase", "--length=-1"], None, "lengths must be positive and finite, got (-1.0,)"),
-        (["phase", "--modes", "2"], "[path]\nlengths = 1, 2, 3\n", "got 3 lengths for 2 mode(s)"),
-        (["phase"], "[quadrature]\nmax_evals = 14\n", "budget must be an integer >= 15 (one panel), got 14"),
-        (["phase"], "[quadrature]\npanels = 0\n", "panel count must be an integer >= 1, got 0"),
-        (["verify"], "[verify]\ncount = 0\n", "verify count must be >= 1"),
-        (["verify"], "[verify]\ninject_fault = warp\n", f"unknown inject_fault target 'warp'; {_KNOWN}"),
-        (["expm", "--block-a=1,2,3"], None, "expm block a: expected 4 numbers row-major, got 3"),
-        (["expm"], "[expm]\nc = 1, 2, 3, 4, 5\n", "expm block c: expected 4 numbers row-major, got 5"),
-        (["sweep"], "[sweep]\nR = 1\nlength = 1\n", "<ini>:3: unknown key 'length' in [sweep]"),
-        (["sweep"], "[sweep]\nR = 1\nhbar = 1\n", "<ini>:3: unknown key 'hbar' in [sweep]"),
+        pytest.param(
+            ["phase", "--kind", "squeeze1", "--modes", "2"], None, "kind squeeze1 requires modes=1, got 2",
+            id="squeeze1-needs-one-mode",
+        ),
+        pytest.param(
+            ["phase", "--kind", "squeeze2", "--modes", "1"], None, "kind squeeze2 requires modes=2, got 1",
+            id="squeeze2-needs-two-modes",
+        ),
+        pytest.param(
+            ["phase"], "[path]\nkind = custom-samples\nmodes = 3\n", "modes must be 1 or 2, got 3",
+            id="custom-samples-modes",
+        ),
+        pytest.param(["phase"], "[path]\nkind = spiral\n", "unknown path kind 'spiral'", id="path-kind"),
+        pytest.param(
+            ["phase"], "[quadrature]\nkind = simpson\n", "unknown quadrature kind 'simpson'",
+            id="quadrature-kind",
+        ),
+        pytest.param(
+            ["phase"], "[output]\nformat = xml\n", "format must be csv or json, got 'xml'",
+            id="output-format",
+        ),
+        pytest.param(["phase", "--R=-1"], None, "magnitude must be finite and >= 0, got -1.0", id="R-flag"),
+        pytest.param(
+            ["phase"], "[path]\nR = nan\n", "magnitude must be finite and >= 0, got nan",
+            id="path-R",
+        ),
+        pytest.param(
+            ["sweep"], "[sweep]\nR = 0.5, -1\n", "magnitude must be finite and >= 0, got -1.0",
+            id="sweep-R",
+        ),
+        pytest.param(
+            ["phase", "--hbar", "0"], None, "hbar must be positive and finite, got 0.0",
+            id="hbar-flag",
+        ),
+        pytest.param(
+            ["phase", "--length=-1"], None, "lengths must be positive and finite, got (-1.0,)",
+            id="length-flag",
+        ),
+        pytest.param(
+            ["phase", "--modes", "2"], "[path]\nlengths = 1, 2, 3\n", "got 3 lengths for 2 mode(s)",
+            id="lengths-per-mode",
+        ),
+        pytest.param(
+            ["phase"], "[quadrature]\nmax_evals = 14\n", "budget must be an integer >= 15 (one panel), got 14",
+            id="quadrature-max-evals",
+        ),
+        pytest.param(
+            ["phase"], "[quadrature]\npanels = 0\n", "panel count must be an integer >= 1, got 0",
+            id="quadrature-panels",
+        ),
+        pytest.param(["verify"], "[verify]\ncount = 0\n", "verify count must be >= 1", id="verify-count"),
+        pytest.param(
+            ["verify"], "[verify]\ninject_fault = warp\n", f"unknown inject_fault target 'warp'; {_KNOWN}",
+            id="verify-inject-fault",
+        ),
+        pytest.param(
+            ["expm", "--block-a=1,2,3"], None, "expm block a: expected 4 numbers row-major, got 3",
+            id="expm-block-a-flag",
+        ),
+        pytest.param(
+            ["expm"], "[expm]\nc = 1, 2, 3, 4, 5\n", "expm block c: expected 4 numbers row-major, got 5",
+            id="expm-block-c",
+        ),
+        pytest.param(
+            ["sweep"], "[sweep]\nR = 1\nlength = 1\n", "<ini>:3: unknown key 'length' in [sweep]",
+            id="sweep-length",
+        ),
+        pytest.param(
+            ["sweep"], "[sweep]\nR = 1\nhbar = 1\n", "<ini>:3: unknown key 'hbar' in [sweep]",
+            id="sweep-hbar",
+        ),
     ],
 )
 def test_config_diagnostic_is_one_exact_line(tmp_path, capsys, argv, ini, message):
@@ -872,14 +925,20 @@ _ONE_CHECK = "[verify]\nchecks = symplectic\ncount = 2\n"
 @pytest.mark.parametrize(
     "argv, ini, code",
     [
-        (["verify", "--hbar", "-1"], _ONE_CHECK, 0),
-        (["expm", "--R", "nan"], None, 0),
-        (["verify", "--length", "1", "--length", "2"], _ONE_CHECK, 0),
-        (["expm", "--tol", "0"], None, 0),
-        (["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\nkind = simpson\n[sweep]\nR = -1\n", 0),
-        (["verify"], _ONE_CHECK + "[path]\nhbar = abc\n", EXIT_CONFIG),  # still parsed
-        (["verify"], _ONE_CHECK + "[output]\nformat = xml\n", 0),
-        (["phase"], "[verify]\ncount = 0\n", 0),
+        pytest.param(["verify", "--hbar", "-1"], _ONE_CHECK, 0, id="verify-hbar-flag"),
+        pytest.param(["expm", "--R", "nan"], None, 0, id="expm-R-flag"),
+        pytest.param(["verify", "--length", "1", "--length", "2"], _ONE_CHECK, 0, id="verify-length-flags"),
+        pytest.param(["expm", "--tol", "0"], None, 0, id="expm-tol-flag"),
+        pytest.param(
+            ["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\nkind = simpson\n[sweep]\nR = -1\n", 0,
+            id="expm-path-quadrature-sweep",
+        ),
+        pytest.param(  # still parsed
+            ["verify"], _ONE_CHECK + "[path]\nhbar = abc\n", EXIT_CONFIG,
+            id="verify-hbar-still-parsed",
+        ),
+        pytest.param(["verify"], _ONE_CHECK + "[output]\nformat = xml\n", 0, id="verify-format"),
+        pytest.param(["phase"], "[verify]\ncount = 0\n", 0, id="phase-verify-count"),
     ],
 )
 def test_a_command_checks_only_the_settings_it_reads(tmp_path, capsys, argv, ini, code):
@@ -966,9 +1025,12 @@ def test_config_values_are_literal_percent_included(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize(
     "argv, ini",
     [
-        (["phase"], "[DEFAULT]\nbogus = 1\n"),
-        (["phase"], "[DEFAULT]\nR = 2\n[path]\nkind = squeeze1\n"),
-        (["verify"], "[DEFAULT]\nR = 2\n[path]\nkind = squeeze1\n[verify]\ncount = 5\n"),
+        pytest.param(["phase"], "[DEFAULT]\nbogus = 1\n", id="default-alone"),
+        pytest.param(["phase"], "[DEFAULT]\nR = 2\n[path]\nkind = squeeze1\n", id="default-before-path"),
+        pytest.param(
+            ["verify"], "[DEFAULT]\nR = 2\n[path]\nkind = squeeze1\n[verify]\ncount = 5\n",
+            id="default-before-path-and-verify",
+        ),
     ],
 )
 def test_config_default_section_is_an_unknown_section(tmp_path, capsys, argv, ini):
