@@ -1,11 +1,11 @@
-"""Internal quadrature engines.
+"""Internal quadrature: one engine and one node set.
 
-Adaptive and fixed-panel Gauss-Kronrod (7, 15) rules for line integrals over
-[a, b], plus tanh-sinh nodes for integrals of analytic, rapidly decaying
-integrands on a finite window. The Kronrod constants are hardcoded; the test
-suite validates them by polynomial exactness (degree 22 for K15, 13 for G7).
-The adaptive engine returns after a first panel that meets the tolerance, and
-otherwise keeps its P panels in a heap ordered by error: a split costs O(log P).
+An adaptive Gauss-Kronrod (7, 15) rule for line integrals over [a, b], plus
+tanh-sinh nodes for integrals of analytic, rapidly decaying integrands on a
+finite window. The Kronrod constants are hardcoded; the test suite validates
+them by polynomial exactness (degree 22 for K15, 13 for G7). The adaptive
+engine returns after a first panel that meets the tolerance, and otherwise
+keeps its P panels in a heap ordered by error: a split costs O(log P).
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ import numpy as np
 from .symplectic_core import _is_integer
 
 __all__ = [
+    "NonFiniteIntegrand",
     "QuadratureBudgetExceeded",
     "adaptive_gauss_kronrod",
-    "fixed_gauss_kronrod",
     "tanh_sinh_nodes",
 ]
 
@@ -70,6 +70,10 @@ G7_WEIGHTS_EMBEDDED = _g7_full  # zero rows at pure-Kronrod nodes
 _EPS = float(np.finfo(float).eps)
 
 
+class NonFiniteIntegrand(ValueError):
+    """The integrand, or a path sample or tangent behind it, is non-finite at a node."""
+
+
 class QuadratureBudgetExceeded(RuntimeError):
     """Raised when the evaluation cap is reached before the tolerance."""
 
@@ -88,9 +92,11 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
 
     Returns the K15 values and |K15 - G7| estimates: scalars for float a and b,
     one per panel for 1-D arrays. f maps the node array to an array of
-    integrand values of the same shape.
+    integrand values of the same shape; a non-finite value raises
+    NonFiniteIntegrand naming its first node.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # float ends keep the first panel on Python floats: arrays add ~10% to a circle phase
     if isinstance(a, np.ndarray):
         grid = mid[:, None] + half[:, None] * GK15_NODES
     else:
@@ -102,6 +108,9 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
             f"integrand returned shape {vals.shape} for {nodes.size} nodes; "
             f"expected {nodes.shape}"
         )
+    finite = np.isfinite(vals)
+    if not np.logical_and.reduce(finite):
+        raise NonFiniteIntegrand(f"integrand is non-finite at t={nodes[np.argmax(~finite)]}")
     vals = vals.reshape(grid.shape)
     # row-wise reductions give each panel the same sum whatever the panel
     # count, where a matrix-vector product may not
@@ -138,9 +147,12 @@ def adaptive_gauss_kronrod(
     Returns (value, error_estimate, evaluations), where evaluations counts
     nodes. Panels are accumulated in left-endpoint order so the reduction is
     deterministic. Raises QuadratureBudgetExceeded if max_evals is reached
-    first, and ValueError unless tol is positive and finite and max_evals an
-    integer (bool is not a count).
+    first, NonFiniteIntegrand at the first call that returns a non-finite
+    value, and ValueError unless a and b are finite, tol is positive and
+    finite and max_evals an integer (bool is not a count).
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if tol == math.inf:
@@ -176,25 +188,6 @@ def adaptive_gauss_kronrod(
     return _left_sum(p[3] for p in heap), _left_sum(-p[0] for p in heap), evals
 
 
-def fixed_gauss_kronrod(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    panels: int = 64,
-) -> tuple[float, float, int]:
-    """Composite G7K15 over equal panels. Returns (value, error, evaluations).
-
-    f takes the array of all 15 * panels nodes in one call and returns the
-    integrand values as an array of the same shape. The panel sums are added
-    in panel order.
-    """
-    if not _is_integer(panels) or panels < 1:
-        raise ValueError("panel count must be >= 1")
-    edges = np.linspace(a, b, panels + 1)
-    values, errors = _panels(f, edges[:-1], edges[1:])
-    return _left_sum(values.tolist()), _left_sum(errors.tolist()), 15 * panels
-
-
 @functools.lru_cache(maxsize=16)
 def tanh_sinh_nodes(points: int, tmax: float = 4.0) -> tuple[np.ndarray, np.ndarray, float]:
     """Tanh-sinh nodes and weights on (-1, 1) and the widest node gap; cached, arrays read-only.
@@ -202,8 +195,8 @@ def tanh_sinh_nodes(points: int, tmax: float = 4.0) -> tuple[np.ndarray, np.ndar
     The transform x = tanh((pi/2) sinh t) with a uniform t-grid gives
     spectral accuracy for integrands analytic on the interval.
     """
-    if points < 2:
-        raise ValueError("need at least 2 points")
+    if not _is_integer(points) or points < 2:
+        raise ValueError(f"need an integer of at least 2 points, got {points!r}")
     t = np.linspace(-tmax, tmax, points)
     st = 0.5 * np.pi * np.sinh(t)
     x = np.tanh(st)

@@ -33,7 +33,7 @@ import numpy as np
 from . import oracles
 from ._quadrature import QuadratureBudgetExceeded
 from .gaussian_states import OscParams
-from .geometric_phase import ADAPTIVE, PhaseResult, QuadSpec, integrate_phase, polygon_phase
+from .geometric_phase import PhaseResult, QuadSpec, integrate_phase, polygon_phase
 from .sp4_closed_form import Sp4Generator
 from .squeeze_paths import _magnitude, squeeze_circle_path, reference_phase
 from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _is_integer
@@ -135,10 +135,8 @@ class RunConfig:
     hbar: float = _setting("path", "hbar", _float, "hbar", 1.0)
     lengths: tuple[float, ...] = _setting("path", "lengths", _floats, "length", (1.0,))
     samples: str | None = _setting("path", "samples", _text, "samples", None)
-    quad_kind: str = _setting("quadrature", "kind", _text, None, ADAPTIVE)
     tol: float = _setting("quadrature", "tol", _float, "tol", 1e-10)
     max_evals: int = _setting("quadrature", "max_evals", _int, None, 10**6)
-    panels: int = _setting("quadrature", "panels", _int, None, 64)
     format: str = _setting("output", "format", _text, "format", "json")
     out: str | None = _setting("output", "out", _text, "out", None)
     sweep_R: tuple[float, ...] = _setting("sweep", "R", _floats, None, ())
@@ -150,9 +148,7 @@ class RunConfig:
     inject_fault: str | None = _setting("verify", "inject_fault", _text, "inject_fault", None)
 
     def quad(self) -> QuadSpec:
-        return QuadSpec(
-            kind=self.quad_kind, tol=self.tol, max_evals=self.max_evals, panels=self.panels
-        )
+        return QuadSpec(tol=self.tol, max_evals=self.max_evals)
 
 
 # (section, key) -> (RunConfig field, parser, flag dest), in field order

@@ -33,6 +33,7 @@ from .symplectic_core import (
     INTERLEAVED,
     SympMatrix,
     _asymmetry,
+    _is_integer,
     _mode_count,
     _real_array,
     symplectic_residual,
@@ -241,7 +242,7 @@ class OverlapGrid:
     halfwidth_sigmas: float = 10.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.points, (int, np.integer)) or self.points < 200:
+        if not _is_integer(self.points) or self.points < 200:
             raise ValueError(f"need an integer of at least 200 quadrature points, got {self.points!r}")
         if not math.isfinite(self.halfwidth_sigmas):
             raise ValueError(f"window halfwidth must be finite, got {self.halfwidth_sigmas!r}")

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import adaptive_gauss_kronrod, fixed_gauss_kronrod
+from ._quadrature import NonFiniteIntegrand, adaptive_gauss_kronrod
 from .gaussian_states import OscParams, _check_modes, _covariance_stack, _unit_conversion, _vacuum_frame
 from .symplectic_core import (
     DEFAULT_TOL_SYMP,
@@ -39,9 +39,6 @@ from .symplectic_core import (
 )
 
 __all__ = [
-    "ADAPTIVE",
-    "FIXED",
-    "NonFiniteIntegrand",
     "NotBZeroForm",
     "QuadSpec",
     "PhaseResult",
@@ -54,9 +51,6 @@ __all__ = [
     "check_canonical_invariance",
 ]
 
-ADAPTIVE = "adaptive"
-FIXED = "fixed"
-
 # construction-time sample points for path validation, shared read-only
 _PARAM_SAMPLES = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
 _PARAM_SAMPLES.setflags(write=False)
@@ -66,34 +60,24 @@ _B_ZERO_TOL = 1e-12
 _INV_TRANSPOSE_TOL = 1e-10
 
 
-class NonFiniteIntegrand(ValueError):
-    """A path sample or tangent produced a non-finite connection value."""
-
-
 class NotBZeroForm(ValueError):
     """The path leaves the zero-upper-right-block family."""
 
 
 @dataclasses.dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature choice: adaptive refinement or a fixed composite rule."""
+    """Adaptive G7K15 settings: error tolerance and evaluation budget."""
 
-    kind: str = ADAPTIVE
     tol: float = 1e-10
     max_evals: int = 10**6
-    panels: int = 64
 
     def __post_init__(self) -> None:
-        if self.kind not in (ADAPTIVE, FIXED):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol!r}")
         if self.tol == math.inf:
             raise ValueError(f"tolerance must be finite, got {self.tol!r}")
         if not _is_integer(self.max_evals) or self.max_evals < 15:
             raise ValueError(f"budget must be an integer >= 15 (one panel), got {self.max_evals!r}")
-        if not _is_integer(self.panels) or self.panels < 1:
-            raise ValueError(f"panel count must be an integer >= 1, got {self.panels!r}")
 
 
 _DEFAULT_QUAD = QuadSpec()  # frozen, so every caller can share it
@@ -307,7 +291,7 @@ def _integrate(
     """Every phase integral runs here: kernel(Ms, dMs) on each sampled pair at hbar = l = 1,
     integrated over [0, 1], with check(stack, ts) run on every evaluated physical stack if given.
 
-    The engines are looked up in this module's namespace at each call, so a
+    The engine is looked up in this module's namespace at each call, so a
     wrapper installed there sees every engine call and its integrand nodes.
     """
     quad = _DEFAULT_QUAD if quad is None else quad
@@ -316,16 +300,10 @@ def _integrate(
 
     def f(ts: np.ndarray) -> np.ndarray:
         Ms, dMs = path._sample(ts, check)
-        values = kernel(Ms / q, dMs / q)
-        if not np.logical_and.reduce(np.isfinite(values)):
-            bad = ts[np.argmax(~np.isfinite(values))]
-            raise NonFiniteIntegrand(f"integrand is non-finite at t={bad}")
-        return values
+        with np.errstate(over="ignore", invalid="ignore"):  # the engine reports non-finite values
+            return kernel(Ms / q, dMs / q)
 
-    if quad.kind == ADAPTIVE:
-        value, error, evals = adaptive_gauss_kronrod(f, 0.0, 1.0, tol=quad.tol, max_evals=quad.max_evals)
-    else:
-        value, error, evals = fixed_gauss_kronrod(f, 0.0, 1.0, panels=quad.panels)
+    value, error, evals = adaptive_gauss_kronrod(f, 0.0, 1.0, tol=quad.tol, max_evals=quad.max_evals)
     return PhaseResult(value=value, error_estimate=error, evaluations=evals)
 
 

@@ -849,8 +849,8 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
             id="custom-samples-modes",
         ),
         pytest.param(["phase"], "[path]\nkind = spiral\n", "unknown path kind 'spiral'", id="path-kind"),
-        pytest.param(
-            ["phase"], "[quadrature]\nkind = simpson\n", "unknown quadrature kind 'simpson'",
+        pytest.param(  # a removed key, also for a command that reads no [quadrature]
+            ["expm"], "[quadrature]\nkind = adaptive\n", "<ini>:2: unknown key 'kind' in [quadrature]",
             id="quadrature-kind",
         ),
         pytest.param(
@@ -882,9 +882,17 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
             ["phase"], "[quadrature]\nmax_evals = 14\n", "budget must be an integer >= 15 (one panel), got 14",
             id="quadrature-max-evals",
         ),
-        pytest.param(
-            ["phase"], "[quadrature]\npanels = 0\n", "panel count must be an integer >= 1, got 0",
+        pytest.param(  # a removed key
+            ["phase"], "[quadrature]\npanels = 64\n", "<ini>:2: unknown key 'panels' in [quadrature]",
             id="quadrature-panels",
+        ),
+        pytest.param(
+            ["sweep", "--R", "1"], "[quadrature]\nkind = fixed\n", "<ini>:2: unknown key 'kind' in [quadrature]",
+            id="quadrature-kind-on-sweep",
+        ),
+        pytest.param(
+            ["verify"], "[quadrature]\npanels = 64\n", "<ini>:2: unknown key 'panels' in [quadrature]",
+            id="quadrature-panels-on-verify",
         ),
         pytest.param(["verify"], "[verify]\ncount = 0\n", "verify count must be >= 1", id="verify-count"),
         pytest.param(
@@ -930,7 +938,7 @@ _ONE_CHECK = "[verify]\nchecks = symplectic\ncount = 2\n"
         pytest.param(["verify", "--length", "1", "--length", "2"], _ONE_CHECK, 0, id="verify-length-flags"),
         pytest.param(["expm", "--tol", "0"], None, 0, id="expm-tol-flag"),
         pytest.param(
-            ["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\nkind = simpson\n[sweep]\nR = -1\n", 0,
+            ["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\ntol = -1\n[sweep]\nR = -1\n", 0,
             id="expm-path-quadrature-sweep",
         ),
         pytest.param(  # still parsed
@@ -1103,3 +1111,18 @@ def test_readme_settings_table_matches_the_declarations():
             assert f"`--{dest.replace('_', '-')}`" in flags[where]
         elif where != ("sweep", "R"):  # build_config's special case: --R on sweep sets the grid
             assert flags[where] == "-"
+
+
+def test_readme_example_config_runs_as_a_sweep(tmp_path, capsys):
+    # a key removed from the code but left in the README's example fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("Example config:")[1].split("```ini\n")[1].split("```")[0]
+    cfg = tmp_path / "example.ini"
+    cfg.write_text(example)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    header, *rows = out.splitlines()
+    assert err == ""
+    assert header == "R,hbar,l1,gamma_quadrature,gamma_reference,deviation,status,seed"
+    assert [float(row.split(",")[0]) for row in rows] == [0.25, 0.5, 1.0, 2.0]
+    assert all(row.split(",")[6] == "ok" for row in rows)

@@ -215,7 +215,7 @@ def test_weyl_amplitude_vector_length_check():
         weyl_amplitude(_identity(2), OscParams(1.0, (1.0, 1.0)), [0.1], [0.2, 0.3])
 
 
-@pytest.mark.parametrize("points", [300.5, 400.0, "400"])
+@pytest.mark.parametrize("points", [300.5, 400.0, "400", True])
 def test_overlap_grid_rejects_non_integer_points(points):
     with pytest.raises(ValueError, match="integer"):
         OverlapGrid(points=points)

@@ -1,4 +1,5 @@
 """Phase line integrals: direct, boundary, and reduced forms, plus path checks."""
+import dataclasses
 import inspect
 import re
 import warnings
@@ -9,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympberry import (
-    ADAPTIVE,
-    FIXED,
     GROUPED,
     NonFiniteIntegrand,
     NotBZeroForm,
@@ -38,6 +37,8 @@ from sympberry.symplectic_core import LieAlgElement
 
 UNIT_PARAMS = OscParams(1.0, (1.0,))
 REFERENCE_R1 = -4.3388468454428593  # -pi sinh(1)^2
+# the nodes of the adaptive rule's first split: both halves of [0, 1]
+SPLIT_NODES = np.concatenate([0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES])
 
 
 def _constant_path(n=1):
@@ -71,24 +72,20 @@ def test_connection_integrand_shape_checks(rng, random_symplectic):
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("panels", 2.5),
-        ("panels", 64.0),
         ("max_evals", 1e6),
         ("max_evals", "45"),
-        ("panels", True),  # bool is a subclass of int, but not a count
-        ("max_evals", True),
+        ("max_evals", True),  # bool is a subclass of int, but not a count
         ("max_evals", np.True_),
     ],
 )
 def test_quad_spec_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match="integer"):
-        QuadSpec(kind=FIXED, **{field: value})
-    assert QuadSpec(kind=FIXED, **{field: np.int64(64)}).kind == FIXED
+        QuadSpec(**{field: value})
+    assert QuadSpec(**{field: np.int64(64)}).max_evals == 64
 
 
 def test_quad_spec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(kind="simpson")
+    assert [f.name for f in dataclasses.fields(QuadSpec)] == ["tol", "max_evals"]
     with pytest.raises(ValueError):
         QuadSpec(tol=0.0)
     for tol, reason in ((np.inf, "finite"), (np.nan, "positive"), (-np.inf, "positive")):
@@ -96,8 +93,6 @@ def test_quad_spec_validation():
             QuadSpec(tol=tol)
     with pytest.raises(ValueError):
         QuadSpec(max_evals=10)
-    with pytest.raises(ValueError):
-        QuadSpec(panels=0)
 
 
 def test_phase_result_validation():
@@ -147,13 +142,6 @@ def test_integrate_phase_squeeze_circle():
     result = integrate_phase(path, UNIT_PARAMS)
     assert result.value == pytest.approx(REFERENCE_R1, rel=1e-10)
     assert result.evaluations == 15  # constant integrand: one panel
-
-
-def test_integrate_phase_fixed_rule():
-    path = squeeze_circle_path(1, 1.0, UNIT_PARAMS)
-    result = integrate_phase(path, UNIT_PARAMS, QuadSpec(kind=FIXED, panels=32))
-    assert result.evaluations == 32 * 15
-    assert result.value == pytest.approx(REFERENCE_R1, rel=1e-10)
 
 
 def test_integrate_phase_nonfinite_tangent():
@@ -474,7 +462,7 @@ def test_batch_path_builds_no_sympmatrix_at_nodes(monkeypatch):
     monkeypatch.setattr(SympMatrix, "__post_init__", counting)
     for path, p in paths:
         integrate_phase(path, p)
-        integrate_phase(path, p, QuadSpec(kind=FIXED, panels=4))
+        path.sample(SPLIT_NODES)
     assert built == []
 
 
@@ -532,8 +520,23 @@ def test_batch_nonfinite_tangent():
     path = _circle_with(tangent_batch=lambda ts: np.full((len(ts), 2, 2), np.nan))
     with pytest.raises(NonFiniteIntegrand, match="t="):
         integrate_phase(path, UNIT_PARAMS)
-    with pytest.raises(NonFiniteIntegrand):
-        integrate_phase(path, UNIT_PARAMS, QuadSpec(kind=FIXED, panels=3))
+
+
+def test_infinite_tangent_is_reported_without_warning():
+    base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
+
+    def tangent_batch(ts):
+        dMs = base.tangent_batch(ts).copy()
+        dMs[ts > 0.6] = np.inf
+        return dMs
+
+    path = _circle_with(tangent_batch=tangent_batch)
+    first = 0.5 + 0.5 * 0.20778495500789847  # first panel node above 0.6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for integral in (integrate_phase, integrate_phase_boundary_form):
+            with pytest.raises(NonFiniteIntegrand, match=f"^integrand is non-finite at t={first}$"):
+                integral(path, UNIT_PARAMS)
 
 
 def test_batch_nonfinite_sample_names_first_node():
@@ -640,8 +643,9 @@ def test_stacked_evaluator_without_tangent_is_the_per_point_stencil(n):
     for a, b in zip(stacked.sample(ts), per_point.sample(ts)):
         assert np.array_equal(a, b)
     for integral in (integrate_phase, integrate_phase_boundary_form):
-        for quad in (None, QuadSpec(kind=FIXED, panels=3)):
-            assert _triple(integral(stacked, p, quad)) == _triple(integral(per_point, p, quad))
+        result = integral(stacked, p)
+        assert result.evaluations > 15  # refined: several integrand calls
+        assert _triple(result) == _triple(integral(per_point, p))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -699,11 +703,12 @@ def test_batch_and_loop_sampling_agree():
     for modes, R, p in _circle_cases():
         batch = squeeze_circle_path(modes, R, p)
         loop = SympPath(n=modes, eval=batch.eval, tangent=batch.derivative, closed=True)
-        for quad in (QuadSpec(), QuadSpec(kind=FIXED, panels=5)):
-            a = integrate_phase(batch, p, quad)
-            b = integrate_phase(loop, p, quad)
-            assert a.evaluations == b.evaluations
-            assert a.value == pytest.approx(b.value, rel=1e-13)
+        a = integrate_phase(batch, p)
+        b = integrate_phase(loop, p)
+        assert a.evaluations == b.evaluations
+        assert a.value == pytest.approx(b.value, rel=1e-13)
+        for x, y in zip(batch.sample(SPLIT_NODES), loop.sample(SPLIT_NODES)):
+            np.testing.assert_allclose(x, y, rtol=1e-13, atol=0)
 
 
 def test_integrate_phase_mode_mismatch():
@@ -715,8 +720,9 @@ def test_integrate_phase_mode_mismatch():
 
 
 INTEGRALS = (integrate_phase, integrate_phase_boundary_form, phase_b_zero)
-RULES = {ADAPTIVE: QuadSpec(), FIXED: QuadSpec(kind=FIXED, panels=3)}
-ENGINES = ("adaptive_gauss_kronrod", "fixed_gauss_kronrod")
+# the default rule and a tighter tolerance, with the shear loop's evaluation count under each
+RULES = {"adaptive": QuadSpec(), "adaptive-tol-1e-13": QuadSpec(tol=1e-13)}
+SHEAR_LOOP_EVALUATIONS = {"adaptive": 165, "adaptive-tol-1e-13": 225}
 B_ZERO_PARAMS = OscParams(0.9, (1.1, 0.8))
 
 
@@ -728,53 +734,47 @@ def _shear_loop():
     return b_zero_loop(K0, G0, G1)
 
 
-@pytest.mark.parametrize("kind", RULES)
+@pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("integral", INTEGRALS)
-def test_integrals_share_budget_finiteness_and_counts(integral, kind):
-    loop = _shear_loop()
-    if kind == ADAPTIVE:
-        with pytest.raises(QuadratureBudgetExceeded):
-            integral(loop, B_ZERO_PARAMS, QuadSpec(max_evals=15))
-    else:
-        for panels in (1, 2, 7):
-            quad = QuadSpec(kind=FIXED, panels=panels)
-            assert integral(loop, B_ZERO_PARAMS, quad).evaluations == 15 * panels
-    nan_tangents = SympPath(
-        n=2,
-        closed=True,
-        eval_batch=loop.eval_batch,
-        tangent_batch=lambda ts: np.full((ts.size, 4, 4), np.nan),
-    )
-    with pytest.raises(NonFiniteIntegrand, match=r"^integrand is non-finite at t=0\.\d+$"):
-        integral(nan_tangents, B_ZERO_PARAMS, RULES[kind])
+def test_integrals_share_budget_finiteness_and_counts(integral, rule):
+    loop, quad = _shear_loop(), RULES[rule]
+    with pytest.raises(QuadratureBudgetExceeded):
+        integral(loop, B_ZERO_PARAMS, QuadSpec(tol=quad.tol, max_evals=15))
+    assert integral(loop, B_ZERO_PARAMS, quad).evaluations == SHEAR_LOOP_EVALUATIONS[rule]
+    for bad in (np.nan, np.inf):
+        broken = SympPath(
+            n=2,
+            closed=True,
+            eval_batch=loop.eval_batch,
+            tangent_batch=lambda ts, bad=bad: np.full((ts.size, 4, 4), bad),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIntegrand, match=r"^integrand is non-finite at t=0\.\d+$"):
+                integral(broken, B_ZERO_PARAMS, quad)
 
 
-@pytest.mark.parametrize("kind", RULES)
+@pytest.mark.parametrize("rule", RULES)
 @pytest.mark.parametrize("integral", INTEGRALS)
-def test_integrals_call_one_engine_through_the_module_namespace(monkeypatch, integral, kind):
-    # bench/tracing.py counts engine calls and integrand nodes by rebinding these
-    # names in geometric_phase; an integral holding its own reference would hide both
-    calls = dict.fromkeys(ENGINES, 0)
-    nodes = []
-    for name in ENGINES:
-        engine = getattr(geometric_phase, name)
+def test_integrals_call_one_engine_through_the_module_namespace(monkeypatch, integral, rule):
+    # bench/tracing.py counts engine calls and integrand nodes by rebinding this
+    # name in geometric_phase; an integral holding its own reference would hide both
+    calls, nodes = [], []
+    engine = geometric_phase.adaptive_gauss_kronrod
 
-        def counting(f, *args, _name=name, _engine=engine, **kwargs):
-            calls[_name] += 1
+    def counting(f, *args, **kwargs):
+        calls.append(f)
 
-            def seen(ts):
-                nodes.extend(ts)
-                return f(ts)
+        def seen(ts):
+            nodes.extend(ts)
+            return f(ts)
 
-            return _engine(seen, *args, **kwargs)
+        return engine(seen, *args, **kwargs)
 
-        monkeypatch.setattr(geometric_phase, name, counting)
-    result = integral(_shear_loop(), B_ZERO_PARAMS, RULES[kind])
-    selected = ENGINES[0] if kind == ADAPTIVE else ENGINES[1]
-    assert calls == {name: int(name == selected) for name in ENGINES}
-    assert len(nodes) == result.evaluations
-    if kind == ADAPTIVE:
-        assert result.evaluations > 15  # refined, so more than one integrand call was seen
+    monkeypatch.setattr(geometric_phase, "adaptive_gauss_kronrod", counting)
+    result = integral(_shear_loop(), B_ZERO_PARAMS, RULES[rule])
+    assert len(calls) == 1
+    assert len(nodes) == result.evaluations > 15  # refined, so more than one integrand call was seen
 
 
 def _circle_knots(modes, R, p, knots):
@@ -851,10 +851,12 @@ def test_eval_calls_per_node():
     fd = SympPath(n=1, eval=counted, closed=True)
     analytic = SympPath(n=1, eval=counted, tangent=base.derivative, closed=True)
     for path, per_node in ((fd, 2), (analytic, 1)):
-        for quad in (QuadSpec(), QuadSpec(kind=FIXED, panels=4)):
-            calls.clear()
-            result = integrate_phase(path, UNIT_PARAMS, quad)
-            assert len(calls) == per_node * result.evaluations
+        calls.clear()
+        result = integrate_phase(path, UNIT_PARAMS)
+        assert len(calls) == per_node * result.evaluations
+        calls.clear()
+        path.sample(SPLIT_NODES)
+        assert len(calls) == per_node * SPLIT_NODES.size
 
 
 def test_benchmark_path_contract():
@@ -1003,8 +1005,7 @@ def test_b_zero_checks_the_samples_not_the_stencil_mean():
     loop = b_zero_loop(K0, G0, G1, g0_weight=0.4, scale=30.0)
     path = SympPath(n=2, eval_batch=loop.eval_batch, closed=True)
     p = OscParams(0.9, (1.1, 0.8))
-    quad = QuadSpec(kind=FIXED, panels=2)
-    ts = np.concatenate([0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES])
+    ts = SPLIT_NODES  # the first split's nodes, which the refining integrals below sample
     h = _fd_step(path)
 
     def d_resid(Ms):
@@ -1012,8 +1013,9 @@ def test_b_zero_checks_the_samples_not_the_stencil_mean():
 
     samples = np.array([path.eval(t).data for t in np.concatenate([ts + 0.5 * h, ts - 0.5 * h])])
     assert d_resid(path.sample(ts)[0]) > 1e-10 >= d_resid(samples)
-    reduced = phase_b_zero(path, p, quad)
-    assert abs(reduced.value - integrate_phase(path, p, quad).value) <= 1e-9
+    reduced = phase_b_zero(path, p)
+    assert reduced.evaluations > 15  # refined, so the integral sampled ts
+    assert abs(reduced.value - integrate_phase(path, p).value) <= 1e-9
 
 
 def test_b_zero_names_the_evaluated_t():

@@ -16,6 +16,7 @@ from sympberry import (
     squeeze_paths,
     symplectic_core,
 )
+from sympberry._quadrature import GK15_NODES
 from sympberry._random import random_generator, random_symmetric, random_symplectic
 from sympberry.cli import main
 from sympberry.oracles import _FAULT_SIZE, CHECKS, _generic_exp, b_zero_loop
@@ -154,16 +155,13 @@ _B_ZERO_FORMS = (
     geometric_phase.integrate_phase_boundary_form,
     geometric_phase.phase_b_zero,
 )
-_B_ZERO_RULES = (None, geometric_phase.QuadSpec(kind=geometric_phase.FIXED, panels=3))
+# two ends, an interior point, and the nodes of the adaptive rule's first split
+_B_ZERO_TS = np.concatenate([[0.0, 0.3, 1.0], 0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES])
 
 
 def _loop_results(loop, p):
-    ts = np.array([0.0, 0.3, 1.0])
-    phases = [
-        (r.value, r.error_estimate, r.evaluations)
-        for r in (form(loop, p, quad) for form in _B_ZERO_FORMS for quad in _B_ZERO_RULES)
-    ]
-    return loop.sample(ts), phases
+    phases = [(r.value, r.error_estimate, r.evaluations) for r in (form(loop, p) for form in _B_ZERO_FORMS)]
+    return loop.sample(_B_ZERO_TS), phases
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -246,8 +244,8 @@ def test_b_zero_loop_builds_no_sympmatrix_while_integrating(monkeypatch):
 
     monkeypatch.setattr(symplectic_core.SympMatrix, "__post_init__", counting)
     for form in _B_ZERO_FORMS:
-        for quad in _B_ZERO_RULES:
-            form(loop, OscParams(2.0, (0.5, 1.5)), quad)
+        assert form(loop, OscParams(2.0, (0.5, 1.5))).evaluations > 15  # refined
+    loop.sample(_B_ZERO_TS)
     assert built == []
 
 

@@ -10,11 +10,11 @@ from sympberry._quadrature import (
     G7_WEIGHTS_EMBEDDED,
     GK15_NODES,
     GK15_WEIGHTS,
+    NonFiniteIntegrand,
     QuadratureBudgetExceeded,
     _left_sum,
     _panels,
     adaptive_gauss_kronrod,
-    fixed_gauss_kronrod,
     tanh_sinh_nodes,
 )
 
@@ -195,33 +195,6 @@ def test_noisy_integrand_exhausts_the_budget_after_the_reference_count():
     assert info.value.error == pytest.approx(5.647856441532177e-11, rel=1e-12)
 
 
-def test_fixed_rule():
-    calls = []
-
-    def recorded(x):
-        calls.append(len(x))
-        return np.cos(x)
-
-    value, error, evals = fixed_gauss_kronrod(recorded, 0.0, np.pi / 2, panels=16)
-    assert calls == [16 * 15]
-    assert abs(value - 1.0) < 1e-14
-    assert evals == 16 * 15
-    assert error >= 0
-    with pytest.raises(ValueError):
-        fixed_gauss_kronrod(np.cos, 0.0, 1.0, panels=0)
-
-
-def test_fixed_rule_sums_panels_in_order():
-    f = lambda x: np.exp(-3 * x) * np.cos(20 * x)
-    edges = np.linspace(-0.5, 2.0, 7 + 1)
-    value = error = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = _panels(f, a, b)
-        value += float(v)
-        error += float(e)
-    assert fixed_gauss_kronrod(f, -0.5, 2.0, panels=7) == (value, error, 7 * 15)
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -233,8 +206,29 @@ def test_fixed_rule_sums_panels_in_order():
 def test_integrand_must_map_nodes_to_values(bad):
     with pytest.raises(ValueError, match="integrand returned shape"):
         adaptive_gauss_kronrod(bad, 0.0, 1.0)
-    with pytest.raises(ValueError, match="integrand returned shape"):
-        fixed_gauss_kronrod(bad, 0.0, 1.0, panels=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_integrand_stops_at_the_first_call(bad):
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x > 0.3, bad, 1.0)
+
+    nodes = 0.5 + 0.5 * GK15_NODES  # the first panel's nodes, ascending
+    first = nodes[nodes > 0.3][0]
+    with pytest.raises(NonFiniteIntegrand, match=f"^integrand is non-finite at t={first}$"):
+        adaptive_gauss_kronrod(f, 0.0, 1.0)
+    assert calls == [15]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, 0.0), (0.0, math.inf)])
+def test_non_finite_bound_is_refused_before_any_call(a, b):
+    calls = []
+    with pytest.raises(ValueError, match=r"^integration bounds must be finite, got \["):
+        adaptive_gauss_kronrod(lambda x: calls.append(x.size) or np.ones_like(x), a, b)
+    assert calls == []
 
 
 def test_tanh_sinh_gaussian_moment():
@@ -249,6 +243,9 @@ def test_tanh_sinh_gaussian_moment():
 def test_tanh_sinh_validation():
     with pytest.raises(ValueError):
         tanh_sinh_nodes(1)
+    for points in (2.5, True):  # a count is an integer, and bool is not one
+        with pytest.raises(ValueError, match=re.escape(f"got {points!r}")):
+            tanh_sinh_nodes(points)
 
 
 def test_tanh_sinh_nodes_are_cached_read_only():
@@ -259,12 +256,6 @@ def test_tanh_sinh_nodes_are_cached_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     assert tanh_sinh_nodes(400, 3.0)[0] is not x
-
-
-@pytest.mark.parametrize("panels", [True, np.True_, 2.0])
-def test_fixed_rule_refuses_a_non_integer_panel_count(panels):
-    with pytest.raises(ValueError, match="panel count must be >= 1"):
-        fixed_gauss_kronrod(np.cos, 0.0, 1.0, panels=panels)
 
 
 @pytest.mark.parametrize("max_evals", [True, np.True_, 1e6])
@@ -292,11 +283,6 @@ def test_left_sum_adds_left_to_right_on_every_python():
     assert _left_sum(_VALUES) == _VALUES_LEFT
     assert _left_sum(iter(_ERRORS)) == _ERRORS_LEFT
     assert repr(_left_sum([-0.0])) == "0.0"
-
-
-def test_fixed_rule_adds_its_panels_left_to_right(monkeypatch):
-    monkeypatch.setattr(_quadrature, "_panels", lambda f, a, b: (np.array(_VALUES), np.array(_ERRORS)))
-    assert fixed_gauss_kronrod(np.cos, 0.0, 1.0, panels=3) == (_VALUES_LEFT, _ERRORS_LEFT, 45)
 
 
 def test_adaptive_rule_adds_its_panels_left_to_right(monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from sympberry import (
     OscParams,
-    QuadSpec,
     SqueezeSpec,
     convert_ordering,
     exp_map,
@@ -291,7 +290,7 @@ def test_the_trig_cache_is_keyed_by_content_and_read_only():
     assert not c.flags.writeable and not s.flags.writeable
 
 
-def test_a_fixed_rule_caches_no_node_set_above_one_adaptive_call(monkeypatch):
+def test_no_node_set_above_one_adaptive_call_is_cached(monkeypatch):
     sizes = []
     cached = sp._cached_trig
 
@@ -301,9 +300,10 @@ def test_a_fixed_rule_caches_no_node_set_above_one_adaptive_call(monkeypatch):
 
     monkeypatch.setattr(sp, "_cached_trig", recording)
     cached.cache_clear()
-    for panels in (1, 2, 64):  # 15, 30 and 960 nodes
-        path = squeeze_circle_path(2, 1.0, UNIT_2)
-        integrate_phase(path, UNIT_2, QuadSpec(kind="fixed", panels=panels))
+    path = squeeze_circle_path(2, 1.0, UNIT_2)
+    integrate_phase(path, UNIT_2)  # one panel: 15 nodes
+    path.sample(np.concatenate([0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES]))  # a split: 30
+    path.sample(np.linspace(0.0, 1.0, 960))
     assert max(sizes) == 30 and 960 not in sizes
     assert cached.cache_info().maxsize == 8
     assert cached.cache_info().currsize == 3  # the construction points, 15 and 30 nodes
