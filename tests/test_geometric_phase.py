@@ -721,8 +721,8 @@ def test_integrate_phase_mode_mismatch():
 
 INTEGRALS = (integrate_phase, integrate_phase_boundary_form, phase_b_zero)
 # the default rule and a tighter tolerance, with the shear loop's evaluation count under each
-RULES = {"adaptive": QuadSpec(), "adaptive-tol-1e-13": QuadSpec(tol=1e-13)}
-SHEAR_LOOP_EVALUATIONS = {"adaptive": 165, "adaptive-tol-1e-13": 225}
+RULES = {"adaptive": QuadSpec(), "tight": QuadSpec(tol=1e-13)}
+SHEAR_LOOP_EVALUATIONS = {"adaptive": 165, "tight": 225}
 B_ZERO_PARAMS = OscParams(0.9, (1.1, 0.8))
 
 
