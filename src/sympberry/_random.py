@@ -9,7 +9,7 @@ import numpy as np
 
 from . import symplectic_core
 from .sp4_closed_form import Sp4Generator
-from .symplectic_core import LieAlgElement, SympMatrix
+from .symplectic_core import SympMatrix
 
 
 def random_symmetric(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -27,8 +27,12 @@ def random_generator(rng: np.random.Generator, scale: float = 1.0) -> Sp4Generat
     )
 
 
-def random_symplectic(rng: np.random.Generator, n: int, scale: float = 0.6) -> SympMatrix:
-    """exp_map of a bounded symmetric generator: always a valid group element."""
-    # looked up on the module, so that bench/tracing.py, which wraps the
-    # exp_map each library module binds, counts these calls too
-    return symplectic_core.exp_map(LieAlgElement(n, random_symmetric(rng, 2 * n, scale)))
+SYMPLECTIC_SCALE = 0.6  # entry bound of random_symplectic's symmetric generator
+
+
+def random_symplectic(rng: np.random.Generator, n: int, scale: float = SYMPLECTIC_SCALE) -> SympMatrix:
+    """exp(omega L) of a bounded symmetric L, by _expm on a stack of one: always a group element.
+
+    numpy only, like the stacked exponentials of ``sympberry verify``; exp_map would load scipy."""
+    H = symplectic_core.omega(n) @ random_symmetric(rng, 2 * n, scale)
+    return SympMatrix(n, symplectic_core._expm(H[None])[0])

@@ -6,7 +6,8 @@ of two independent routes to one quantity over inputs drawn from rng in a
 fixed order, and the bound it must stay under. fault perturbs one input by
 ``_FAULT_SIZE``, a negative control the check must catch. Library layers
 are called through their modules, so tracing that rebinds module functions
-sees these calls too; scipy.linalg is imported where it is used.
+sees these calls too. Every exponential here is the numpy stacked one,
+``symplectic_core._expm``, so ``sympberry verify`` loads no scipy.
 """
 from __future__ import annotations
 
@@ -16,11 +17,12 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian_states, geometric_phase, sp4_closed_form, squeeze_paths, symplectic_core
-from ._random import random_generator, random_symmetric, random_symplectic
+from ._random import SYMPLECTIC_SCALE, random_generator, random_symmetric, random_symplectic
 from .gaussian_states import OscParams
 from .geometric_phase import SympPath
 from .sp4_closed_form import DegenerateEigenvalues, Sp4Generator
 from .squeeze_paths import SqueezeSpec
+from .symplectic_core import DEFAULT_TOL_SYMP
 
 __all__ = ["CHECKS", "b_zero_loop", "expm_comparison"]
 
@@ -35,17 +37,15 @@ def b_zero_loop(
     A(t) = expm(sin(2 pi t) K0); G(t) = scale (w(t) G0 + (1 - cos 2 pi t) G1),
     symmetric and periodic for symmetric G0, G1, with w(t) = sin(2 pi t) or
     the constant g0_weight. Without G0 and G1, G = 0: no shear, C = 0. One
-    expm and one inverse per stack of samples, which its exact tangent reuses:
-    dA = 2 pi cos(2 pi t) K0 A, dD = -A^{-T} dA^T A^{-T}, dC = dG A + G dA.
+    stacked _expm and one inverse per stack of samples, which its exact tangent
+    reuses: dA = 2 pi cos(2 pi t) K0 A, dD = -A^{-T} dA^T A^{-T}, dC = dG A + G dA.
     """
-    import scipy.linalg
-
     @functools.lru_cache(maxsize=1)
     def stacks(key: bytes) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (M, dM/dt) stacks at the ts whose float bytes are key."""
         angle = 2.0 * np.pi * np.frombuffer(key)[:, None, None]
         s, c = np.sin(angle), np.cos(angle)
-        A = scipy.linalg.expm(s * K0)
+        A = symplectic_core._expm(s * K0)
         dA = 2.0 * np.pi * c * (K0 @ A)
         M, dM = np.zeros((2, angle.size, 4, 4))
         M[:, :2, :2], dM[:, :2, :2] = A, dA
@@ -71,15 +71,13 @@ def _worst(deviations) -> float:
 
 
 def _generic_exp(gs) -> np.ndarray:
-    """scipy.linalg.expm of each generator's U = diag(J, J) L, in one call on the (k, 4, 4) stack."""
-    import scipy.linalg
-
+    """The generic exponential of each generator's U = diag(J, J) L, one _expm of the (k, 4, 4) stack."""
     a, b, c = (np.array([getattr(g, name) for g in gs]) for name in "abc")
-    return scipy.linalg.expm(sp4_closed_form._JJ @ np.block([[a, b], [b.swapaxes(1, 2), c]]))
+    return symplectic_core._expm(sp4_closed_form._JJ @ np.block([[a, b], [b.swapaxes(1, 2), c]]))
 
 
 def expm_comparison(g: Sp4Generator) -> tuple:
-    """closed_form_exp(g) against scipy.linalg.expm of its U.
+    """closed_form_exp(g) against the generic exponential of its U.
 
     Returns (closed form, branch taken, generic exponential, max |difference|).
     """
@@ -89,7 +87,11 @@ def expm_comparison(g: Sp4Generator) -> tuple:
 
 
 def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """closed_form_exp per draw against scipy.linalg.expm, which runs once on the stacked draws."""
+    """closed_form_exp per draw against the generic exponential, which runs once on the stacked draws.
+
+    A degenerate draw (a = c = 0) takes the fallback, which exponentiates U with the same
+    _expm: there the check covers the branch choice and the assembly of U, and the mpmath
+    tests stay the independent oracle of the exponential itself."""
     gs, closed = [], []
     n_degenerate = max(20, count // 5)
     for i in range(count + n_degenerate):
@@ -120,8 +122,11 @@ def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tu
 
 
 def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """Squeezes and random_symplectic per draw against symplectic_residual, once per mode count."""
-    stacks = [[], []]
+    """Squeezes and random group elements per draw against symplectic_residual, once per mode count.
+
+    The random elements are random_symplectic's, drawn in its order: one _expm per mode count
+    exponentiates them, and a group check at SympMatrix's tolerance raises ValueError as it would."""
+    stacks, generators = ([], []), ([], [])
     p1 = OscParams(1.0, (1.0,))
     p2 = OscParams(1.0, (1.0, 1.0))
     for i in range(count):
@@ -129,12 +134,21 @@ def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tupl
         th = rng.uniform(0.0, 2.0 * np.pi)
         M1 = squeeze_paths.squeeze_matrix_n1(SqueezeSpec(1, r, th, p1)).data
         M2 = squeeze_paths.squeeze_matrix_n2(SqueezeSpec(2, r, th, p2)).data
-        M3 = random_symplectic(rng, 1).data
-        M4 = random_symplectic(rng, 2).data
+        generators[0].append(random_symmetric(rng, 2, SYMPLECTIC_SCALE))
+        generators[1].append(random_symmetric(rng, 4, SYMPLECTIC_SCALE))
         if fault and i == 0:
             M1 = M1 + _FAULT_SIZE
-        stacks[0] += M1, M3
-        stacks[1] += M2, M4
+        stacks[0].append(M1)
+        stacks[1].append(M2)
+    for n, (stack, Ls) in enumerate(zip(stacks, generators), start=1):
+        form = symplectic_core.omega(n)
+        Ms = symplectic_core._expm(form @ np.array(Ls))
+        failure = symplectic_core._group_failure(Ms, form, DEFAULT_TOL_SYMP)
+        if failure is not None:
+            i, resid, det = failure
+            raise ValueError(f"random {n}-mode element {i} fails the group check at tolerance "
+                             f"{DEFAULT_TOL_SYMP:.1e}: residual {resid:.3e}, determinant {det!r}")
+        stack.extend(Ms)
     return _worst([symplectic_core.symplectic_residual(stack) for stack in stacks]), 1e-9
 
 

@@ -7,9 +7,10 @@ structure [[alpha_1 I, beta_1 J d], [-beta_1 J d^T, gamma_1 I]] with
 d = a J b + b J c, which every power S^k inherits. Summing even and odd
 powers separately yields exp(U) in closed form from six scalar series whose
 closed forms involve only cosh/sinh at the square roots of the two
-eigenvalues of S. The generic dense exponential (symplectic_core.exp_map)
-serves as the oracle throughout, and takes over when the eigenvalues
-degenerate and the closed-form denominators vanish.
+eigenvalues of S. When the eigenvalues degenerate and the closed-form
+denominators vanish, the generic stacked exponential (symplectic_core._expm)
+takes over on U. The same _expm is the oracle of ``sympberry verify`` and
+``sympberry expm``; the mpmath tests are the independent oracle of both.
 
 Formula pitfalls validated against the oracle are recorded in NOTES.md.
 """
@@ -27,10 +28,9 @@ from .symplectic_core import (
     INTERLEAVED,
     LieAlgElement,
     SympMatrix,
+    _expm,
     _is_integer,
     _real_array,
-    exp_map,
-    gamma_permutation,
     omega_interleaved,
 )
 
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 _JJ = omega_interleaved(2)  # diag(J, J)
-_GAMMA = gamma_permutation(2)  # interleaved -> grouped mode permutation
-_GAMMA.setflags(write=False)
 _EYE = (1.0, 0.0, 0.0, 1.0)
 _CLOSED_FORM_TOL = 1e-9
 _IMAG_RESIDUE_TOL = 1e-10
@@ -347,16 +345,13 @@ def closed_form_exp(
     """exp(diag(J, J) L) for a two-mode generator, interleaved ordering.
 
     Uses the closed-form series sums when the eigenvalues are separated;
-    otherwise falls back to the generic dense exponential on the
-    grouped-ordering conjugate and converts back. With return_branch=True
-    also reports which route was taken.
+    otherwise falls back to the generic exponential of U, a stack of one.
+    With return_branch=True also reports which route was taken.
     """
     try:
         coeffs = series_coefficients(g)
     except DegenerateEigenvalues:
-        grouped = LieAlgElement(2, _GAMMA @ g.lie_element().data @ _GAMMA.T)
-        M = exp_map(grouped, tol=_CLOSED_FORM_TOL)
-        result = SympMatrix(2, _GAMMA.T @ M.data @ _GAMMA, INTERLEAVED, _CLOSED_FORM_TOL)
+        result = SympMatrix(2, _expm(g.u_matrix()[None])[0], INTERLEAVED, _CLOSED_FORM_TOL)
         return (result, BRANCH_FALLBACK) if return_branch else result
     result = SympMatrix(2, _assemble(g, coeffs), INTERLEAVED, _CLOSED_FORM_TOL)
     return (result, BRANCH_CLOSED_FORM) if return_branch else result

@@ -1,15 +1,18 @@
-"""closed_form_exp against a 40-digit mpmath exponential, through the degeneracy threshold.
+"""closed_form_exp and the generic stacked exponential against a 40-digit mpmath exponential.
 
 The families put det a = det c exactly (c is the adjugate of a) and scale b by
 eps, so d = a J b + b J c and with it the eigenvalue gap of S scale with eps:
 the sweep eps = 1e-1 ... 1e-10 crosses the switch to the generic fallback at
-|lambda_+ - lambda_-| = 1e-8 max(1, |lambda_+|, |lambda_-|).
+|lambda_+ - lambda_-| = 1e-8 max(1, |lambda_+|, |lambda_-|). The generic
+exponential, symplectic_core._expm, is the fallback and the oracle of
+``sympberry verify``; mpmath is the independent oracle of both.
 """
 import mpmath
 import numpy as np
 import pytest
 
-from sympberry import BRANCH_CLOSED_FORM, BRANCH_FALLBACK, Sp4Generator, closed_form_exp
+from sympberry import BRANCH_CLOSED_FORM, BRANCH_FALLBACK, Sp4Generator, closed_form_exp, omega
+from sympberry.symplectic_core import _THETA13, _expm
 
 _DPS = 40
 _REL_TOL = 1e-12
@@ -94,3 +97,23 @@ def test_large_b_against_mpmath(size):
         err, branch = _relative_error(g)
         assert branch == BRANCH_CLOSED_FORM
         assert err <= _REL_TOL, (b, err)
+
+
+_EXPM_REL_TOL = 16 * np.finfo(float).eps  # the worst draw below measured 2.8 eps
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_expm_against_mpmath(n, scale):
+    # exp(omega L) of five symmetric L with entries in [-scale, scale], as one stack
+    rng = np.random.default_rng([n, int(100 * scale)])
+    X = rng.uniform(-scale, scale, size=(5, 2 * n, 2 * n))
+    H = omega(n) @ ((X + X.transpose(0, 2, 1)) / 2.0)
+    if scale == 2.0 and n == 4:  # a 1-norm past theta_13: the squarings run
+        assert np.abs(H).sum(axis=1).max() > _THETA13
+    for h, e in zip(H, _expm(H)):
+        with mpmath.workdps(_DPS):
+            ref = mpmath.expm(mpmath.matrix(h.tolist()))
+            err = max(abs(mpmath.mpf(float(x)) - ref[i, j]) for (i, j), x in np.ndenumerate(e))
+            size = max(abs(x) for x in ref)
+            assert float(err / size) <= _EXPM_REL_TOL

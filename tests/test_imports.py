@@ -1,4 +1,5 @@
-"""`import sympberry` stays numpy-only; scipy.linalg loads at its first use.
+"""`import sympberry` stays numpy-only, as do `sympberry verify` and `sympberry expm`;
+scipy.linalg loads at its first use.
 
 mpmath, a test dependency (the closed-form exponential's 40-digit oracle),
 is never loaded by the package.
@@ -61,6 +62,24 @@ def test_cli_circle_phase_loads_no_scipy(child_env):
     assert out["code"] == 0
     assert out["gamma"] == pytest.approx(sympberry.reference_phase(2, 2.0), rel=1e-8)
     assert out["scipy"] == []
+
+
+def test_cli_verify_and_expm_load_no_scipy(child_env):
+    out = _child_json(
+        """
+        import contextlib, io
+        import sympberry.cli
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            codes.append(sympberry.cli.main(["verify", "--seed", "0"]))
+            codes.append(sympberry.cli.main(["expm", "--block-a=0.3,-0.1,-0.1,0.5"]))
+            codes.append(sympberry.cli.main(["expm"]))
+        passed = sum(line.startswith("[PASS]") for line in buf.getvalue().splitlines())
+        print(json.dumps({"codes": codes, "passed": passed, "scipy": scipy_modules()}))
+        """,
+        child_env,
+    )
+    assert out == {"codes": [0, 0, 0], "passed": 7, "scipy": []}  # all seven checks ran
 
 
 def test_first_exp_map_loads_scipy_linalg(child_env):

@@ -4,7 +4,6 @@ import types
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from sympberry import (
     OscParams,
@@ -132,12 +131,13 @@ def test_b_zero_loop_samples_keep_the_block_form():
 
 
 def _b_zero_loop_per_point(K0, G0=None, G1=None, *, g0_weight=None, scale=1.0):
-    """b_zero_loop as it was before its samples came in stacks: one expm, one inverse and
-    one SympMatrix per point. The reference the stacked loop must reproduce bitwise."""
+    """b_zero_loop as it was before its samples came in stacks: one expm (a stack of one),
+    one inverse and one SympMatrix per point. The reference the stacked loop must reproduce
+    bitwise."""
 
     def eval_path(t):
         s = np.sin(2.0 * np.pi * t)
-        A = scipy.linalg.expm(s * K0)
+        A = symplectic_core._expm((s * K0)[None])[0]
         M = np.zeros((4, 4))
         M[:2, :2] = A
         M[2:, 2:] = np.linalg.inv(A).T
@@ -224,8 +224,8 @@ def test_b_zero_loop_tangent_reuses_the_samples_expm(monkeypatch):
     rng = np.random.default_rng(0)
     loop = b_zero_loop(rng.uniform(-0.7, 0.7, size=(2, 2)), random_symmetric(rng, 2), random_symmetric(rng, 2))
     shapes = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda X: shapes.append(X.shape) or expm(X))
+    expm = symplectic_core._expm
+    monkeypatch.setattr(symplectic_core, "_expm", lambda X: shapes.append(X.shape) or expm(X))
     Ms, dMs = loop.sample(np.linspace(0.0, 1.0, 15))
     assert shapes == [(15, 2, 2)]
     assert not (Ms.flags.writeable or dMs.flags.writeable)
@@ -261,6 +261,11 @@ def test_overlap_check_sees_the_displacement_phase_factor(monkeypatch):
     assert residual > 0.1
 
 
+def _expm_one(X):
+    """The generic exponential of one matrix: _expm on a stack of one."""
+    return symplectic_core._expm(X[None])[0]
+
+
 # The per-draw loops as they were before each check compared its draws in one stacked route:
 # the reference the stacked checks must reproduce.
 def _closed_form_per_draw(rng, count, fault):
@@ -272,7 +277,7 @@ def _closed_form_per_draw(rng, count, fault):
             g = Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))
         g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and i == 0 else g
         M = sp4_closed_form.closed_form_exp(g_used)
-        worst = max(worst, float(np.max(np.abs(M.data - scipy.linalg.expm(g.u_matrix())))))
+        worst = max(worst, float(np.max(np.abs(M.data - _expm_one(g.u_matrix())))))
     return worst, 1e-9, None
 
 
@@ -320,7 +325,10 @@ _PER_DRAW = {
         _coefficients_per_draw,
         [(sp4_closed_form, "coeff_closed"), (sp4_closed_form, "coeff_recurrence")],
     ),
-    "symplectic": (_symplectic_per_draw, [(symplectic_core, "exp_map")]),
+    "symplectic": (
+        _symplectic_per_draw,
+        [(squeeze_paths, "squeeze_matrix_n1"), (squeeze_paths, "squeeze_matrix_n2")],
+    ),
 }
 
 
@@ -354,7 +362,7 @@ def test_stacked_check_matches_the_per_draw_loop(monkeypatch, check, seed, count
     elif check == "coefficients":
         assert counts["coeff_closed"] == 10 * count <= counts["coeff_recurrence"]
     else:
-        assert counts["exp_map"] == 2 * count  # one per random_symplectic
+        assert counts["squeeze_matrix_n1"] == counts["squeeze_matrix_n2"] == count
     assert tol == expected_tol
     assert (residual <= tol) == (expected <= tol) == (not fault)
     if scale is None:
@@ -364,12 +372,22 @@ def test_stacked_check_matches_the_per_draw_loop(monkeypatch, check, seed, count
         assert abs(residual - expected) <= 4.0 * np.finfo(float).eps * scale**2
 
 
+def test_symplectic_check_raises_on_a_random_element_off_the_group(monkeypatch):
+    # the stacked random elements get SympMatrix's group check and its ValueError
+    expm = symplectic_core._expm
+    off = lambda X: expm(X) + 1e-3 * (np.arange(len(X)) == 2)[:, None, None]
+    monkeypatch.setattr(symplectic_core, "_expm", off)
+    message = r"^random 1-mode element 2 fails the group check at tolerance 1\.0e-10: residual 1\.\d{3}e-03, "
+    with pytest.raises(ValueError, match=message):
+        CHECKS["symplectic"](np.random.default_rng(0), 5, False)
+
+
 def test_stacked_generic_exponential_equals_each_single_call():
     rng = np.random.default_rng(3)
     gs = [random_generator(rng) for _ in range(30)]
     gs += [Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))]
     stacked = _generic_exp(gs)
-    assert np.array_equal(stacked, np.array([scipy.linalg.expm(g.u_matrix()) for g in gs]))
+    assert np.array_equal(stacked, np.array([_expm_one(g.u_matrix()) for g in gs]))
 
 
 def _nan_on_call(call, poison):
@@ -386,7 +404,7 @@ def _nan_on_call(call, poison):
 
 def _nan_in_stacks(fn):
     """fn, with a NaN in its result on a (k, m, m) stack: the check's own stacked route, not
-    the 2-D calls inside the code under test (the fallback's exp_map, each SympMatrix check)."""
+    the 2-D calls inside the code under test (each SympMatrix check)."""
 
     def patched(M, *args, **kwargs):
         out = fn(M, *args, **kwargs)
@@ -405,7 +423,8 @@ _NAN_VALUE = lambda out: types.SimpleNamespace(value=np.nan)
 # check -> (module, function, patch) per route: the code under test, then its independent route
 _NAN_ROUTES = {
     ("closed_form", "code"): (sp4_closed_form, "closed_form_exp", _nan_on_call(2, _NAN_MATRIX)),
-    ("closed_form", "oracle"): (scipy.linalg, "expm", _nan_in_stacks),
+    # the fallback binds its own _expm, so only the check's stacked route goes through this one
+    ("closed_form", "oracle"): (symplectic_core, "_expm", _nan_in_stacks),
     ("coefficients", "code"): (
         sp4_closed_form, "coeff_closed", _nan_on_call(3, lambda c: (c[0], np.nan, c[2]))
     ),
@@ -413,7 +432,8 @@ _NAN_ROUTES = {
         sp4_closed_form, "coeff_recurrence", _nan_on_call(3, lambda c: (np.nan, c[1], c[2]))
     ),
     ("symplectic", "code"): (squeeze_paths, "squeeze_matrix_n2", _nan_on_call(1, _NAN_MATRIX)),
-    ("symplectic", "oracle"): (symplectic_core, "_residual", _nan_in_stacks),
+    # the residual the check reports; the group check of its random elements stays unpatched
+    ("symplectic", "oracle"): (symplectic_core, "symplectic_residual", _nan_in_stacks),
     ("two_form", "code"): (geometric_phase, "integrate_phase", _nan_on_call(1, _NAN_VALUE)),
     ("two_form", "oracle"): (
         geometric_phase, "integrate_phase_boundary_form", _nan_on_call(2, _NAN_VALUE)

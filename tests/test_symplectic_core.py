@@ -282,6 +282,56 @@ def test_product_of_exponentials_stays_symplectic(rng, random_symmetric):
         assert is_symplectic(prod.data, tol=1e-9)
 
 
+def _stacks_of_one(A):
+    return np.array([symplectic_core._expm(a[None])[0] for a in A])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_stacked_expm_slices_equal_stacks_of_one(m):
+    # 1-norms from 0.01 to 200 ask for 0 to about 6 squarings; a slice of the stack takes
+    # its own count, whatever the other slices need
+    rng = np.random.default_rng(m)
+    A = rng.uniform(-1.0, 1.0, size=(12, m, m)) * np.geomspace(0.01, 200.0 / m, 12)[:, None, None]
+    A[3] = np.diag(rng.uniform(-2.0, 2.0, size=m))
+    A[7] = 0.0
+    stacked = symplectic_core._expm(A)
+    assert np.array_equal(stacked, _stacks_of_one(A))
+    # normwise against scipy, itself up to 1.3e3 eps off here; the mpmath tests pin accuracy
+    reference = scipy.linalg.expm(A)
+    assert np.all(np.abs(stacked - reference).max(axis=(1, 2)) <= 1e-12 * np.abs(reference).max(axis=(1, 2)))
+
+
+def test_stacked_expm_is_exact_on_zero_and_diagonal_slices(rng):
+    d = rng.uniform(-3.0, 3.0, size=4)
+    A = np.stack([np.zeros((4, 4)), np.diag(d), 0.3 * random_symmetric(rng, 4)])
+    E = symplectic_core._expm(A)
+    assert np.array_equal(E[0], np.eye(4))  # exp(0) = I bit for bit
+    assert np.array_equal(E[1], np.diag(np.exp(d)))
+    assert np.array_equal(E[:2], scipy.linalg.expm(A[:2]))  # as scipy's diagonal shortcut
+    K = np.zeros((1, 4, 4))
+    K[0, :2, :2] = [[-0.1, 0.5], [-0.3, 0.1]]  # a zero block: exp of it is exactly I
+    assert np.array_equal(symplectic_core._expm(K)[0, 2:, :], np.eye(4)[2:])
+
+
+def test_stacked_expm_keeps_non_finite_slices_non_finite_unwarned():
+    # the suite turns every numpy warning into an error
+    finite = np.array([[0.2, 0.5], [-0.4, 0.1]])
+    bad = [
+        [[np.nan, 0.0], [0.0, 1.0]],  # NaN on the diagonal of a diagonal slice
+        [[0.0, np.inf], [1.0, 0.0]],
+        [[-np.inf, 0.0], [0.0, 0.0]],  # exp(-inf) = 0 would hide it
+        [[1e308, 1e308], [1e308, 1.0]],  # the 1-norm overflows
+        [[1e300, 1.0], [-1.0, 1.0]],  # about 1000 squarings
+        [[800.0, 1.0], [2.0, 700.0]],  # the squarings overflow
+        [[1000.0, 0.0], [0.0, 1.0]],  # exp of the diagonal overflows
+    ]
+    A = np.array([finite] + bad + [finite])
+    E = symplectic_core._expm(A)
+    assert not np.isfinite(E[1:-1]).all(axis=(1, 2)).any()
+    assert np.array_equal(E[0], E[-1]) and np.array_equal(E[:1], symplectic_core._expm(A[:1]))
+    assert np.array_equal(E, _stacks_of_one(A), equal_nan=True)
+
+
 # Every rejection of the validators, with its exception type and message.
 
 _NOT_SQUARE = np.zeros((2, 3))
