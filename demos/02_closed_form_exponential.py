@@ -3,7 +3,8 @@
 The two-mode exponential reduces to six scalar series sums in the
 eigenvalues of the generator's structured square. This script shows the
 reduction agreeing with scipy's expm, the coefficient recurrence agreeing
-with its closed form, and what happens at an eigenvalue degeneracy.
+with its closed form, and the scalar-square closed form at an eigenvalue
+degeneracy.
 """
 import numpy as np
 import scipy.linalg
@@ -42,17 +43,20 @@ for n in (1, 2, 5, 10):
     print(f"n = {n:2d}: max coefficient deviation {worst:.3e}")
 
 print("\n== the degenerate family ==")
-# a = c = 0 collapses both eigenvalues onto -det(b): the closed form's
-# denominator vanishes and the generic fallback takes over
+# a = c = 0 collapses both eigenvalues onto -det(b): the series sums'
+# denominator vanishes, but the square S = -det(b) I is scalar, so
+# exp(U) = cosh(sqrt(-det b)) I + sinhc(sqrt(-det b)) U still holds in
+# closed form; only a Jordan-type degeneracy (d != 0) needs a generic expm
 b = rng.uniform(-1, 1, size=(2, 2))
 g0 = Sp4Generator(a=np.zeros((2, 2)), b=b, c=np.zeros((2, 2)))
 M0, branch0 = closed_form_exp(g0, return_branch=True)
 print(f"a = c = 0 branch: {branch0}")
-print(f"fallback vs generic: {np.max(np.abs(M0.data - scipy.linalg.expm(g0.u_matrix()))):.3e}")
+print(f"scalar-square closed form vs generic: {np.max(np.abs(M0.data - scipy.linalg.expm(g0.u_matrix()))):.3e}")
 
-print("\n== same family, dedicated closed form ==")
-direct = squeeze_block_exp(b)
-print(f"dedicated route vs fallback: {np.max(np.abs(direct.data - M0.data)):.3e}")
+print("\n== same family, the scalar-square formula by hand ==")
+root = np.emath.sqrt(-np.linalg.det(b))  # imaginary when det b > 0: cos and sin / x
+by_hand = (np.cosh(root) * np.eye(4) + np.sinh(root) / root * g0.u_matrix()).real
+print(f"cosh I + sinhc U vs squeeze_block_exp: {np.max(np.abs(by_hand - squeeze_block_exp(b).data)):.3e}")
 print("diagonal blocks are cosh(sqrt(-det b)) I to the FIRST power;")
 print("see NOTES.md for the derivation pitfall this guards against")
 

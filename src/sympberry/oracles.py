@@ -89,9 +89,9 @@ def expm_comparison(g: Sp4Generator) -> tuple:
 def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
     """closed_form_exp per draw against the generic exponential, which runs once on the stacked draws.
 
-    A degenerate draw (a = c = 0) takes the fallback, which exponentiates U with the same
-    _expm: there the check covers the branch choice and the assembly of U, and the mpmath
-    tests stay the independent oracle of the exponential itself."""
+    A degenerate draw (a = c = 0) has the scalar square S = -det(b) I, which closed_form_exp
+    exponentiates as cosh(sqrt lam) I + sinhc(sqrt lam) U without _expm: those draws compare
+    two routes too, and the mpmath tests stay the independent oracle of both."""
     gs, closed = [], []
     n_degenerate = max(20, count // 5)
     for i in range(count + n_degenerate):

@@ -7,10 +7,12 @@ structure [[alpha_1 I, beta_1 J d], [-beta_1 J d^T, gamma_1 I]] with
 d = a J b + b J c, which every power S^k inherits. Summing even and odd
 powers separately yields exp(U) in closed form from six scalar series whose
 closed forms involve only cosh/sinh at the square roots of the two
-eigenvalues of S. When the eigenvalues degenerate and the closed-form
-denominators vanish, the generic stacked exponential (symplectic_core._expm)
-takes over on U. The same _expm is the oracle of ``sympberry verify`` and
-``sympberry expm``; the mpmath tests are the independent oracle of both.
+eigenvalues of S. When they degenerate the closed-form denominators vanish;
+a scalar square S = lam I (the two-mode squeeze a = c = 0 among others) then
+gives exp(U) = cosh(sqrt lam) I + sinhc(sqrt lam) U, and a Jordan-type
+degeneracy (d != 0) the generic stacked exponential (symplectic_core._expm)
+of U. That _expm is the oracle of ``sympberry verify`` and ``sympberry
+expm``; the mpmath tests are the independent oracle of every route.
 
 Formula pitfalls validated against the oracle are recorded in NOTES.md.
 """
@@ -344,32 +346,30 @@ def closed_form_exp(
 ) -> SympMatrix | tuple[SympMatrix, str]:
     """exp(diag(J, J) L) for a two-mode generator, interleaved ordering.
 
-    Uses the closed-form series sums when the eigenvalues are separated;
-    otherwise falls back to the generic exponential of U, a stack of one.
-    With return_branch=True also reports which route was taken.
+    Uses the closed-form series sums when the eigenvalues are separated. A
+    degenerate spectrum with a scalar square S = lam I (d exactly zero, det a
+    == det c) gives exp(U) = cosh(sqrt lam) I + sinhc(sqrt lam) U (NOTES.md);
+    a Jordan-type one (d != 0) the generic exponential of U, a stack of one.
+    With return_branch=True also reports the branch (spectrum case) taken.
     """
     try:
-        coeffs = series_coefficients(g)
+        coeffs, branch = series_coefficients(g), BRANCH_CLOSED_FORM
     except DegenerateEigenvalues:
-        result = SympMatrix(2, _expm(g.u_matrix()[None])[0], INTERLEAVED, _CLOSED_FORM_TOL)
-        return (result, BRANCH_FALLBACK) if return_branch else result
-    result = SympMatrix(2, _assemble(g, coeffs), INTERLEAVED, _CLOSED_FORM_TOL)
-    return (result, BRANCH_CLOSED_FORM) if return_branch else result
+        (det_a, det_b, det_c, _), coeffs, branch = g.invariants, None, BRANCH_FALLBACK
+        if det_a == det_c and not any(g._blocks[3]):  # a scalar square S = lam I (NOTES.md)
+            lam = complex(-(det_a + det_b))
+            ch, sc = map(_real_with_residue_check, _cosh_sinhc(lam), ("cosh", "sinhc"))
+            coeffs = SeriesCoefficients(ch, sc, 0.0, 0.0, ch, sc)
+    M = _expm(g.u_matrix()[None])[0] if coeffs is None else _assemble(g, coeffs)
+    result = SympMatrix(2, M, INTERLEAVED, _CLOSED_FORM_TOL)
+    return (result, branch) if return_branch else result
 
 
 def squeeze_block_exp(b) -> SympMatrix:
-    """Closed form of the a = c = 0 case, interleaved ordering.
+    """Closed form of the a = c = 0 case, interleaved ordering: closed_form_exp's scalar square.
 
-    There S = -det(b) I, so exp(U) has cosh(sqrt(-det b)) I on BOTH diagonal
-    blocks (a first power, not squared; see NOTES.md) and
-    sinh(sqrt(-det b))/sqrt(-det b) scaling J b (upper right) and J b^T
-    (lower left). The complex branch covers det b of either sign.
+    S = -det(b) I, so exp(U) has cosh(sqrt(-det b)) I on BOTH diagonal blocks (a
+    first power, not squared; see NOTES.md) and sinhc(sqrt(-det b)) scaling J b
+    (upper right) and J b^T (lower left); the complex branch covers either sign.
     """
-    b = _block22(b, "b")[1]
-    mu = complex(-_det22(b))
-    ch, sc = _cosh_sinhc(mu)
-    ch = _real_with_residue_check(ch, "diagonal scale")
-    sc = _real_with_residue_check(sc, "off-diagonal scale")
-    diag = (ch, 0.0, 0.0, ch)
-    M = _join22(diag, [sc * x for x in _j(b)], [sc * x for x in _j(_t(b))], diag)
-    return SympMatrix(2, M, INTERLEAVED, _CLOSED_FORM_TOL)
+    return closed_form_exp(Sp4Generator(a=np.zeros((2, 2)), b=b, c=np.zeros((2, 2))))

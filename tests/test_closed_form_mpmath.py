@@ -3,9 +3,11 @@
 The families put det a = det c exactly (c is the adjugate of a) and scale b by
 eps, so d = a J b + b J c and with it the eigenvalue gap of S scale with eps:
 the sweep eps = 1e-1 ... 1e-10 crosses the switch to the generic fallback at
-|lambda_+ - lambda_-| = 1e-8 max(1, |lambda_+|, |lambda_-|). The generic
-exponential, symplectic_core._expm, is the fallback and the oracle of
-``sympberry verify``; mpmath is the independent oracle of both.
+|lambda_+ - lambda_-| = 1e-8 max(1, |lambda_+|, |lambda_-|); there d != 0, a
+Jordan-type degeneracy. A scalar square S = lam I (d = 0, det a == det c) is
+degenerate too but keeps a closed form. The generic exponential,
+symplectic_core._expm, is the Jordan-type fallback and the oracle of
+``sympberry verify``; mpmath is the independent oracle of every route.
 """
 import mpmath
 import numpy as np
@@ -97,6 +99,28 @@ def test_large_b_against_mpmath(size):
         err, branch = _relative_error(g)
         assert branch == BRANCH_CLOSED_FORM
         assert err <= _REL_TOL, (b, err)
+
+
+@pytest.mark.parametrize("family", ["a-c-zero", "b-zero"])
+def test_scalar_square_against_mpmath(family):
+    # degenerate with S = lam I: d = 0 and det a == det c bit for bit, so closed_form_exp takes
+    # cosh(sqrt lam) I + sinhc(sqrt lam) U; lam of both signs, and under the sinhc Taylor cutoff
+    rng = np.random.default_rng(["a-c-zero", "b-zero"].index(family))
+    lams = []
+    for size in [1e-4, 0.5, 1.0, 2.0, 4.0, 6.0] * 2:
+        if family == "a-c-zero":
+            b = size * rng.uniform(-1, 1, size=(2, 2))
+            g = Sp4Generator(a=np.zeros((2, 2)), b=b, c=np.zeros((2, 2)))
+        else:
+            p, q = size * rng.uniform(-1, 1, size=2)
+            g = Sp4Generator(a=np.diag([p, q]), b=np.zeros((2, 2)), c=np.diag([q, p]))
+        det_a, det_b, det_c, _ = g.invariants
+        assert det_a == det_c and not g.d.any()
+        lams.append(-(det_a + det_b))
+        err, branch = _relative_error(g)
+        assert branch == BRANCH_FALLBACK
+        assert err <= _REL_TOL, (g, err)
+    assert min(lams) < 0 < max(lams) and min(map(abs, lams)) < 1e-6
 
 
 _EXPM_REL_TOL = 16 * np.finfo(float).eps  # the worst draw below measured 2.8 eps

@@ -114,6 +114,22 @@ def test_two_form_compares_two_routes():
     assert 0.0 < residual <= tol
 
 
+def test_closed_form_check_catches_a_wrong_scalar_square(monkeypatch):
+    # count 0: only the 20 degenerate a = c = 0 draws, whose square S is scalar, so
+    # closed_form_exp takes its cosh/sinhc route there and _expm runs on the oracle side only
+    residual, tol = CHECKS["closed_form"](np.random.default_rng([0, 0]), 0, False)
+    assert 0.0 < residual <= tol
+    cosh_sinhc = sp4_closed_form._cosh_sinhc
+    squared = lambda lam: (cosh_sinhc(lam)[0] ** 2, cosh_sinhc(lam)[1])  # the NOTES.md pitfall
+    monkeypatch.setattr(sp4_closed_form, "_cosh_sinhc", squared)
+    with pytest.raises(ValueError, match="^matrix fails the symplectic condition"):
+        CHECKS["closed_form"](np.random.default_rng([0, 0]), 0, False)
+    # without the group check of the result, the comparison with _expm fails the check
+    monkeypatch.setattr(sp4_closed_form, "SympMatrix", lambda n, M, *_: types.SimpleNamespace(data=M))
+    residual, tol = CHECKS["closed_form"](np.random.default_rng([0, 0]), 0, False)
+    assert residual > 1e3 * tol
+
+
 def test_b_zero_loop_samples_keep_the_block_form():
     rng = np.random.default_rng(8)
     om = omega(2)

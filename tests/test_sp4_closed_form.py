@@ -196,7 +196,7 @@ def test_spectrum_and_lie_element_cached_per_instance(monkeypatch):
     monkeypatch.setattr(LieAlgElement, "__post_init__", counting_post_init)
     degenerate.u_matrix()
     assert closed_form_exp(degenerate, return_branch=True)[1] == BRANCH_FALLBACK
-    assert built == []  # the fallback exponentiates U of the cached generator
+    assert built == []  # the degenerate branch builds no second generator
     assert degenerate.lie_element() is L
 
 
@@ -360,6 +360,30 @@ def test_closed_form_exp_degenerate_fallback(rng):
         assert branch == BRANCH_FALLBACK
         generic = scipy.linalg.expm(g.u_matrix())
         np.testing.assert_allclose(M.data, generic, atol=1e-9)
+
+
+# the eps = 1e-10 member of the real-pair gap sweep in test_closed_form_mpmath.py: c is the
+# adjugate of a, so det a == det c, but d = a J b + b J c != 0, a Jordan-type degeneracy
+_JORDAN = Sp4Generator(
+    a=np.array([[0.9, 0.2], [0.2, -0.4]]),
+    b=10.0**-10 * np.array([[0.47, -0.77], [-0.22, 0.03]]),
+    c=np.array([[-0.4, -0.2], [-0.2, 0.9]]),
+)
+
+
+def test_only_a_jordan_degeneracy_calls_the_generic_exponential(monkeypatch, rng):
+    calls = []
+    expm = sp4_closed_form._expm
+    monkeypatch.setattr(sp4_closed_form, "_expm", lambda X: calls.append(X.shape) or expm(X))
+    for _ in range(20):  # a = c = 0: S = -det(b) I, a scalar square
+        g = _zero_gen(rng.uniform(-1, 1, size=(2, 2)))
+        assert closed_form_exp(g, return_branch=True)[1] == BRANCH_FALLBACK
+    assert calls == []
+    det_a, _, det_c, _ = _JORDAN.invariants
+    assert det_a == det_c and _JORDAN.d.any()
+    M, branch = closed_form_exp(_JORDAN, return_branch=True)
+    assert branch == BRANCH_FALLBACK and calls == [(1, 4, 4)]
+    np.testing.assert_allclose(M.data, scipy.linalg.expm(_JORDAN.u_matrix()), atol=1e-9)
 
 
 # family crossing the eigenvalue-degeneracy locus; b scales through the
