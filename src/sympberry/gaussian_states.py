@@ -84,14 +84,22 @@ class OscParams:
     def from_mass_frequency(
         cls, hbar: float, masses: Sequence[float], frequencies: Sequence[float]
     ) -> "OscParams":
-        """Build lengths l_j = sqrt(hbar / (m_j omega_j))."""
+        """Lengths l_j = sqrt(hbar / (m_j omega_j)) in Python floats: a ValueError naming the input,
+        with no numpy warning, unless hbar, m, omega and each length are positive and finite."""
         m = np.asarray(masses, dtype=float)
         w = np.asarray(frequencies, dtype=float)
-        if m.shape != w.shape:
-            raise ValueError("masses and frequencies must have matching lengths")
-        if not (np.all(m > 0) and np.all(w > 0)):
-            raise ValueError("masses and frequencies must be positive")
-        return cls(hbar=hbar, lengths=tuple(np.sqrt(float(hbar) / (m * w))))
+        if m.shape != w.shape or m.ndim != 1:
+            raise ValueError("masses and frequencies must be flat sequences of matching lengths")
+        hbar, m, w = float(hbar), m.tolist(), w.tolist()
+        for name, values in (("hbar", [hbar]), ("masses", m), ("frequencies", w)):
+            if bad := [v for v in values if not (math.isfinite(v) and v > 0)]:
+                raise ValueError(f"{name} must be positive and finite, got {bad[0]!r}")
+        lengths = [math.sqrt(hbar / (mj * wj)) if mj * wj else math.inf for mj, wj in zip(m, w)]
+        for mj, wj, length in zip(m, w, lengths):
+            if not 0.0 < length < math.inf:
+                raise ValueError(f"mass {mj!r} and frequency {wj!r} give length {length!r}, "
+                                 "outside the float range")
+        return cls(hbar=hbar, lengths=tuple(lengths))
 
     @property
     def n(self) -> int:

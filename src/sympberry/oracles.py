@@ -3,10 +3,13 @@
 ``CHECKS`` maps each check name, in report order, to ``(rng, count, fault)
 -> (residual, tol)``: the worst disagreement (NaN if either route gives one)
 of two independent routes to one quantity over inputs drawn from rng in a
-fixed order, and the bound it must stay under. fault perturbs one input by
-``_FAULT_SIZE``, a negative control the check must catch. Library layers
-are called through their modules, so tracing that rebinds module functions
-sees these calls too. Every exponential here is the numpy stacked one,
+fixed order, and the bound it must stay under. A check takes its inputs from
+one array-bounded ``Generator.uniform`` call (the a = c = 0 draws, and each
+retry after a degenerate draw, take one more), bit for bit the draws of a
+per-draw loop (NOTES.md). fault perturbs one input by ``_FAULT_SIZE``, a
+negative control the check must catch. Library layers are called through
+their modules, so tracing that rebinds module functions sees these calls
+too. Every exponential here is the numpy stacked one,
 ``symplectic_core._expm``, so ``sympberry verify`` loads no scipy.
 """
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian_states, geometric_phase, sp4_closed_form, squeeze_paths, symplectic_core
-from ._random import SYMPLECTIC_SCALE, random_generator, random_symmetric, random_symplectic
+from ._random import SYMPLECTIC_SCALE, random_generators, random_symplectics, symmetric_part
 from .gaussian_states import OscParams
 from .geometric_phase import SympPath
 from .sp4_closed_form import DegenerateEigenvalues, Sp4Generator
@@ -92,17 +95,11 @@ def _check_closed_form(rng: np.random.Generator, count: int, fault: bool) -> tup
     A degenerate draw (a = c = 0) has the scalar square S = -det(b) I, which closed_form_exp
     exponentiates as cosh(sqrt lam) I + sinhc(sqrt lam) U without _expm: those draws compare
     two routes too, and the mpmath tests stay the independent oracle of both."""
-    gs, closed = [], []
-    n_degenerate = max(20, count // 5)
-    for i in range(count + n_degenerate):
-        if i < count:
-            g = random_generator(rng)
-        else:
-            # a = c = 0 forces the degenerate eigenvalue pair
-            g = Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))
-        g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and i == 0 else g
-        gs.append(g)
-        closed.append(sp4_closed_form.closed_form_exp(g_used).data)
+    zero = np.broadcast_to(0.0, (2, 2))  # read-only; a = c = 0 forces the degenerate pair
+    gs = random_generators(rng, count)
+    gs += [Sp4Generator(a=zero, b=b, c=zero) for b in rng.uniform(-1, 1, (max(20, count // 5), 2, 2))]
+    used = [Sp4Generator(a=gs[0].a, b=gs[0].b + _FAULT_SIZE, c=gs[0].c)] + gs[1:] if fault else gs
+    closed = [sp4_closed_form.closed_form_exp(g).data for g in used]
     return _worst(np.array(closed) - _generic_exp(gs)), 1e-9
 
 
@@ -110,13 +107,13 @@ def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tu
     """coeff_closed per draw and order against coeff_recurrence; one relative difference on the stack."""
     pairs = []
     while len(pairs) < 10 * count:
-        g = random_generator(rng)
-        g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and not pairs else g
-        try:
-            pairs += [(sp4_closed_form.coeff_recurrence(g, k), sp4_closed_form.coeff_closed(g_used, k))
-                      for k in range(1, 11)]
-        except DegenerateEigenvalues:
-            continue
+        for g in random_generators(rng, count - len(pairs) // 10):
+            g_used = Sp4Generator(a=g.a, b=g.b + _FAULT_SIZE, c=g.c) if fault and not pairs else g
+            try:
+                pairs += [(sp4_closed_form.coeff_recurrence(g, k),
+                           sp4_closed_form.coeff_closed(g_used, k)) for k in range(1, 11)]
+            except DegenerateEigenvalues:
+                continue
     exact, closed = np.array(pairs).swapaxes(0, 1)
     return _worst((exact - closed) / np.maximum(1.0, np.abs(exact))), 1e-9
 
@@ -124,25 +121,23 @@ def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tu
 def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
     """Squeezes and random group elements per draw against symplectic_residual, once per mode count.
 
-    The random elements are random_symplectic's, drawn in its order: one _expm per mode count
-    exponentiates them, and a group check at SympMatrix's tolerance raises ValueError as it would."""
-    stacks, generators = ([], []), ([], [])
+    One uniform call draws each r, angle, 2x2 and 4x4 generator in turn, as a per-draw loop would;
+    one _expm per mode count exponentiates the generators, with SympMatrix's group check and error."""
+    low, high = [0.0, 0.0] + [-SYMPLECTIC_SCALE] * 20, [2.0, 2 * np.pi] + [SYMPLECTIC_SCALE] * 20
+    X = rng.uniform(low, high, size=(count, 22))
+    stacks, generators = ([], []), (X[:, 2:6].reshape(-1, 2, 2), X[:, 6:].reshape(-1, 4, 4))
     p1 = OscParams(1.0, (1.0,))
     p2 = OscParams(1.0, (1.0, 1.0))
-    for i in range(count):
-        r = rng.uniform(0.0, 2.0)
-        th = rng.uniform(0.0, 2.0 * np.pi)
+    for i, (r, th) in enumerate(X[:, :2].tolist()):
         M1 = squeeze_paths.squeeze_matrix_n1(SqueezeSpec(1, r, th, p1)).data
         M2 = squeeze_paths.squeeze_matrix_n2(SqueezeSpec(2, r, th, p2)).data
-        generators[0].append(random_symmetric(rng, 2, SYMPLECTIC_SCALE))
-        generators[1].append(random_symmetric(rng, 4, SYMPLECTIC_SCALE))
         if fault and i == 0:
             M1 = M1 + _FAULT_SIZE
         stacks[0].append(M1)
         stacks[1].append(M2)
-    for n, (stack, Ls) in enumerate(zip(stacks, generators), start=1):
+    for n, (stack, L) in enumerate(zip(stacks, generators), start=1):
         form = symplectic_core.omega(n)
-        Ms = symplectic_core._expm(form @ np.array(Ls))
+        Ms = symplectic_core._expm(form @ symmetric_part(L))
         failure = symplectic_core._group_failure(Ms, form, DEFAULT_TOL_SYMP)
         if failure is not None:
             i, resid, det = failure
@@ -189,8 +184,7 @@ def _check_invariance(rng: np.random.Generator, count: int, fault: bool) -> tupl
     path = squeeze_paths.squeeze_circle_path(1, 1.0 + (_FAULT_SIZE if fault else 0.0), p)
     base = squeeze_paths.squeeze_circle_path(1, 1.0, p)
     gamma0 = geometric_phase.integrate_phase(base, p).value
-    for _ in range(min(count, 5)):
-        S0 = random_symplectic(rng, 1)
+    for S0 in random_symplectics(rng, 1, min(count, 5)):
         _, translated, _ = geometric_phase.check_canonical_invariance(path, S0, p)
         deviations.append(translated - gamma0)
     return _worst(deviations), 1e-8
@@ -199,9 +193,9 @@ def _check_invariance(rng: np.random.Generator, count: int, fault: bool) -> tupl
 def _check_b_zero(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
     """integrate_phase against phase_b_zero on one loop per draw; no stack. The fault scales G."""
     deviations = []
-    for i in range(min(count, 3)):
-        K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
-        G0, G1 = random_symmetric(rng, 2), random_symmetric(rng, 2)
+    bound = np.array([0.7, 1.0, 1.0])[:, None, None]  # the entries of K0, G0 and G1
+    X = rng.uniform(-bound, bound, size=(min(count, 3), 3, 2, 2))
+    for i, (K0, G0, G1) in enumerate(zip(X[:, 0], symmetric_part(X[:, 1]), symmetric_part(X[:, 2]))):
         plain = b_zero_loop(K0, G0, G1)
         special = b_zero_loop(K0, G0, G1, scale=1.0 + _FAULT_SIZE) if fault and i == 0 else plain
         full = geometric_phase.integrate_phase(plain, _P2)
@@ -213,13 +207,10 @@ def _check_b_zero(rng: np.random.Generator, count: int, fault: bool) -> tuple[fl
 def _check_overlap(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
     """numeric_overlap_n1 against the real weyl_amplitude as complex numbers, per draw; one reduction."""
     deviations = []
-    for i in range(min(count, 5)):
-        p = OscParams(float(rng.uniform(0.5, 2.0)), (float(rng.uniform(0.5, 2.0)),))
-        r = float(rng.uniform(0.2, 1.2))
-        th = float(rng.uniform(0.0, 2.0 * np.pi))
+    X = rng.uniform([0.5, 0.5, 0.2, 0.0, -1, -1], [2.0, 2.0, 1.2, 2 * np.pi, 1, 1], (min(count, 5), 6))
+    for i, (hbar, length, r, th, a, b) in enumerate(X.tolist()):
+        p = OscParams(hbar, (length,))
         M = squeeze_paths.squeeze_matrix_n1(SqueezeSpec(1, r, th, p))
-        a = float(rng.uniform(-1.0, 1.0))
-        b = float(rng.uniform(-1.0, 1.0))
         overlap = gaussian_states.numeric_overlap_n1(M, p, a, b)
         a_used = a + (_FAULT_SIZE if fault and i == 0 else 0.0)
         deviations.append(overlap - gaussian_states.weyl_amplitude(M, p, [a_used], [b]))

@@ -149,15 +149,10 @@ def _circle_constants(modes: int, R: float, params: OscParams) -> np.ndarray:
     return C * np.array([np.cosh(R), sh, sh])[:, None, None]
 
 
-def _circle_matrices(C: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """C0 + cos(angle) C1 + sin(angle) C2 for each angle: the squeeze closed form."""
-    C0, C1, C2 = C
-    return C0 + np.cos(angles)[:, None, None] * C1 + np.sin(angles)[:, None, None] * C2
-
-
 def _spec_matrix(spec: SqueezeSpec) -> SympMatrix:
-    C = _circle_constants(spec.modes, spec.R, spec.params)
-    return SympMatrix(spec.modes, _circle_matrices(C, np.array([spec.angle]))[0])
+    """C0 + cos(angle) C1 + sin(angle) C2: the squeeze closed form, as on the circle."""
+    C0, C1, C2 = _circle_constants(spec.modes, spec.R, spec.params)
+    return SympMatrix(spec.modes, C0 + np.cos(spec.angle) * C1 + np.sin(spec.angle) * C2)
 
 
 def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:

@@ -565,6 +565,7 @@ def test_custom_samples_missing_file(capsys):
 @pytest.mark.parametrize(
     "R,knots,modes,lengths",
     [(1.0, 33, 1, (1.0,)), (0.7, 32, 1, (1.0,)), (0.8, 65, 2, (0.7, 1.3))],
+    ids=["1.0-33-1-lengths0", "0.7-32-1-lengths1", "0.8-65-2-lengths2"],
 )
 def test_custom_samples_is_exact_geodesic_polygon(tmp_path, capsys, R, knots, modes, lengths):
     samples = tmp_path / "knots.json"
@@ -588,6 +589,7 @@ def test_custom_samples_is_exact_geodesic_polygon(tmp_path, capsys, R, knots, mo
         (["--length=0.7", "--length=1.3"], [0.7, 1.3]),
         (["--modes", "2", "--length=1.3", "--length=0.7"], [1.3, 0.7]),
     ],
+    ids=["flags0-lengths0", "flags1-lengths1", "flags2-lengths2", "flags3-lengths3"],
 )
 def test_custom_samples_file_fixes_the_mode_count(tmp_path, capsys, flags, lengths):
     samples = tmp_path / "knots.json"
@@ -605,6 +607,7 @@ def test_custom_samples_file_fixes_the_mode_count(tmp_path, capsys, flags, lengt
         (["--modes", "1"], "samples declare n=2, config modes=1"),
         (["--length=0.7", "--length=1.3", "--length=1.1"], "got 3 lengths for 2 mode(s)"),
     ],
+    ids=["flags0-samples declare n=2, config modes=1", "flags1-got 3 lengths for 2 mode(s)"],
 )
 def test_custom_samples_mode_count_disagreement_is_config_error(tmp_path, capsys, flags, message):
     samples = tmp_path / "knots.json"
@@ -761,6 +764,17 @@ _RANDOM_BLOCKS = ["--block-a=0.3,-0.2,-0.2,0.5", "--block-b=0.1,0.7,-0.4,0.2", "
         (["phase", "--kind", "squeeze1", "--R", "1", "--format", "csv"], "phase_squeeze1.csv"),
         (["sweep", "--config", str(_GOLDEN / "sweep_grid.ini"), "--format", "csv"], "sweep_grid.csv"),
         (["sweep", "--config", str(_GOLDEN / "sweep_error.ini"), "--format", "json"], "sweep_error.json"),
+    ],
+    ids=[
+        "args0-verify_seed0.txt",
+        "args1-expm_default.csv",
+        "args2-expm_default.json",
+        "args3-expm_random.csv",
+        "args4-expm_random.json",
+        "args5-phase_squeeze2.json",
+        "args6-phase_squeeze1.csv",
+        "args7-sweep_grid.csv",
+        "args8-sweep_error.json",
     ],
 )
 def test_cli_output_matches_its_golden_file(child_env, args, golden):

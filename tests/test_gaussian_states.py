@@ -63,6 +63,22 @@ def test_osc_params_from_mass_frequency():
         OscParams.from_mass_frequency(1.0, [-1.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "masses, frequencies, message",
+    [
+        ([1.0, np.inf], [1.0, 1.0], "masses must be positive and finite, got inf"),
+        ([1e-320], [1.0], "mass 1e-320 and frequency 1.0 give length inf, outside the float range"),
+        ([1e-320], [1e-320], "mass 1e-320 and frequency 1e-320 give length inf, outside the float range"),
+        ([1e300], [1e300], "mass 1e+300 and frequency 1e+300 give length 0.0, outside the float range"),
+    ],
+    ids=["inf-mass", "tiny-mass", "tiny-both", "huge-both"],
+)
+def test_from_mass_frequency_names_the_bad_input(masses, frequencies, message):
+    # one ValueError with Python floats in it, and no numpy warning (the suite makes one an error)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OscParams.from_mass_frequency(1.0, np.array(masses), frequencies)
+
+
 def test_covariance_matrix_validation(rng, random_symplectic):
     with pytest.raises(ValueError):
         CovarianceMatrix(1, np.array([[1.0, 0.1], [0.0, 1.0]]), DIMENSION_FULL)
@@ -98,6 +114,18 @@ def test_covariance_matrix_validation(rng, random_symplectic):
             (1, np.diag([1e308, 1.0]), QUADRATURE),
             "2 x covariance fails the symplectic purity condition: residual nan",
         ),
+    ],
+    ids=[
+        "args0-covariance contains non-finite entries",
+        "args1-covariance must be symmetric: asymmetry 1.000e-01",
+        "args2-2 x covariance fails the symplectic purity condition: residual 5.900e+01",
+        "args3-expected shape (2, 2), got (4, 4)",
+        "args4-covariance must be real-valued, got dtype complex128",
+        "args5-covariance must be real-valued, got dtype complex128",
+        "args6-covariance must be real-valued, got dtype object",
+        "args7-mode count must be a positive integer, got True",
+        "args8-2 x covariance fails the symplectic purity condition: residual inf",
+        "args9-2 x covariance fails the symplectic purity condition: residual nan",
     ],
 )
 def test_covariance_matrix_rejections(args, message):
@@ -244,7 +272,10 @@ def test_numeric_overlap_rejects_non_finite_displacements(a, b):
         numeric_overlap_n1(M, p, a, b)
 
 
-@pytest.mark.parametrize("a,b", [([float("inf")], [0.2]), ([0.1], [float("nan")])])
+@pytest.mark.parametrize(
+    "a,b", [([float("inf")], [0.2]), ([0.1], [float("nan")])],
+    ids=["a0-b0", "a1-b1"],
+)
 def test_weyl_amplitude_rejects_non_finite_displacements(a, b):
     M, p = _reference_setup()
     with pytest.raises(ValueError, match="displacements must be finite"):

@@ -77,6 +77,7 @@ def test_connection_integrand_shape_checks(rng, random_symplectic):
         ("max_evals", True),  # bool is a subclass of int, but not a count
         ("max_evals", np.True_),
     ],
+    ids=["max_evals-1000000.0", "max_evals-45", "max_evals-True", "max_evals-value3"],
 )
 def test_quad_spec_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match="integer"):
@@ -668,6 +669,7 @@ def test_any_evaluator_goes_with_any_tangent(n):
 @pytest.mark.parametrize(
     "ts, shape",
     [([], "(0,)"), (np.empty((0, 3)), "(0, 3)"), ([[0.1, 0.2]], "(1, 2)"), (0.5, "()")],
+    ids=["ts0-(0,)", "ts1-(0, 3)", "ts2-(1, 2)", "0.5-()"],
 )
 def test_sample_takes_a_nonempty_1d_array(ts, shape):
     circle = squeeze_circle_path(1, 0.7, UNIT_PARAMS)

@@ -11,12 +11,20 @@ from sympberry import (
     gaussian_states,
     geometric_phase,
     omega,
+    oracles,
     sp4_closed_form,
     squeeze_paths,
     symplectic_core,
 )
 from sympberry._quadrature import GK15_NODES
-from sympberry._random import random_generator, random_symmetric, random_symplectic
+from sympberry._random import (
+    SYMPLECTIC_SCALE,
+    random_generator,
+    random_generators,
+    random_symmetric,
+    random_symplectic,
+    random_symplectics,
+)
 from sympberry.cli import main
 from sympberry.oracles import _FAULT_SIZE, CHECKS, _generic_exp, b_zero_loop
 from sympberry.sp4_closed_form import DegenerateEigenvalues, Sp4Generator
@@ -404,6 +412,161 @@ def test_stacked_generic_exponential_equals_each_single_call():
     gs += [Sp4Generator(a=np.zeros((2, 2)), b=rng.uniform(-1, 1, size=(2, 2)), c=np.zeros((2, 2)))]
     stacked = _generic_exp(gs)
     assert np.array_equal(stacked, np.array([_expm_one(g.u_matrix()) for g in gs]))
+
+
+# The stream each check consumes, written out draw by draw with one uniform call per scalar or
+# matrix and (X + X.T) / 2 per symmetric block, as the checks drew before their inputs came
+# from one array-bounded uniform call. Each returns the bytes of the inputs that the check's
+# recorded calls (_STREAMS) must see, in call order.
+def _sym(X):
+    return (X + X.T) / 2.0
+
+
+def _generator_blocks(rng, scale=1.0):
+    a = _sym(rng.uniform(-scale, scale, size=(2, 2)))
+    b = rng.uniform(-scale, scale, size=(2, 2))
+    return a, b, _sym(rng.uniform(-scale, scale, size=(2, 2)))
+
+
+def _symplectic_element(rng, n, scale=SYMPLECTIC_SCALE):
+    return _expm_one(omega(n) @ _sym(rng.uniform(-scale, scale, size=(2 * n, 2 * n))))
+
+
+def _spec_bytes(spec):
+    return np.array([spec.R, spec.angle]).tobytes()
+
+
+def _closed_form_stream(rng, count):
+    blocks = [_generator_blocks(rng) for _ in range(count)]
+    zero = np.zeros((2, 2))
+    blocks += [(zero, rng.uniform(-1, 1, size=(2, 2)), zero) for _ in range(max(20, count // 5))]
+    return [np.array(abc).tobytes() for abc in blocks]
+
+
+def _coefficients_stream(rng, count):
+    seen, done = [], 0
+    while done < count:
+        abc = _generator_blocks(rng)
+        seen.append(np.array(abc).tobytes())
+        try:
+            sp4_closed_form.coeff_closed(Sp4Generator(*abc), 1)
+        except DegenerateEigenvalues:
+            continue
+        done += 1
+    return seen
+
+
+def _symplectic_stream(rng, count):
+    specs, Ls = [], ([], [])
+    for _ in range(count):
+        r = rng.uniform(0.0, 2.0)
+        th = rng.uniform(0.0, 2.0 * np.pi)
+        specs.append(_spec_bytes(SqueezeSpec(1, r, th, OscParams(1.0, (1.0,)))))
+        Ls[0].append(_sym(rng.uniform(-SYMPLECTIC_SCALE, SYMPLECTIC_SCALE, size=(2, 2))))
+        Ls[1].append(_sym(rng.uniform(-SYMPLECTIC_SCALE, SYMPLECTIC_SCALE, size=(4, 4))))
+    return specs + [(omega(n) @ np.array(L)).tobytes() for n, L in ((1, Ls[0]), (2, Ls[1]))]
+
+
+def _overlap_stream(rng, count):
+    seen = []
+    for _ in range(min(count, 5)):
+        p = OscParams(float(rng.uniform(0.5, 2.0)), (float(rng.uniform(0.5, 2.0)),))
+        r = float(rng.uniform(0.2, 1.2))
+        th = float(rng.uniform(0.0, 2.0 * np.pi))
+        a = float(rng.uniform(-1.0, 1.0))
+        b = float(rng.uniform(-1.0, 1.0))
+        seen += [_spec_bytes(SqueezeSpec(1, r, th, p)), np.array([p.hbar, *p.lengths, a, b]).tobytes()]
+    return seen
+
+
+def _b_zero_stream(rng, count):
+    seen = []
+    for _ in range(min(count, 3)):
+        K0 = rng.uniform(-0.7, 0.7, size=(2, 2))
+        G0 = _sym(rng.uniform(-1.0, 1.0, size=(2, 2)))
+        G1 = _sym(rng.uniform(-1.0, 1.0, size=(2, 2)))
+        seen.append(np.array([K0, G0, G1]).tobytes())
+    return seen
+
+
+def _invariance_stream(rng, count):
+    return [_symplectic_element(rng, 1).tobytes() for _ in range(min(count, 5))]
+
+
+# check -> (its per-draw stream, [(module, function, the bytes of a call's inputs or None)])
+_STREAMS = {
+    "closed_form": (
+        _closed_form_stream,
+        [(sp4_closed_form, "closed_form_exp", lambda g: np.array([g.a, g.b, g.c]).tobytes())],
+    ),
+    "coefficients": (
+        _coefficients_stream,
+        [(sp4_closed_form, "coeff_recurrence",
+          lambda g, k: np.array([g.a, g.b, g.c]).tobytes() if k == 1 else None)],
+    ),
+    "symplectic": (
+        _symplectic_stream,
+        [(squeeze_paths, "squeeze_matrix_n1", _spec_bytes), (symplectic_core, "_expm", lambda X: X.tobytes())],
+    ),
+    "overlap": (
+        _overlap_stream,
+        [
+            (squeeze_paths, "squeeze_matrix_n1", _spec_bytes),
+            (gaussian_states, "numeric_overlap_n1",
+             lambda M, p, a, b: np.array([p.hbar, *p.lengths, a, b]).tobytes()),
+        ],
+    ),
+    "b_zero": (
+        _b_zero_stream,
+        [(oracles, "b_zero_loop", lambda K0, G0, G1, **_: np.array([K0, G0, G1]).tobytes())],
+    ),
+    "invariance": (
+        _invariance_stream,
+        [(geometric_phase, "check_canonical_invariance", lambda path, S0, p: S0.data.tobytes())],
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [1, 7, 200])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("check", list(_STREAMS))
+def test_check_consumes_the_per_draw_stream(monkeypatch, check, seed, count):
+    # the inputs the code under test sees, bytewise, and the generator's state afterwards
+    stream, calls = _STREAMS[check]
+    per_draw = np.random.default_rng([seed, 0])
+    expected = stream(per_draw, count)
+    seen = []
+    for module, name, inputs in calls:
+        def recording(*args, _fn=getattr(module, name), _inputs=inputs, **kwargs):
+            if (key := _inputs(*args, **kwargs)) is not None:
+                seen.append(key)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    stacked = np.random.default_rng([seed, 0])
+    CHECKS[check](stacked, count, False)
+    assert seen == expected
+    assert stacked.bit_generator.state == per_draw.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_draws_equal_count_one_calls(n):
+    # k draws of one stack are k calls of the count = 1 helper, which draws as it always did
+    for seed in range(10):
+        k = 1 + seed % 4
+        rngs = [np.random.default_rng([seed, n]) for _ in range(3)]
+        stacked = random_symplectics(rngs[0], n, k)
+        assert [M.data.tobytes() for M in stacked] == [random_symplectic(rngs[1], n).data.tobytes()
+                                                       for _ in range(k)]
+        assert [M.data.tobytes() for M in stacked] == [_symplectic_element(rngs[2], n).tobytes()
+                                                       for _ in range(k)]
+        gs = random_generators(rngs[0], k, 0.5 * n)
+        singles = [random_generator(rngs[1], 0.5 * n) for _ in range(k)]
+        blocks = [_generator_blocks(rngs[2], 0.5 * n) for _ in range(k)]
+        for g, single, abc in zip(gs, singles, blocks):
+            assert np.array([g.a, g.b, g.c]).tobytes() == np.array([single.a, single.b, single.c]).tobytes()
+            assert np.array([g.a, g.b, g.c]).tobytes() == np.array(abc).tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
 
 
 def _nan_on_call(call, poison):

@@ -92,7 +92,7 @@ def test_bad_tolerance():
         adaptive_gauss_kronrod(np.exp, 0.0, 1.0, tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [math.inf, np.inf, np.float64("inf")])
+@pytest.mark.parametrize("tol", [math.inf, np.inf, np.float64("inf")], ids=["inf0", "inf1", "inf2"])
 def test_infinite_tolerance_is_rejected(tol):
     with pytest.raises(ValueError, match="^tolerance must be finite$"):
         adaptive_gauss_kronrod(np.exp, 0.0, 1.0, tol=tol)
@@ -258,7 +258,7 @@ def test_tanh_sinh_nodes_are_cached_read_only():
     assert tanh_sinh_nodes(400, 3.0)[0] is not x
 
 
-@pytest.mark.parametrize("max_evals", [True, np.True_, 1e6])
+@pytest.mark.parametrize("max_evals", [True, np.True_, 1e6], ids=["True", "max_evals1", "1000000.0"])
 def test_adaptive_rule_refuses_a_non_integer_budget(max_evals):
     calls = []
 

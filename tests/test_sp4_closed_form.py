@@ -56,6 +56,16 @@ def test_generator_validation():
         (dict(a=np.zeros((2, 2), dtype=complex)), "block a must be real-valued, got dtype complex128"),
         (dict(c=np.array([[1 + 0j, 0], [0, 1]], dtype=object)), "block c must be real-valued, got dtype object"),
     ],
+    ids=[
+        "blocks0-block a must be 2x2, got shape (3, 3)",
+        "blocks1-block a must be 2x2, got shape (2, 3)",
+        "blocks2-block b contains non-finite entries",
+        "blocks3-block b contains non-finite entries",
+        "blocks4-block c must be symmetric: asymmetry 5.000e-01",
+        "blocks5-block b must be real-valued, got dtype complex128",
+        "blocks6-block a must be real-valued, got dtype complex128",
+        "blocks7-block c must be real-valued, got dtype object",
+    ],
 )
 def test_generator_rejections(blocks, message):
     full = {name: np.zeros((2, 2)) for name in "abc"} | blocks
@@ -277,7 +287,7 @@ def test_closed_coefficients_match_recurrence(rng, random_generator):
 
 
 @pytest.mark.parametrize("coeffs", [coeff_recurrence, coeff_closed])
-@pytest.mark.parametrize("power", [True, np.True_, 2.0, 0, -1])
+@pytest.mark.parametrize("power", [True, np.True_, 2.0, 0, -1], ids=["True", "power1", "2.0", "0", "-1"])
 def test_coefficient_power_must_be_a_positive_integer(rng, random_generator, coeffs, power):
     # a bool is an int subclass but no count, as everywhere else in the package
     g = _nondegenerate(rng, random_generator)
@@ -490,7 +500,10 @@ def test_overflowing_coefficients_are_a_value_error():
         assert type(info.value) is ValueError
 
 
-@pytest.mark.parametrize("a, b", [(np.diag([1e200, 1.0]), np.zeros((2, 2))), (np.zeros((2, 2)), np.diag([1e200, 1e200]))])
+@pytest.mark.parametrize(
+    "a, b", [(np.diag([1e200, 1.0]), np.zeros((2, 2))), (np.zeros((2, 2)), np.diag([1e200, 1e200]))],
+    ids=["a0-b0", "a1-b1"],
+)
 def test_an_overflowing_spectrum_is_a_value_error(a, b):
     # (det a)^2 overflows a Python float; det b = inf leaves lam_p - lam_m NaN
     g = Sp4Generator(a=a, b=b, c=np.zeros((2, 2)))

@@ -394,6 +394,31 @@ def _with(value):
         ((True, np.eye(2)), "mode count must be a positive integer, got True"),
         ((np.True_, np.eye(2)), "mode count must be a positive integer, got np.True_"),
     ],
+    ids=[
+        "args0-mode count must be a positive integer, got 1.0",
+        "args1-mode count must be a positive integer, got '1'",
+        "args2-mode count must be a positive integer, got 0",
+        "args3-symplectic matrix must be square, got shape (2, 3)",
+        "args4-symplectic matrix must be square, got shape (2,)",
+        "args5-symplectic matrix contains non-finite entries",
+        "args6-symplectic matrix contains non-finite entries",
+        "args7-symplectic matrix contains non-finite entries",
+        "args8-symplectic matrix contains non-finite entries",
+        "args9-expected shape (2, 2), got (4, 4)",
+        "args10-expected shape (2, 2), got (4, 4)",
+        "args11-unknown ordering 'xp'",
+        "args12-matrix fails the symplectic condition: residual 3.000e+00 exceeds tolerance 1.000e-10",
+        "args13-matrix fails the symplectic condition: residual 3.000e+00 exceeds tolerance 1.000e-03",
+        "args14-determinant 1.000001 deviates from 1 beyond 1e-08",
+        "args15-expected shape (2, 2), got (4, 4)",
+        "args16-symplectic matrix must be real-valued, got dtype complex128",
+        "args17-symplectic matrix must be real-valued, got dtype complex64",
+        "args18-symplectic matrix must be real-valued, got dtype complex128",
+        "args19-symplectic matrix must be real-valued, got dtype object",
+        "args20-matrix fails the symplectic condition: residual inf exceeds tolerance 1.000e-10",
+        "args21-mode count must be a positive integer, got True",
+        "args22-mode count must be a positive integer, got np.True_",
+    ],
 )
 def test_sympmatrix_rejections(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
@@ -420,6 +445,20 @@ def test_sympmatrix_rejections(args, message):
         ((1, np.full((4, 4), np.nan)), "generator contains non-finite entries"),
         ((2, np.full((2, 3), np.nan)), "generator must be square, got shape (2, 3)"),
         ((True, np.eye(2)), "mode count must be a positive integer, got True"),
+    ],
+    ids=[
+        "args0-mode count must be a positive integer, got 1.5",
+        "args1-generator must be square, got shape (2, 3)",
+        "args2-generator contains non-finite entries",
+        "args3-generator contains non-finite entries",
+        "args4-expected shape (2, 2), got (4, 4)",
+        "args5-generator must be symmetric: asymmetry 5.000e-01 exceeds 1e-12",
+        "args6-expected shape (2, 2), got (4, 4)",
+        "args7-generator must be real-valued, got dtype complex128",
+        "args8-generator contains non-finite entries",
+        "args9-generator contains non-finite entries",
+        "args10-generator must be square, got shape (2, 3)",
+        "args11-mode count must be a positive integer, got True",
     ],
 )
 def test_lie_alg_element_rejections(args, message):
