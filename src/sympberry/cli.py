@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each with --config, --seed, --out and the flags of the settings it reads:
 
 * phase   compute the geometric phase of one configured path
-* sweep   tabulate phases over an R grid as CSV or JSON, at the [path] hbar and lengths
-* verify  run the internal oracle suites and report pass/fail per check
-* expm    compare the closed-form 4x4 exponential against the generic one
+          (--kind --R --hbar --length --tol --samples --format)
+* sweep   tabulate phases over an R grid at the [path] hbar and lengths (as phase, no --samples)
+* verify  run the internal oracle suites and report pass/fail per check (--inject-fault)
+* expm    compare the closed-form 4x4 exponential against the generic one (--block-a/b/c --format)
 
-Settings come from flags, an INI-style config file (--config), or defaults,
-in that precedence order. Output goes to stdout or, with --out, to a file
+Settings come from flags, an INI-style config file (--config) that every command shares,
+or defaults, in that precedence order. Output goes to stdout or, with --out, to a file
 written atomically (temp file plus rename; failures leave nothing behind).
 A relative --out is placed under $SYMPBERRY_OUT_DIR when that is set.
 
@@ -51,12 +52,12 @@ EXIT_BUDGET = 3
 KIND_SQUEEZE1 = "squeeze1"
 KIND_SQUEEZE2 = "squeeze2"
 KIND_CUSTOM = "custom-samples"
-# the mode count each path kind requires; a samples file fixes its own (run_phase)
+# the mode count of each path kind; a samples file fixes its own (run_phase)
 _KIND_MODES = {KIND_SQUEEZE1: 1, KIND_SQUEEZE2: 2, KIND_CUSTOM: None}
 _KINDS = tuple(_KIND_MODES)
 
 CHECK_NAMES = tuple(oracles.CHECKS)
-_PATH_COMMANDS = ("phase", "sweep")  # the commands that read [path], [quadrature] and [sweep]
+_PATH_COMMANDS = ("phase", "sweep")  # read [path] and [quadrature]; only sweep reads [sweep]
 
 
 class ConfigError(ValueError):
@@ -129,8 +130,7 @@ class RunConfig:
     command: str
     seed: int = _setting("run", "seed", _int, "seed", 0)
     kind: str = _setting("path", "kind", _text, "kind", KIND_SQUEEZE1)
-    # None on custom-samples until the samples file is read
-    modes: int | None = _setting("path", "modes", _int, "modes", 1)
+    modes: int | None = None  # no setting: the kind's, or the samples file's n (_fit_lengths)
     R: float = _setting("path", "R", _float, "R", 1.0)
     hbar: float = _setting("path", "hbar", _float, "hbar", 1.0)
     lengths: tuple[float, ...] = _setting("path", "lengths", _floats, "length", (1.0,))
@@ -229,21 +229,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if args.R is not None:
             values["sweep_R"] = (args.R,)
     reads_path = args.command in _PATH_COMMANDS  # the others parse [path] but never read it
-    if reads_path:
-        modes = values.get("modes")
-        kind = values.setdefault("kind", KIND_SQUEEZE2 if modes == 2 else KIND_SQUEEZE1)
-        if kind not in _KIND_MODES:
-            raise ConfigError(f"unknown path kind {kind!r}")
-        want = _KIND_MODES[kind]
-        modes = values.setdefault("modes", want)
-        if want is not None and modes != want:
-            raise ConfigError(f"kind {kind} requires modes={want}, got {modes}")
-        if modes not in (None, 1, 2):
-            raise ConfigError(f"modes must be 1 or 2, got {modes}")
-
     cfg = RunConfig(command=args.command, **values)
-    if reads_path and kind != KIND_CUSTOM:
-        _fit_lengths(cfg, modes)
+    if reads_path and cfg.kind not in _KIND_MODES:
+        raise ConfigError(f"unknown path kind {cfg.kind!r}")
+    if reads_path and cfg.kind != KIND_CUSTOM:
+        _fit_lengths(cfg, _KIND_MODES[cfg.kind])
     elif cfg.samples is None and cfg.command == "phase":  # the only command that reads a path
         raise ConfigError("custom-samples paths need a samples file ([path] samples or --samples)")
     _validate_config(cfg)
@@ -251,7 +241,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         try:  # the library objects the command builds decide the ranges of their settings
             cfg.quad()
             OscParams(cfg.hbar, cfg.lengths)
-            for R in (cfg.R, *cfg.sweep_R):
+            for R in cfg.sweep_R if cfg.command == "sweep" else (cfg.R,):
                 _magnitude(R)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -406,10 +396,7 @@ def run_phase(cfg: RunConfig) -> int:
     """Compute one phase and emit the report record."""
     if cfg.kind == KIND_CUSTOM:
         knots = _load_samples(cfg.samples)
-        n = knots[0].n
-        if cfg.modes not in (None, n):
-            raise ConfigError(f"samples declare n={n}, config modes={cfg.modes}")
-        _fit_lengths(cfg, n)
+        _fit_lengths(cfg, knots[0].n)
     p = OscParams(cfg.hbar, cfg.lengths)
     try:
         if cfg.kind == KIND_CUSTOM:
@@ -514,44 +501,43 @@ def run_expm(cfg: RunConfig) -> int:
 # entry point
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file; flags override its values")
-    sub.add_argument("--R", type=float, default=None, help="squeeze magnitude")
-    sub.add_argument("--modes", type=int, choices=(1, 2), default=None, help="mode count")
-    sub.add_argument("--hbar", type=float, default=None, help="hbar value")
-    sub.add_argument(
+@functools.lru_cache(maxsize=1)
+def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; parse_args leaves it unchanged.
+    Each subcommand takes the groups of flags whose settings it reads."""
+    common = argparse.ArgumentParser(add_help=False)  # every command
+    common.add_argument("--config", help="INI config file; flags override its values")
+    common.add_argument("--seed", type=int, default=None, help="RNG seed (echoed in reports)")
+    common.add_argument("--out", default=None, help=f"output file; relative paths honor ${OUT_DIR_ENV}")
+    record = argparse.ArgumentParser(add_help=False)  # the commands that emit a record
+    record.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
+    path = argparse.ArgumentParser(add_help=False)  # [path] and [quadrature]
+    path.add_argument("--R", type=float, default=None, help="squeeze magnitude")
+    path.add_argument("--hbar", type=float, default=None, help="hbar value")
+    path.add_argument(
         "--length",
         type=float,
         action="append",
         default=None,
         help="mode length; repeat for two modes",
     )
-    sub.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (echoed in reports)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format")
-    sub.add_argument("--out", default=None, help=f"output file; relative paths honor ${OUT_DIR_ENV}")
+    path.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
 
-
-@functools.lru_cache(maxsize=1)
-def _make_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sympberry",
         description="Geometric phases of Gaussian states along symplectic paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_phase = sub.add_parser("phase", help="compute the phase of one path")
-    _add_common_flags(p_phase)
+    reads_path = [common, record, path]  # phase and sweep
+    p_phase = sub.add_parser("phase", parents=reads_path, help="compute the phase of one path")
     p_phase.add_argument("--kind", choices=_KINDS, default=None, help="path family")
     p_phase.add_argument("--samples", default=None, help="JSON samples file for custom-samples")
 
-    p_sweep = sub.add_parser("sweep", help="tabulate phases over an R grid")
-    _add_common_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=reads_path, help="tabulate phases over an R grid")
     p_sweep.add_argument("--kind", choices=(KIND_SQUEEZE1, KIND_SQUEEZE2), default=None)
 
-    p_verify = sub.add_parser("verify", help="run the internal oracle checks")
-    _add_common_flags(p_verify)
+    p_verify = sub.add_parser("verify", parents=[common], help="run the internal oracle checks")
     p_verify.add_argument(
         "--inject-fault",
         dest="inject_fault",
@@ -560,8 +546,7 @@ def _make_parser() -> argparse.ArgumentParser:
         help="negative control: perturb the named check's input by 1e-3",
     )
 
-    p_expm = sub.add_parser("expm", help="closed-form vs generic 4x4 exponential")
-    _add_common_flags(p_expm)
+    p_expm = sub.add_parser("expm", parents=[common, record], help="closed-form vs generic 4x4 exponential")
     p_expm.add_argument("--block-a", dest="block_a", default=None, help="4 numbers, row-major")
     p_expm.add_argument("--block-b", dest="block_b", default=None, help="4 numbers, row-major")
     p_expm.add_argument("--block-c", dest="block_c", default=None, help="4 numbers, row-major")

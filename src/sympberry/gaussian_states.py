@@ -68,7 +68,7 @@ class OscParams:
     def __post_init__(self) -> None:
         hbar = float(self.hbar)
         if not (math.isfinite(hbar) and hbar > 0):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
+            raise ValueError(f"hbar must be positive and finite, got {hbar!r}")
         arr = np.asarray(self.lengths, float)
         if arr.ndim > 1:
             raise ValueError(f"lengths must be a flat sequence, got shape {arr.shape}")
@@ -76,7 +76,8 @@ class OscParams:
         if len(lengths) < 1:
             raise ValueError("need at least one mode length")
         if not all(math.isfinite(l) and l > 0 for l in lengths):
-            raise ValueError(f"lengths must be positive and finite, got {self.lengths!r}")
+            bad = next(l for l in lengths if not (math.isfinite(l) and l > 0))
+            raise ValueError(f"lengths must be positive and finite, got {bad!r}")
         object.__setattr__(self, "hbar", hbar)
         object.__setattr__(self, "lengths", lengths)
 

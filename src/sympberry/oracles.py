@@ -114,7 +114,7 @@ def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tu
                            sp4_closed_form.coeff_closed(g_used, k)) for k in range(1, 11)]
             except DegenerateEigenvalues:
                 continue
-    exact, closed = np.array(pairs).swapaxes(0, 1)
+    exact, closed = np.reshape(pairs, (-1, 2, 3)).swapaxes(0, 1)  # (k, 2, 3); k = 0 over no draws
     return _worst((exact - closed) / np.maximum(1.0, np.abs(exact))), 1e-9
 
 
@@ -123,6 +123,8 @@ def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tupl
 
     One uniform call draws each r, angle, 2x2 and 4x4 generator in turn, as a per-draw loop would;
     one _expm per mode count exponentiates the generators, with SympMatrix's group check and error."""
+    if count == 0:  # no draws, no stack to reduce
+        return 0.0, 1e-9
     low, high = [0.0, 0.0] + [-SYMPLECTIC_SCALE] * 20, [2.0, 2 * np.pi] + [SYMPLECTIC_SCALE] * 20
     X = rng.uniform(low, high, size=(count, 22))
     stacks, generators = ([], []), (X[:, 2:6].reshape(-1, 2, 2), X[:, 6:].reshape(-1, 4, 4))

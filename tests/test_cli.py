@@ -226,7 +226,7 @@ def test_sweep_overflowing_magnitude_row_is_an_error(tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_keeps_each_mode_length(tmp_path, fmt):
     out = tmp_path / f"sweep.{fmt}"
-    flags = ["--modes", "2", "--R", "0.5", "--length", "1", "--length", "2", "--format", fmt]
+    flags = ["--kind", "squeeze2", "--R", "0.5", "--length", "1", "--length", "2", "--format", fmt]
     assert main(["sweep", *flags, "--out", str(out)]) == 0
     if fmt == "csv":
         header, line = out.read_text().splitlines()
@@ -267,9 +267,7 @@ def test_sweep_nonfinite_grid_value_is_config_error(tmp_path, capsys, key, value
     cfg = tmp_path / "sweep.ini"
     cfg.write_text(f"[path]\nkind = squeeze1\n{key} = {value}\n[sweep]\nR = 0.5, 1.0\n")
     assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
-    rejected = f"hbar must be positive and finite, got {value}" if key == "hbar" else (
-        f"lengths must be positive and finite, got ({value},)"
-    )
+    rejected = f"{key} must be positive and finite, got {value}"
     assert capsys.readouterr() == ("", f"config error: {rejected}\n")
 
 
@@ -571,8 +569,7 @@ def test_custom_samples_is_exact_geodesic_polygon(tmp_path, capsys, R, knots, mo
     samples = tmp_path / "knots.json"
     times = _irregular_times(knots, seed=1) if knots == 32 else None
     _write_circle_samples(samples, R, knots, times, modes, lengths)
-    flags = ["--modes", str(modes)] + [f"--length={l}" for l in lengths]
-    record = _custom_record(capsys, samples, *flags)
+    record = _custom_record(capsys, samples, *[f"--length={l}" for l in lengths])
     deviation = abs(record["gamma"] - _geodesic_reference(samples, OscParams(1.0, lengths)))
     assert deviation <= 1e-13
     # the reported bound covers the observed deviation, and is not a bare 0
@@ -587,9 +584,9 @@ def test_custom_samples_is_exact_geodesic_polygon(tmp_path, capsys, R, knots, mo
         ([], [1.0, 1.0]),
         (["--length=0.7"], [0.7, 0.7]),
         (["--length=0.7", "--length=1.3"], [0.7, 1.3]),
-        (["--modes", "2", "--length=1.3", "--length=0.7"], [1.3, 0.7]),
+        (["--length=1.3", "--length=0.7"], [1.3, 0.7]),
     ],
-    ids=["flags0-lengths0", "flags1-lengths1", "flags2-lengths2", "flags3-lengths3"],
+    ids=["default-length", "one-length-every-mode", "one-length-per-mode", "lengths-in-flag-order"],
 )
 def test_custom_samples_file_fixes_the_mode_count(tmp_path, capsys, flags, lengths):
     samples = tmp_path / "knots.json"
@@ -601,22 +598,13 @@ def test_custom_samples_file_fixes_the_mode_count(tmp_path, capsys, flags, lengt
     assert record["gamma"] == polygon_phase(knots, OscParams(1.0, lengths)).value
 
 
-@pytest.mark.parametrize(
-    "flags,message",
-    [
-        (["--modes", "1"], "samples declare n=2, config modes=1"),
-        (["--length=0.7", "--length=1.3", "--length=1.1"], "got 3 lengths for 2 mode(s)"),
-    ],
-    ids=["flags0-samples declare n=2, config modes=1", "flags1-got 3 lengths for 2 mode(s)"],
-)
-def test_custom_samples_mode_count_disagreement_is_config_error(tmp_path, capsys, flags, message):
+def test_custom_samples_mode_count_disagreement_is_config_error(tmp_path, capsys):
     samples = tmp_path / "knots.json"
     _write_circle_samples(samples, R=0.8, knots=33, modes=2, lengths=(0.7, 1.3))
-    code = main(["phase", "--kind", "custom-samples", "--samples", str(samples)] + flags)
-    captured = capsys.readouterr()
+    lengths = ["--length=0.7", "--length=1.3", "--length=1.1"]
+    code = main(["phase", "--kind", "custom-samples", "--samples", str(samples)] + lengths)
     assert code == EXIT_CONFIG
-    assert captured.err == f"config error: {message}\n"
-    assert captured.out == ""
+    assert capsys.readouterr() == ("", "config error: got 3 lengths for 2 mode(s)\n")
 
 
 def test_custom_samples_knot_times_only_order_the_knots(tmp_path, capsys):
@@ -850,17 +838,8 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
 @pytest.mark.parametrize(
     "argv, ini, message",
     [
-        pytest.param(
-            ["phase", "--kind", "squeeze1", "--modes", "2"], None, "kind squeeze1 requires modes=1, got 2",
-            id="squeeze1-needs-one-mode",
-        ),
-        pytest.param(
-            ["phase", "--kind", "squeeze2", "--modes", "1"], None, "kind squeeze2 requires modes=2, got 1",
-            id="squeeze2-needs-two-modes",
-        ),
-        pytest.param(
-            ["phase"], "[path]\nkind = custom-samples\nmodes = 3\n", "modes must be 1 or 2, got 3",
-            id="custom-samples-modes",
+        pytest.param(  # a removed key: the kind, or the samples file, fixes the mode count
+            ["phase"], "[path]\nmodes = 2\n", "<ini>:2: unknown key 'modes' in [path]", id="path-modes",
         ),
         pytest.param(["phase"], "[path]\nkind = spiral\n", "unknown path kind 'spiral'", id="path-kind"),
         pytest.param(  # a removed key, also for a command that reads no [quadrature]
@@ -885,11 +864,11 @@ _KNOWN = "known: closed_form, coefficients, symplectic, two_form, invariance, b_
             id="hbar-flag",
         ),
         pytest.param(
-            ["phase", "--length=-1"], None, "lengths must be positive and finite, got (-1.0,)",
+            ["phase", "--length=-1"], None, "lengths must be positive and finite, got -1.0",
             id="length-flag",
         ),
         pytest.param(
-            ["phase", "--modes", "2"], "[path]\nlengths = 1, 2, 3\n", "got 3 lengths for 2 mode(s)",
+            ["phase", "--kind", "squeeze2"], "[path]\nlengths = 1, 2, 3\n", "got 3 lengths for 2 mode(s)",
             id="lengths-per-mode",
         ),
         pytest.param(
@@ -947,12 +926,8 @@ _ONE_CHECK = "[verify]\nchecks = symplectic\ncount = 2\n"
 @pytest.mark.parametrize(
     "argv, ini, code",
     [
-        pytest.param(["verify", "--hbar", "-1"], _ONE_CHECK, 0, id="verify-hbar-flag"),
-        pytest.param(["expm", "--R", "nan"], None, 0, id="expm-R-flag"),
-        pytest.param(["verify", "--length", "1", "--length", "2"], _ONE_CHECK, 0, id="verify-length-flags"),
-        pytest.param(["expm", "--tol", "0"], None, 0, id="expm-tol-flag"),
         pytest.param(
-            ["expm"], "[path]\nkind = spiral\nmodes = 3\n[quadrature]\ntol = -1\n[sweep]\nR = -1\n", 0,
+            ["expm"], "[path]\nkind = spiral\n[quadrature]\ntol = -1\n[sweep]\nR = -1\n", 0,
             id="expm-path-quadrature-sweep",
         ),
         pytest.param(  # still parsed
@@ -961,11 +936,14 @@ _ONE_CHECK = "[verify]\nchecks = symplectic\ncount = 2\n"
         ),
         pytest.param(["verify"], _ONE_CHECK + "[output]\nformat = xml\n", 0, id="verify-format"),
         pytest.param(["phase"], "[verify]\ncount = 0\n", 0, id="phase-verify-count"),
+        pytest.param(["phase"], "[sweep]\nR = -1\n", 0, id="phase-sweep-R"),
+        pytest.param(["sweep"], "[path]\nR = -1\n[sweep]\nR = 0.5\n", 0, id="sweep-path-R"),
     ],
 )
 def test_a_command_checks_only_the_settings_it_reads(tmp_path, capsys, argv, ini, code):
-    # [path], [quadrature] and [sweep] are range-checked for phase and sweep, which read them,
-    # [verify] for verify, and the format for the commands that emit a record
+    # [path] and [quadrature] are range-checked for phase and sweep, which read them, except
+    # [path] R, which sweep does not read; [sweep] R for sweep, [verify] for verify, and the
+    # format for the commands that emit a record
     if ini is not None:
         cfg = tmp_path / "run.ini"
         cfg.write_text(ini)
@@ -973,6 +951,44 @@ def test_a_command_checks_only_the_settings_it_reads(tmp_path, capsys, argv, ini
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err == ("" if code == 0 else "config error: [path] hbar: expected a number, got 'abc'\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--hbar", "-1"], id="verify-hbar-flag"),
+        pytest.param(["expm", "--R", "nan"], id="expm-R-flag"),
+        pytest.param(["verify", "--length", "1", "--length", "2"], id="verify-length-flags"),
+        pytest.param(["expm", "--tol", "0"], id="expm-tol-flag"),
+        pytest.param(["verify", "--format", "csv"], id="verify-format-flag"),
+        pytest.param(["expm", "--hbar", "2"], id="expm-hbar-flag"),
+        pytest.param(["phase", "--modes", "2"], id="phase-modes-flag"),
+    ],
+)
+def test_a_command_refuses_the_flags_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # argparse's usage error
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+_FLAGS = {
+    "phase": "--config --seed --format --out --R --hbar --length --tol --kind --samples",
+    "sweep": "--config --seed --format --out --R --hbar --length --tol --kind",
+    "verify": "--config --seed --out --inject-fault",
+    "expm": "--config --seed --format --out --block-a --block-b --block-c",
+}
+
+
+def test_each_command_offers_the_flags_of_the_settings_it_reads():
+    (commands,) = [a for a in cli._make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        name: sorted(opt for a in sub._actions for opt in a.option_strings if opt not in ("-h", "--help"))
+        for name, sub in commands.choices.items()
+    }
+    assert offered == {name: sorted(flags.split()) for name, flags in _FLAGS.items()}
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,21 @@ def test_osc_params_rejects_nested_lengths(lengths):
         OscParams(1.0, lengths)
 
 
+@pytest.mark.parametrize(
+    "hbar, lengths, message",
+    [
+        (1.0, np.array([np.inf]), "lengths must be positive and finite, got inf"),
+        (1.0, (1.0, -2.0, np.nan), "lengths must be positive and finite, got -2.0"),
+        (np.float64(-1), (1.0,), "hbar must be positive and finite, got -1.0"),
+        (np.float32(np.nan), (1.0,), "hbar must be positive and finite, got nan"),
+    ],
+    ids=["inf-length-array", "first-bad-length", "numpy-hbar", "numpy-nan-hbar"],
+)
+def test_osc_params_names_the_first_bad_entry_as_a_float(hbar, lengths, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OscParams(hbar, lengths)
+
+
 def test_osc_params_from_mass_frequency():
     p = OscParams.from_mass_frequency(hbar=2.0, masses=[0.5, 2.0], frequencies=[1.0, 4.0])
     np.testing.assert_allclose(p.length_array(), [2.0, 0.5])

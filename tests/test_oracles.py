@@ -122,6 +122,13 @@ def test_two_form_compares_two_routes():
     assert 0.0 < residual <= tol
 
 
+@pytest.mark.parametrize("check", list(CHECKS))
+def test_check_over_no_draws_returns_a_passing_residual(check):
+    # count 0 is a library call the CLI refuses; no stack may reduce to an error
+    residual, tol = CHECKS[check](np.random.default_rng(0), 0, False)
+    assert np.isfinite(residual) and residual <= tol
+
+
 def test_closed_form_check_catches_a_wrong_scalar_square(monkeypatch):
     # count 0: only the 20 degenerate a = c = 0 draws, whose square S is scalar, so
     # closed_form_exp takes its cosh/sinhc route there and _expm runs on the oracle side only
