@@ -9,8 +9,9 @@ retry after a degenerate draw, take one more), bit for bit the draws of a
 per-draw loop (NOTES.md). fault perturbs one input by ``_FAULT_SIZE``, a
 negative control the check must catch. Library layers are called through
 their modules, so tracing that rebinds module functions sees these calls
-too. Every exponential here is the numpy stacked one,
-``symplectic_core._expm``, so ``sympberry verify`` loads no scipy.
+too. Every exponential here is the numpy stacked one, ``symplectic_core._expm``,
+so ``sympberry verify`` loads no scipy. The ``symplectic`` squeezes are one stacked
+closed form per mode count, of which ``squeeze_matrix_n1/n2`` are a stack of one.
 """
 from __future__ import annotations
 
@@ -119,33 +120,29 @@ def _check_coefficients(rng: np.random.Generator, count: int, fault: bool) -> tu
 
 
 def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tuple[float, float]:
-    """Squeezes and random group elements per draw against symplectic_residual, once per mode count.
+    """Squeezes and random group elements against symplectic_residual, one stack of each per mode count.
 
-    One uniform call draws each r, angle, 2x2 and 4x4 generator in turn, as a per-draw loop would;
-    one _expm per mode count exponentiates the generators, with SympMatrix's group check and error."""
+    One uniform call draws each r, angle, 2x2 and 4x4 generator in turn, as a per-draw loop would.
+    Per mode count, the stacked squeeze closed form (of which squeeze_matrix_n1/n2 are a stack of
+    one) builds the squeezes and one _expm exponentiates the generators; each stack, squeezes
+    first, gets SympMatrix's group check and error, and the fault then moves the first squeeze."""
     if count == 0:  # no draws, no stack to reduce
         return 0.0, 1e-9
     low, high = [0.0, 0.0] + [-SYMPLECTIC_SCALE] * 20, [2.0, 2 * np.pi] + [SYMPLECTIC_SCALE] * 20
     X = rng.uniform(low, high, size=(count, 22))
-    stacks, generators = ([], []), (X[:, 2:6].reshape(-1, 2, 2), X[:, 6:].reshape(-1, 4, 4))
-    p1 = OscParams(1.0, (1.0,))
-    p2 = OscParams(1.0, (1.0, 1.0))
-    for i, (r, th) in enumerate(X[:, :2].tolist()):
-        M1 = squeeze_paths.squeeze_matrix_n1(SqueezeSpec(1, r, th, p1)).data
-        M2 = squeeze_paths.squeeze_matrix_n2(SqueezeSpec(2, r, th, p2)).data
-        if fault and i == 0:
-            M1 = M1 + _FAULT_SIZE
-        stacks[0].append(M1)
-        stacks[1].append(M2)
-    for n, (stack, L) in enumerate(zip(stacks, generators), start=1):
-        form = symplectic_core.omega(n)
-        Ms = symplectic_core._expm(form @ symmetric_part(L))
-        failure = symplectic_core._group_failure(Ms, form, DEFAULT_TOL_SYMP)
-        if failure is not None:
-            i, resid, det = failure
-            raise ValueError(f"random {n}-mode element {i} fails the group check at tolerance "
-                             f"{DEFAULT_TOL_SYMP:.1e}: residual {resid:.3e}, determinant {det!r}")
-        stack.extend(Ms)
+    generators = (X[:, 2:6].reshape(-1, 2, 2), X[:, 6:].reshape(-1, 4, 4))
+    squeezes = [squeeze_paths._squeeze_stack(n, *X[:, :2].T, OscParams(1.0, (1.0,) * n)) for n in (1, 2)]
+    forms = [symplectic_core.omega(n) for n in (1, 2)]
+    randoms = [symplectic_core._expm(form @ symmetric_part(L)) for form, L in zip(forms, generators)]
+    for kind, group in (("squeeze", squeezes), ("random", randoms)):
+        for n, (Ms, form) in enumerate(zip(group, forms), start=1):
+            if (failure := symplectic_core._group_failure(Ms, form, DEFAULT_TOL_SYMP)) is not None:
+                i, resid, det = failure
+                raise ValueError(f"{kind} {n}-mode element {i} fails the group check at tolerance "
+                                 f"{DEFAULT_TOL_SYMP:.1e}: residual {resid:.3e}, determinant {det!r}")
+    if fault:
+        squeezes[0][0] += _FAULT_SIZE
+    stacks = map(np.concatenate, zip(squeezes, randoms))
     return _worst([symplectic_core.symplectic_residual(stack) for stack in stacks]), 1e-9
 
 

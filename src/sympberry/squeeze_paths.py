@@ -63,7 +63,7 @@ class SqueezeSpec:
         if not _is_integer(self.modes) or self.modes not in (1, 2):
             raise ValueError(f"squeeze transformations cover 1 or 2 modes, got {self.modes}")
         R = _magnitude(self.R)
-        angle = float(self.angle)
+        angle = float(self.angle) % _TWO_PI  # NaN for a non-finite angle
         if not math.isfinite(angle):
             raise ValueError("angle must be finite")
         if self.params.n != self.modes:
@@ -71,7 +71,7 @@ class SqueezeSpec:
                 f"params carry {self.params.n} mode lengths, spec declares {self.modes}"
             )
         object.__setattr__(self, "R", R)
-        object.__setattr__(self, "angle", angle % _TWO_PI)
+        object.__setattr__(self, "angle", angle if angle < _TWO_PI else 0.0)  # -1e-20 % 2 pi is 2 pi
 
 
 def _magnitude(raw) -> float:
@@ -102,7 +102,7 @@ def squeeze_matrix_n1(spec: SqueezeSpec) -> SympMatrix:
     cosh(r) I plus sinh(r) times the direction matrix.
     """
     _require_modes(spec, 1)
-    return _spec_matrix(spec)
+    return SympMatrix(1, _squeeze_stack(1, spec.R, [spec.angle], spec.params)[0])  # a stack of one
 
 
 def squeeze_b_block_n2(spec: SqueezeSpec) -> np.ndarray:
@@ -128,31 +128,34 @@ def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:
     cos(phi), matching the exponential of the generator (see NOTES.md).
     """
     _require_modes(spec, 2)
-    return _spec_matrix(spec)
+    return SympMatrix(2, _squeeze_stack(2, spec.R, [spec.angle], spec.params)[0])  # a stack of one
 
 
-def _circle_constants(modes: int, R: float, params: OscParams) -> np.ndarray:
+def _circle_constants(modes: int, R, params: OscParams) -> np.ndarray:
     """The stack C0 = cosh(R) I, C1 = sinh(R) Kc and C2 = sinh(R) Ks in dimension-full
-    variables, each unit matrix times d_i / d_j; the squeeze matrix at an angle is
-    C0 + cos C1 + sin C2. Its entries are at most m = cosh(R) + sinh(R) max|K|, and those
-    of M Omega M^T at most 2 modes m^2; ValueError, with no numpy warning, if that overflows."""
+    variables, each unit matrix times d_i / d_j, or one such stack per entry of an array R;
+    the squeeze matrix at an angle is C0 + cos C1 + sin C2. Its entries are at most
+    m = cosh(R) + sinh(R) max|K|, and those of M Omega M^T at most 2 modes m^2; ValueError,
+    with no numpy warning, for the first R where that overflows."""
     d = _scales(params)  # not the inbound conversion, so that a fault there shows in the phase
     C = _UNIT_STACKS[modes] * (d[:, None] / d)  # D C' D^-1
     k_max = float(np.abs(C[1:]).max())
-    try:
-        m = math.cosh(R) + math.sinh(R) * k_max
-    except OverflowError:
-        m = math.inf
-    if not math.isfinite(2 * modes * m * m):
-        raise ValueError(f"squeeze matrices overflow at R={R!r}: M Omega M^T leaves the float range")
+    # math.cosh may raise past R = 710, where m^2 overflows anyway
+    for r in R.ravel().tolist() if isinstance(R, np.ndarray) else [R]:
+        m = math.cosh(r) + math.sinh(r) * k_max if r <= 710.0 else math.inf
+        if not math.isfinite(2 * modes * m * m):
+            raise ValueError(f"squeeze matrices overflow at R={r!r}: M Omega M^T leaves the float range")
     sh = np.sinh(R)
-    return C * np.array([np.cosh(R), sh, sh])[:, None, None]
+    return C * np.array([np.cosh(R), sh, sh]).T[..., None, None]
 
 
-def _spec_matrix(spec: SqueezeSpec) -> SympMatrix:
-    """C0 + cos(angle) C1 + sin(angle) C2: the squeeze closed form, as on the circle."""
-    C0, C1, C2 = _circle_constants(spec.modes, spec.R, spec.params)
-    return SympMatrix(spec.modes, C0 + np.cos(spec.angle) * C1 + np.sin(spec.angle) * C2)
+def _squeeze_stack(modes: int, R, angles, params: OscParams) -> np.ndarray:
+    """The squeeze closed form C0 + cos(angle) C1 + sin(angle) C2 at each of k angles, for one
+    R or one per angle, as a (k, 2n, 2n) stack; the circles evaluate the same form at cached angles."""
+    # contiguous copies, so that each entry takes the ufunc loop of one value
+    R, angles = np.array(R, dtype=float), np.array(angles, dtype=float)
+    C0, C1, C2 = _circle_constants(modes, R, params).swapaxes(0, -3)  # (3, k, 2n, 2n) for k R
+    return C0 + np.cos(angles)[:, None, None] * C1 + np.sin(angles)[:, None, None] * C2
 
 
 def squeeze_circle_path(modes: int, R: float, params: OscParams) -> SympPath:

@@ -429,7 +429,7 @@ def test_verify_inject_fault_fails(tmp_path, capsys, target):
 _CODE_UNDER_TEST = {
     "closed_form": (sp4_closed_form, "closed_form_exp"),
     "coefficients": (sp4_closed_form, "coeff_closed"),
-    "symplectic": (squeeze_paths, "squeeze_matrix_n2"),
+    "symplectic": (squeeze_paths, "_squeeze_stack"),
     "two_form": (geometric_phase, "integrate_phase_boundary_form"),
     "invariance": (geometric_phase, "check_canonical_invariance"),
     "b_zero": (geometric_phase, "phase_b_zero"),
@@ -445,9 +445,11 @@ def test_verify_check_whose_code_raises_is_one_fail_line(tmp_path, monkeypatch, 
     monkeypatch.setattr(*_CODE_UNDER_TEST[target], refuse)
     code = main(["verify", "--config", str(_verify_config(tmp_path))])
     lines = capsys.readouterr().out.splitlines()
+    # overlap draws its squeezes with squeeze_matrix_n1, a stack of one of symplectic's builder
+    failing = {target, "overlap"} if target == "symplectic" else {target}
     assert code == 1
     assert [line.split(":")[0] for line in lines[1:-1]] == [
-        f"[{'FAIL' if name == target else 'PASS'}] {name}" for name in CHECK_NAMES
+        f"[{'FAIL' if name in failing else 'PASS'}] {name}" for name in CHECK_NAMES
     ]
     assert f"[FAIL] {target}: raised ValueError: injected" in lines
     assert lines[-1] == "verify: FAILED"
@@ -752,6 +754,8 @@ _RANDOM_BLOCKS = ["--block-a=0.3,-0.2,-0.2,0.5", "--block-b=0.1,0.7,-0.4,0.2", "
         (["phase", "--kind", "squeeze1", "--R", "1", "--format", "csv"], "phase_squeeze1.csv"),
         (["sweep", "--config", str(_GOLDEN / "sweep_grid.ini"), "--format", "csv"], "sweep_grid.csv"),
         (["sweep", "--config", str(_GOLDEN / "sweep_error.ini"), "--format", "json"], "sweep_error.json"),
+        (["verify", "--seed", "0", "--inject-fault", "symplectic"], "verify_fault_symplectic.txt"),
+        (["verify", "--config", str(_GOLDEN / "verify_bench.ini")], "verify_bench.txt"),
     ],
     ids=[
         "args0-verify_seed0.txt",
@@ -763,13 +767,16 @@ _RANDOM_BLOCKS = ["--block-a=0.3,-0.2,-0.2,0.5", "--block-b=0.1,0.7,-0.4,0.2", "
         "args6-phase_squeeze1.csv",
         "args7-sweep_grid.csv",
         "args8-sweep_error.json",
+        "args9-verify_fault_symplectic.txt",
+        "args10-verify_bench.txt",
     ],
 )
 def test_cli_output_matches_its_golden_file(child_env, args, golden):
     # the output pinned line for line: a change to a check's arithmetic must not move a digit;
-    # the sweep with an R = 400 row reports that row's error and exits 1
+    # the sweep with an R = 400 row reports that row's error and exits 1, as does the injected fault
     proc = _run(_MODULE + args, child_env)
-    assert (proc.returncode, proc.stderr) == (1 if golden == "sweep_error.json" else 0, "")
+    failing = golden in ("sweep_error.json", "verify_fault_symplectic.txt")
+    assert (proc.returncode, proc.stderr) == (1 if failing else 0, "")
     assert proc.stdout.splitlines() == (_GOLDEN / golden).read_text().splitlines()
 
 

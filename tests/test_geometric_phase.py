@@ -722,6 +722,8 @@ def test_integrate_phase_mode_mismatch():
 
 
 INTEGRALS = (integrate_phase, integrate_phase_boundary_form, phase_b_zero)
+# short ids, so that each row keeps its own name when test names are cut at 100 characters
+INTEGRAL_IDS = ("direct", "boundary", "b-zero")
 # the default rule and a tighter tolerance, with the shear loop's evaluation count under each
 RULES = {"adaptive": QuadSpec(), "tight": QuadSpec(tol=1e-13)}
 SHEAR_LOOP_EVALUATIONS = {"adaptive": 165, "tight": 225}
@@ -737,7 +739,7 @@ def _shear_loop():
 
 
 @pytest.mark.parametrize("rule", RULES)
-@pytest.mark.parametrize("integral", INTEGRALS)
+@pytest.mark.parametrize("integral", INTEGRALS, ids=INTEGRAL_IDS)
 def test_integrals_share_budget_finiteness_and_counts(integral, rule):
     loop, quad = _shear_loop(), RULES[rule]
     with pytest.raises(QuadratureBudgetExceeded):
@@ -757,7 +759,7 @@ def test_integrals_share_budget_finiteness_and_counts(integral, rule):
 
 
 @pytest.mark.parametrize("rule", RULES)
-@pytest.mark.parametrize("integral", INTEGRALS)
+@pytest.mark.parametrize("integral", INTEGRALS, ids=INTEGRAL_IDS)
 def test_integrals_call_one_engine_through_the_module_namespace(monkeypatch, integral, rule):
     # bench/tracing.py counts engine calls and integrand nodes by rebinding this
     # name in geometric_phase; an integral holding its own reference would hide both

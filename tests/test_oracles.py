@@ -356,10 +356,7 @@ _PER_DRAW = {
         _coefficients_per_draw,
         [(sp4_closed_form, "coeff_closed"), (sp4_closed_form, "coeff_recurrence")],
     ),
-    "symplectic": (
-        _symplectic_per_draw,
-        [(squeeze_paths, "squeeze_matrix_n1"), (squeeze_paths, "squeeze_matrix_n2")],
-    ),
+    "symplectic": (_symplectic_per_draw, [(squeeze_paths, "_squeeze_stack")]),
 }
 
 
@@ -386,14 +383,15 @@ def test_stacked_check_matches_the_per_draw_loop(monkeypatch, check, seed, count
     stacked_counts = dict(counts)
     counts.update(dict.fromkeys(counts, 0))
     expected, expected_tol, scale = reference(np.random.default_rng([seed, 0]), count, fault)
-    # the code under test still runs once per draw, where tracing sees it
-    assert stacked_counts == counts
-    if check == "closed_form":
+    if check == "closed_form":  # the code under test still runs once per draw, where tracing sees it
+        assert stacked_counts == counts
         assert counts["closed_form_exp"] == count + max(20, count // 5)
     elif check == "coefficients":
+        assert stacked_counts == counts
         assert counts["coeff_closed"] == 10 * count <= counts["coeff_recurrence"]
-    else:
-        assert counts["squeeze_matrix_n1"] == counts["squeeze_matrix_n2"] == count
+    else:  # one stacked build per mode count; each public squeeze_matrix_n1/n2 call is a stack of one
+        assert stacked_counts == {"_squeeze_stack": 2}
+        assert counts == {"_squeeze_stack": 2 * count}
     assert tol == expected_tol
     assert (residual <= tol) == (expected <= tol) == (not fault)
     if scale is None:
@@ -409,6 +407,18 @@ def test_symplectic_check_raises_on_a_random_element_off_the_group(monkeypatch):
     off = lambda X: expm(X) + 1e-3 * (np.arange(len(X)) == 2)[:, None, None]
     monkeypatch.setattr(symplectic_core, "_expm", off)
     message = r"^random 1-mode element 2 fails the group check at tolerance 1\.0e-10: residual 1\.\d{3}e-03, "
+    with pytest.raises(ValueError, match=message):
+        CHECKS["symplectic"](np.random.default_rng(0), 5, False)
+
+
+def test_symplectic_check_raises_on_a_squeeze_off_the_group(monkeypatch):
+    # each squeeze stack gets the random elements' group check and message, and comes first
+    build = squeeze_paths._squeeze_stack
+    off = lambda n, *args: build(n, *args) + 1e-3 * (n == 1) * (np.arange(5) == 2)[:, None, None]
+    monkeypatch.setattr(squeeze_paths, "_squeeze_stack", off)
+    monkeypatch.setattr(symplectic_core, "_expm", lambda X: X + np.nan)  # fails too, but is checked later
+    message = (r"^squeeze 1-mode element 2 fails the group check at tolerance 1\.0e-10: "
+               r"residual \d\.\d{3}e-03, ")
     with pytest.raises(ValueError, match=message):
         CHECKS["symplectic"](np.random.default_rng(0), 5, False)
 
@@ -471,7 +481,14 @@ def _symplectic_stream(rng, count):
         specs.append(_spec_bytes(SqueezeSpec(1, r, th, OscParams(1.0, (1.0,)))))
         Ls[0].append(_sym(rng.uniform(-SYMPLECTIC_SCALE, SYMPLECTIC_SCALE, size=(2, 2))))
         Ls[1].append(_sym(rng.uniform(-SYMPLECTIC_SCALE, SYMPLECTIC_SCALE, size=(4, 4))))
-    return specs + [(omega(n) @ np.array(L)).tobytes() for n, L in ((1, Ls[0]), (2, Ls[1]))]
+    # one stacked squeeze build per mode count sees every draw's (R, angle) at once
+    exponents = [(omega(n) @ np.array(L)).tobytes() for n, L in ((1, Ls[0]), (2, Ls[1]))]
+    return [b"".join(specs)] * 2 + exponents
+
+
+def _stack_bytes(modes, R, angles, params):
+    """The (R, angle) pairs of a stacked squeeze build, as the specs of its draws would hold them."""
+    return np.stack(np.broadcast_arrays(R, angles), axis=-1).tobytes()
 
 
 def _overlap_stream(rng, count):
@@ -513,7 +530,7 @@ _STREAMS = {
     ),
     "symplectic": (
         _symplectic_stream,
-        [(squeeze_paths, "squeeze_matrix_n1", _spec_bytes), (symplectic_core, "_expm", lambda X: X.tobytes())],
+        [(squeeze_paths, "_squeeze_stack", _stack_bytes), (symplectic_core, "_expm", lambda X: X.tobytes())],
     ),
     "overlap": (
         _overlap_stream,
@@ -606,6 +623,12 @@ def _nan_in_stacks(fn):
 _NAN_MATRIX = lambda out: types.SimpleNamespace(data=np.full_like(out.data, np.nan))
 _NAN_VALUE = lambda out: types.SimpleNamespace(value=np.nan)
 
+
+def _nan_at_draw_1(stack):
+    stack[1] = np.nan
+    return stack
+
+
 # check -> (module, function, patch) per route: the code under test, then its independent route
 _NAN_ROUTES = {
     ("closed_form", "code"): (sp4_closed_form, "closed_form_exp", _nan_on_call(2, _NAN_MATRIX)),
@@ -617,7 +640,8 @@ _NAN_ROUTES = {
     ("coefficients", "oracle"): (
         sp4_closed_form, "coeff_recurrence", _nan_on_call(3, lambda c: (np.nan, c[1], c[2]))
     ),
-    ("symplectic", "code"): (squeeze_paths, "squeeze_matrix_n2", _nan_on_call(1, _NAN_MATRIX)),
+    # the two-mode squeeze stack, draw 1: the stack's group check refuses it before the residual
+    ("symplectic", "code"): (squeeze_paths, "_squeeze_stack", _nan_on_call(1, _nan_at_draw_1)),
     # the residual the check reports; the group check of its random elements stays unpatched
     ("symplectic", "oracle"): (symplectic_core, "symplectic_residual", _nan_in_stacks),
     ("two_form", "code"): (geometric_phase, "integrate_phase", _nan_on_call(1, _NAN_VALUE)),
@@ -647,5 +671,11 @@ def test_a_nan_from_either_route_fails_verify(monkeypatch, tmp_path, capsys, che
     monkeypatch.setattr(module, name, patch(getattr(module, name)))
     assert main(["verify", "--config", str(cfg)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith(f"[FAIL] {check}: max residual nan (tol ")
+    if (check, route) == ("symplectic", "code"):
+        assert lines[1].startswith(
+            "[FAIL] symplectic: raised ValueError: squeeze 2-mode element 1 fails the group check "
+            "at tolerance 1.0e-10: residual nan, determinant "
+        )
+    else:
+        assert lines[1].startswith(f"[FAIL] {check}: max residual nan (tol ")
     assert lines[-1] == "verify: FAILED"

@@ -323,6 +323,49 @@ def test_circles_share_the_trig_cache_and_spec_matrices_bypass_it(rng):
     assert sp._cached_trig.cache_info() == before
 
 
+@pytest.mark.parametrize("angle", [-1e-20, -1e-17, -0.0, 2.0 * np.pi])
+def test_an_angle_that_rounds_to_two_pi_is_stored_as_zero(angle):
+    # -1e-20 % (2 pi) rounds to 2 pi itself, outside the documented range [0, 2 pi)
+    stored = SqueezeSpec(1, 0.5, angle, UNIT_1).angle
+    assert stored == 0.0 and np.copysign(1.0, stored) == 1.0
+    assert squeeze_matrix_n1(_spec1(0.5, angle)).data.tobytes() == squeeze_matrix_n1(_spec1(0.5, 0.0)).data.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 40, 200])
+@pytest.mark.parametrize("modes", [1, 2])
+def test_stacked_squeezes_are_the_spec_matrices_bitwise(modes, count, rng):
+    # verify's draws, R uniform in [0, 2) and angles in [0, 2 pi), as strided columns of one
+    # array, with R = 0 in the first row; and the same at non-unit hbar and lengths
+    matrix = squeeze_matrix_n1 if modes == 1 else squeeze_matrix_n2
+    for params in (OscParams(1.0, (1.0,) * modes), OscParams(0.7, tuple(rng.uniform(0.3, 3.0, modes)))):
+        X = rng.uniform([0.0, 0.0, -1.0], [2.0, 2.0 * np.pi, 1.0], size=(count, 3))
+        X[0, 0] = 0.0
+        stack = sp._squeeze_stack(modes, X[:, 0], X[:, 1], params)
+        assert stack.shape == (count, 2 * modes, 2 * modes)
+        for (R, angle), M in zip(X[:, :2].tolist(), stack):
+            assert M.tobytes() == matrix(SqueezeSpec(modes, R, angle, params)).data.tobytes()
+        one = sp._squeeze_stack(modes, float(X[-1, 0]), X[:, 1], params)  # one R for every angle
+        assert one.tobytes() == sp._squeeze_stack(modes, np.full(count, X[-1, 0]), X[:, 1], params).tobytes()
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+def test_an_overflowing_magnitude_array_names_its_first_overflowing_R(modes):
+    # the message of the scalar path, for the first R in array order, with no numpy warning
+    params = OscParams(0.5, (3.0,) * modes)
+    Rs = np.array([0.5, 2.0, 800.0, 1.0, 360.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for R in (800.0, 360.0):
+            with pytest.raises(ValueError, match=f"^squeeze matrices overflow at R={R!r}: "):
+                sp._circle_constants(modes, R, params)
+        with pytest.raises(ValueError, match=r"^squeeze matrices overflow at R=800\.0: M Omega M\^T leaves"):
+            sp._squeeze_stack(modes, Rs, np.zeros(5), params)
+        with pytest.raises(ValueError, match=r"^squeeze matrices overflow at R=360\.0: "):
+            sp._circle_constants(modes, Rs[::-1], params)
+        stacks = sp._circle_constants(modes, Rs[:2], params)  # one (C0, C1, C2) stack per R
+        assert stacks.tobytes() == np.array([sp._circle_constants(modes, R, params) for R in Rs[:2]]).tobytes()
+
+
 @pytest.mark.parametrize("angle", [np.nan, np.inf])
 def test_squeeze_spec_rejects_a_non_finite_angle(angle):
     with pytest.raises(ValueError, match="^angle must be finite$"):
