@@ -139,7 +139,8 @@ def _check_symplectic(rng: np.random.Generator, count: int, fault: bool) -> tupl
             if (failure := symplectic_core._group_failure(Ms, form, DEFAULT_TOL_SYMP)) is not None:
                 i, resid, det = failure
                 raise ValueError(f"{kind} {n}-mode element {i} fails the group check at tolerance "
-                                 f"{DEFAULT_TOL_SYMP:.1e}: residual {resid:.3e}, determinant {det!r}")
+                                 f"{DEFAULT_TOL_SYMP:.1e}: residual {resid:.3e}, "
+                                 f"determinant {float(det)!r}")
     if fault:
         squeezes[0][0] += _FAULT_SIZE
     stacks = map(np.concatenate, zip(squeezes, randoms))

@@ -184,6 +184,10 @@ def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
 class SympMatrix:
     """A 2n x 2n real matrix validated against the symplectic group condition.
 
+    The constructor checks outside input, which may have any type, dtype or shape, in full,
+    and keeps a read-only copy. exp_map, @, inverse and convert_ordering make a fresh float64
+    array of the right shape themselves, so their results take only the group check.
+
     Parameters
     ----------
     n : mode count.
@@ -219,11 +223,21 @@ class SympMatrix:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def _checked(cls, n: int, arr: np.ndarray, ordering: str, tol: float) -> "SympMatrix":
+        """SympMatrix(n, arr, ordering, tol) of a fresh float64 (2n, 2n) array it takes over, n an int."""
+        if _group_failure(arr, _FORMS[ordering](n), tol) is not None:
+            return cls(n, arr, ordering, tol)  # the public constructor names the failure
+        arr.setflags(write=False)
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, data=arr, ordering=ordering, tol_symp=tol)
+        return self
+
     def inverse(self) -> "SympMatrix":
         """Group inverse via the form: M^{-1} = form^{-1} M^T form."""
         form = _FORMS[self.ordering](self.n)
-        inv = -form @ self.data.T @ form  # form^{-1} = -form
-        return SympMatrix(self.n, inv, self.ordering, self.tol_symp)
+        inv = (-form).dot(self.data.T).dot(form)  # form^{-1} = -form
+        return SympMatrix._checked(self.n, inv, self.ordering, self.tol_symp)
 
     def __matmul__(self, other: "SympMatrix") -> "SympMatrix":
         if not isinstance(other, SympMatrix):
@@ -232,7 +246,7 @@ class SympMatrix:
             raise ValueError("operands must share mode count and ordering")
         # residuals compound under products; loosen the check accordingly
         tol = 10 * max(self.tol_symp, other.tol_symp)
-        return SympMatrix(self.n, self.data @ other.data, self.ordering, tol)
+        return SympMatrix._checked(self.n, self.data.dot(other.data), self.ordering, tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,7 +351,7 @@ def convert_ordering(Mtilde, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
             f"residual {resid:.3e} exceeds {tol:.3e}"
         )
     g = gamma_permutation(n)
-    return SympMatrix(n, g @ arr @ g.T, GROUPED, tol)
+    return SympMatrix._checked(n, g.dot(arr).dot(g.T), GROUPED, tol)
 
 
 def exp_map(L: LieAlgElement, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
@@ -349,8 +363,8 @@ def exp_map(L: LieAlgElement, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
     """
     import scipy.linalg
 
-    M = scipy.linalg.expm(_omega_cached(L.n) @ L.data)
-    return SympMatrix(L.n, M, GROUPED, tol)
+    M = scipy.linalg.expm(_omega_cached(L.n).dot(L.data))
+    return SympMatrix._checked(L.n, M, GROUPED, tol)
 
 
 # Padé-13 numerator coefficients b_0 ... b_13 and the 1-norm up to which Padé-13 needs no

@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from sympberry import LieAlgElement, OscParams, SympPath, exp_map, integrate_phase
+from sympberry import LieAlgElement, OscParams, SympPath, exp_map, integrate_phase, omega
 
 KAPPA = (0.35, 0.5, 0.6, 0.66)
 R_LEVELS = (0.3, 0.5, 0.7, 0.9)
@@ -31,7 +32,7 @@ CENTRAL_DEVIATION = {
 }
 
 
-def _loops(seed):
+def _loops(seed, batch=False):
     """Per n, four (path, params, closed form), drawn in the refined_loops order."""
     rng = np.random.default_rng([seed, 2])
     loops = {}
@@ -46,15 +47,17 @@ def _loops(seed):
             S0 = exp_map(LieAlgElement(n, (X + X.T) / 2.0))
             p = OscParams(float(rng.uniform(0.5, 2.0)), tuple(rng.uniform(0.3, 3.0, size=n).tolist()))
             reference = float(-math.pi * np.sum(windings * np.sinh(R) ** 2))
-            loops[n].append((_loop_path(n, R, windings, kappa, S0, p), p, reference))
+            loops[n].append((_loop_path(n, R, windings, kappa, S0, p, batch), p, reference))
     return loops
 
 
-def _loop_path(n, R, windings, kappa, S0, p):
+def _loop_path(n, R, windings, kappa, S0, p, batch=False):
+    """The loop per point, or with batch as an eval_batch of the same matrices as plain
+    arrays, each S0.data @ scipy.linalg.expm(omega L) with no SympMatrix built."""
     l2 = np.asarray(p.lengths) ** 2
     idx = np.arange(n)
 
-    def eval_loop(t):
+    def generator(t):
         theta = 2.0 * math.pi * t
         phi = t + math.atan2(kappa * math.sin(theta), 1.0 - kappa * math.cos(theta)) / math.pi
         angle = 2.0 * math.pi * windings * phi
@@ -64,12 +67,23 @@ def _loop_path(n, R, windings, kappa, S0, p):
         L[idx, n + idx] = -rc
         L[n + idx, idx] = -rc
         L[n + idx, n + idx] = -(l2 / p.hbar) * rs
-        return S0 @ exp_map(LieAlgElement(n, L))
+        return L
 
-    return SympPath(n=n, eval=eval_loop, closed=True)
+    if batch:
+        eval_batch = lambda ts: np.array([S0.data @ scipy.linalg.expm(omega(n) @ generator(t)) for t in ts])
+        return SympPath(n=n, eval_batch=eval_batch, closed=True)
+    return SympPath(n=n, eval=lambda t: S0 @ exp_map(LieAlgElement(n, generator(t))), closed=True)
 
 
 @pytest.mark.parametrize("seed, n", sorted(CENTRAL_DEVIATION))
 def test_compressed_loop_phases_within_bound(seed, n):
     for (path, p, reference), deviation in zip(_loops(seed)[n], CENTRAL_DEVIATION[seed, n]):
         assert abs(integrate_phase(path, p).value - reference) <= 1.5 * deviation
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_per_point_loop_integrates_as_its_matrices_given_as_a_stack(n):
+    # exp_map and @ give their results only the group check: the data they hand the path
+    # are the bits of the plain scipy exponential and product, node for node
+    for (path, p, _), (stacked, _, _) in zip(_loops(1)[n], _loops(1, batch=True)[n]):
+        assert repr(integrate_phase(path, p)) == repr(integrate_phase(stacked, p))  # float reprs round-trip

@@ -15,6 +15,7 @@ from sympberry import (
     LieAlgElement,
     NonFiniteIntegrand,
     OscParams,
+    SqueezeSpec,
     SympMatrix,
     SympPath,
     block_decompose,
@@ -26,9 +27,11 @@ from sympberry import (
     omega,
     omega_interleaved,
     squeeze_circle_path,
+    squeeze_matrix_n1,
     symplectic_core,
     symplectic_residual,
 )
+from sympberry import _random
 from sympberry._random import random_symmetric
 
 
@@ -470,6 +473,80 @@ def test_lie_alg_element_rejections(args, message):
 def test_exp_map_checks_its_result():
     with pytest.raises(ValueError, match="^matrix fails the symplectic condition: residual "):
         exp_map(LieAlgElement(2, 0.7 * np.eye(4)), tol=0.0)
+
+
+# exp_map, @, inverse and convert_ordering build their result array themselves and give it
+# only the group check. Each row returns (result, the arrays it was made from, n, ordering,
+# tol_symp): the result must be the SympMatrix the public constructor builds from its data.
+def _exp_map_site(rng):
+    L = LieAlgElement(2, random_symmetric(rng, 4, 0.5))
+    return exp_map(L, tol=1e-9), [L.data], 2, GROUPED, 1e-9
+
+
+def _matmul_site(rng):
+    A = _random.random_symplectic(rng, 2)
+    B = SympMatrix(2, _random.random_symplectic(rng, 2).data, tol_symp=1e-9)
+    return A @ B, [A.data, B.data], 2, GROUPED, 1e-8  # 10x the larger operand tolerance
+
+
+def _inverse_site(rng):
+    g = gamma_permutation(3)
+    M = SympMatrix(3, g.T @ _random.random_symplectic(rng, 3).data @ g, INTERLEAVED, 1e-9)
+    return M.inverse(), [M.data], 3, INTERLEAVED, 1e-9
+
+
+def _convert_ordering_site(rng):
+    g = gamma_permutation(2)
+    Mtilde = g.T @ _random.random_symplectic(rng, 2).data @ g
+    return convert_ordering(Mtilde, tol=1e-9), [Mtilde], 2, GROUPED, 1e-9
+
+
+@pytest.mark.parametrize(
+    "site",
+    [_exp_map_site, _matmul_site, _inverse_site, _convert_ordering_site],
+    ids=["exp_map", "matmul", "inverse", "convert_ordering"],
+)
+def test_library_results_equal_the_public_construction(site):
+    result, inputs, n, ordering, tol = site(np.random.default_rng(11))
+    assert type(result) is SympMatrix and type(result.n) is int
+    assert (result.n, result.ordering, result.tol_symp) == (n, ordering, tol)
+    assert result.data.dtype == np.float64 and not result.data.flags.writeable
+    assert not any(np.shares_memory(result.data, x) for x in inputs)
+    reference = SympMatrix(n, result.data.copy(), ordering, tol)
+    assert (reference.n, reference.ordering, reference.tol_symp) == (n, ordering, tol)
+    assert np.array_equal(reference.data, result.data)
+    with pytest.raises(ValueError):
+        result.data[0, 0] = 5.0
+
+
+_P1 = OscParams(1.0, (1.0,))
+_NEAR_DET = SympMatrix(1, np.diag([1 + 6e-9, 1.0]), GROUPED, 1e-3)  # passes; its square does not
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: squeeze_matrix_n1(SqueezeSpec(1, 4.5, 0.3, _P1))
+            @ squeeze_matrix_n1(SqueezeSpec(1, 4.5, 1.1, _P1)),
+            "matrix fails the symplectic condition: residual 1.784e-09 exceeds tolerance 1.000e-09",
+        ),
+        (
+            lambda: exp_map(LieAlgElement(1, [[0.3, 0.1], [0.1, -0.2]]), tol=1e-30),
+            "matrix fails the symplectic condition: residual 9.201e-18 exceeds tolerance 1.000e-30",
+        ),
+        (lambda: _NEAR_DET @ _NEAR_DET, "determinant 1.000000012 deviates from 1 beyond 1e-08"),
+        (
+            lambda: convert_ordering(np.diag([1 + 1e-6, 1.0]), tol=1e-5),
+            "determinant 1.000001 deviates from 1 beyond 1e-08",
+        ),
+    ],
+    ids=["matmul-residual", "exp_map-residual", "matmul-determinant", "convert_ordering-determinant"],
+)
+def test_library_results_fail_with_the_public_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert type(info.value) is ValueError
 
 
 def test_residual_and_membership_values():
