@@ -1,6 +1,7 @@
-"""Internal quadrature: one engine and one node set.
+"""Internal quadrature: two engines and one node set.
 
-An adaptive Gauss-Kronrod (7, 15) rule for line integrals over [a, b], plus
+An adaptive Gauss-Kronrod (7, 15) rule for line integrals over [a, b], a
+nested trapezoid rule for smooth periodic integrands on [0, 1], plus
 tanh-sinh nodes for integrals of analytic, rapidly decaying integrands on a
 finite window. The Kronrod constants are hardcoded; the test suite validates
 them by polynomial exactness (degree 22 for K15, 13 for G7). The adaptive
@@ -68,6 +69,10 @@ _g7_full = np.zeros(15)
 _g7_full[1:15:2] = np.concatenate([_G7_WEIGHTS_POS[:-1], _G7_WEIGHTS_POS[::-1]])
 G7_WEIGHTS_EMBEDDED = _g7_full  # zero rows at pure-Kronrod nodes
 _EPS = float(np.finfo(float).eps)
+# the periodic grid (1/48 + k/N) mod 1 starts at N = 16 and doubles; at N = 16 * 2^j the
+# shift is 2^j / 3 spacings, never a whole number, so every node keeps 1/(3N) from 0 and 1
+_PERIODIC_SHIFT = 1.0 / 48.0
+_PERIODIC_FIRST = 16
 
 
 class NonFiniteIntegrand(ValueError):
@@ -87,21 +92,9 @@ class QuadratureBudgetExceeded(RuntimeError):
         )
 
 
-def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
-    """G7K15 panels on [a_i, b_i], all nodes in one call of f.
-
-    Returns the K15 values and |K15 - G7| estimates: scalars for float a and b,
-    one per panel for 1-D arrays. f maps the node array to an array of
-    integrand values of the same shape; a non-finite value raises
-    NonFiniteIntegrand naming its first node.
-    """
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    # float ends keep the first panel on Python floats: arrays add ~10% to a circle phase
-    if isinstance(a, np.ndarray):
-        grid = mid[:, None] + half[:, None] * GK15_NODES
-    else:
-        grid = mid + half * GK15_NODES
-    nodes = grid.ravel()
+def _checked_values(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """f(nodes) as floats of the nodes' shape, or ValueError; NonFiniteIntegrand names the
+    first node with a non-finite value."""
     vals = np.asarray(f(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError(
@@ -111,7 +104,33 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
     finite = np.isfinite(vals)
     if not np.logical_and.reduce(finite):
         raise NonFiniteIntegrand(f"integrand is non-finite at t={nodes[np.argmax(~finite)]}")
-    vals = vals.reshape(grid.shape)
+    return vals
+
+
+def _check_settings(tol, max_evals) -> None:
+    """ValueError unless tol is positive and finite and max_evals an integer (bool is not a count)."""
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    if tol == math.inf:
+        raise ValueError("tolerance must be finite")
+    if not _is_integer(max_evals):
+        raise ValueError(f"budget must be an integer, got {max_evals!r}")
+
+
+def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
+    """G7K15 panels on [a_i, b_i], all nodes in one call of f.
+
+    Returns the K15 values and |K15 - G7| estimates: scalars for float a and b,
+    one per panel for 1-D arrays. f maps the node array to an array of
+    integrand values of the same shape, checked by _checked_values.
+    """
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # float ends keep the first panel on Python floats: arrays add ~10% to a circle phase
+    if isinstance(a, np.ndarray):
+        grid = mid[:, None] + half[:, None] * GK15_NODES
+    else:
+        grid = mid + half * GK15_NODES
+    vals = _checked_values(f, grid.ravel()).reshape(grid.shape)
     # row-wise reductions give each panel the same sum whatever the panel
     # count, where a matrix-vector product may not
     k15 = half * np.add.reduce(vals * GK15_WEIGHTS, axis=-1)
@@ -153,12 +172,7 @@ def adaptive_gauss_kronrod(
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    if tol == math.inf:
-        raise ValueError("tolerance must be finite")
-    if not _is_integer(max_evals):
-        raise ValueError(f"budget must be an integer, got {max_evals!r}")
+    _check_settings(tol, max_evals)
     val, err = map(float, _panels(f, a, b))
     if err <= tol:  # + 0.0 as in the sums below, so a zero integral reads 0.0, not -0.0
         return val + 0.0, err + 0.0, 15
@@ -186,6 +200,46 @@ def adaptive_gauss_kronrod(
         total += e1 + e2 + neg
     heap.sort(key=lambda p: p[1])
     return _left_sum(p[3] for p in heap), _left_sum(-p[0] for p in heap), evals
+
+
+def _periodic_nodes(count: int) -> np.ndarray:
+    """The nodes that level count adds to the periodic grid (1/48 + k/count) mod 1:
+    every k at the first level, odd k at each later one, in the order of k."""
+    k = np.arange(count) if count == _PERIODIC_FIRST else np.arange(1, count, 2)
+    return (_PERIODIC_SHIFT + k / count) % 1.0
+
+
+def periodic_trapezoid(
+    f: Callable[[np.ndarray], np.ndarray], tol: float, max_evals: int
+) -> tuple[float, float, int]:
+    """Trapezoid rule on [0, 1] for a 1-periodic integrand, on a nested grid of N nodes.
+
+    N starts at 16 and doubles, each level one call of f on its new nodes
+    (_periodic_nodes): no node is evaluated twice, and none lies at 0 or 1.
+    After each doubling, with c = |rfft(values in grid order)| / N, q2 = max
+    c[N/4:] and q4 = max c[N/8:N/4], the estimate q2 (q2 / q4)^2 carries the
+    spectrum's decay two octaves on, or is q2 if it does not fall (a kink
+    keeps q2 / q4 near 1/2). Returns (mean of the samples, estimate, N) once
+    the estimate meets tol. Raises QuadratureBudgetExceeded, with the
+    evaluations made and the last estimate (inf before the first doubling),
+    when the next level would exceed max_evals; NonFiniteIntegrand and
+    ValueError as adaptive_gauss_kronrod does.
+    """
+    _check_settings(tol, max_evals)
+    values, estimate, count = np.empty(0), math.inf, _PERIODIC_FIRST
+    while count <= max_evals:
+        new = _checked_values(f, _periodic_nodes(count))
+        if values.size:  # grid order: the old nodes at even k, the new ones at odd k
+            values = np.column_stack((values, new)).ravel()
+            spectrum = np.abs(np.fft.rfft(values)) / count
+            q2, q4 = spectrum[count // 4 :].max(), spectrum[count // 8 : count // 4].max()
+            estimate = float(q2 if q2 >= q4 else q2 * (q2 / q4) ** 2)
+        else:
+            values = new
+        if estimate <= tol:
+            return math.fsum(values) / count, estimate, count
+        count *= 2
+    raise QuadratureBudgetExceeded(values.size, tol, estimate)
 
 
 @functools.lru_cache(maxsize=16)

@@ -15,7 +15,7 @@ polygon through given knots, and an invariance check under constant left
 translations (classical canonical transformations leave the phase alone).
 
 The integrands are evaluated over stacks of path samples, one quadrature
-call (a G7K15 panel or a split into two panels) at a time.
+call (a G7K15 panel, a split into two panels, or a trapezoid level) at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._quadrature import NonFiniteIntegrand, adaptive_gauss_kronrod
+from ._quadrature import (
+    NonFiniteIntegrand, QuadratureBudgetExceeded, adaptive_gauss_kronrod, periodic_trapezoid,
+)
 from .gaussian_states import OscParams, _check_modes, _covariance_stack, _unit_conversion, _vacuum_frame
 from .symplectic_core import (
     DEFAULT_TOL_SYMP,
@@ -56,6 +58,7 @@ _PARAM_SAMPLES = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
 _PARAM_SAMPLES.setflags(write=False)
 _CLOSURE_TOL = 1e-10
 _FD_STEP_FACTOR = 1e-6
+_PERIODIC_NODES = 256  # a closed stencil path's trapezoid budget before G7K15 takes over
 _B_ZERO_TOL = 1e-12
 _INV_TRANSPOSE_TOL = 1e-10
 
@@ -66,7 +69,7 @@ class NotBZeroForm(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadSpec:
-    """Adaptive G7K15 settings: error tolerance and evaluation budget."""
+    """Quadrature settings, shared by both rules: error tolerance and evaluation budget."""
 
     tol: float = 1e-10
     max_evals: int = 10**6
@@ -87,14 +90,18 @@ _DEFAULT_QUAD = QuadSpec()  # frozen, so every caller can share it
 class PhaseResult:
     """Integrated phase in radians with the quadrature's own error estimate.
 
-    error_estimate is the sum over panels of |K15 - G7|, the disagreement of
-    the two Gauss-Kronrod rules on the sampled integrand, and nothing else.
-    It does not cover finite-difference tangents or symplectic drift of the
-    path. On a path that converges in one panel (the squeeze circles, whose
-    integrand is constant) it is rounding noise: 0 to about 6e-14, changing
-    with the summation order of the same node values. On finite-difference
-    paths it under-reports the true error: it reads 5.5e-12 against an
-    actual 2.2e-10 (40x) on a reparametrized circle. polygon_phase uses no
+    error_estimate is the rule's own estimate and nothing else: from G7K15
+    the sum over panels of |K15 - G7|, the disagreement of the two
+    Gauss-Kronrod rules on the sampled integrand; on a closed path without a
+    tangent, which the periodic trapezoid integrates, the aliasing error that
+    the samples' spectrum extrapolates. It does not cover finite-difference
+    tangents or symplectic drift of the path. On a path that converges in
+    one panel (the squeeze circles, whose integrand is constant) it is
+    rounding noise: 0 to about 6e-14, changing with the summation order of
+    the same node values. On finite-difference paths it under-reports the
+    true error, which the stencil's bias sets: on a reparametrized circle the
+    trapezoid reads 2.2e-11 against an actual 2.3e-10 (10x), and G7K15 on the
+    same path left open 5.5e-12 against 2.2e-10 (40x). polygon_phase uses no
     quadrature; its error_estimate bounds the rounding of its finite sum.
     """
 
@@ -125,8 +132,9 @@ class SympPath:
     three-point difference with step h. sample() takes a non-empty 1-D ts and
     checks every evaluated stack (both stencil stacks, never the mean) as
     SympMatrix does. Construction checks five samples, and closure when
-    closed, the flag's only effect. eval(t) and derivative(t) are one-point
-    views.
+    closed; a closed path without a tangent is also integrated by the
+    periodic trapezoid first (_integrate). eval(t) and derivative(t) are
+    one-point views.
     """
 
     n: int
@@ -291,7 +299,11 @@ def _integrate(
     """Every phase integral runs here: kernel(Ms, dMs) on each sampled pair at hbar = l = 1,
     integrated over [0, 1], with check(stack, ts) run on every evaluated physical stack if given.
 
-    The engine is looked up in this module's namespace at each call, so a
+    A closed path without a tangent is periodic, so it first takes the
+    periodic trapezoid, on at most 256 nodes; one that fails to meet the
+    tolerance there (a kink, or a steep reparametrization) and every other
+    path take G7K15, on what is left of the budget. evaluations counts both.
+    The engines are looked up in this module's namespace at each call, so a
     wrapper installed there sees every engine call and its integrand nodes.
     """
     quad = _DEFAULT_QUAD if quad is None else quad
@@ -303,8 +315,19 @@ def _integrate(
         with np.errstate(over="ignore", invalid="ignore"):  # the engine reports non-finite values
             return kernel(Ms / q, dMs / q)
 
-    value, error, evals = adaptive_gauss_kronrod(f, 0.0, 1.0, tol=quad.tol, max_evals=quad.max_evals)
-    return PhaseResult(value=value, error_estimate=error, evaluations=evals)
+    spent = 0
+    if path.closed and path._fd_step is not None:
+        try:
+            return PhaseResult(*periodic_trapezoid(f, quad.tol, min(quad.max_evals, _PERIODIC_NODES)))
+        except QuadratureBudgetExceeded as exc:
+            if quad.max_evals - exc.evaluations < 15:  # not even one panel left
+                raise
+            spent = exc.evaluations
+    try:
+        value, error, evals = adaptive_gauss_kronrod(f, 0.0, 1.0, quad.tol, quad.max_evals - spent)
+    except QuadratureBudgetExceeded as exc:
+        raise QuadratureBudgetExceeded(spent + exc.evaluations, exc.tol, exc.error) from None
+    return PhaseResult(value=value, error_estimate=error, evaluations=spent + evals)
 
 
 def integrate_phase(path: SympPath, p: OscParams, quad: QuadSpec | None = None) -> PhaseResult:

@@ -31,7 +31,7 @@ from sympberry import (
     squeeze_circle_path,
 )
 from sympberry import gaussian_states, geometric_phase, symplectic_core
-from sympberry._quadrature import GK15_NODES
+from sympberry._quadrature import GK15_NODES, _periodic_nodes
 from sympberry.oracles import b_zero_loop
 from sympberry.symplectic_core import LieAlgElement
 
@@ -971,7 +971,7 @@ TWO_MODES = OscParams(1.0, (1.0, 1.0))
 _OFF_GROUP = np.diag([1.0 + 1e-6, 1.0 / (1.0 + 1e-6), 1.0, 1.0])
 
 
-def _leaving_circle(lo, hi):
+def _leaving_circle(lo, hi, closed=True):
     """Per-point two-mode circle that leaves the group for t in (lo, hi)."""
     base = squeeze_circle_path(2, 0.7, TWO_MODES)
 
@@ -979,15 +979,27 @@ def _leaving_circle(lo, hi):
         M = base.eval(t).data
         return SympMatrix(2, M @ _OFF_GROUP if lo < t < hi else M, GROUPED, 1e-3)
 
-    return SympPath(n=2, eval=eval_point, closed=True)
+    return SympPath(n=2, eval=eval_point, closed=closed)
 
 
 @pytest.mark.parametrize("side", [0.5, -0.5])
 def test_both_stencil_stacks_are_group_checked(side):
-    # the path leaves the group only between the node 0.5 and its stencil point 0.5 + side h
+    # the path leaves the group only between the node 0.5 and its stencil point 0.5 + side h;
+    # open, so G7K15, whose first panel has a node at 0.5, integrates it
     h = _fd_step(squeeze_circle_path(2, 0.7, TWO_MODES))
-    path = _leaving_circle(*sorted((0.5, 0.5 + 2.0 * side * h)))
+    path = _leaving_circle(*sorted((0.5, 0.5 + 2.0 * side * h)), closed=False)
     message = f"sample at t={0.5 + side * h} fails the symplectic condition"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_phase(path, TWO_MODES)
+
+
+@pytest.mark.parametrize("side", [0.5, -0.5])
+def test_both_stencil_stacks_of_a_trapezoid_node_are_group_checked(side):
+    # closed, so the periodic trapezoid integrates it: its first node is 1/48
+    node = float(_periodic_nodes(16)[0])
+    h = _fd_step(squeeze_circle_path(2, 0.7, TWO_MODES))
+    path = _leaving_circle(*sorted((node, node + 2.0 * side * h)))
+    message = f"sample at t={node + side * h} fails the symplectic condition"
     with pytest.raises(ValueError, match=re.escape(message)):
         integrate_phase(path, TWO_MODES)
 
@@ -1035,9 +1047,67 @@ def test_b_zero_names_the_evaluated_t():
             M[:2, 2:] = 1e-9 * np.eye(2)
         return SympMatrix(2, M, GROUPED, 1e-3)
 
-    path = SympPath(n=2, eval=eval_point, closed=True)
+    path = SympPath(n=2, eval=eval_point)  # open, so G7K15 with its node at 0.5 integrates it
     with pytest.raises(NotBZeroForm, match=re.escape(f"at t={0.5 + 0.5 * h}")):
         phase_b_zero(path, OscParams(1.0, (1.0, 1.0)))
+
+
+def _kinked_loop(b, closed=True):
+    """The R = 0.8 one-mode circle per point, its angle warped piecewise linearly: [0, b]
+    onto [0, 1/2] and [b, 1] onto [1/2, 1], so the integrand jumps at b and at 0."""
+    base = squeeze_circle_path(1, 0.8, UNIT_PARAMS)
+    warp = lambda t: 0.5 * t / b if t < b else 0.5 + 0.5 * (t - b) / (1.0 - b)
+    return SympPath(n=1, eval=lambda t: base.eval(warp(t)), closed=closed)
+
+
+@pytest.mark.parametrize("b", [0.3, 1 / 3, 0.37, 0.41])
+def test_a_kinked_closed_loop_hands_over_to_gauss_kronrod(b):
+    # a jump keeps the spectrum's q2 / q4 near 1/2, so the trapezoid never stops; a stop on
+    # |T_N - T_N/2| would have passed at 128 nodes on b = 0.3 (and at 32 on 0.37, 64 on 0.41)
+    # with the sum still 7.4e-3 off. G7K15 then integrates as it does the open loop.
+    closed = integrate_phase(_kinked_loop(b), UNIT_PARAMS)
+    gauss_kronrod = integrate_phase(_kinked_loop(b, closed=False), UNIT_PARAMS)
+    assert repr(closed.value) == repr(gauss_kronrod.value)
+    assert repr(closed.error_estimate) == repr(gauss_kronrod.error_estimate)
+    assert closed.evaluations == gauss_kronrod.evaluations + 256
+
+
+@pytest.mark.parametrize("max_evals, evaluations", [(15, 15), (20, 16), (100, 79), (300, 271)])
+def test_a_kinked_closed_loop_stays_within_its_budget(max_evals, evaluations):
+    # the trapezoid stops before a level it cannot afford; G7K15 runs only if one panel is left
+    with pytest.raises(QuadratureBudgetExceeded) as info:
+        integrate_phase(_kinked_loop(0.3), UNIT_PARAMS, QuadSpec(max_evals=max_evals))
+    assert info.value.evaluations == evaluations <= max_evals
+
+
+@pytest.mark.parametrize(
+    "b, engines",
+    [(0.5, ["periodic_trapezoid"]), (0.3, ["periodic_trapezoid", "adaptive_gauss_kronrod"])],
+)
+def test_closed_stencil_paths_call_the_engines_through_the_module_namespace(monkeypatch, b, engines):
+    # b = 0.5 warps nothing, so that loop is smooth and the trapezoid alone integrates it
+    calls = []
+
+    def recording(name):
+        engine = getattr(geometric_phase, name)
+        return lambda *args, **kwargs: calls.append(name) or engine(*args, **kwargs)
+
+    for name in ("periodic_trapezoid", "adaptive_gauss_kronrod"):
+        monkeypatch.setattr(geometric_phase, name, recording(name))
+    result = integrate_phase(_kinked_loop(b), UNIT_PARAMS)
+    assert calls == engines
+    assert abs(result.value - reference_phase(1, 0.8)) <= 1e-9
+
+
+def test_reparametrized_circle_takes_the_periodic_trapezoid():
+    # the figure of the PhaseResult docstring: the trapezoid's estimate does not cover the
+    # stencil's bias, which sets the error
+    base = squeeze_circle_path(1, 1.0, UNIT_PARAMS)
+    warp = lambda t: t + 0.4 * np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
+    result = integrate_phase(SympPath(n=1, eval=lambda t: base.eval(warp(t)), closed=True), UNIT_PARAMS)
+    error = abs(result.value - REFERENCE_R1)
+    assert result.evaluations == 32
+    assert result.error_estimate <= 1e-10 < error <= 3e-10  # 2.2e-11 against 2.3e-10
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.special
 
 from sympberry import _quadrature
 from sympberry._quadrature import (
@@ -14,9 +15,24 @@ from sympberry._quadrature import (
     QuadratureBudgetExceeded,
     _left_sum,
     _panels,
+    _periodic_nodes,
     adaptive_gauss_kronrod,
+    periodic_trapezoid,
     tanh_sinh_nodes,
 )
+
+# The two engines on [0, 1], called alike, with the ascending nodes of each one's first call.
+# The engine-contract tests below run on both.
+ENGINES = {
+    "gauss_kronrod": (
+        lambda f, tol=1e-10, max_evals=10**6: adaptive_gauss_kronrod(f, 0.0, 1.0, tol, max_evals),
+        0.5 + 0.5 * GK15_NODES,
+    ),
+    "periodic_trapezoid": (
+        lambda f, tol=1e-10, max_evals=10**6: periodic_trapezoid(f, tol, max_evals),
+        _periodic_nodes(16),
+    ),
+}
 
 
 def test_weights_sum_to_interval_length():
@@ -80,22 +96,25 @@ def test_adaptive_deterministic():
 
 def test_budget_exceeded():
     f = lambda x: 1.0 / ((x - 0.5) ** 2 + 1e-10)
-    with pytest.raises(QuadratureBudgetExceeded) as info:
-        adaptive_gauss_kronrod(f, 0.0, 1.0, tol=1e-12, max_evals=100)
-    assert info.value.evaluations <= 100
-    assert info.value.tol == 1e-12
-    assert info.value.error > 1e-12
+    for engine, _ in ENGINES.values():
+        with pytest.raises(QuadratureBudgetExceeded) as info:
+            engine(f, tol=1e-12, max_evals=100)
+        assert info.value.evaluations <= 100
+        assert info.value.tol == 1e-12
+        assert info.value.error > 1e-12
 
 
 def test_bad_tolerance():
-    with pytest.raises(ValueError):
-        adaptive_gauss_kronrod(np.exp, 0.0, 1.0, tol=0.0)
+    for engine, _ in ENGINES.values():
+        with pytest.raises(ValueError):
+            engine(np.exp, tol=0.0)
 
 
 @pytest.mark.parametrize("tol", [math.inf, np.inf, np.float64("inf")], ids=["inf0", "inf1", "inf2"])
 def test_infinite_tolerance_is_rejected(tol):
-    with pytest.raises(ValueError, match="^tolerance must be finite$"):
-        adaptive_gauss_kronrod(np.exp, 0.0, 1.0, tol=tol)
+    for engine, _ in ENGINES.values():
+        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+            engine(np.exp, tol=tol)
 
 
 # The engine as it was before its panels moved to a heap: every split rescans the panel
@@ -204,23 +223,25 @@ def test_noisy_integrand_exhausts_the_budget_after_the_reference_count():
     ],
 )
 def test_integrand_must_map_nodes_to_values(bad):
-    with pytest.raises(ValueError, match="integrand returned shape"):
-        adaptive_gauss_kronrod(bad, 0.0, 1.0)
+    for engine, nodes in ENGINES.values():
+        message = f"^integrand returned shape .* for {nodes.size} nodes; expected \\({nodes.size},\\)$"
+        with pytest.raises(ValueError, match=message):
+            engine(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_integrand_stops_at_the_first_call(bad):
-    calls = []
+    for engine, nodes in ENGINES.values():
+        calls = []
 
-    def f(x):
-        calls.append(x.size)
-        return np.where(x > 0.3, bad, 1.0)
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > 0.3, bad, 1.0)
 
-    nodes = 0.5 + 0.5 * GK15_NODES  # the first panel's nodes, ascending
-    first = nodes[nodes > 0.3][0]
-    with pytest.raises(NonFiniteIntegrand, match=f"^integrand is non-finite at t={first}$"):
-        adaptive_gauss_kronrod(f, 0.0, 1.0)
-    assert calls == [15]
+        first = nodes[nodes > 0.3][0]
+        with pytest.raises(NonFiniteIntegrand, match=f"^integrand is non-finite at t={first}$"):
+            engine(f)
+        assert calls == [nodes.size]
 
 
 @pytest.mark.parametrize("a, b", [(0.0, np.nan), (np.nan, 1.0), (-np.inf, 0.0), (0.0, math.inf)])
@@ -266,10 +287,12 @@ def test_adaptive_rule_refuses_a_non_integer_budget(max_evals):
         calls.append(x.size)
         return np.cos(x)
 
-    with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, got {max_evals!r}")):
-        adaptive_gauss_kronrod(f, 0.0, 1.0, max_evals=max_evals)
-    assert calls == []  # refused before the first panel
+    for engine, _ in ENGINES.values():
+        with pytest.raises(ValueError, match=re.escape(f"budget must be an integer, got {max_evals!r}")):
+            engine(f, max_evals=max_evals)
+    assert calls == []  # refused before the first call
     assert adaptive_gauss_kronrod(np.cos, 0.0, 1.0, max_evals=np.int64(15))[2] == 15
+    assert periodic_trapezoid(lambda t: np.cos(2.0 * np.pi * t), 1e-10, np.int64(32))[2] == 32
 
 
 # Panel sums that a compensated sum (builtin sum from Python 3.12 on, or math.fsum) reads
@@ -303,3 +326,51 @@ def test_adaptive_rule_adds_its_panels_left_to_right(monkeypatch):
 
     monkeypatch.setattr(_quadrature, "_panels", panels)
     assert adaptive_gauss_kronrod(np.cos, 0.0, 1.0, tol=3e16) == (_VALUES_LEFT, _ERRORS_LEFT, 75)
+
+
+# ---------------------------------------------------------------------------
+# the periodic trapezoid
+
+
+def test_periodic_trapezoid_is_spectrally_accurate():
+    # exp(cos 2 pi t) integrates to the modified Bessel value I0(1)
+    value, error, evals = periodic_trapezoid(lambda t: np.exp(np.cos(2.0 * np.pi * t)), 1e-10, 10**6)
+    assert abs(value - scipy.special.i0(1.0)) <= 1e-15
+    assert error <= 1e-10 and evals <= 64
+
+
+def test_periodic_trapezoid_evaluates_every_node_once():
+    # a jump at 0.3 never passes the stop test, so the rule doubles up to its budget
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.where(t < 0.3, 1.0, 0.0)
+
+    with pytest.raises(QuadratureBudgetExceeded) as info:
+        periodic_trapezoid(f, 1e-10, 1024)
+    assert [t.size for t in calls] == [16, 16, 32, 64, 128, 256, 512]
+    nodes = np.concatenate(calls)
+    assert info.value.evaluations == nodes.size == np.unique(nodes).size == 1024
+    assert np.array_equal(np.sort(nodes), np.sort((1.0 / 48.0 + np.arange(1024) / 1024) % 1.0))
+
+
+def test_periodic_grid_keeps_clear_of_the_ends():
+    # a stencil node within h/2 of 0 or 1 takes the one-sided rule; up to 2^19 nodes none
+    # does at h = 1e-6, since every node sits at least a third of a spacing from an end
+    for level in range(4, 20):
+        nodes = _periodic_nodes(2**level)
+        assert nodes.size == (16 if level == 4 else 2 ** (level - 1))
+        assert min(nodes.min(), 1.0 - nodes.max()) > 5e-7
+
+
+def test_periodic_trapezoid_stops_on_a_constant_at_the_first_doubling():
+    with np.errstate(all="raise"):  # a flat spectrum has q2 = q4 = 0: no 0 / 0
+        assert periodic_trapezoid(lambda t: np.full_like(t, 2.5), 1e-10, 10**6) == (2.5, 0.0, 32)
+
+
+@pytest.mark.parametrize("max_evals, evaluations", [(15, 0), (16, 16), (100, 64), (256, 256)])
+def test_periodic_trapezoid_stops_before_a_level_over_its_budget(max_evals, evaluations):
+    with pytest.raises(QuadratureBudgetExceeded) as info:
+        periodic_trapezoid(lambda t: np.where(t < 0.3, 1.0, 0.0), 1e-10, max_evals)
+    assert info.value.evaluations == evaluations <= max_evals
