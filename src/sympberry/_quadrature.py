@@ -92,10 +92,10 @@ class QuadratureBudgetExceeded(RuntimeError):
         )
 
 
-def _checked_values(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """f(nodes) as floats of the nodes' shape, or ValueError; NonFiniteIntegrand names the
+def _checked_values(vals, nodes: np.ndarray) -> np.ndarray:
+    """vals as floats of the nodes' shape, or ValueError; NonFiniteIntegrand names the
     first node with a non-finite value."""
-    vals = np.asarray(f(nodes), dtype=float)
+    vals = np.asarray(vals, dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError(
             f"integrand returned shape {vals.shape} for {nodes.size} nodes; "
@@ -130,7 +130,8 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], a, b) -> tuple:
         grid = mid[:, None] + half[:, None] * GK15_NODES
     else:
         grid = mid + half * GK15_NODES
-    vals = _checked_values(f, grid.ravel()).reshape(grid.shape)
+    nodes = grid.ravel()
+    vals = _checked_values(f(nodes), nodes).reshape(grid.shape)
     # row-wise reductions give each panel the same sum whatever the panel
     # count, where a matrix-vector product may not
     k15 = half * np.add.reduce(vals * GK15_WEIGHTS, axis=-1)
@@ -210,36 +211,56 @@ def _periodic_nodes(count: int) -> np.ndarray:
 
 
 def periodic_trapezoid(
-    f: Callable[[np.ndarray], np.ndarray], tol: float, max_evals: int
+    f: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_evals: int,
+    values: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[float, float, int]:
     """Trapezoid rule on [0, 1] for a 1-periodic integrand, on a nested grid of N nodes.
 
     N starts at 16 and doubles, each level one call of f on its new nodes
     (_periodic_nodes): no node is evaluated twice, and none lies at 0 or 1.
-    After each doubling, with c = |rfft(values in grid order)| / N, q2 = max
-    c[N/4:] and q4 = max c[N/8:N/4], the estimate q2 (q2 / q4)^2 carries the
-    spectrum's decay two octaves on, or is q2 if it does not fall (a kink
-    keeps q2 / q4 near 1/2). Returns (mean of the samples, estimate, N) once
-    the estimate meets tol. Raises QuadratureBudgetExceeded, with the
-    evaluations made and the last estimate (inf before the first doubling),
-    when the next level would exceed max_evals; NonFiniteIntegrand and
-    ValueError as adaptive_gauss_kronrod does.
+    With values given, f returns samples stacked along axis 0 instead, which
+    are kept in grid order, and each level's integrand values are
+    values(samples of all N nodes): an integrand that needs the whole grid,
+    as a spectral derivative does. After each doubling, with c =
+    |rfft(values in grid order)| / N, q2 = max c[N/4:] and q4 = max
+    c[N/8:N/4], the estimate q2 (q2 / q4)^2 carries the spectrum's decay two
+    octaves on, or is q2 if it does not fall (a kink keeps q2 / q4 near 1/2).
+    Returns (mean of the values, estimate, N) once the estimate meets tol.
+    Raises QuadratureBudgetExceeded, with the evaluations made and the last
+    estimate (inf before the first doubling), when the next level would
+    exceed max_evals; NonFiniteIntegrand, naming the grid t, and ValueError
+    as adaptive_gauss_kronrod does.
     """
     _check_settings(tol, max_evals)
-    values, estimate, count = np.empty(0), math.inf, _PERIODIC_FIRST
+    samples, estimate, count = np.empty(0), math.inf, _PERIODIC_FIRST
     while count <= max_evals:
-        new = _checked_values(f, _periodic_nodes(count))
-        if values.size:  # grid order: the old nodes at even k, the new ones at odd k
-            values = np.column_stack((values, new)).ravel()
-            spectrum = np.abs(np.fft.rfft(values)) / count
+        nodes = _periodic_nodes(count)
+        if values is None:
+            new = _checked_values(f(nodes), nodes)
+        else:
+            new = np.asarray(f(nodes))
+            if new.shape[:1] != nodes.shape:
+                raise ValueError(
+                    f"sampler returned shape {new.shape} for {nodes.size} nodes; "
+                    f"expected {nodes.size} samples along axis 0"
+                )
+        if count == _PERIODIC_FIRST:
+            samples = new
+        else:  # grid order: the old nodes at even k, the new ones at odd k
+            samples = np.stack((samples, new), axis=1).reshape(count, *new.shape[1:])
+        vals = samples
+        if values is not None:
+            vals = _checked_values(values(samples), (_PERIODIC_SHIFT + np.arange(count) / count) % 1.0)
+        if count > _PERIODIC_FIRST:
+            spectrum = np.abs(np.fft.rfft(vals)) / count
             q2, q4 = spectrum[count // 4 :].max(), spectrum[count // 8 : count // 4].max()
             estimate = float(q2 if q2 >= q4 else q2 * (q2 / q4) ** 2)
-        else:
-            values = new
         if estimate <= tol:
-            return math.fsum(values) / count, estimate, count
+            return math.fsum(vals) / count, estimate, count
         count *= 2
-    raise QuadratureBudgetExceeded(values.size, tol, estimate)
+    raise QuadratureBudgetExceeded(len(samples), tol, estimate)
 
 
 @functools.lru_cache(maxsize=16)

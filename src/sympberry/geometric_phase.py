@@ -8,7 +8,8 @@ the accumulated geometric phase is the line integral of the connection
 over t in [0, 1]: -(1/4) Tr[M'^T Omega dM'] for M' = D^-1 M D, D = diag(l, hbar / l)
 (NOTES.md). So the kernels work at hbar = l = 1 on stacks converted once by
 gaussian_states._unit_conversion. This module provides the path container, sampled in
-stacks with analytic or finite-difference tangents, the integral directly
+stacks with analytic or finite-difference tangents (spectral ones on a closed
+loop's trapezoid grid), the integral directly
 and split into covariance and metaplectic-winding parts, a reduced form
 for paths whose upper-right block vanishes, the exact sum over a geodesic
 polygon through given knots, and an invariance check under constant left
@@ -58,7 +59,9 @@ _PARAM_SAMPLES = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
 _PARAM_SAMPLES.setflags(write=False)
 _CLOSURE_TOL = 1e-10
 _FD_STEP_FACTOR = 1e-6
-_PERIODIC_NODES = 256  # a closed stencil path's trapezoid budget before G7K15 takes over
+# the trapezoid budget of a closed path without a tangent, one evaluation per node and
+# the tangent spectral, before G7K15 takes over with the stencil
+_PERIODIC_NODES = 256
 _B_ZERO_TOL = 1e-12
 _INV_TRANSPOSE_TOL = 1e-10
 
@@ -93,16 +96,18 @@ class PhaseResult:
     error_estimate is the rule's own estimate and nothing else: from G7K15
     the sum over panels of |K15 - G7|, the disagreement of the two
     Gauss-Kronrod rules on the sampled integrand; on a closed path without a
-    tangent, which the periodic trapezoid integrates, the aliasing error that
-    the samples' spectrum extrapolates. It does not cover finite-difference
-    tangents or symplectic drift of the path. On a path that converges in
-    one panel (the squeeze circles, whose integrand is constant) it is
-    rounding noise: 0 to about 6e-14, changing with the summation order of
-    the same node values. On finite-difference paths it under-reports the
-    true error, which the stencil's bias sets: on a reparametrized circle the
-    trapezoid reads 2.2e-11 against an actual 2.3e-10 (10x), and G7K15 on the
-    same path left open 5.5e-12 against 2.2e-10 (40x). polygon_phase uses no
-    quadrature; its error_estimate bounds the rounding of its finite sum.
+    tangent, which the periodic trapezoid integrates on the spectral
+    derivative of its samples, the aliasing error that the spectrum of the
+    integrand extrapolates. It does not cover finite-difference tangents or
+    symplectic drift of the path. On a path that converges in one panel (the
+    squeeze circles, whose integrand is constant) it is rounding noise: 0 to
+    about 6e-14, changing with the summation order of the same node values.
+    On an open path without a tangent it under-reports the true error, which
+    the stencil's bias sets: on a reparametrized R = 1 circle left open,
+    G7K15 reads 5.5e-12 against an actual 2.2e-10 (40x). Closed, the same
+    circle reads 5.1e-15 on the trapezoid, where the error is 0.0.
+    polygon_phase uses no quadrature; its error_estimate bounds the rounding
+    of its finite sum.
     """
 
     value: float
@@ -132,9 +137,10 @@ class SympPath:
     three-point difference with step h. sample() takes a non-empty 1-D ts and
     checks every evaluated stack (both stencil stacks, never the mean) as
     SympMatrix does. Construction checks five samples, and closure when
-    closed; a closed path without a tangent is also integrated by the
-    periodic trapezoid first (_integrate). eval(t) and derivative(t) are
-    one-point views.
+    closed. A closed path without a tangent is integrated by the periodic
+    trapezoid first, which evaluates it once per node and differentiates its
+    samples spectrally (_integrate); the stencil serves sample(), open paths
+    and the G7K15 hand-off. eval(t) and derivative(t) are one-point views.
     """
 
     n: int
@@ -293,6 +299,16 @@ def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
     return PhaseResult(value=float(np.sum(terms)), error_estimate=error, evaluations=len(terms))
 
 
+def _spectral_tangents(Ms: np.ndarray) -> np.ndarray:
+    """dM/dt of a 1-periodic path from its samples on a uniform grid of an even number N of
+    t, stacked along axis 0: the derivative of their trigonometric interpolant (NOTES.md).
+    The Nyquist mode, whose derivative the samples cannot tell from zero, is dropped."""
+    modes = np.fft.rfft(Ms, axis=0)
+    modes *= 2j * np.pi * np.arange(modes.shape[0])[:, None, None]
+    modes[-1] = 0.0
+    return np.fft.irfft(modes, Ms.shape[0], axis=0)
+
+
 def _integrate(
     path: SympPath, p: OscParams, quad: QuadSpec | None, kernel: Callable, check: Callable | None = None
 ) -> PhaseResult:
@@ -300,9 +316,11 @@ def _integrate(
     integrated over [0, 1], with check(stack, ts) run on every evaluated physical stack if given.
 
     A closed path without a tangent is periodic, so it first takes the
-    periodic trapezoid, on at most 256 nodes; one that fails to meet the
-    tolerance there (a kink, or a steep reparametrization) and every other
-    path take G7K15, on what is left of the budget. evaluations counts both.
+    periodic trapezoid, on at most 256 nodes: one evaluation per node, with
+    dM/dt the spectral derivative of the level's samples. One that fails to
+    meet the tolerance there (a kink, or a steep reparametrization) and every
+    other path take G7K15, on what is left of the budget, with the stencil
+    where the path has no tangent. evaluations counts both.
     The engines are looked up in this module's namespace at each call, so a
     wrapper installed there sees every engine call and its integrand nodes.
     """
@@ -317,8 +335,15 @@ def _integrate(
 
     spent = 0
     if path.closed and path._fd_step is not None:
+        samples = lambda ts: path._matrices(ts, check) / q
+
+        def grid_values(Ms: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):  # the engine reports non-finite values
+                return kernel(Ms, _spectral_tangents(Ms))
+
+        budget = min(quad.max_evals, _PERIODIC_NODES)
         try:
-            return PhaseResult(*periodic_trapezoid(f, quad.tol, min(quad.max_evals, _PERIODIC_NODES)))
+            return PhaseResult(*periodic_trapezoid(samples, quad.tol, budget, values=grid_values))
         except QuadratureBudgetExceeded as exc:
             if quad.max_evals - exc.evaluations < 15:  # not even one panel left
                 raise
@@ -361,10 +386,12 @@ def integrate_phase_boundary_form(
     The first term sees only the covariance; the second, from the factor
     det(A + B Z0)^(-1/2), is (1/2) d arg det(A + B Z0), integrated so its branch
     is followed. Sharing only the unit conversion, the sum equals integrate_phase to
-    rounding on every path with a tangent; on an open one both return the
-    integral, with no closing term. Without a tangent both read the stencil
-    mean, which is symplectic only to O(h^2), so they agree to the
-    finite-difference error: 8.8e-11 on the reparametrized R = 1 circle.
+    rounding on every path with a tangent, and on a closed path without one,
+    whose samples the periodic trapezoid differentiates spectrally; on an
+    open path both return the integral, with no closing term. An open path
+    without a tangent gives both the stencil mean, which is symplectic only
+    to O(h^2), so they agree to the finite-difference error: 8.8e-11 on the
+    reparametrized R = 1 circle left open.
     """
     kernel = lambda Ms, dMs: _covariance_values(Ms, dMs) + _winding_values(Ms, dMs)
     return _integrate(path, p, quad, kernel)
@@ -411,7 +438,9 @@ def check_canonical_invariance(
     Returns (original, translated, |difference|). The connection only sees
     M^T Omega dM, which the translation leaves fixed, so the difference is
     rounding. The translate reads the path's own sample pairs times S, so a
-    path without a tangent keeps its stencil and step.
+    path without a tangent keeps its tangent: the spectral derivative of its
+    trapezoid samples when closed, its stencil and step when open or handed
+    off to G7K15.
     """
     if fixedM.n != path.n:
         raise ValueError(f"translation has {fixedM.n} modes, path has {path.n}")

@@ -1,15 +1,17 @@
-"""Accuracy of finite-difference tangents on compressed squeeze loops.
+"""Accuracy of loops given without a tangent, on compressed squeeze loops.
 
 Each loop is M(t) = S0 exp_map(L(phi(t))): block-diagonal one-mode squeezes
 L, mode j of radius R_j turning w_j times, a constant left translation S0,
 and the monotone compression phi(t) = t + atan2(kappa sin 2 pi t,
 1 - kappa cos 2 pi t) / pi. None of these moves the phase from its closed
-form -pi sum_j w_j sinh^2(R_j). The path is given per point with no tangent,
-so every dM/dt is a finite difference and the deviation from the closed
-form is the finite-difference error. The cases are drawn as the benchmark's
-refined_loops cases are (seeds 1 and 5, n = 1, 2, 4, four kappa levels), and
-each one's bound is 1.5 times the deviation that the three-evaluation
-central difference, (M(t + h) - M(t - h)) / 2h at the node M(t), gave on it.
+form -pi sum_j w_j sinh^2(R_j). The path is given per point with no tangent
+and closed, so the periodic trapezoid integrates it on the spectral
+derivative of its own samples. The cases are drawn as the benchmark's
+refined_loops cases are (seeds 1 and 5, n = 1, 2, 4, four kappa levels).
+Each one's first bound is 1.5 times the deviation that the three-evaluation
+central difference, (M(t + h) - M(t - h)) / 2h at the node M(t), gave on it;
+the second is 1e-13 of the loop's scale pi sum_j |w_j| sinh^2(R_j), on the
+node counts that the two-point stencil took.
 """
 import math
 
@@ -17,7 +19,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sympberry import LieAlgElement, OscParams, SympPath, exp_map, integrate_phase, omega
+from sympberry import (
+    LieAlgElement,
+    OscParams,
+    SympPath,
+    check_canonical_invariance,
+    exp_map,
+    integrate_phase,
+    integrate_phase_boundary_form,
+    omega,
+)
 
 KAPPA = (0.35, 0.5, 0.6, 0.66)
 R_LEVELS = (0.3, 0.5, 0.7, 0.9)
@@ -30,10 +41,19 @@ CENTRAL_DEVIATION = {
     (5, 2): (2.07e-10, 4.63e-10, 5.38e-09, 7.20e-09),
     (5, 4): (1.29e-09, 2.45e-09, 7.82e-09, 7.43e-09),
 }
+# trapezoid nodes per seed and n, one per kappa level
+TRAPEZOID_NODES = {
+    (1, 1): (64, 128, 128, 128),
+    (1, 2): (64, 64, 128, 128),
+    (1, 4): (64, 128, 128, 128),
+    (5, 1): (64, 128, 128, 128),
+    (5, 2): (64, 64, 128, 128),
+    (5, 4): (64, 128, 128, 128),
+}
 
 
 def _loops(seed, batch=False):
-    """Per n, four (path, params, closed form), drawn in the refined_loops order."""
+    """Per n, four (path, params, closed form, scale), drawn in the refined_loops order."""
     rng = np.random.default_rng([seed, 2])
     loops = {}
     for n in (1, 2, 4):
@@ -47,7 +67,8 @@ def _loops(seed, batch=False):
             S0 = exp_map(LieAlgElement(n, (X + X.T) / 2.0))
             p = OscParams(float(rng.uniform(0.5, 2.0)), tuple(rng.uniform(0.3, 3.0, size=n).tolist()))
             reference = float(-math.pi * np.sum(windings * np.sinh(R) ** 2))
-            loops[n].append((_loop_path(n, R, windings, kappa, S0, p, batch), p, reference))
+            scale = float(math.pi * np.sum(np.abs(windings) * np.sinh(R) ** 2))
+            loops[n].append((_loop_path(n, R, windings, kappa, S0, p, batch), p, reference, scale))
     return loops
 
 
@@ -77,13 +98,33 @@ def _loop_path(n, R, windings, kappa, S0, p, batch=False):
 
 @pytest.mark.parametrize("seed, n", sorted(CENTRAL_DEVIATION))
 def test_compressed_loop_phases_within_bound(seed, n):
-    for (path, p, reference), deviation in zip(_loops(seed)[n], CENTRAL_DEVIATION[seed, n]):
+    for (path, p, reference, _), deviation in zip(_loops(seed)[n], CENTRAL_DEVIATION[seed, n]):
         assert abs(integrate_phase(path, p).value - reference) <= 1.5 * deviation
+
+
+@pytest.mark.parametrize("seed, n", sorted(TRAPEZOID_NODES))
+def test_compressed_loops_meet_1e13_of_their_scale_on_the_stencil_node_counts(seed, n):
+    for (path, p, reference, scale), nodes in zip(_loops(seed)[n], TRAPEZOID_NODES[seed, n]):
+        result = integrate_phase(path, p)
+        assert result.evaluations == nodes
+        assert abs(result.value - reference) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_other_phase_forms_agree_on_the_spectral_tangent(n, rng, random_symplectic):
+    # both read the samples that integrate_phase reads, each with their spectral derivative,
+    # which is exact to rounding: no stencil error is left between the forms
+    for path, p, _, _ in _loops(1)[n]:
+        gamma = integrate_phase(path, p).value
+        bound = 1e-14 * max(1.0, abs(gamma))
+        assert abs(integrate_phase_boundary_form(path, p).value - gamma) <= bound
+        original, _, diff = check_canonical_invariance(path, random_symplectic(rng, n), p)
+        assert original == gamma and diff <= bound
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_per_point_loop_integrates_as_its_matrices_given_as_a_stack(n):
     # exp_map and @ give their results only the group check: the data they hand the path
     # are the bits of the plain scipy exponential and product, node for node
-    for (path, p, _), (stacked, _, _) in zip(_loops(1)[n], _loops(1, batch=True)[n]):
+    for (path, p, _, _), (stacked, _, _, _) in zip(_loops(1)[n], _loops(1, batch=True)[n]):
         assert repr(integrate_phase(path, p)) == repr(integrate_phase(stacked, p))  # float reprs round-trip

@@ -844,7 +844,9 @@ def test_stacked_finite_difference_matches_the_per_point_rules():
 
 
 def test_eval_calls_per_node():
-    # a finite-difference tangent costs one evaluation more per interior node
+    # the periodic trapezoid differentiates a closed path's own samples, so a path without a
+    # tangent costs one evaluation per node there, as an analytic tangent does; the stencil of
+    # an open path and of sample() costs one evaluation more per interior node
     base = squeeze_circle_path(1, 0.9, UNIT_PARAMS)
     calls = []
 
@@ -853,14 +855,15 @@ def test_eval_calls_per_node():
         return base.eval(t)
 
     fd = SympPath(n=1, eval=counted, closed=True)
+    open_fd = SympPath(n=1, eval=counted)
     analytic = SympPath(n=1, eval=counted, tangent=base.derivative, closed=True)
-    for path, per_node in ((fd, 2), (analytic, 1)):
+    for path, per_node, per_sample in ((fd, 1, 2), (open_fd, 2, 2), (analytic, 1, 1)):
         calls.clear()
         result = integrate_phase(path, UNIT_PARAMS)
         assert len(calls) == per_node * result.evaluations
         calls.clear()
         path.sample(SPLIT_NODES)
-        assert len(calls) == per_node * SPLIT_NODES.size
+        assert len(calls) == per_sample * SPLIT_NODES.size
 
 
 def test_benchmark_path_contract():
@@ -993,14 +996,15 @@ def test_both_stencil_stacks_are_group_checked(side):
         integrate_phase(path, TWO_MODES)
 
 
-@pytest.mark.parametrize("side", [0.5, -0.5])
-def test_both_stencil_stacks_of_a_trapezoid_node_are_group_checked(side):
-    # closed, so the periodic trapezoid integrates it: its first node is 1/48
-    node = float(_periodic_nodes(16)[0])
+@pytest.mark.parametrize("count", [16, 32])
+def test_a_trapezoid_sample_is_group_checked_at_its_own_t(count):
+    # closed, so the periodic trapezoid integrates it, on its own samples: the path leaves
+    # the group only within h of the first node that the level of count nodes adds
+    node = float(_periodic_nodes(count)[0])
     h = _fd_step(squeeze_circle_path(2, 0.7, TWO_MODES))
-    path = _leaving_circle(*sorted((node, node + 2.0 * side * h)))
-    message = f"sample at t={node + side * h} fails the symplectic condition"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    path = _leaving_circle(node - h, node + h)
+    message = f"sample at t={node} fails the symplectic condition"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         integrate_phase(path, TWO_MODES)
 
 
@@ -1015,13 +1019,14 @@ def test_end_node_stacks_are_group_checked():
 def test_b_zero_checks_the_samples_not_the_stencil_mean():
     # K0 entries to 2.5 and G scale 30: the stencil mean's D - A^-T reaches
     # 4e-9, far over the 1e-10 check, while every evaluated sample has D = A^-T;
-    # the loop's samples without its exact tangent get the stencil
+    # the loop's samples without its exact tangent get the stencil when open, and
+    # closed the periodic trapezoid, which reads the samples themselves
     K0 = np.array([[1.2, -2.5], [2.0, -0.6]])
     G0, G1 = np.array([[0.8, -0.3], [-0.3, 0.5]]), np.array([[-0.4, 0.6], [0.6, 0.2]])
     loop = b_zero_loop(K0, G0, G1, g0_weight=0.4, scale=30.0)
     path = SympPath(n=2, eval_batch=loop.eval_batch, closed=True)
     p = OscParams(0.9, (1.1, 0.8))
-    ts = SPLIT_NODES  # the first split's nodes, which the refining integrals below sample
+    ts = SPLIT_NODES  # the first split's nodes, which the refining open integrals below sample
     h = _fd_step(path)
 
     def d_resid(Ms):
@@ -1029,9 +1034,11 @@ def test_b_zero_checks_the_samples_not_the_stencil_mean():
 
     samples = np.array([path.eval(t).data for t in np.concatenate([ts + 0.5 * h, ts - 0.5 * h])])
     assert d_resid(path.sample(ts)[0]) > 1e-10 >= d_resid(samples)
-    reduced = phase_b_zero(path, p)
-    assert reduced.evaluations > 15  # refined, so the integral sampled ts
-    assert abs(reduced.value - integrate_phase(path, p).value) <= 1e-9
+    for closed in (True, False):
+        path = SympPath(n=2, eval_batch=loop.eval_batch, closed=closed)
+        reduced = phase_b_zero(path, p)
+        assert reduced.evaluations > 15  # refined, so the open integral sampled ts
+        assert abs(reduced.value - integrate_phase(path, p).value) <= 1e-9
 
 
 def test_b_zero_names_the_evaluated_t():
@@ -1099,21 +1106,37 @@ def test_closed_stencil_paths_call_the_engines_through_the_module_namespace(monk
     assert abs(result.value - reference_phase(1, 0.8)) <= 1e-9
 
 
+def test_spectral_tangents_differentiate_a_trigonometric_polynomial_exactly():
+    # entries sum modes 0 to N/2 - 1 on the offset grid, whose derivative is exact; the Nyquist
+    # mode, sampled as +-c, reads as a cosine through every node and gets derivative 0
+    count = 32
+    t = (1.0 / 48.0 + np.arange(count) / count) % 1.0
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, count // 2, 2, 2))
+    angle = 2.0 * np.pi * np.arange(count // 2)[:, None] * t  # (mode, node)
+    Ms = np.einsum("kt,kij->tij", np.cos(angle), coeffs[0]) + np.einsum("kt,kij->tij", np.sin(angle), coeffs[1])
+    rate = 2.0 * np.pi * np.arange(count // 2)[:, None]
+    exact = np.einsum("kt,kij->tij", -rate * np.sin(angle), coeffs[0])
+    exact += np.einsum("kt,kij->tij", rate * np.cos(angle), coeffs[1])
+    assert np.max(np.abs(geometric_phase._spectral_tangents(Ms) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    nyquist = np.where(np.arange(count) % 2, -1.0, 1.0)[:, None, None] * np.ones((2, 2))
+    assert np.max(np.abs(geometric_phase._spectral_tangents(Ms + nyquist) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_reparametrized_circle_takes_the_periodic_trapezoid():
-    # the figure of the PhaseResult docstring: the trapezoid's estimate does not cover the
-    # stencil's bias, which sets the error
+    # the tangent is the spectral derivative of the trapezoid's own samples, which converges
+    # as the trapezoid does: no stencil bias is left for the estimate to miss
     base = squeeze_circle_path(1, 1.0, UNIT_PARAMS)
     warp = lambda t: t + 0.4 * np.sin(2.0 * np.pi * t) / (2.0 * np.pi)
     result = integrate_phase(SympPath(n=1, eval=lambda t: base.eval(warp(t)), closed=True), UNIT_PARAMS)
-    error = abs(result.value - REFERENCE_R1)
     assert result.evaluations == 32
-    assert result.error_estimate <= 1e-10 < error <= 3e-10  # 2.2e-11 against 2.3e-10
+    assert abs(result.value - REFERENCE_R1) <= 1e-14
+    assert result.error_estimate <= 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_translated_finite_difference_circle_keeps_the_base_stencil(n, rng, random_symplectic):
     # a per-point circle reparametrized by t + 0.4 sin(2 pi t) / 2 pi; the translate
-    # is integrated on S times the base's own stencil samples, so only rounding differs
+    # is integrated on S times the base's own samples and tangents, so only rounding differs
     p = OscParams(1.0, (1.0,) * n)
     base = squeeze_circle_path(n, 1.0, p)
     warp = lambda t: t + 0.4 * np.sin(2.0 * np.pi * t) / (2.0 * np.pi)

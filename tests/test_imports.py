@@ -1,5 +1,5 @@
 """`import sympberry` stays numpy-only, as do `sympberry verify` and `sympberry expm`;
-scipy.linalg loads at its first use.
+scipy.linalg loads at its first use, and numpy.fft at the first periodic trapezoid.
 
 mpmath, a test dependency (the closed-form exponential's 40-digit oracle),
 is never loaded by the package.
@@ -80,6 +80,34 @@ def test_cli_verify_and_expm_load_no_scipy(child_env):
         child_env,
     )
     assert out == {"codes": [0, 0, 0], "passed": 7, "scipy": []}  # all seven checks ran
+
+
+def test_circle_phase_verify_and_expm_load_no_fft(child_env):
+    # numpy.fft loads at its first use, which is the periodic trapezoid of a closed path
+    # without a tangent; none of these commands integrates one
+    out = _child_json(
+        """
+        import contextlib, io
+        import numpy as np
+        eager = "numpy.fft" in sys.modules  # numpy before 2.0 imports it with numpy
+        import sympberry.cli
+        from sympberry import OscParams, SympPath, integrate_phase, squeeze_circle_path
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(sympberry.cli.main(["phase", "--kind", "squeeze2", "--R", "2"]))
+            codes.append(sympberry.cli.main(["verify", "--seed", "0"]))
+            codes.append(sympberry.cli.main(["expm", "--block-a=0.3,-0.1,-0.1,0.5"]))
+        before = "numpy.fft" in sys.modules
+        p = OscParams(1.0, (1.0,))
+        integrate_phase(SympPath(n=1, eval=squeeze_circle_path(1, 0.5, p).eval, closed=True), p)
+        after = "numpy.fft" in sys.modules
+        print(json.dumps({"eager": eager, "codes": codes, "before": before, "after": after}))
+        """,
+        child_env,
+    )
+    if out["eager"]:
+        pytest.skip("this numpy imports numpy.fft with numpy itself")
+    assert out == {"eager": False, "codes": [0, 0, 0], "before": False, "after": True}
 
 
 def test_first_exp_map_loads_scipy_linalg(child_env):

@@ -223,9 +223,9 @@ def test_stacked_b_zero_loop_matches_the_per_point_loop_bitwise(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_b_zero_loop_tangent_is_exact(seed):
     # against a central difference of eval_batch, whose error falls as h^2; and its phases
-    # against those of the two-point stencil on the same samples, within the stencil's
-    # rounding (eps / h = 2e-10 per node at h = 1e-6), while the three exact-tangent
-    # integrals agree to rounding of the integrand
+    # against those of the same samples without the tangent, closed, which the periodic
+    # trapezoid differentiates spectrally, while the three exact-tangent integrals agree to
+    # rounding of the integrand
     rng = np.random.default_rng(seed)
     p = OscParams(2.0, (0.5, 1.5))
     ts = np.linspace(0.0, 1.0, 37)
@@ -244,11 +244,11 @@ def test_b_zero_loop_tangent_is_exact(seed):
         exact = [form(loop, p) for form in _B_ZERO_FORMS]
         for form, result in zip(_B_ZERO_FORMS, exact):
             differenced = form(stencil, p)
-            # the exact tangent takes G7K15, as the open stencil does; the closed stencil
-            # takes the periodic trapezoid
+            # the exact tangent takes G7K15, as the open stencil does; the closed path
+            # without a tangent takes the periodic trapezoid
             assert result.evaluations == form(open_stencil, p).evaluations
             assert differenced.evaluations == 32
-            assert 0.0 < abs(result.value - differenced.value) <= 1e-9
+            assert abs(result.value - differenced.value) <= 1e-12
             assert abs(result.value - exact[0].value) <= 1e-14
     rotation = b_zero_loop(K0)
     assert np.all(rotation.tangent_batch(ts)[:, 2:, :2] == 0.0)

@@ -356,8 +356,8 @@ def test_periodic_trapezoid_evaluates_every_node_once():
 
 
 def test_periodic_grid_keeps_clear_of_the_ends():
-    # a stencil node within h/2 of 0 or 1 takes the one-sided rule; up to 2^19 nodes none
-    # does at h = 1e-6, since every node sits at least a third of a spacing from an end
+    # no node lies on 0 or 1, where a loop closed only to its closure check has two values;
+    # up to 2^19 nodes every node sits at least a third of a spacing, over 5e-7, from an end
     for level in range(4, 20):
         nodes = _periodic_nodes(2**level)
         assert nodes.size == (16 if level == 4 else 2 ** (level - 1))
@@ -374,3 +374,50 @@ def test_periodic_trapezoid_stops_before_a_level_over_its_budget(max_evals, eval
     with pytest.raises(QuadratureBudgetExceeded) as info:
         periodic_trapezoid(lambda t: np.where(t < 0.3, 1.0, 0.0), 1e-10, max_evals)
     assert info.value.evaluations == evaluations <= max_evals
+
+
+def _grid(count):
+    return (1.0 / 48.0 + np.arange(count) / count) % 1.0
+
+
+def test_periodic_values_see_every_sample_in_grid_order():
+    # f returns a stack of samples per new node; values maps the whole grid to the integrand
+    calls, grids = [], []
+
+    def f(t):
+        calls.append(t.size)
+        return np.stack([t, np.cos(2.0 * np.pi * t)], axis=1)
+
+    def values(samples):
+        grids.append(samples[:, 0].copy())
+        return np.exp(samples[:, 1])
+
+    value, error, evals = periodic_trapezoid(f, 1e-10, 10**6, values=values)
+    assert abs(value - scipy.special.i0(1.0)) <= 1e-15
+    assert error <= 1e-10 and evals == sum(calls) == grids[-1].size
+    assert calls == [16] + [g.size // 2 for g in grids[1:]]
+    for grid in grids:
+        assert np.array_equal(grid, _grid(grid.size))
+
+
+@pytest.mark.parametrize("bad", [lambda t: t[:-1], lambda t: float(np.sum(t))])
+def test_periodic_values_path_refuses_a_sample_stack_of_the_wrong_length(bad):
+    message = r"^sampler returned shape .* for 16 nodes; expected 16 samples along axis 0$"
+    with pytest.raises(ValueError, match=message):
+        periodic_trapezoid(bad, 1e-10, 10**6, values=lambda samples: samples)
+
+
+def test_periodic_values_must_map_the_grid_to_values():
+    message = r"^integrand returned shape \(16, 2\) for 16 nodes; expected \(16,\)$"
+    with pytest.raises(ValueError, match=message):
+        periodic_trapezoid(lambda t: np.stack([t, t], axis=1), 1e-10, 10**6, values=lambda s: s)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_periodic_values_name_the_grid_t_of_a_non_finite_value(bad):
+    # finite at 16 nodes; at 32 the first t over 0.32 is grid node 10, a sample of the first level
+    values = lambda s: np.where((s.size == 32) & (s > 0.32), bad, 1.0 + np.sin(2.0 * np.pi * s))
+    first = _grid(32)[10]
+    assert first == _periodic_nodes(16)[5] and _grid(32)[9] < 0.32 < first
+    with pytest.raises(NonFiniteIntegrand, match=f"^integrand is non-finite at t={first}$"):
+        periodic_trapezoid(lambda t: t, 1e-10, 10**6, values=values)
