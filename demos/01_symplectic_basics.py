@@ -1,14 +1,13 @@
 """Symplectic matrices: validation, orderings, blocks, and the exp map.
 
 Walks through the group-level plumbing everything else builds on: what a
-SympMatrix checks at construction, how the grouped and interleaved index
-orderings relate, and how symmetric generators exponentiate into the group.
+SympMatrix checks at construction, how symmetric generators exponentiate into
+the group, and how an array in the interleaved index ordering becomes a
+SympMatrix, which is always grouped.
 """
 import numpy as np
 
 from sympberry import (
-    GROUPED,
-    INTERLEAVED,
     LieAlgElement,
     SympMatrix,
     block_decompose,
@@ -44,14 +43,17 @@ print("\n== the inverse without solving ==")
 Minv = M.inverse()
 print(f"|M M^{{-1}} - I|_max = {np.max(np.abs((M @ Minv).data - np.eye(4))):.3e}")
 
-print("\n== ordering conversion ==")
-# build an interleaved matrix from two independent single-mode blocks
+print("\n== reading an interleaved array ==")
+# every SympMatrix is grouped; convert_ordering is the one function that reads an
+# interleaved array: it checks it against diag(J, J), then permutes it into grouped order.
+# Build one from two independent single-mode blocks
 theta = 0.4
 one_mode = exp_map(LieAlgElement(1, np.array([[0.3, theta], [theta, -0.1]])))
 tilde = np.zeros((4, 4))
 tilde[:2, :2] = one_mode.data
 tilde[2:, 2:] = one_mode.data
-print(f"interleaved residual: {symplectic_residual(tilde, INTERLEAVED):.3e}")
+form = omega_interleaved(2)
+print(f"interleaved residual: {np.max(np.abs(tilde @ form @ tilde.T - form)):.3e}")
 grouped = convert_ordering(tilde)
 print(f"grouped residual after conversion: {symplectic_residual(grouped.data):.3e}")
 gam = gamma_permutation(2)
@@ -61,6 +63,6 @@ print("\n== construction rejects non-symplectic input ==")
 bad = np.eye(4)
 bad[0, 0] = 1.001
 try:
-    SympMatrix(2, bad, GROUPED)
+    SympMatrix(2, bad)
 except ValueError as exc:
     print(f"rejected as expected: {exc}")

@@ -7,7 +7,6 @@ brute-force wavefunction overlap all have to tell one consistent story.
 import numpy as np
 
 from sympberry import (
-    GROUPED,
     OscParams,
     SqueezeSpec,
     SympMatrix,
@@ -22,7 +21,7 @@ from sympberry import (
 params = OscParams(hbar=1.0, lengths=(1.0,))
 
 print("== vacuum ==")
-vacuum = SympMatrix(1, np.eye(2), GROUPED)
+vacuum = SympMatrix(1, np.eye(2))
 print("covariance:")
 print(covariance(vacuum, params).data)
 

@@ -214,16 +214,16 @@ def periodic_trapezoid(
     f: Callable[[np.ndarray], np.ndarray],
     tol: float,
     max_evals: int,
-    values: Callable[[np.ndarray], np.ndarray] | None = None,
+    values: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[float, float, int]:
     """Trapezoid rule on [0, 1] for a 1-periodic integrand, on a nested grid of N nodes.
 
     N starts at 16 and doubles, each level one call of f on its new nodes
     (_periodic_nodes): no node is evaluated twice, and none lies at 0 or 1.
-    With values given, f returns samples stacked along axis 0 instead, which
-    are kept in grid order, and each level's integrand values are
-    values(samples of all N nodes): an integrand that needs the whole grid,
-    as a spectral derivative does. After each doubling, with c =
+    f returns samples stacked along axis 0, which are kept in grid order, and
+    each level's integrand values are values(samples of all N nodes): an
+    integrand that needs the whole grid, as a spectral derivative does (a
+    scalar integrand passes values=lambda s: s). After each doubling, with c =
     |rfft(values in grid order)| / N, q2 = max c[N/4:] and q4 = max
     c[N/8:N/4], the estimate q2 (q2 / q4)^2 carries the spectrum's decay two
     octaves on, or is q2 if it does not fall (a kink keeps q2 / q4 near 1/2).
@@ -237,22 +237,17 @@ def periodic_trapezoid(
     samples, estimate, count = np.empty(0), math.inf, _PERIODIC_FIRST
     while count <= max_evals:
         nodes = _periodic_nodes(count)
-        if values is None:
-            new = _checked_values(f(nodes), nodes)
-        else:
-            new = np.asarray(f(nodes))
-            if new.shape[:1] != nodes.shape:
-                raise ValueError(
-                    f"sampler returned shape {new.shape} for {nodes.size} nodes; "
-                    f"expected {nodes.size} samples along axis 0"
-                )
+        new = np.asarray(f(nodes))
+        if new.shape[:1] != nodes.shape:
+            raise ValueError(
+                f"sampler returned shape {new.shape} for {nodes.size} nodes; "
+                f"expected {nodes.size} samples along axis 0"
+            )
         if count == _PERIODIC_FIRST:
             samples = new
         else:  # grid order: the old nodes at even k, the new ones at odd k
             samples = np.stack((samples, new), axis=1).reshape(count, *new.shape[1:])
-        vals = samples
-        if values is not None:
-            vals = _checked_values(values(samples), (_PERIODIC_SHIFT + np.arange(count) / count) % 1.0)
+        vals = _checked_values(values(samples), (_PERIODIC_SHIFT + np.arange(count) / count) % 1.0)
         if count > _PERIODIC_FIRST:
             spectrum = np.abs(np.fft.rfft(vals)) / count
             q2, q4 = spectrum[count // 4 :].max(), spectrum[count // 8 : count // 4].max()

@@ -35,9 +35,9 @@ from . import oracles
 from ._quadrature import QuadratureBudgetExceeded
 from .gaussian_states import OscParams
 from .geometric_phase import PhaseResult, QuadSpec, integrate_phase, polygon_phase
-from .sp4_closed_form import Sp4Generator
+from .sp4_closed_form import Sp4Generator, _reorder
 from .squeeze_paths import _magnitude, squeeze_circle_path, reference_phase
-from .symplectic_core import GROUPED, SympMatrix, _asymmetry, _is_integer
+from .symplectic_core import SympMatrix, _asymmetry, _is_integer
 
 __all__ = ["ConfigError", "RunConfig", "run_phase", "run_sweep", "run_verify", "run_expm", "main"]
 
@@ -360,7 +360,7 @@ def _load_samples(path: str) -> list[SympMatrix]:
     if not np.all(np.diff(ts) > 0):
         raise ConfigError("sample parameters must be strictly increasing")
     try:
-        return [SympMatrix(n, M, GROUPED, 1e-8) for M in Ms]
+        return [SympMatrix(n, M, 1e-8) for M in Ms]
     except ValueError as exc:
         raise ConfigError(f"samples do not form a valid symplectic path: {exc}") from exc
 
@@ -481,17 +481,18 @@ def run_expm(cfg: RunConfig) -> int:
         M, branch, generic, deviation = oracles.expm_comparison(g)
     except ValueError as exc:  # the spectrum or the exponential overflows
         raise ConfigError(str(exc)) from exc
+    closed, generic = _reorder(M.data), _reorder(generic)  # recorded in the blocks' interleaved ordering
     record = {
         "blocks": {k: blocks[k].tolist() for k in ("a", "b", "c")},
         "branch": branch,
-        "closed_form": M.data.tolist(),
+        "closed_form": closed.tolist(),
         "generic": generic.tolist(),
         "max_deviation": deviation,
         "rng": RNG_NAME,
         "seed": cfg.seed,
     }
     row = {"branch": branch, "max_deviation": deviation, "seed": cfg.seed}
-    for tag, mat in (("closed", M.data), ("generic", generic)):
+    for tag, mat in (("closed", closed), ("generic", generic)):
         row.update((f"{tag}_{i}{j}", x) for (i, j), x in np.ndenumerate(mat))
     _emit_record(cfg, record, list(row), [row])
     return EXIT_OK

@@ -29,8 +29,6 @@ import numpy as np
 from ._quadrature import tanh_sinh_nodes
 from .symplectic_core import (
     _SYMMETRY_TOL,
-    GROUPED,
-    INTERLEAVED,
     SympMatrix,
     _asymmetry,
     _is_integer,
@@ -127,12 +125,10 @@ def _unit_conversion(p: OscParams) -> np.ndarray:
     return d[:, None] / d
 
 
-def _physical_generator(L: np.ndarray, p: OscParams, ordering: str = GROUPED) -> np.ndarray:
+def _physical_generator(L: np.ndarray, p: OscParams) -> np.ndarray:
     """hbar D^-1 L D^-1: the physical generator of D exp(Omega L) D^-1 for a unit generator L,
-    with d in L's ordering, since D Omega = hbar Omega D^-1 (NOTES.md)."""
+    since D Omega = hbar Omega D^-1 (NOTES.md)."""
     d = _scales(p)
-    if ordering == INTERLEAVED:
-        d = d.reshape(2, -1).T.reshape(-1)  # (l_1, hbar / l_1, l_2, ...)
     return p.hbar * L / np.multiply.outer(d, d)
 
 
@@ -189,18 +185,12 @@ class CovarianceMatrix:
         object.__setattr__(self, "n", n)
 
 
-def _require_grouped(M: SympMatrix) -> None:
-    if M.ordering != GROUPED:
-        raise ValueError("state constructions require grouped ordering")
-
-
 def _symmetrized(X: np.ndarray) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
 def _state_covariance(M: SympMatrix, p: OscParams) -> np.ndarray:
-    """Symmetrized V = M W M^T / 2 of a grouped-ordering M whose modes match p."""
-    _require_grouped(M)
+    """Symmetrized V = M W M^T / 2 of an M whose modes match p."""
     _check_modes(M.n, p)
     return _symmetrized(_covariance_stack(M.data * _scales(p)))
 
@@ -217,7 +207,6 @@ def covariance(M: SympMatrix, p: OscParams) -> CovarianceMatrix:
 
 def covariance_quadrature(M: SympMatrix) -> CovarianceMatrix:
     """Quadrature covariance M M^T / 2 (equal to covariance at hbar = l = 1)."""
-    _require_grouped(M)
     return CovarianceMatrix(n=M.n, data=_symmetrized(_covariance_stack(M.data)), convention=QUADRATURE)
 
 
@@ -279,7 +268,6 @@ def numeric_overlap_n1(
     displacement a whose factor turns by pi or more between adjacent nodes is
     a ValueError naming the points that resolve it.
     """
-    _require_grouped(M)
     if M.n != 1 or p.n != 1:
         raise ValueError("the Siegel overlap is a one-mode construction")
     if grid is None:

@@ -32,7 +32,6 @@ from ._quadrature import (
 from .gaussian_states import OscParams, _check_modes, _covariance_stack, _unit_conversion, _vacuum_frame
 from .symplectic_core import (
     DEFAULT_TOL_SYMP,
-    GROUPED,
     SympMatrix,
     _group_failure,
     _is_integer,
@@ -219,8 +218,6 @@ def _point_data(M, t: float, n: int) -> np.ndarray:
         raise TypeError(f"eval({t}) returned {type(M).__name__}, not SympMatrix")
     if M.n != n:
         raise ValueError(f"eval({t}) has {M.n} modes, path declares {n}")
-    if M.ordering != GROUPED:
-        raise ValueError("paths require grouped ordering")
     return M.data
 
 
@@ -282,8 +279,8 @@ def polygon_phase(knots: Sequence[SympMatrix], p: OscParams) -> PhaseResult:
         raise ValueError(f"a polygon needs at least two knots, got {len(knots)}")
     n = knots[0].n
     _check_modes(n, p)
-    if any(M.n != n or M.ordering != GROUPED for M in knots):
-        raise ValueError("knots must share the mode count and use grouped ordering")
+    if any(M.n != n for M in knots):
+        raise ValueError("knots must share the mode count")
     logs = np.empty((len(knots) - 1, 2 * n, 2 * n))
     for i in range(len(logs)):
         log = scipy.linalg.logm(np.linalg.solve(knots[i].data, knots[i + 1].data))
@@ -444,8 +441,6 @@ def check_canonical_invariance(
     """
     if fixedM.n != path.n:
         raise ValueError(f"translation has {fixedM.n} modes, path has {path.n}")
-    if fixedM.ordering != GROUPED:
-        raise ValueError("translation must use grouped ordering")
     base = integrate_phase(path, p, quad)
     S, form = fixedM.data, _omega_cached(path.n)
     S_unit = S / _unit_conversion(p)  # D^-1 S M D = (D^-1 S D)(D^-1 M D)

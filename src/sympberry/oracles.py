@@ -75,15 +75,18 @@ def _worst(deviations) -> float:
 
 
 def _generic_exp(gs) -> np.ndarray:
-    """The generic exponential of each generator's U = diag(J, J) L, one _expm of the (k, 4, 4) stack."""
+    """The generic exponential of each generator's U = diag(J, J) L, one _expm of the (k, 4, 4)
+    stack, moved into grouped ordering as closed_form_exp returns it."""
     a, b, c = (np.array([getattr(g, name) for g in gs]) for name in "abc")
-    return symplectic_core._expm(sp4_closed_form._JJ @ np.block([[a, b], [b.swapaxes(1, 2), c]]))
+    U = sp4_closed_form._JJ @ np.block([[a, b], [b.swapaxes(1, 2), c]])
+    return sp4_closed_form._reorder(symplectic_core._expm(U))
 
 
 def expm_comparison(g: Sp4Generator) -> tuple:
     """closed_form_exp(g) against the generic exponential of its U.
 
-    Returns (closed form, branch taken, generic exponential, max |difference|).
+    Returns (closed form, branch taken, generic exponential, max |difference|), both
+    exponentials in grouped ordering.
     """
     M, branch = sp4_closed_form.closed_form_exp(g, return_branch=True)
     generic = _generic_exp([g])[0]

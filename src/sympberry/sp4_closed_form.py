@@ -14,6 +14,10 @@ degeneracy (d != 0) the generic stacked exponential (symplectic_core._expm)
 of U. That _expm is the oracle of ``sympberry verify`` and ``sympberry
 expm``; the mpmath tests are the independent oracle of every route.
 
+The blocks, L, U and S stay in the interleaved basis of the paper; the
+exponential is returned as a (grouped) SympMatrix, its 16 entries written in
+grouped positions (x1, x2, p1, p2) by index, with no matrix product.
+
 Formula pitfalls validated against the oracle are recorded in NOTES.md.
 """
 from __future__ import annotations
@@ -27,7 +31,6 @@ import numpy as np
 
 from .symplectic_core import (
     _SYMMETRY_TOL,
-    INTERLEAVED,
     LieAlgElement,
     SympMatrix,
     _expm,
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 _JJ = omega_interleaved(2)  # diag(J, J)
+_GAMMA_INDEX = np.array([0, 2, 1, 3])  # gamma_permutation(2) as an index, its own inverse
 _EYE = (1.0, 0.0, 0.0, 1.0)
 _CLOSED_FORM_TOL = 1e-9
 _IMAG_RESIDUE_TOL = 1e-10
@@ -93,6 +97,18 @@ def _join22(A, B, C, D) -> np.ndarray:
     """The 4x4 array [[A, B], [C, D]] of four 2x2 blocks."""
     return np.array([A[0], A[1], B[0], B[1], A[2], A[3], B[2], B[3],
                      C[0], C[1], D[0], D[1], C[2], C[3], D[2], D[3]]).reshape(4, 4)
+
+
+def _grouped22(A, B, C, D) -> np.ndarray:
+    """The interleaved 4x4 matrix [[A, B], [C, D]] of four 2x2 blocks, in grouped positions."""
+    return np.array([A[0], B[0], A[1], B[1], C[0], D[0], C[1], D[1],
+                     A[2], B[2], A[3], B[3], C[2], D[2], C[3], D[3]]).reshape(4, 4)
+
+
+def _reorder(X: np.ndarray) -> np.ndarray:
+    """A two-mode matrix or (k, 4, 4) stack moved between the interleaved and the grouped
+    ordering, either way, by index: every entry, signed zeros and NaNs included, is kept."""
+    return X[..., _GAMMA_INDEX[:, None], _GAMMA_INDEX]
 
 
 def _block22(data, name: str) -> tuple[np.ndarray, list]:
@@ -326,10 +342,10 @@ def series_coefficients(g: Sp4Generator) -> SeriesCoefficients:
 
 
 def _assemble(g: Sp4Generator, coeffs: SeriesCoefficients) -> np.ndarray:
-    """exp(U) = E + U O from the six series sums.
+    """exp(U) = E + U O from the six series sums, in grouped positions.
 
     E and O share the block pattern of S; multiplying O by
-    U = [[J a, J b], [J b^T, J c]] and adding E gives the four blocks below.
+    U = [[J a, J b], [J b^T, J c]] and adding E gives the four interleaved blocks below.
     """
     a, b, c, d = g._blocks
     ja, jb, jbt, jc, jd, jdt = _j(a), _j(b), _j(_t(b)), _j(c), _j(d), _j(_t(d))
@@ -338,13 +354,13 @@ def _assemble(g: Sp4Generator, coeffs: SeriesCoefficients) -> np.ndarray:
     B = [be * x + bo * y + go * z for x, y, z in zip(jd, _mul22(ja, jd), jb)]
     C = [-be * x + ao * y - bo * z for x, y, z in zip(jdt, jbt, _mul22(jc, jdt))]
     D = [ge * e + go * x + bo * y for e, x, y in zip(_EYE, jc, _mul22(jbt, jd))]
-    return _join22(A, B, C, D)
+    return _grouped22(A, B, C, D)
 
 
 def closed_form_exp(
     g: Sp4Generator, return_branch: bool = False
 ) -> SympMatrix | tuple[SympMatrix, str]:
-    """exp(diag(J, J) L) for a two-mode generator, interleaved ordering.
+    """exp(diag(J, J) L) of a two-mode generator in interleaved ordering, as a grouped SympMatrix.
 
     Uses the closed-form series sums when the eigenvalues are separated. A
     degenerate spectrum with a scalar square S = lam I (d exactly zero, det a
@@ -360,16 +376,17 @@ def closed_form_exp(
             lam = complex(-(det_a + det_b))
             ch, sc = map(_real_with_residue_check, _cosh_sinhc(lam), ("cosh", "sinhc"))
             coeffs = SeriesCoefficients(ch, sc, 0.0, 0.0, ch, sc)
-    M = _expm(g.u_matrix()[None])[0] if coeffs is None else _assemble(g, coeffs)
-    result = SympMatrix(2, M, INTERLEAVED, _CLOSED_FORM_TOL)
+    M = _reorder(_expm(g.u_matrix()[None])[0]) if coeffs is None else _assemble(g, coeffs)
+    result = SympMatrix(2, M, _CLOSED_FORM_TOL)
     return (result, branch) if return_branch else result
 
 
 def squeeze_block_exp(b) -> SympMatrix:
-    """Closed form of the a = c = 0 case, interleaved ordering: closed_form_exp's scalar square.
+    """Closed form of the a = c = 0 case, closed_form_exp's scalar square, as a grouped SympMatrix.
 
-    S = -det(b) I, so exp(U) has cosh(sqrt(-det b)) I on BOTH diagonal blocks (a
-    first power, not squared; see NOTES.md) and sinhc(sqrt(-det b)) scaling J b
-    (upper right) and J b^T (lower left); the complex branch covers either sign.
+    b is the interleaved block from (x2, p2) into (x1, p1). S = -det(b) I, so exp(U)
+    has cosh(sqrt(-det b)) I on BOTH diagonal blocks (a first power, not squared;
+    see NOTES.md) and sinhc(sqrt(-det b)) scaling J b (upper right) and J b^T (lower
+    left) of the interleaved exp(U); the complex branch covers either sign.
     """
     return closed_form_exp(Sp4Generator(a=np.zeros((2, 2)), b=b, c=np.zeros((2, 2))))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gaussian_states import OscParams, _physical_generator, _scales
 from .geometric_phase import SympPath
-from .symplectic_core import INTERLEAVED, LieAlgElement, SympMatrix, _is_integer
+from .symplectic_core import LieAlgElement, SympMatrix, _is_integer
 
 __all__ = [
     "SqueezeSpec",
@@ -116,9 +116,9 @@ def squeeze_b_block_n2(spec: SqueezeSpec) -> np.ndarray:
     _require_modes(spec, 2)
     zx = spec.R * np.cos(spec.angle)
     zy = spec.R * np.sin(spec.angle)
-    L = np.zeros((4, 4))
-    L[:2, 2:] = L[2:, :2] = [[zy, -zx], [-zx, -zy]]  # symmetric, so it is its own transpose
-    return _physical_generator(L, spec.params, INTERLEAVED)[:2, 2:]
+    L = np.zeros((4, 4))  # grouped: the block's rows x1, p1 are 0::2, its columns x2, p2 1::2
+    L[0::2, 1::2] = L[1::2, 0::2] = [[zy, -zx], [-zx, -zy]]  # symmetric, so it is its own transpose
+    return _physical_generator(L, spec.params)[0::2, 1::2]
 
 
 def squeeze_matrix_n2(spec: SqueezeSpec) -> SympMatrix:

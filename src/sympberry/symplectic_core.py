@@ -1,18 +1,15 @@
 """Dense real symplectic-matrix foundations.
 
 Provides the standard antisymmetric form, membership tests, block
-decomposition, conversion between the two common coordinate orderings, a
-generic (oracle-grade) exponential map onto the group, and a private numpy
-exponential of matrix stacks.
+decomposition, a generic (oracle-grade) exponential map onto the group, and a
+private numpy exponential of matrix stacks.
 
-Two coordinate orderings appear throughout:
-
-* ``"grouped"``: (x_1, ..., x_n, p_1, ..., p_n). The form matrix is
-  ``omega(n) = [[0, I], [-I, 0]]``.
-* ``"interleaved"``: (x_1, p_1, ..., x_n, p_n). The form matrix is the block
-  diagonal ``omega_interleaved(n)`` built from 2x2 blocks [[0, 1], [-1, 0]].
-
-A permutation similarity (``gamma_permutation``) converts between them.
+Every SympMatrix is in grouped ordering (x_1, ..., x_n, p_1, ..., p_n), whose
+form matrix is ``omega(n) = [[0, I], [-I, 0]]``. The interleaved ordering
+(x_1, p_1, ..., x_n, p_n), with the block-diagonal form ``omega_interleaved(n)``
+built from 2x2 blocks [[0, 1], [-1, 0]], is the two-mode closed form's working
+basis; ``convert_ordering`` reads an interleaved array into a grouped
+SympMatrix by the permutation similarity ``gamma_permutation``.
 """
 from __future__ import annotations
 
@@ -22,8 +19,6 @@ import functools
 import numpy as np
 
 __all__ = [
-    "GROUPED",
-    "INTERLEAVED",
     "SympMatrix",
     "LieAlgElement",
     "BlockDecomposition",
@@ -36,9 +31,6 @@ __all__ = [
     "convert_ordering",
     "exp_map",
 ]
-
-GROUPED = "grouped"
-INTERLEAVED = "interleaved"
 
 DEFAULT_TOL_SYMP = 1e-10
 _DET_TOL = 1e-8
@@ -152,23 +144,18 @@ def _omega_interleaved_cached(n: int) -> np.ndarray:
     return out
 
 
-_FORMS = {GROUPED: _omega_cached, INTERLEAVED: _omega_interleaved_cached}  # for a checked n
-
-
-def symplectic_residual(M: np.ndarray, ordering: str = GROUPED) -> float:
-    """Max-norm residual of the group condition M form M^T = form, over a matrix or a stack."""
+def symplectic_residual(M: np.ndarray) -> float:
+    """Max-norm residual of the group condition M omega M^T = omega, over a matrix or a stack."""
     M = _real_array(M, "matrix", copy=False)
-    if ordering not in (GROUPED, INTERLEAVED):
-        raise ValueError(f"unknown ordering {ordering!r}")
     if M.ndim in (2, 3):  # a dimension below 2 names its mode count, 0
-        form = (omega if ordering == GROUPED else omega_interleaved)(M.shape[-1] // 2)
+        form = omega(M.shape[-1] // 2)
     if M.ndim not in (2, 3) or M.shape[-2:] != form.shape:
         raise ValueError(f"expected a 2n x 2n matrix or a (k, 2n, 2n) stack, got shape {M.shape}")
     return float(_residual(M, form))
 
 
 def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
-    """True iff the matrix passes SympMatrix's group check in grouped ordering at tol.
+    """True iff the matrix passes SympMatrix's group check at tol.
 
     Rejects complex, non-square and odd-dimension inputs.
     """
@@ -182,7 +169,7 @@ def is_symplectic(M, tol: float = DEFAULT_TOL_SYMP) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class SympMatrix:
-    """A 2n x 2n real matrix validated against the symplectic group condition.
+    """A 2n x 2n real matrix in grouped ordering, validated against M omega M^T = omega.
 
     The constructor checks outside input, which may have any type, dtype or shape, in full,
     and keeps a read-only copy. exp_map, @, inverse and convert_ordering make a fresh float64
@@ -192,27 +179,22 @@ class SympMatrix:
     ----------
     n : mode count.
     data : 2n x 2n real matrix.
-    ordering : "grouped" (default) or "interleaved"; selects the form matrix
-        the group condition is checked against.
     tol_symp : max-norm tolerance for the group-condition residual.
     """
 
     n: int
     data: np.ndarray
-    ordering: str = GROUPED
     tol_symp: float = DEFAULT_TOL_SYMP
 
     def __post_init__(self) -> None:
         n = self.n if type(self.n) is int and self.n > 0 else _mode_count(self.n)
         arr = _real_array(self.data, "symplectic matrix")
-        known = arr.shape == (2 * n, 2 * n) and self.ordering in (GROUPED, INTERLEAVED)
-        failure = _group_failure(arr, _FORMS[self.ordering](n), self.tol_symp) if known else ()
+        known = arr.shape == (2 * n, 2 * n)
+        failure = _group_failure(arr, _omega_cached(n), self.tol_symp) if known else ()
         if failure is not None:
             _as_square_matrix(arr, "symplectic matrix", 2 * n)  # ordered checks name the failure
-            if self.ordering not in (GROUPED, INTERLEAVED):
-                raise ValueError(f"unknown ordering {self.ordering!r}")
             _, resid, det = failure
-            if resid > self.tol_symp:
+            if not resid <= self.tol_symp:  # _group_failure's rule: a NaN tolerance fails
                 raise ValueError(
                     f"matrix fails the symplectic condition: residual {resid:.3e} "
                     f"exceeds tolerance {self.tol_symp:.3e}"
@@ -224,29 +206,29 @@ class SympMatrix:
         object.__setattr__(self, "n", n)
 
     @classmethod
-    def _checked(cls, n: int, arr: np.ndarray, ordering: str, tol: float) -> "SympMatrix":
-        """SympMatrix(n, arr, ordering, tol) of a fresh float64 (2n, 2n) array it takes over, n an int."""
-        if _group_failure(arr, _FORMS[ordering](n), tol) is not None:
-            return cls(n, arr, ordering, tol)  # the public constructor names the failure
+    def _checked(cls, n: int, arr: np.ndarray, tol: float) -> "SympMatrix":
+        """SympMatrix(n, arr, tol) of a fresh float64 (2n, 2n) array it takes over, n an int."""
+        if _group_failure(arr, _omega_cached(n), tol) is not None:
+            return cls(n, arr, tol)  # the public constructor names the failure
         arr.setflags(write=False)
         self = object.__new__(cls)
-        self.__dict__.update(n=n, data=arr, ordering=ordering, tol_symp=tol)
+        self.__dict__.update(n=n, data=arr, tol_symp=tol)
         return self
 
     def inverse(self) -> "SympMatrix":
-        """Group inverse via the form: M^{-1} = form^{-1} M^T form."""
-        form = _FORMS[self.ordering](self.n)
-        inv = (-form).dot(self.data.T).dot(form)  # form^{-1} = -form
-        return SympMatrix._checked(self.n, inv, self.ordering, self.tol_symp)
+        """Group inverse via the form: M^{-1} = omega^{-1} M^T omega."""
+        form = _omega_cached(self.n)
+        inv = (-form).dot(self.data.T).dot(form)  # omega^{-1} = -omega
+        return SympMatrix._checked(self.n, inv, self.tol_symp)
 
     def __matmul__(self, other: "SympMatrix") -> "SympMatrix":
         if not isinstance(other, SympMatrix):
             return NotImplemented
-        if other.n != self.n or other.ordering != self.ordering:
-            raise ValueError("operands must share mode count and ordering")
+        if other.n != self.n:
+            raise ValueError("operands must share mode count")
         # residuals compound under products; loosen the check accordingly
         tol = 10 * max(self.tol_symp, other.tol_symp)
-        return SympMatrix._checked(self.n, self.data.dot(other.data), self.ordering, tol)
+        return SympMatrix._checked(self.n, self.data.dot(other.data), tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -275,7 +257,7 @@ class LieAlgElement:
 
 @dataclasses.dataclass(frozen=True)
 class BlockDecomposition:
-    """n x n blocks A, B, C, D of a grouped-ordering symplectic matrix.
+    """n x n blocks A, B, C, D of a symplectic matrix.
 
     The group condition in block form reads A D^T - B C^T = I,
     A B^T = B A^T, C D^T = D C^T: the blocks of M form M^T = form, whose
@@ -310,9 +292,7 @@ class BlockDecomposition:
 
 
 def block_decompose(M: SympMatrix) -> BlockDecomposition:
-    """Split a grouped-ordering SympMatrix into its n x n corner blocks."""
-    if M.ordering != GROUPED:
-        raise ValueError("block decomposition is defined for grouped ordering")
+    """Split a SympMatrix into its n x n corner blocks."""
     n = M.n
     d = M.data
     return BlockDecomposition(
@@ -335,23 +315,23 @@ def gamma_permutation(n: int) -> np.ndarray:
 
 
 def convert_ordering(Mtilde, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
-    """Conjugate an interleaved-ordering symplectic matrix into grouped form.
+    """Conjugate an interleaved-ordering symplectic matrix into a (grouped) SympMatrix.
 
-    Validates the block-diagonal form condition on the input first, then
-    returns Gamma Mtilde Gamma^{-1} as a grouped SympMatrix.
+    The one reader of interleaved arrays: validates the block-diagonal form
+    condition on the input first, then returns Gamma Mtilde Gamma^{-1}.
     """
     arr = _as_square_matrix(Mtilde, "matrix")
     if arr.shape[0] % 2 != 0:
         raise ValueError(f"dimension must be even, got {arr.shape[0]}")
     n = arr.shape[0] // 2
-    resid = symplectic_residual(arr, INTERLEAVED)
+    resid = _residual(arr, omega_interleaved(n))
     if resid > tol:
         raise ValueError(
             f"input fails the interleaved-ordering symplectic condition: "
             f"residual {resid:.3e} exceeds {tol:.3e}"
         )
     g = gamma_permutation(n)
-    return SympMatrix._checked(n, g.dot(arr).dot(g.T), GROUPED, tol)
+    return SympMatrix._checked(n, g.dot(arr).dot(g.T), tol)
 
 
 def exp_map(L: LieAlgElement, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
@@ -364,7 +344,7 @@ def exp_map(L: LieAlgElement, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
     import scipy.linalg
 
     M = scipy.linalg.expm(_omega_cached(L.n).dot(L.data))
-    return SympMatrix._checked(L.n, M, GROUPED, tol)
+    return SympMatrix._checked(L.n, M, tol)
 
 
 # Padé-13 numerator coefficients b_0 ... b_13 and the 1-norm up to which Padé-13 needs no

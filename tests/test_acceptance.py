@@ -17,6 +17,7 @@ from sympberry import (
     coeff_recurrence,
     covariance,
     covariance_quadrature,
+    gamma_permutation,
     integrate_phase,
     integrate_phase_boundary_form,
     numeric_overlap_n1,
@@ -81,12 +82,13 @@ def test_criterion_03_phase_independent_of_hbar_and_length():
 
 def test_criterion_04_closed_form_exponential_bulk():
     rng = np.random.default_rng(404)
+    G = gamma_permutation(2)  # closed_form_exp is grouped; exp(U) is interleaved
     start = time.perf_counter()
     worst = 0.0
     for _ in range(900):
         g = random_generator(rng)
         M = closed_form_exp(g)
-        worst = max(worst, float(np.max(np.abs(M.data - scipy.linalg.expm(g.u_matrix())))))
+        worst = max(worst, float(np.max(np.abs(M.data - G @ scipy.linalg.expm(g.u_matrix()) @ G.T))))
     fallback_count = 0
     for _ in range(100):  # a = c = 0 always lands on the degenerate fallback
         g = Sp4Generator(
@@ -94,7 +96,7 @@ def test_criterion_04_closed_form_exponential_bulk():
         )
         M, branch = closed_form_exp(g, return_branch=True)
         fallback_count += branch == "degenerate-fallback"
-        worst = max(worst, float(np.max(np.abs(M.data - scipy.linalg.expm(g.u_matrix())))))
+        worst = max(worst, float(np.max(np.abs(M.data - G @ scipy.linalg.expm(g.u_matrix()) @ G.T))))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
     assert fallback_count == 100

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sympberry import BRANCH_CLOSED_FORM, BRANCH_FALLBACK, Sp4Generator, closed_form_exp, omega
+from sympberry import BRANCH_CLOSED_FORM, BRANCH_FALLBACK, Sp4Generator, closed_form_exp, gamma_permutation, omega
 from sympberry.symplectic_core import _THETA13, _expm
 
 _DPS = 40
@@ -36,11 +36,13 @@ def _mp_det(x):
 
 
 def _mp_exp(g):
-    """exp(diag(J, J) L) at _DPS digits from the generator's float entries."""
+    """exp(diag(J, J) L) at _DPS digits from the generator's float entries, in grouped
+    ordering: Gamma exp(U) Gamma^T, whose products with 0 and 1 are exact."""
     with mpmath.workdps(_DPS):
         L = mpmath.matrix(g.lie_element().data.tolist())
         JJ = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-        return mpmath.expm(JJ * L)
+        G = mpmath.matrix(gamma_permutation(2).tolist())
+        return G * mpmath.expm(JJ * L) * G.T
 
 
 def _mp_gap(g):

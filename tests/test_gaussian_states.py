@@ -7,7 +7,6 @@ import pytest
 
 from sympberry import (
     DIMENSION_FULL,
-    GROUPED,
     QUADRATURE,
     CovarianceMatrix,
     OscParams,
@@ -31,7 +30,7 @@ OVERLAP_REFERENCE = 0.8173892232115386
 
 
 def _identity(n):
-    return SympMatrix(n, np.eye(2 * n), GROUPED)
+    return SympMatrix(n, np.eye(2 * n))
 
 
 def test_osc_params_validation():
@@ -432,11 +431,6 @@ def test_overlap_values_on_the_verify_draws_are_bytewise_fixed():
 def test_covariance_rejects_an_unknown_convention():
     with pytest.raises(ValueError, match="^unknown convention 'natural'$"):
         CovarianceMatrix(1, np.eye(2), convention="natural")
-
-
-def test_covariance_of_an_interleaved_matrix_is_rejected():
-    with pytest.raises(ValueError, match="^state constructions require grouped ordering$"):
-        covariance(SympMatrix(1, np.eye(2), "interleaved"), OscParams(1.0, (1.0,)))
 
 
 def test_only_gaussian_states_reads_the_units():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympberry import (
-    GROUPED,
     NonFiniteIntegrand,
     NotBZeroForm,
     OscParams,
@@ -42,7 +41,7 @@ SPLIT_NODES = np.concatenate([0.25 + 0.25 * GK15_NODES, 0.75 + 0.25 * GK15_NODES
 
 
 def _constant_path(n=1):
-    M = SympMatrix(n, np.eye(2 * n), GROUPED)
+    M = SympMatrix(n, np.eye(2 * n))
     return SympPath(n=n, eval=lambda t: M, tangent=lambda t: np.zeros((2 * n, 2 * n)), closed=True)
 
 
@@ -107,11 +106,11 @@ def test_symp_path_validation():
     bad = np.eye(2)
     bad[0, 0] = 1.5  # det != 1
     with pytest.raises(ValueError):
-        SympPath(n=1, eval=lambda t: SympMatrix(1, bad, GROUPED, tol_symp=10.0))
+        SympPath(n=1, eval=lambda t: SympMatrix(1, bad, tol_symp=10.0))
     with pytest.raises(TypeError):
         SympPath(n=1, eval=lambda t: np.eye(2))
     with pytest.raises(ValueError):  # declared two modes, delivers one
-        SympPath(n=2, eval=lambda t: SympMatrix(1, np.eye(2), GROUPED))
+        SympPath(n=2, eval=lambda t: SympMatrix(1, np.eye(2)))
 
     def drifting(t):  # open curve: closure must fail
         L = LieAlgElement(1, np.diag([t, t]))
@@ -364,7 +363,7 @@ def test_b_zero_shear_endpoint_formula():
         G = G0 + t * t * G1
         top = np.hstack([np.eye(2), np.zeros((2, 2))])
         bottom = np.hstack([G, np.eye(2)])
-        return SympMatrix(2, np.vstack([top, bottom]), GROUPED)
+        return SympMatrix(2, np.vstack([top, bottom]))
 
     path = SympPath(n=2, eval=eval_path, closed=False)
     p = OscParams(0.7, (1.3, 0.5))
@@ -394,7 +393,7 @@ def test_b_zero_rejects_squeeze_circle():
 
 def test_invariance_under_identity_translation():
     path = squeeze_circle_path(1, 1.0, UNIT_PARAMS)
-    eye = SympMatrix(1, np.eye(2), GROUPED)
+    eye = SympMatrix(1, np.eye(2))
     base, moved, diff = check_canonical_invariance(path, eye, UNIT_PARAMS)
     assert base == moved
     assert diff == 0.0
@@ -413,14 +412,14 @@ def test_invariance_two_mode_rotation():
     path = squeeze_circle_path(2, 0.5, p)
     alpha = np.array([0.7, -0.4])
     ca, sa = np.diag(np.cos(alpha)), np.diag(np.sin(alpha))
-    rot = SympMatrix(2, np.block([[ca, sa], [-sa, ca]]), GROUPED)
+    rot = SympMatrix(2, np.block([[ca, sa], [-sa, ca]]))
     base, moved, diff = check_canonical_invariance(path, rot, p)
     assert diff <= 1e-8 * max(1.0, abs(base))
 
 
 def test_invariance_rejects_mode_mismatch():
     path = squeeze_circle_path(1, 0.5, UNIT_PARAMS)
-    eye2 = SympMatrix(2, np.eye(4), GROUPED)
+    eye2 = SympMatrix(2, np.eye(4))
     with pytest.raises(ValueError):
         check_canonical_invariance(path, eye2, UNIT_PARAMS)
 
@@ -581,7 +580,7 @@ def test_batch_rejections_name_the_first_bad_node():
 
 
 def test_scalar_path_sample_rejections():
-    loose = SympMatrix(1, np.diag([1 + 5e-9, 1.0]), GROUPED, tol_symp=1e-6)
+    loose = SympMatrix(1, np.diag([1 + 5e-9, 1.0]), tol_symp=1e-6)
     with pytest.raises(
         ValueError,
         match=r"^sample at t=0\.0 fails the symplectic condition: residual 5\.000e-09, "
@@ -592,8 +591,6 @@ def test_scalar_path_sample_rejections():
         SympPath(n=1, eval=lambda t: np.eye(2))
     with pytest.raises(ValueError, match=r"^eval\(0\.0\) has 1 modes, path declares 2$"):
         SympPath(n=2, eval=lambda t: SympMatrix(1, np.eye(2)))
-    with pytest.raises(ValueError, match="^paths require grouped ordering$"):
-        SympPath(n=1, eval=lambda t: SympMatrix(1, np.eye(2), "interleaved"))
     # the construction check validates the mode count, which later checks then trust
     base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
     batch = {"eval_batch": base.eval_batch, "tangent_batch": base.tangent_batch}
@@ -783,7 +780,7 @@ def test_integrals_call_one_engine_through_the_module_namespace(monkeypatch, int
 
 def _circle_knots(modes, R, p, knots):
     Ms = squeeze_circle_path(modes, R, p).eval_batch(np.linspace(0.0, 1.0, knots))
-    return [SympMatrix(modes, M, GROUPED) for M in Ms]
+    return [SympMatrix(modes, M) for M in Ms]
 
 
 def test_polygon_phase_converges_to_circle_phase():
@@ -807,16 +804,16 @@ def test_polygon_phase_left_invariant(rng, random_symplectic):
 
 
 def test_polygon_phase_rejections():
-    eye = SympMatrix(1, np.eye(2), GROUPED)
+    eye = SympMatrix(1, np.eye(2))
     with pytest.raises(ValueError, match="at least two knots"):
         polygon_phase([eye], UNIT_PARAMS)
     with pytest.raises(ValueError, match="parameter modes"):
         polygon_phase([eye, eye], OscParams(1.0, (1.0, 1.0)))
     with pytest.raises(ValueError, match="share the mode count"):
-        polygon_phase([eye, SympMatrix(2, np.eye(4), GROUPED)], UNIT_PARAMS)
+        polygon_phase([eye, SympMatrix(2, np.eye(4))], UNIT_PARAMS)
     # the principal logarithm of -I is i pi I: no real geodesic segment
     with pytest.raises(ValueError, match="segment 0: matrix logarithm is not real"):
-        polygon_phase([eye, SympMatrix(1, -np.eye(2), GROUPED)], UNIT_PARAMS)
+        polygon_phase([eye, SympMatrix(1, -np.eye(2))], UNIT_PARAMS)
 
 
 def test_stacked_finite_difference_matches_the_per_point_rules():
@@ -980,7 +977,7 @@ def _leaving_circle(lo, hi, closed=True):
 
     def eval_point(t):
         M = base.eval(t).data
-        return SympMatrix(2, M @ _OFF_GROUP if lo < t < hi else M, GROUPED, 1e-3)
+        return SympMatrix(2, M @ _OFF_GROUP if lo < t < hi else M, 1e-3)
 
     return SympPath(n=2, eval=eval_point, closed=closed)
 
@@ -1052,7 +1049,7 @@ def test_b_zero_names_the_evaluated_t():
         M = loop.eval(t).data.copy()
         if 0.5 < t < 0.5 + h:
             M[:2, 2:] = 1e-9 * np.eye(2)
-        return SympMatrix(2, M, GROUPED, 1e-3)
+        return SympMatrix(2, M, 1e-3)
 
     path = SympPath(n=2, eval=eval_point)  # open, so G7K15 with its node at 0.5 integrates it
     with pytest.raises(NotBZeroForm, match=re.escape(f"at t={0.5 + 0.5 * h}")):
@@ -1151,7 +1148,7 @@ def test_translated_samples_are_group_checked(tangent):
     # S passes its own check at tolerance 1e-3, but S M leaves the group by 1e-6
     base = squeeze_circle_path(2, 0.7, TWO_MODES)
     path = base if tangent else SympPath(n=2, eval=base.eval, closed=True)
-    S = SympMatrix(2, _OFF_GROUP, GROUPED, 1e-3)
+    S = SympMatrix(2, _OFF_GROUP, 1e-3)
     with pytest.raises(ValueError, match="fails the symplectic condition"):
         check_canonical_invariance(path, S, TWO_MODES)
 
@@ -1171,13 +1168,6 @@ def test_phase_b_zero_rejects_a_lower_right_block_off_the_inverse_transpose():
     message = "lower-right block deviates from inverse-transpose form by 5.000e-09 at t="
     with pytest.raises(NotBZeroForm, match=message):
         phase_b_zero(path, OscParams(1.0, (1.0, 1.0)))
-
-
-def test_canonical_invariance_rejects_an_interleaved_translation():
-    p = OscParams(1.0, (1.0,))
-    S = SympMatrix(1, np.eye(2), "interleaved")
-    with pytest.raises(ValueError, match="^translation must use grouped ordering$"):
-        check_canonical_invariance(squeeze_circle_path(1, 0.5, p), S, p)
 
 
 def test_path_without_an_evaluator_is_a_type_error():

@@ -29,7 +29,7 @@ ENGINES = {
         0.5 + 0.5 * GK15_NODES,
     ),
     "periodic_trapezoid": (
-        lambda f, tol=1e-10, max_evals=10**6: periodic_trapezoid(f, tol, max_evals),
+        lambda f, tol=1e-10, max_evals=10**6: periodic_trapezoid(f, tol, max_evals, values=lambda s: s),
         _periodic_nodes(16),
     ),
 }
@@ -223,8 +223,11 @@ def test_noisy_integrand_exhausts_the_budget_after_the_reference_count():
     ],
 )
 def test_integrand_must_map_nodes_to_values(bad):
-    for engine, nodes in ENGINES.values():
+    for name, (engine, nodes) in ENGINES.items():
         message = f"^integrand returned shape .* for {nodes.size} nodes; expected \\({nodes.size},\\)$"
+        if name == "periodic_trapezoid" and np.shape(bad(nodes))[:1] != nodes.shape:
+            # the trapezoid refuses a sample stack of the wrong length before it maps it to values
+            message = f"^sampler returned shape .* for {nodes.size} nodes; expected {nodes.size} samples along axis 0$"
         with pytest.raises(ValueError, match=message):
             engine(bad)
 
@@ -292,7 +295,7 @@ def test_adaptive_rule_refuses_a_non_integer_budget(max_evals):
             engine(f, max_evals=max_evals)
     assert calls == []  # refused before the first call
     assert adaptive_gauss_kronrod(np.cos, 0.0, 1.0, max_evals=np.int64(15))[2] == 15
-    assert periodic_trapezoid(lambda t: np.cos(2.0 * np.pi * t), 1e-10, np.int64(32))[2] == 32
+    assert periodic_trapezoid(lambda t: np.cos(2.0 * np.pi * t), 1e-10, np.int64(32), values=lambda s: s)[2] == 32
 
 
 # Panel sums that a compensated sum (builtin sum from Python 3.12 on, or math.fsum) reads
@@ -334,7 +337,8 @@ def test_adaptive_rule_adds_its_panels_left_to_right(monkeypatch):
 
 def test_periodic_trapezoid_is_spectrally_accurate():
     # exp(cos 2 pi t) integrates to the modified Bessel value I0(1)
-    value, error, evals = periodic_trapezoid(lambda t: np.exp(np.cos(2.0 * np.pi * t)), 1e-10, 10**6)
+    f = lambda t: np.exp(np.cos(2.0 * np.pi * t))
+    value, error, evals = periodic_trapezoid(f, 1e-10, 10**6, values=lambda s: s)
     assert abs(value - scipy.special.i0(1.0)) <= 1e-15
     assert error <= 1e-10 and evals <= 64
 
@@ -348,7 +352,7 @@ def test_periodic_trapezoid_evaluates_every_node_once():
         return np.where(t < 0.3, 1.0, 0.0)
 
     with pytest.raises(QuadratureBudgetExceeded) as info:
-        periodic_trapezoid(f, 1e-10, 1024)
+        periodic_trapezoid(f, 1e-10, 1024, values=lambda s: s)
     assert [t.size for t in calls] == [16, 16, 32, 64, 128, 256, 512]
     nodes = np.concatenate(calls)
     assert info.value.evaluations == nodes.size == np.unique(nodes).size == 1024
@@ -366,13 +370,13 @@ def test_periodic_grid_keeps_clear_of_the_ends():
 
 def test_periodic_trapezoid_stops_on_a_constant_at_the_first_doubling():
     with np.errstate(all="raise"):  # a flat spectrum has q2 = q4 = 0: no 0 / 0
-        assert periodic_trapezoid(lambda t: np.full_like(t, 2.5), 1e-10, 10**6) == (2.5, 0.0, 32)
+        assert periodic_trapezoid(lambda t: np.full_like(t, 2.5), 1e-10, 10**6, values=lambda s: s) == (2.5, 0.0, 32)
 
 
 @pytest.mark.parametrize("max_evals, evaluations", [(15, 0), (16, 16), (100, 64), (256, 256)])
 def test_periodic_trapezoid_stops_before_a_level_over_its_budget(max_evals, evaluations):
     with pytest.raises(QuadratureBudgetExceeded) as info:
-        periodic_trapezoid(lambda t: np.where(t < 0.3, 1.0, 0.0), 1e-10, max_evals)
+        periodic_trapezoid(lambda t: np.where(t < 0.3, 1.0, 0.0), 1e-10, max_evals, values=lambda s: s)
     assert info.value.evaluations == evaluations <= max_evals
 
 

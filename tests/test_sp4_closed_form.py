@@ -11,17 +11,24 @@ from sympberry import (
     BRANCH_CLOSED_FORM,
     BRANCH_FALLBACK,
     DegenerateEigenvalues,
-    INTERLEAVED,
     LieAlgElement,
+    OscParams,
+    SqueezeSpec,
     Sp4Generator,
+    SympPath,
     closed_form_exp,
     coeff_closed,
     coeff_recurrence,
     convert_ordering,
+    covariance,
     eigenvalues,
+    exp_map,
+    gamma_permutation,
+    integrate_phase,
     s_matrix,
     series_coefficients,
     squeeze_block_exp,
+    squeeze_matrix_n2,
     symplectic_residual,
 )
 from sympberry import sp4_closed_form
@@ -29,6 +36,12 @@ from sympberry import sp4_closed_form
 COSH_HALF = 1.1276259652063807  # cosh(0.5)
 SINHC_QUARTER = 1.0421906109874948  # sinh(0.5) / 0.5
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_GAMMA = gamma_permutation(2)
+
+
+def _grouped(X):
+    """An interleaved reference Gamma X Gamma^T, in the grouped ordering of closed_form_exp."""
+    return _GAMMA @ X @ _GAMMA.T
 
 
 def _zero_gen(b):
@@ -356,9 +369,8 @@ def test_closed_form_exp_against_generic(rng, random_generator):
     for _ in range(200):
         g = random_generator(rng, scale=0.8)
         M = closed_form_exp(g)
-        assert M.ordering == INTERLEAVED
-        assert symplectic_residual(M.data, INTERLEAVED) <= 1e-9
-        generic = scipy.linalg.expm(g.u_matrix())
+        assert symplectic_residual(M.data) <= 1e-9
+        generic = _grouped(scipy.linalg.expm(g.u_matrix()))
         worst = max(worst, float(np.max(np.abs(M.data - generic))))
     assert worst <= 1e-9
 
@@ -368,7 +380,7 @@ def test_closed_form_exp_degenerate_fallback(rng):
         g = _zero_gen(rng.uniform(-1, 1, size=(2, 2)))
         M, branch = closed_form_exp(g, return_branch=True)
         assert branch == BRANCH_FALLBACK
-        generic = scipy.linalg.expm(g.u_matrix())
+        generic = _grouped(scipy.linalg.expm(g.u_matrix()))
         np.testing.assert_allclose(M.data, generic, atol=1e-9)
 
 
@@ -393,7 +405,7 @@ def test_only_a_jordan_degeneracy_calls_the_generic_exponential(monkeypatch, rng
     assert det_a == det_c and _JORDAN.d.any()
     M, branch = closed_form_exp(_JORDAN, return_branch=True)
     assert branch == BRANCH_FALLBACK and calls == [(1, 4, 4)]
-    np.testing.assert_allclose(M.data, scipy.linalg.expm(_JORDAN.u_matrix()), atol=1e-9)
+    np.testing.assert_allclose(M.data, _grouped(scipy.linalg.expm(_JORDAN.u_matrix())), atol=1e-9)
 
 
 # family crossing the eigenvalue-degeneracy locus; b scales through the
@@ -425,7 +437,7 @@ def test_branch_continuity_across_degeneracy():
         M, branch = closed_form_exp(g, return_branch=True)
         branches.add(branch)
         mats.append(M.data)
-        generic = scipy.linalg.expm(g.u_matrix())
+        generic = _grouped(scipy.linalg.expm(g.u_matrix()))
         assert np.max(np.abs(M.data - generic)) <= 1e-9
     jumps = [np.max(np.abs(mats[i + 1] - mats[i])) for i in range(len(mats) - 1)]
     assert max(jumps) <= 1e-6
@@ -444,9 +456,10 @@ def test_squeeze_block_exp_identity_and_literals():
             [SINHC_QUARTER * (J @ b.T), COSH_HALF * np.eye(2)],
         ]
     )
-    np.testing.assert_allclose(M.data, expected, atol=1e-15)
-    # the diagonal blocks carry cosh to the FIRST power; see NOTES.md
-    assert M.data[2, 2] == pytest.approx(COSH_HALF, abs=1e-15)
+    np.testing.assert_allclose(M.data, _grouped(expected), atol=1e-15)
+    # the diagonal blocks carry cosh to the FIRST power; see NOTES.md. The second mode's
+    # x2 and p2 sit at grouped indices 1 and 3
+    assert M.data[1, 1] == pytest.approx(COSH_HALF, abs=1e-15)
     assert M.data[3, 3] == pytest.approx(COSH_HALF, abs=1e-15)
 
 
@@ -455,7 +468,7 @@ def test_squeeze_block_exp_matches_generic(rng):
         b = rng.uniform(-1.5, 1.5, size=(2, 2))
         g = _zero_gen(b)
         np.testing.assert_allclose(
-            squeeze_block_exp(b).data, scipy.linalg.expm(g.u_matrix()), atol=1e-9
+            squeeze_block_exp(b).data, _grouped(scipy.linalg.expm(g.u_matrix())), atol=1e-9
         )
 
 
@@ -468,11 +481,31 @@ def test_closed_form_exp_consistent_with_squeeze_block(rng):
 
 
 def test_interleaved_output_converts_to_grouped(rng):
+    # the interleaved exp(U), read back by convert_ordering, is the closed form's own matrix
     b = rng.uniform(-0.8, 0.8, size=(2, 2))
     M = squeeze_block_exp(b)
-    grouped = convert_ordering(M.data)
+    interleaved = _GAMMA.T @ M.data @ _GAMMA
+    np.testing.assert_allclose(interleaved, scipy.linalg.expm(_zero_gen(b).u_matrix()), atol=1e-9)
+    grouped = convert_ordering(interleaved)
     assert grouped.n == 2
-    assert symplectic_residual(grouped.data) <= 1e-10
+    assert np.array_equal(grouped.data, M.data)
+
+
+def test_the_closed_form_is_a_grouped_group_element(rng):
+    # products, covariances and paths refused the closed form while it was interleaved
+    p = OscParams(1.0, (1.0, 1.0))
+    g = Sp4Generator(a=np.diag([0.3, -0.2]), b=np.array([[0.1, 0.4], [-0.2, 0.3]]), c=np.diag([0.5, 0.1]))
+    M = closed_form_exp(g)
+    S = squeeze_matrix_n2(SqueezeSpec(2, 0.4, 0.3, p))
+    np.testing.assert_allclose((M @ S).data, M.data @ S.data, atol=1e-15)
+    np.testing.assert_allclose(covariance(M, p).data, M.data @ M.data.T / 2.0, atol=1e-15)
+    L = LieAlgElement(2, _grouped(g.lie_element().data))  # exp(omega Gamma L Gamma^T) = Gamma exp(U) Gamma^T
+    np.testing.assert_allclose(M.data, exp_map(L).data, atol=1e-12)
+    scaled = lambda t: Sp4Generator(a=t * g.a, b=t * g.b, c=t * g.c)
+    closed = integrate_phase(SympPath(n=2, eval=lambda t: closed_form_exp(scaled(t))), p)
+    generic = integrate_phase(SympPath(n=2, eval=lambda t: exp_map(LieAlgElement(2, t * L.data))), p)
+    assert closed.value == pytest.approx(generic.value, abs=1e-9)
+    assert closed.value != 0.0
 
 
 def test_overflowing_exponential_is_a_value_error():

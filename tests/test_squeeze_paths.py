@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sympberry import (
     OscParams,
     SqueezeSpec,
-    convert_ordering,
     exp_map,
     integrate_phase,
     reference_phase,
@@ -136,7 +135,7 @@ def test_matrix_n2_identity_and_signs():
 
 
 def test_matrix_n2_matches_block_exponential(rng):
-    # grouped-ordering closed form against the interleaved generator route
+    # the squeeze's closed form against the two-mode closed form of its interleaved b block
     for _ in range(25):
         spec = SqueezeSpec(
             modes=2,
@@ -145,9 +144,7 @@ def test_matrix_n2_matches_block_exponential(rng):
             params=OscParams(rng.uniform(0.5, 2.0), tuple(rng.uniform(0.4, 2.5, 2))),
         )
         direct = squeeze_matrix_n2(spec).data
-        via_block = convert_ordering(
-            squeeze_block_exp(squeeze_b_block_n2(spec)).data
-        ).data
+        via_block = squeeze_block_exp(squeeze_b_block_n2(spec)).data
         np.testing.assert_allclose(direct, via_block, atol=1e-10)
 
 

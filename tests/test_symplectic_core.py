@@ -1,4 +1,6 @@
 """Group/algebra containers, ordering conversions, and the exponential map."""
+import dataclasses
+import math
 import re
 
 import numpy as np
@@ -9,8 +11,6 @@ from hypothesis.extra.numpy import arrays
 import scipy.linalg
 
 from sympberry import (
-    GROUPED,
-    INTERLEAVED,
     BlockDecomposition,
     LieAlgElement,
     NonFiniteIntegrand,
@@ -68,13 +68,29 @@ def test_forms_reject_a_boolean_mode_count(form):
 
 
 def test_interleaved_sympmatrix_still_validated():
-    with pytest.raises(ValueError, match="symplectic condition"):
-        SympMatrix(2, 2 * np.eye(4), INTERLEAVED)
+    # convert_ordering, the one reader of interleaved arrays, checks them against diag(J, J)
+    with pytest.raises(ValueError, match="interleaved-ordering symplectic condition"):
+        convert_ordering(2 * np.eye(4))
     shear = np.eye(4)
     shear[1, 2] = 0.5  # det 1, but p1 += x2/2 without p2 += x1/2 breaks the form
-    with pytest.raises(ValueError, match="symplectic condition"):
-        SympMatrix(2, shear, INTERLEAVED)
-    assert SympMatrix(2, np.eye(4), INTERLEAVED).ordering == INTERLEAVED
+    with pytest.raises(ValueError, match="interleaved-ordering symplectic condition"):
+        convert_ordering(shear)
+    squeeze = np.diag([2.0, 1.0, 0.5, 1.0])  # x1 against p1 when grouped, x1 against x2 when interleaved
+    assert is_symplectic(squeeze)
+    with pytest.raises(ValueError, match="interleaved-ordering symplectic condition"):
+        convert_ordering(squeeze)
+    assert np.array_equal(convert_ordering(np.eye(4)).data, np.eye(4))
+
+
+def test_sympmatrix_takes_no_ordering():
+    # every SympMatrix is grouped: an ordering argument, by name or in its old position, is refused
+    with pytest.raises(TypeError):
+        SympMatrix(1, np.eye(2), ordering="grouped")
+    with pytest.raises(TypeError):
+        SympMatrix(1, np.eye(2), "grouped", 1e-10)
+    assert [f.name for f in dataclasses.fields(SympMatrix)] == ["n", "data", "tol_symp"]
+    with pytest.raises(TypeError):
+        symplectic_residual(np.eye(4), "interleaved")
 
 
 def test_is_symplectic_basics():
@@ -125,11 +141,9 @@ def test_matmul_closure(rng, random_symplectic):
     assert is_symplectic(prod.data, tol=1e-9)
 
 
-def test_matmul_ordering_mismatch(rng, random_symplectic):
-    M = random_symplectic(rng, 1)
-    tilted = SympMatrix(1, M.data, INTERLEAVED)  # n=1: orderings coincide
-    with pytest.raises(ValueError):
-        M @ tilted
+def test_matmul_mode_count_mismatch(rng, random_symplectic):
+    with pytest.raises(ValueError, match="^operands must share mode count$"):
+        random_symplectic(rng, 1) @ random_symplectic(rng, 2)
 
 
 def test_lie_alg_element_requires_symmetry():
@@ -253,9 +267,11 @@ def test_interleaved_block_diagonal_of_single_mode_elements(rng, random_symmetri
     tilde = np.zeros((6, 6))
     for i, blk in enumerate(blocks):
         tilde[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = blk
-    assert symplectic_residual(tilde, INTERLEAVED) <= 1e-12
+    form = omega_interleaved(3)
+    assert abs(tilde @ form @ tilde.T - form).max() <= 1e-12
     M = convert_ordering(tilde)
-    assert M.n == 3 and M.ordering == GROUPED
+    g = gamma_permutation(3)
+    assert M.n == 3 and np.array_equal(M.data, g @ tilde @ g.T)
 
 
 def test_exp_map_zero_is_identity():
@@ -360,9 +376,8 @@ def _with(value):
         # finiteness is checked before the shape
         ((1, np.full((4, 4), np.nan)), "symplectic matrix contains non-finite entries"),
         ((1, np.eye(4)), "expected shape (2, 2), got (4, 4)"),
-        # the shape is checked before the ordering
-        ((1, np.eye(4), "xp"), "expected shape (2, 2), got (4, 4)"),
-        ((1, np.eye(2), "xp"), "unknown ordering 'xp'"),
+        # the shape is checked before the residual
+        ((1, np.eye(4), 1e-3), "expected shape (2, 2), got (4, 4)"),
         # the residual is checked before the determinant (here 4)
         (
             (1, 2 * np.eye(2)),
@@ -370,13 +385,13 @@ def _with(value):
             "tolerance 1.000e-10",
         ),
         (
-            (2, 2 * np.eye(4), INTERLEAVED, 1e-3),
+            (2, 2 * np.eye(4), 1e-3),
             "matrix fails the symplectic condition: residual 3.000e+00 exceeds "
             "tolerance 1.000e-03",
         ),
         # residual 1e-6 passes the loose tolerance; the determinant does not
         (
-            (1, np.diag([1 + 1e-6, 1.0]), GROUPED, 1e-3),
+            (1, np.diag([1 + 1e-6, 1.0]), 1e-3),
             "determinant 1.000001 deviates from 1 beyond 1e-08",
         ),
         ((np.int64(1), np.eye(4)), "expected shape (2, 2), got (4, 4)"),
@@ -396,6 +411,12 @@ def _with(value):
         # bool is a subclass of int, but not a count
         ((True, np.eye(2)), "mode count must be a positive integer, got True"),
         ((np.True_, np.eye(2)), "mode count must be a positive integer, got np.True_"),
+        # a NaN tolerance passes nothing, as in is_symplectic: residual 1, determinant 1
+        (
+            (2, np.diag([2.0, 1.0, 1.0, 0.5]), math.nan),
+            "matrix fails the symplectic condition: residual 1.000e+00 exceeds tolerance nan",
+        ),
+        ((1, np.eye(2), math.nan), "matrix fails the symplectic condition: residual 0.000e+00 exceeds tolerance nan"),
     ],
     ids=[
         "args0-mode count must be a positive integer, got 1.0",
@@ -409,7 +430,6 @@ def _with(value):
         "args8-symplectic matrix contains non-finite entries",
         "args9-expected shape (2, 2), got (4, 4)",
         "args10-expected shape (2, 2), got (4, 4)",
-        "args11-unknown ordering 'xp'",
         "args12-matrix fails the symplectic condition: residual 3.000e+00 exceeds tolerance 1.000e-10",
         "args13-matrix fails the symplectic condition: residual 3.000e+00 exceeds tolerance 1.000e-03",
         "args14-determinant 1.000001 deviates from 1 beyond 1e-08",
@@ -421,6 +441,8 @@ def _with(value):
         "args20-matrix fails the symplectic condition: residual inf exceeds tolerance 1.000e-10",
         "args21-mode count must be a positive integer, got True",
         "args22-mode count must be a positive integer, got np.True_",
+        "args23-matrix fails the symplectic condition: residual 1.000e+00 exceeds tolerance nan",
+        "args24-matrix fails the symplectic condition: residual 0.000e+00 exceeds tolerance nan",
     ],
 )
 def test_sympmatrix_rejections(args, message):
@@ -476,29 +498,28 @@ def test_exp_map_checks_its_result():
 
 
 # exp_map, @, inverse and convert_ordering build their result array themselves and give it
-# only the group check. Each row returns (result, the arrays it was made from, n, ordering,
-# tol_symp): the result must be the SympMatrix the public constructor builds from its data.
+# only the group check. Each row returns (result, the arrays it was made from, n, tol_symp):
+# the result must be the SympMatrix the public constructor builds from its data.
 def _exp_map_site(rng):
     L = LieAlgElement(2, random_symmetric(rng, 4, 0.5))
-    return exp_map(L, tol=1e-9), [L.data], 2, GROUPED, 1e-9
+    return exp_map(L, tol=1e-9), [L.data], 2, 1e-9
 
 
 def _matmul_site(rng):
     A = _random.random_symplectic(rng, 2)
     B = SympMatrix(2, _random.random_symplectic(rng, 2).data, tol_symp=1e-9)
-    return A @ B, [A.data, B.data], 2, GROUPED, 1e-8  # 10x the larger operand tolerance
+    return A @ B, [A.data, B.data], 2, 1e-8  # 10x the larger operand tolerance
 
 
 def _inverse_site(rng):
-    g = gamma_permutation(3)
-    M = SympMatrix(3, g.T @ _random.random_symplectic(rng, 3).data @ g, INTERLEAVED, 1e-9)
-    return M.inverse(), [M.data], 3, INTERLEAVED, 1e-9
+    M = SympMatrix(3, _random.random_symplectic(rng, 3).data, 1e-9)
+    return M.inverse(), [M.data], 3, 1e-9
 
 
 def _convert_ordering_site(rng):
     g = gamma_permutation(2)
     Mtilde = g.T @ _random.random_symplectic(rng, 2).data @ g
-    return convert_ordering(Mtilde, tol=1e-9), [Mtilde], 2, GROUPED, 1e-9
+    return convert_ordering(Mtilde, tol=1e-9), [Mtilde], 2, 1e-9
 
 
 @pytest.mark.parametrize(
@@ -507,20 +528,20 @@ def _convert_ordering_site(rng):
     ids=["exp_map", "matmul", "inverse", "convert_ordering"],
 )
 def test_library_results_equal_the_public_construction(site):
-    result, inputs, n, ordering, tol = site(np.random.default_rng(11))
+    result, inputs, n, tol = site(np.random.default_rng(11))
     assert type(result) is SympMatrix and type(result.n) is int
-    assert (result.n, result.ordering, result.tol_symp) == (n, ordering, tol)
+    assert (result.n, result.tol_symp) == (n, tol)
     assert result.data.dtype == np.float64 and not result.data.flags.writeable
     assert not any(np.shares_memory(result.data, x) for x in inputs)
-    reference = SympMatrix(n, result.data.copy(), ordering, tol)
-    assert (reference.n, reference.ordering, reference.tol_symp) == (n, ordering, tol)
+    reference = SympMatrix(n, result.data.copy(), tol)
+    assert (reference.n, reference.tol_symp) == (n, tol)
     assert np.array_equal(reference.data, result.data)
     with pytest.raises(ValueError):
         result.data[0, 0] = 5.0
 
 
 _P1 = OscParams(1.0, (1.0,))
-_NEAR_DET = SympMatrix(1, np.diag([1 + 6e-9, 1.0]), GROUPED, 1e-3)  # passes; its square does not
+_NEAR_DET = SympMatrix(1, np.diag([1 + 6e-9, 1.0]), 1e-3)  # passes; its square does not
 
 
 @pytest.mark.parametrize(
@@ -540,8 +561,16 @@ _NEAR_DET = SympMatrix(1, np.diag([1 + 6e-9, 1.0]), GROUPED, 1e-3)  # passes; it
             lambda: convert_ordering(np.diag([1 + 1e-6, 1.0]), tol=1e-5),
             "determinant 1.000001 deviates from 1 beyond 1e-08",
         ),
+        # no operand of @ carries a NaN tolerance, whose 10x would pass any product
+        (
+            lambda: SympMatrix(1, np.eye(2), tol_symp=math.nan) @ _NEAR_DET,
+            "matrix fails the symplectic condition: residual 0.000e+00 exceeds tolerance nan",
+        ),
     ],
-    ids=["matmul-residual", "exp_map-residual", "matmul-determinant", "convert_ordering-determinant"],
+    ids=[
+        "matmul-residual", "exp_map-residual", "matmul-determinant", "convert_ordering-determinant",
+        "matmul-nan-tolerance",
+    ],
 )
 def test_library_results_fail_with_the_public_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
@@ -551,10 +580,7 @@ def test_library_results_fail_with_the_public_message(make, message):
 
 def test_residual_and_membership_values():
     assert symplectic_residual(2 * np.eye(4)) == 3.0
-    assert symplectic_residual(2 * np.eye(4), INTERLEAVED) == 3.0
     assert symplectic_residual(np.eye(4)) == 0.0
-    with pytest.raises(ValueError, match="^unknown ordering 'xp'$"):
-        symplectic_residual(np.eye(4), "xp")
     with pytest.raises(ValueError, match="^mode count must be a positive integer, got 0$"):
         symplectic_residual(np.zeros((1, 1)))
     for value in (np.nan, np.inf, -np.inf):
@@ -627,7 +653,7 @@ def test_determinant_computed_only_where_the_residual_does_not_imply_it(monkeypa
 # The group check as it was before the determinant and finiteness gates left its pass
 # path: every check in order, each computed. The kernel must reach the same verdict and
 # raise the same error on every input.
-def _reference_sympmatrix(n, data, ordering, tol):
+def _reference_sympmatrix(n, data, tol):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
     arr = np.array(data, dtype=float)
@@ -637,9 +663,7 @@ def _reference_sympmatrix(n, data, ordering, tol):
         raise ValueError("symplectic matrix contains non-finite entries")
     if arr.shape != (2 * n, 2 * n):
         raise ValueError(f"expected shape {(2 * n, 2 * n)}, got {arr.shape}")
-    if ordering not in (GROUPED, INTERLEAVED):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    form = omega(n) if ordering == GROUPED else omega_interleaved(n)
+    form = omega(n)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = float(abs(arr.dot(form).dot(arr.T) - form).max())
     if resid > tol:
@@ -704,10 +728,6 @@ _TOLS = st.sampled_from([1e-10, 1e-9, 1e-6, 1e-3])
 @given(data=st.data(), n=st.integers(1, 8), tol=_TOLS)
 def test_sympmatrix_check_matches_the_ordered_reference(data, n, tol):
     M = data.draw(_near_symplectic(n, tol))
-    ordering = data.draw(st.sampled_from([GROUPED, GROUPED, INTERLEAVED, "xp"]))
-    if ordering == INTERLEAVED and data.draw(st.booleans()):
-        order = gamma_permutation(n).argmax(axis=0)
-        M = M[np.ix_(order, order)]  # Gamma^T M Gamma: a grouped element in interleaved coordinates
     shape = data.draw(st.sampled_from(["right", "right", "right", "other n", "not square", "flat"]))
     if shape == "other n":
         M = np.pad(M, 1)
@@ -715,17 +735,17 @@ def test_sympmatrix_check_matches_the_ordered_reference(data, n, tol):
         M = M[:, :-1]
     elif shape == "flat":
         M = M[0]
-    expected = _outcome(_reference_sympmatrix, n, M, ordering, tol)
-    assert _outcome(SympMatrix, n, M, ordering, tol) == expected
+    expected = _outcome(_reference_sympmatrix, n, M, tol)
+    assert _outcome(SympMatrix, n, M, tol) == expected
     if expected is None:
-        assert np.array_equal(SympMatrix(n, M, ordering, tol).data, M)
+        assert np.array_equal(SympMatrix(n, M, tol).data, M)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 8), tol=_TOLS)
 def test_is_symplectic_agrees_with_sympmatrix(data, n, tol):
     M = data.draw(_near_symplectic(n, tol))
-    assert is_symplectic(M, tol) == (_outcome(SympMatrix, n, M, GROUPED, tol) is None)
+    assert is_symplectic(M, tol) == (_outcome(SympMatrix, n, M, tol) is None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -761,8 +781,3 @@ def test_passing_residual_implies_the_determinant_gate(data, tol):
         deviation = abs(np.linalg.det(M) - 1.0)
         assert deviation <= 1e-8
         assert deviation <= 2 * n * resid + 1e-13
-
-
-def test_block_decomposition_of_an_interleaved_matrix_is_rejected():
-    with pytest.raises(ValueError, match="^block decomposition is defined for grouped ordering$"):
-        block_decompose(SympMatrix(1, np.eye(2), INTERLEAVED))
