@@ -35,9 +35,9 @@ print(f"residual of M form M^T - form: {symplectic_residual(M.data):.3e}")
 print(f"det M = {np.linalg.det(M.data):.15f}  (must be exactly 1 up to rounding)")
 
 print("\n== block identities ==")
-blocks = block_decompose(M)
-print(f"|A D^T - B C^T - I|_max = {np.max(np.abs(blocks.A @ blocks.D.T - blocks.B @ blocks.C.T - np.eye(2))):.3e}")
-print(f"|A B^T - B A^T|_max     = {np.max(np.abs(blocks.A @ blocks.B.T - blocks.B @ blocks.A.T)):.3e}")
+A, B, C, D = block_decompose(M)  # read-only views of M.data
+print(f"|A D^T - B C^T - I|_max = {np.max(np.abs(A @ D.T - B @ C.T - np.eye(2))):.3e}")
+print(f"|A B^T - B A^T|_max     = {np.max(np.abs(A @ B.T - B @ A.T)):.3e}")
 
 print("\n== the inverse without solving ==")
 Minv = M.inverse()

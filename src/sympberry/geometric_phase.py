@@ -126,10 +126,10 @@ class SympPath:
 
     The path is sampled in stacks: eval_batch and tangent_batch map a 1-D
     array of k parameters to (k, 2n, 2n) stacks of M(t) and dM/dt. Either
-    may be given per point instead, as eval (t -> SympMatrix) or tangent,
-    and is adapted to its stack at construction: any evaluator goes with any
-    tangent, or with none. A path without a tangent, stacked or per point,
-    gets the two-point stencil. With h = 1e-6 * max(1, |M(0)|_max), a node t
+    may be given per point instead, as eval (t -> SympMatrix) or tangent, not
+    both ways, and is adapted to its stack at construction: any evaluator goes
+    with any tangent, or with none. A path without a tangent, stacked or per
+    point, gets the two-point stencil. With h = 1e-6 * max(1, |M(0)|_max), a node t
     is evaluated at t + h/2 and t - h/2 only: its matrix is their mean and
     dM/dt their difference over h, both O(h^2) from M(t) and M'(t)
     (NOTES.md). A node within h/2 of either end takes M(t) and the one-sided
@@ -151,6 +151,9 @@ class SympPath:
     _fd_step = None  # not a field: h, set on a path built without a tangent
 
     def __post_init__(self) -> None:
+        for point, batch in (("eval", "eval_batch"), ("tangent", "tangent_batch")):
+            if getattr(self, point) is not None and getattr(self, batch) is not None:
+                raise TypeError(f"a path takes {point} or {batch}, not both")
         n, eval_point, eval_batch = _mode_count(self.n), self.eval, self.eval_batch
         if eval_batch is None:
             if eval_point is None:

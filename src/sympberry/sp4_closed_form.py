@@ -14,9 +14,11 @@ degeneracy (d != 0) the generic stacked exponential (symplectic_core._expm)
 of U. That _expm is the oracle of ``sympberry verify`` and ``sympberry
 expm``; the mpmath tests are the independent oracle of every route.
 
-The blocks, L, U and S stay in the interleaved basis of the paper; the
+The blocks, U and S stay in the interleaved basis of the paper; the
 exponential is returned as a (grouped) SympMatrix, its 16 entries written in
-grouped positions (x1, x2, p1, p2) by index, with no matrix product.
+grouped positions (x1, x2, p1, p2) by index, with no matrix product. The
+generator ``lie_element()`` is grouped like every LieAlgElement, so
+``exp_map(g.lie_element())`` is ``closed_form_exp(g)``.
 
 Formula pitfalls validated against the oracle are recorded in NOTES.md.
 """
@@ -34,6 +36,7 @@ from .symplectic_core import (
     LieAlgElement,
     SympMatrix,
     _expm,
+    _gamma_index,
     _is_integer,
     _real_array,
     omega_interleaved,
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 _JJ = omega_interleaved(2)  # diag(J, J)
-_GAMMA_INDEX = np.array([0, 2, 1, 3])  # gamma_permutation(2) as an index, its own inverse
+_GAMMA_INDEX = _gamma_index(2)  # [0, 2, 1, 3], its own inverse
 _EYE = (1.0, 0.0, 0.0, 1.0)
 _CLOSED_FORM_TOL = 1e-9
 _IMAG_RESIDUE_TOL = 1e-10
@@ -179,15 +182,16 @@ class Sp4Generator:
     @functools.cached_property
     def _lie(self) -> LieAlgElement:
         a, b, c, _ = self._blocks
-        return LieAlgElement(2, _join22(a, b, _t(b), c))
+        return LieAlgElement(2, _reorder(_join22(a, b, _t(b), c)))
 
     def lie_element(self) -> LieAlgElement:
-        """The full 4x4 symmetric generator in interleaved ordering."""
+        """The full 4x4 symmetric generator, grouped like every LieAlgElement: the interleaved
+        [[a, b], [b^T, c]] in grouped positions, so exp_map of it is closed_form_exp."""
         return self._lie
 
     def u_matrix(self) -> np.ndarray:
-        """U = diag(J, J) L, the matrix actually exponentiated."""
-        return _JJ @ self.lie_element().data
+        """U = diag(J, J) L, the matrix actually exponentiated, in the blocks' interleaved ordering."""
+        return _JJ @ _reorder(self._lie.data)
 
 
 @dataclasses.dataclass(frozen=True)

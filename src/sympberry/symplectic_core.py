@@ -1,15 +1,16 @@
 """Dense real symplectic-matrix foundations.
 
-Provides the standard antisymmetric form, membership tests, block
-decomposition, a generic (oracle-grade) exponential map onto the group, and a
-private numpy exponential of matrix stacks.
+Provides the standard antisymmetric form, membership tests, the corner blocks
+of a group element, a generic (oracle-grade) exponential map onto the group, and
+a private numpy exponential of matrix stacks.
 
-Every SympMatrix is in grouped ordering (x_1, ..., x_n, p_1, ..., p_n), whose
-form matrix is ``omega(n) = [[0, I], [-I, 0]]``. The interleaved ordering
-(x_1, p_1, ..., x_n, p_n), with the block-diagonal form ``omega_interleaved(n)``
-built from 2x2 blocks [[0, 1], [-1, 0]], is the two-mode closed form's working
-basis; ``convert_ordering`` reads an interleaved array into a grouped
-SympMatrix by the permutation similarity ``gamma_permutation``.
+Every SympMatrix and every LieAlgElement is in grouped ordering (x_1, ..., x_n,
+p_1, ..., p_n), whose form matrix is ``omega(n) = [[0, I], [-I, 0]]``. The
+interleaved ordering (x_1, p_1, ..., x_n, p_n), with the block-diagonal form
+``omega_interleaved(n)`` built from 2x2 blocks [[0, 1], [-1, 0]], is the
+two-mode closed form's working basis; ``convert_ordering`` reads an interleaved
+array into a grouped SympMatrix by the permutation similarity
+``gamma_permutation``, applied by index.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import numpy as np
 __all__ = [
     "SympMatrix",
     "LieAlgElement",
-    "BlockDecomposition",
     "omega",
     "omega_interleaved",
     "symplectic_residual",
@@ -233,7 +233,7 @@ class SympMatrix:
 
 @dataclasses.dataclass(frozen=True)
 class LieAlgElement:
-    """A symmetric 2n x 2n real matrix; the generator of exp_map."""
+    """A symmetric 2n x 2n real matrix in grouped ordering; the generator of exp_map."""
 
     n: int
     data: np.ndarray
@@ -255,49 +255,21 @@ class LieAlgElement:
         object.__setattr__(self, "n", n)
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockDecomposition:
-    """n x n blocks A, B, C, D of a symplectic matrix.
+def block_decompose(M: SympMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The n x n corner blocks (A, B, C, D) of M = [[A, B], [C, D]], read-only views of M.data.
 
-    The group condition in block form reads A D^T - B C^T = I,
-    A B^T = B A^T, C D^T = D C^T: the blocks of M form M^T = form, whose
-    residual is validated within tol.
+    The group condition in block form reads A D^T - B C^T = I, A B^T = B A^T and
+    C D^T = D C^T. Four blocks of one's own are checked, residual and determinant,
+    as SympMatrix(n, np.block([[A, B], [C, D]])).
     """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    tol: float = DEFAULT_TOL_SYMP
-
-    def __post_init__(self) -> None:
-        shape = None
-        for name in ("A", "B", "C", "D"):
-            arr = _as_square_matrix(getattr(self, name), f"block {name}")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise ValueError("blocks must share one shape")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        worst = _residual(self.assemble(), _omega_cached(shape[0]))
-        if not worst <= self.tol:
-            raise ValueError(
-                f"blocks violate the symplectic identities: residual {worst:.3e} "
-                f"exceeds {self.tol:.3e}"
-            )
-
-    def assemble(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.C, self.D]])
+    n, d = M.n, M.data
+    return d[:n, :n], d[:n, n:], d[n:, :n], d[n:, n:]
 
 
-def block_decompose(M: SympMatrix) -> BlockDecomposition:
-    """Split a SympMatrix into its n x n corner blocks."""
-    n = M.n
-    d = M.data
-    return BlockDecomposition(
-        A=d[:n, :n], B=d[:n, n:], C=d[n:, :n], D=d[n:, n:], tol=M.tol_symp
-    )
+def _gamma_index(n: int) -> np.ndarray:
+    """The interleaved index of each grouped coordinate, 0, 2, ..., 2n - 2, 1, 3, ..., 2n - 1:
+    the rows of gamma_permutation(n) are the identity's rows taken by it."""
+    return np.arange(2 * n).reshape(n, 2).T.ravel()
 
 
 def gamma_permutation(n: int) -> np.ndarray:
@@ -307,11 +279,7 @@ def gamma_permutation(n: int) -> np.ndarray:
     Orthogonal, so its transpose is its inverse. n=1 gives the identity.
     """
     n = _mode_count(n)
-    g = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        g[i, 2 * i] = 1.0
-        g[n + i, 2 * i + 1] = 1.0
-    return g
+    return np.eye(2 * n)[_gamma_index(n)]
 
 
 def convert_ordering(Mtilde, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
@@ -330,8 +298,8 @@ def convert_ordering(Mtilde, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:
             f"input fails the interleaved-ordering symplectic condition: "
             f"residual {resid:.3e} exceeds {tol:.3e}"
         )
-    g = gamma_permutation(n)
-    return SympMatrix._checked(n, g.dot(arr).dot(g.T), tol)
+    i = _gamma_index(n)  # Gamma Mtilde Gamma^T, by index: every entry is kept
+    return SympMatrix._checked(n, arr[i[:, None], i], tol)
 
 
 def exp_map(L: LieAlgElement, tol: float = DEFAULT_TOL_SYMP) -> SympMatrix:

@@ -36,10 +36,10 @@ def _mp_det(x):
 
 
 def _mp_exp(g):
-    """exp(diag(J, J) L) at _DPS digits from the generator's float entries, in grouped
-    ordering: Gamma exp(U) Gamma^T, whose products with 0 and 1 are exact."""
+    """exp(diag(J, J) L) at _DPS digits from the blocks' float entries, L = [[a, b], [b^T, c]]
+    interleaved, in grouped ordering: Gamma exp(U) Gamma^T, whose products with 0 and 1 are exact."""
     with mpmath.workdps(_DPS):
-        L = mpmath.matrix(g.lie_element().data.tolist())
+        L = mpmath.matrix(np.block([[g.a, g.b], [g.b.T, g.c]]).tolist())
         JJ = mpmath.matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
         G = mpmath.matrix(gamma_permutation(2).tolist())
         return G * mpmath.expm(JJ * L) * G.T

@@ -103,7 +103,7 @@ def test_compressed_loop_phases_within_bound(seed, n):
 
 
 @pytest.mark.parametrize("seed, n", sorted(TRAPEZOID_NODES))
-def test_compressed_loops_meet_1e13_of_their_scale_on_the_stencil_node_counts(seed, n):
+def test_compressed_loops_meet_1e13_at_pinned_node_counts(seed, n):
     for (path, p, reference, scale), nodes in zip(_loops(seed)[n], TRAPEZOID_NODES[seed, n]):
         result = integrate_phase(path, p)
         assert result.evaluations == nodes
@@ -123,7 +123,7 @@ def test_other_phase_forms_agree_on_the_spectral_tangent(n, rng, random_symplect
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_per_point_loop_integrates_as_its_matrices_given_as_a_stack(n):
+def test_per_point_loop_integrates_as_its_stacked_matrices(n):
     # exp_map and @ give their results only the group check: the data they hand the path
     # are the bits of the plain scipy exponential and product, node for node
     for (path, p, _, _), (stacked, _, _, _) in zip(_loops(1)[n], _loops(1, batch=True)[n]):

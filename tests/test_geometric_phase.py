@@ -492,8 +492,6 @@ def _circle_with(eval_batch=None, tangent_batch=None):
     base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
     return SympPath(
         n=1,
-        eval=base.eval,
-        tangent=base.derivative,
         closed=True,
         eval_batch=eval_batch or base.eval_batch,
         tangent_batch=tangent_batch or base.tangent_batch,
@@ -680,20 +678,13 @@ def test_batch_construction_checks_closure():
     base = squeeze_circle_path(1, 0.7, UNIT_PARAMS)
     half = SympPath(
         n=1,
-        eval=lambda t: base.eval(0.5 * t),
         eval_batch=lambda ts: base.eval_batch(0.5 * ts),
         tangent_batch=lambda ts: 0.5 * base.tangent_batch(0.5 * ts),
     )
     # constant integrand on the circle: half the sweep carries half the phase
     assert integrate_phase(half, UNIT_PARAMS).value == pytest.approx(-0.5 * np.pi * np.sinh(0.7) ** 2, rel=1e-10)
     with pytest.raises(ValueError, match="closure"):
-        SympPath(
-            n=1,
-            eval=half.eval,
-            closed=True,
-            eval_batch=half.eval_batch,
-            tangent_batch=half.tangent_batch,
-        )
+        SympPath(n=1, closed=True, eval_batch=half.eval_batch, tangent_batch=half.tangent_batch)
 
 
 def test_batch_and_loop_sampling_agree():
@@ -1087,8 +1078,9 @@ def test_a_kinked_closed_loop_stays_within_its_budget(max_evals, evaluations):
 @pytest.mark.parametrize(
     "b, engines",
     [(0.5, ["periodic_trapezoid"]), (0.3, ["periodic_trapezoid", "adaptive_gauss_kronrod"])],
+    ids=["trapezoid", "trapezoid-gk15"],
 )
-def test_closed_stencil_paths_call_the_engines_through_the_module_namespace(monkeypatch, b, engines):
+def test_closed_stencil_paths_call_engines_via_the_module(monkeypatch, b, engines):
     # b = 0.5 warps nothing, so that loop is smooth and the trapezoid alone integrates it
     calls = []
 
@@ -1173,6 +1165,24 @@ def test_phase_b_zero_rejects_a_lower_right_block_off_the_inverse_transpose():
 def test_path_without_an_evaluator_is_a_type_error():
     with pytest.raises(TypeError, match="^a path needs eval or eval_batch$"):
         SympPath(n=1)
+
+
+_C05, _C1 = squeeze_circle_path(1, 0.5, UNIT_PARAMS), squeeze_circle_path(1, 1.0, UNIT_PARAMS)
+
+
+@pytest.mark.parametrize(
+    "forms, pair",
+    [
+        (dict(eval=_C05.eval, eval_batch=_C1.eval_batch, tangent_batch=_C1.tangent_batch), "eval or eval_batch"),
+        (dict(eval_batch=_C1.eval_batch, tangent=_C05.derivative, tangent_batch=_C1.tangent_batch),
+         "tangent or tangent_batch"),
+    ],
+    ids=["eval", "tangent"],
+)
+def test_path_given_one_function_both_ways_is_a_type_error(forms, pair):
+    # given both, path.eval would answer from one circle and the phase integral from the other
+    with pytest.raises(TypeError, match=f"^a path takes {pair}, not both$"):
+        SympPath(n=1, closed=True, **forms)
 
 
 def _generator_loop(rng, n):

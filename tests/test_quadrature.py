@@ -404,8 +404,8 @@ def test_periodic_values_see_every_sample_in_grid_order():
         assert np.array_equal(grid, _grid(grid.size))
 
 
-@pytest.mark.parametrize("bad", [lambda t: t[:-1], lambda t: float(np.sum(t))])
-def test_periodic_values_path_refuses_a_sample_stack_of_the_wrong_length(bad):
+@pytest.mark.parametrize("bad", [lambda t: t[:-1], lambda t: float(np.sum(t))], ids=["short", "scalar"])
+def test_periodic_values_path_refuses_a_stack_of_wrong_length(bad):
     message = r"^sampler returned shape .* for 16 nodes; expected 16 samples along axis 0$"
     with pytest.raises(ValueError, match=message):
         periodic_trapezoid(bad, 1e-10, 10**6, values=lambda samples: samples)

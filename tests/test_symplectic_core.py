@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 import scipy.linalg
 
 from sympberry import (
-    BlockDecomposition,
     LieAlgElement,
     NonFiniteIntegrand,
     OscParams,
@@ -155,28 +154,15 @@ def test_lie_alg_element_requires_symmetry():
 
 def test_block_decompose_identities(rng, random_symplectic):
     M = random_symplectic(rng, 2)
-    blocks = block_decompose(M)
-    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
+    A, B, C, D = blocks = block_decompose(M)
     np.testing.assert_allclose(A @ D.T - B @ C.T, np.eye(2), atol=1e-10)
     np.testing.assert_allclose(A @ B.T, B @ A.T, atol=1e-10)
     np.testing.assert_allclose(C @ D.T, D @ C.T, atol=1e-10)
-    np.testing.assert_allclose(blocks.assemble(), M.data, atol=0)
-
-
-def test_block_decomposition_rejects_broken_blocks():
-    eye, zero = np.eye(2), np.zeros((2, 2))
-    message = "blocks violate the symplectic identities: residual {} exceeds {}"
-    with pytest.raises(ValueError, match=re.escape(message.format("1.000e+00", "1.000e-10"))):
-        BlockDecomposition(A=eye, B=zero, C=zero, D=2 * eye)
-    # A D^T - B C^T = I holds, A B^T = B A^T fails by 0.5
-    with pytest.raises(ValueError, match=re.escape(message.format("5.000e-01", "1.000e-03"))):
-        BlockDecomposition(A=eye, B=np.array([[0.0, 0.5], [0.0, 0.0]]), C=zero, D=eye, tol=1e-3)
-    with pytest.raises(ValueError, match="^blocks must share one shape$"):
-        BlockDecomposition(A=eye, B=zero, C=zero, D=np.eye(3))
-    with pytest.raises(ValueError, match="^block C contains non-finite entries$"):
-        BlockDecomposition(A=eye, B=zero, C=np.full((2, 2), np.nan), D=eye)
-    with pytest.raises(ValueError, match="^block B must be real-valued, got dtype complex128$"):
-        BlockDecomposition(A=eye, B=zero + 0j, C=zero, D=eye)
+    assert np.array_equal(np.block([[A, B], [C, D]]), M.data)
+    # read-only views of the checked matrix: no copy and no second check
+    for block, corner in zip(blocks, (M.data[:2, :2], M.data[:2, 2:], M.data[2:, :2], M.data[2:, 2:])):
+        assert np.shares_memory(block, M.data) and not block.flags.writeable
+        assert np.array_equal(block, corner)
 
 
 # a finite matrix whose residual M Omega M^T overflows: each public entry point reports it
@@ -229,11 +215,6 @@ def test_is_symplectic_applies_the_determinant_gate():
     assert is_symplectic(M, tol=1e-5) is False
     with pytest.raises(ValueError, match="^determinant 1.000001 deviates from 1 beyond 1e-08$"):
         SympMatrix(1, M, tol_symp=1e-5)
-
-
-def test_block_decomposition_rejects_overflowing_blocks():
-    with pytest.raises(ValueError, match="blocks violate the symplectic identities: residual inf"):
-        BlockDecomposition(A=[[1e200]], B=[[1e200]], C=[[0.0]], D=[[1.0]])
 
 
 def test_gamma_permutation_is_orthogonal():
@@ -417,6 +398,15 @@ def _with(value):
             "matrix fails the symplectic condition: residual 1.000e+00 exceeds tolerance nan",
         ),
         ((1, np.eye(2), math.nan), "matrix fails the symplectic condition: residual 0.000e+00 exceeds tolerance nan"),
+        # four blocks of one's own: A D^T - B C^T = I fails by 1 (D = 2I), then A B^T = B A^T by 0.5
+        (
+            (2, np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), 2 * np.eye(2)]])),
+            "matrix fails the symplectic condition: residual 1.000e+00 exceeds tolerance 1.000e-10",
+        ),
+        (
+            (2, np.block([[np.eye(2), np.array([[0.0, 0.5], [0.0, 0.0]])], [np.zeros((2, 2)), np.eye(2)]]), 1e-3),
+            "matrix fails the symplectic condition: residual 5.000e-01 exceeds tolerance 1.000e-03",
+        ),
     ],
     ids=[
         "args0-mode count must be a positive integer, got 1.0",
@@ -443,6 +433,8 @@ def _with(value):
         "args22-mode count must be a positive integer, got np.True_",
         "args23-matrix fails the symplectic condition: residual 1.000e+00 exceeds tolerance nan",
         "args24-matrix fails the symplectic condition: residual 0.000e+00 exceeds tolerance nan",
+        "args25-matrix fails the symplectic condition: residual 1.000e+00 exceeds tolerance 1.000e-10",
+        "args26-matrix fails the symplectic condition: residual 5.000e-01 exceeds tolerance 1.000e-03",
     ],
 )
 def test_sympmatrix_rejections(args, message):
